@@ -37,6 +37,8 @@ class SignedVectorSequence:
     signs: list = field(default_factory=list)  # entries in {-1, 0, +1}; 0 = uncolored
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValidationError(f"dimension must be >= 1, got {self.m}")
         self.vectors = [tuple(Fraction(x) for x in v) for v in self.vectors]
         if not self.signs:
             self.signs = [0] * len(self.vectors)

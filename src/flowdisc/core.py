@@ -84,6 +84,8 @@ def validate_instance(inst: SchedulingInstance) -> list[str]:
     problems: list[str] = []
     if inst.m < 1:
         problems.append(f"machine count must be >= 1, got {inst.m}")
+    if not inst.jobs:
+        problems.append("instance has no jobs")
     for j, job in enumerate(inst.jobs):
         if len(job.proc) != inst.m:
             problems.append(f"job {j}: has {len(job.proc)} processing entries, expected {inst.m}")
@@ -107,12 +109,27 @@ def p_max(inst: SchedulingInstance) -> Fraction:
     return max(vals)
 
 
-def proc_ratio(inst: SchedulingInstance) -> Fraction:
-    """Ratio of the largest to the smallest positive finite processing time."""
-    vals = [p for _, _, p in inst.finite_procs() if p > 0]
-    if not vals:
-        raise ValidationError("no positive finite processing times")
-    return max(vals) / min(vals)
+def worst_window(pairs):
+    """Closed window [t1, t2] with the largest load - (t2 - t1), as (excess, t1, t2).
+
+    ``pairs`` are ``(time, load)``; loads at one time add up.  One pass of
+    Lindley's recursion W_b = max(W_{b-1} - (t_b - t_{b-1}), 0) + L_b over the
+    sorted times: a run restarts when its carry is <= 0, and the answer moves
+    only on a strict increase.  Returns None without pairs.
+    """
+    loads: dict = {}
+    for t, load in pairs:
+        loads[t] = loads.get(t, 0) + load
+    best = run = start = prev = None
+    for t in sorted(loads):
+        if run is None or run - (t - prev) <= 0:
+            run, start = loads[t], t
+        else:
+            run += loads[t] - (t - prev)
+        if best is None or run > best[0]:
+            best = (run, start, t)
+        prev = t
+    return best
 
 
 def _check_assignment(inst: SchedulingInstance, asg: MachineAssignment) -> None:

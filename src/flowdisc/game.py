@@ -569,9 +569,6 @@ class TreeBreaker:
         self._seen_history = len(state.history) + 1  # +1 accounts for our reply
         return moves
 
-    def _color(self, state: GameState, idx: int, sign: int) -> tuple:
-        return color_move(idx, sign)
-
     def _maintenance_move(self, state: GameState) -> tuple:
         lo, hi = self.claim
         prefix = Fraction(0)
@@ -590,14 +587,14 @@ class TreeBreaker:
         open_ = [e for e in range(target + 1) if state.colors[e] == 0]
         if open_:
             pick = max(open_, key=lambda e: (self.values[e], -e))
-            return self._color(state, pick, sign)
+            return color_move(pick, sign)
         # claimed prefix exhausted: keep pushing the achieved deviation by
         # coloring the heaviest remaining element in the same direction
         rest = state.uncolored()
         if not rest:
             return WAIT
         pick = max(rest, key=lambda e: (self.values[e], -e))
-        return self._color(state, pick, sign)
+        return color_move(pick, sign)
 
     def _enter_maintenance(self, idx: list[int]) -> None:
         self.phase = "maintain"
@@ -618,13 +615,13 @@ class TreeBreaker:
                 self._enter_maintenance([0, 0, 1])
                 self.claim = (0, 1)
                 if state.colors[0] == 0:
-                    return self._color(state, 0, 1)
+                    return color_move(0, 1)
                 return self._maintenance_move(state)
             while i1 is not None and state.colors[i1] != 0:
                 i1 = self.tree.next_sib(i1)  # defensive: opponent moved first
             i2 = self.tree.next_sib(i1)
             self.structure = BreakerStructure(indices=[root, i1, i2])
-            mv = self._color(state, i1, 1)
+            mv = color_move(i1, 1)
             self._assert_after(state, mv)
             return mv
 
@@ -645,7 +642,7 @@ class TreeBreaker:
                 return self._maintenance_move(state)
             new_idx = idx[:gap_t] + idx[gap_t + 1:] + [ns]
             self.structure = BreakerStructure(indices=new_idx)
-            mv = self._color(state, new_idx[-2], 1)
+            mv = color_move(new_idx[-2], 1)
             self._assert_after(state, mv)
             return mv
         # the maker did not interfere: descend one layer
@@ -655,7 +652,7 @@ class TreeBreaker:
             return self._maintenance_move(state)
         new_idx = [idx[1] - 1] + idx[1:-1] + [fc, self.tree.next_sib(fc)]
         self.structure = BreakerStructure(indices=new_idx)
-        mv = self._color(state, fc, 1)
+        mv = color_move(fc, 1)
         self._assert_after(state, mv)
         return mv
 
@@ -665,8 +662,3 @@ class TreeBreaker:
         colors[idx] = sign
         check_breaker_structure(self.tree, self.values, colors, self.structure)
         self.checked_moves += 1
-
-
-def breaker_tree_move(state: GameState, breaker: TreeBreaker) -> tuple:
-    """Single tree-breaker move (functional facade over the stateful strategy)."""
-    return breaker.move(state)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from . import lp as lpmod
 from .coloring import PREFIX, SignedVectorSequence, discrepancy
-from .core import Job, MachineAssignment, SchedulingInstance, p_max, validate_instance
+from .core import Job, MachineAssignment, SchedulingInstance, p_max, validate_instance, worst_window
 from .util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
 
 
@@ -32,9 +32,6 @@ class FractionalAssignment:
     def __post_init__(self):
         self.x = [[Fraction(v) for v in row] for row in self.x]
         self.T = Fraction(self.T)
-
-    def row(self, j: int) -> list:
-        return self.x[j]
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,8 @@ class MinTSearch:
     resolution: Fraction
 
 
-def _release_times(inst: SchedulingInstance) -> list:
-    return sorted({job.release for job in inst.jobs})
-
-
 def _interval_pairs(inst: SchedulingInstance):
-    times = _release_times(inst)
+    times = sorted({job.release for job in inst.jobs})
     for a in range(len(times)):
         for b in range(a, len(times)):
             yield times[a], times[b]
@@ -140,7 +133,13 @@ def assignment_from_solution(inst: SchedulingInstance, T, sol: lpmod.LpSolution)
 
 
 def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment) -> list[str]:
-    """Exact feasibility check of a fractional assignment at its own bound."""
+    """Exact feasibility check of a fractional assignment at its own bound.
+
+    Machine i is overloaded iff some release times t1 <= t2 have a load
+    sum(x_ij p_ij : t1 <= r_j <= t2) above t2 - t1 + T.  One worst_window scan
+    per machine decides this in O(m (n + R log R)) for R distinct releases;
+    each overloaded machine gets one line naming its worst window.
+    """
     problems = []
     for j in range(inst.n):
         total = sum(fa.x[j], Fraction(0))
@@ -153,15 +152,13 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
             if v > 0 and (p is None or p > fa.T):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
     for i in range(inst.m):
-        for t1, t2 in _interval_pairs(inst):
-            load = Fraction(0)
-            for j, job in enumerate(inst.jobs):
-                if t1 <= job.release <= t2 and inst.jobs[j].proc[i] is not None:
-                    load += fa.x[j][i] * inst.jobs[j].proc[i]
-            if load > t2 - t1 + fa.T:
-                problems.append(
-                    f"machine {i} window [{t1},{t2}]: load {load} > {t2 - t1 + fa.T}"
-                )
+        worst = worst_window((job.release, fa.x[j][i] * job.proc[i])
+                             for j, job in enumerate(inst.jobs) if job.proc[i] is not None)
+        if worst is not None and worst[0] > fa.T:
+            excess, t1, t2 = worst
+            problems.append(
+                f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + fa.T}"
+            )
     return problems
 
 

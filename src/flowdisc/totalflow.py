@@ -22,6 +22,7 @@ from .core import (
     SchedulingInstance,
     evaluate_total_flow_srpt,
     validate_instance,
+    worst_window,
 )
 from .util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
 
@@ -254,38 +255,22 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution) -> AlphaRepo
     (volume of class-<=k jobs inside the window minus its width) / 2^k,
     floored at zero.
 
-    For a fixed solution the maximum is attained with both window endpoints on
-    support slots, so a maximum-subarray scan over the support range is exact.
+    The maximum is attained with both window endpoints on support slots, so
+    one worst_window scan per (machine, class) is exact.  Slot t covers
+    [t, t+1): its closed window [t1, t2] is the half-open [t1, t2 + 1).
     """
+    by_machine: dict[int, list] = {}
+    for (i, j, t), v in y.entries.items():
+        by_machine.setdefault(i, []).append((class_index(inst.jobs[j].proc[i]), t, v))
     best = Fraction(0)
     best_wit = None
-    per_machine_classes: dict[int, set] = {}
-    for (i, j, _t) in y.entries:
-        per_machine_classes.setdefault(i, set()).add(class_index(inst.jobs[j].proc[i]))
-    for i, ks in sorted(per_machine_classes.items()):
-        for k in sorted(ks):
-            cap = Fraction(2) ** k
-            loads: dict[int, Fraction] = {}
-            for (ii, j, t), v in y.entries.items():
-                if ii == i and inst.jobs[j].proc[ii] <= cap:
-                    loads[t] = loads.get(t, Fraction(0)) + v
-            if not loads:
-                continue
-            lo, hi = min(loads), max(loads)
-            run = Fraction(0)
-            run_start = lo
-            for t in range(lo, hi + 1):
-                gain = loads.get(t, Fraction(0)) - 1
-                if run <= 0:
-                    run = gain
-                    run_start = t
-                else:
-                    run += gain
-                if run > 0:
-                    cand = run / cap
-                    if cand > best:
-                        best = cand
-                        best_wit = (i, k, run_start, t + 1)
+    for i, items in sorted(by_machine.items()):
+        for k in sorted({kk for kk, _, _ in items}):
+            excess, t1, t2 = worst_window((t, v) for kk, t, v in items if kk <= k)
+            cand = (excess - 1) / Fraction(2) ** k
+            if cand > best:
+                best = cand
+                best_wit = (i, k, t1, t2 + 1)
     return AlphaReport(alpha=best, witness=best_wit)
 
 
@@ -719,10 +704,11 @@ def full_round_totalflow(
             f"quantized slack {alpha_quantized} exceeds {alpha_initial} + 1"
         )
     records: list[TotalLevelRecord] = []
+    alpha_after = alpha_quantized  # the slack of the current y, measured once
     for h in range(level, 0, -1):
         split_inst, origin = split_jobs_instance(dinst, h)
         y_split = _split_solution(dinst, split_inst, origin, y, h)
-        alpha_before = measure_alpha(dinst, y).alpha
+        alpha_before = alpha_after
         y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer)
         y = _merge_split_solution(dinst, origin, y_rounded)
         alpha_after = measure_alpha(dinst, y).alpha
@@ -736,7 +722,7 @@ def full_round_totalflow(
                                         level_bound=level_bound))
     if not is_integral(dinst, y):
         raise InternalCheckError("pipeline did not reach an integral solution")
-    alpha_final = measure_alpha(dinst, y).alpha
+    alpha_final = alpha_after
     bound = alpha_initial + 1 + sum((r.level_bound for r in records), Fraction(0))
     if alpha_final > bound:
         raise InternalCheckError(f"final slack {alpha_final} exceeds telescoped bound {bound}")

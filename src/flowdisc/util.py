@@ -25,8 +25,8 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    """Parse a rational serialized by :func:`rat_to_str` (ints also accepted)."""
-    if isinstance(s, int):
+    """Parse a rational serialized by :func:`rat_to_str` (ints accepted, bools not)."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValidationError(f"expected rational string, got {type(s).__name__}")

@@ -150,3 +150,19 @@ def test_exit_code_malformed_file(tmp_path, capsys):
         fh.write('{"m": 1, "jobs": [{"r": "zzz", "p": ["1/1"]}]}')
     assert run(["maxflow", "--instance", bad]) == 1
     assert "zzz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, payload", [
+    ("maxflow", "--instance", {"m": 2, "jobs": []}),
+    ("totalflow", "--instance", {"m": 2, "jobs": []}),
+    ("color", "--vectors", {"m": 0, "vectors": [[]]}),
+    ("maxflow", "--instance", {"m": 1, "jobs": [{"r": True, "p": ["1/1"]}]}),
+])
+def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, flag, payload):
+    monkeypatch.setenv("FLOWDISC_OUTDIR", str(tmp_path))
+    path = str(tmp_path / "input.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert run([command, flag, path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

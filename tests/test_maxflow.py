@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -240,6 +241,53 @@ def _random_half_integral(inst, rng):
     for (i, t1, t2), load in loads.items():
         T = max(T, load - (t2 - t1))
     return FractionalAssignment(x=x, T=T)
+
+
+def test_window_checker_matches_window_oracle():
+    # fractional releases and processing times, forbidden entries, and a
+    # third machine that no job can use
+    rng = random.Random(41)
+    line = re.compile(r"machine (\d+) window \[([^,]+),([^\]]+)\]: load (\S+) > (\S+)$")
+    verdicts = set()
+    for trial in range(60):
+        jobs = []
+        for _ in range(rng.randint(1, 6)):
+            release = F(rng.randint(0, 12), rng.choice([1, 2, 3]))
+            proc = [F(rng.randint(1, 6), rng.choice([1, 2])) if rng.random() < 0.7 else None
+                    for _ in range(2)]
+            if proc == [None, None]:
+                proc[rng.randrange(2)] = F(rng.randint(1, 6))
+            jobs.append((release, proc + [None]))
+        inst = make_instance(3, jobs)
+        x = []
+        for job in inst.jobs:
+            finite = [i for i in range(inst.m) if job.proc[i] is not None]
+            weights = [F(rng.randint(0, 4)) for _ in finite]
+            weights[0] += 1
+            row = [F(0)] * inst.m
+            for i, w in zip(finite, weights):
+                row[i] = w / sum(weights)
+            x.append(row)
+        T = max(job.proc[i] for job in inst.jobs for i in range(inst.m)
+                if job.proc[i] is not None) + F(rng.randint(0, 8), 4)
+        loads = _window_loads(inst, x)
+        reported = {}
+        for text in fractional_assignment_violations(inst, FractionalAssignment(x=x, T=T)):
+            match = line.match(text)
+            assert match, text
+            i, t1, t2, load, cap = match.groups()
+            assert int(i) not in reported
+            reported[int(i)] = (F(t1), F(t2), F(load), F(cap))
+        for i in range(inst.m):
+            windows = {(t1, t2): load for (ii, t1, t2), load in loads.items() if ii == i}
+            worst = max(load - (t2 - t1) for (t1, t2), load in windows.items())
+            verdicts.add(worst > T)
+            assert (i in reported) == (worst > T)
+            if i in reported:
+                t1, t2, load, cap = reported[i]
+                assert load == windows[(t1, t2)] and load - (t2 - t1) == worst
+                assert cap == t2 - t1 + T
+    assert verdicts == {True, False}
 
 
 def test_round_load_identity_and_bound():

@@ -141,6 +141,39 @@ def _random_solution(inst, rng, horizon=None):
     return TimeIndexedSolution(horizon=H, entries=entries)
 
 
+def test_measure_alpha_matches_all_slot_windows():
+    rng = random.Random(29)
+    positive = 0
+    for trial in range(30):
+        inst = gen_random_instance(rng.randint(1, 5), 2, (1, 6), (0, 4), 0.2, seed=700 + trial)
+        y = _random_solution(inst, rng, horizon=rng.randint(6, 24))
+        # thinning keeps some solutions within every window's capacity
+        scale = rng.choice([F(1), F(1, 4)])
+        y = TimeIndexedSolution(y.horizon, {key: v * scale for key, v in y.entries.items()})
+        brute_alpha = F(0)
+        for i in range(inst.m):
+            for k in range(4):
+                for t1 in range(y.horizon):
+                    for t2 in range(t1 + 1, y.horizon + 1):
+                        load = sum((v for (ii, j, t), v in y.entries.items()
+                                    if ii == i and t1 <= t < t2 and inst.jobs[j].proc[i] <= 2 ** k),
+                                   F(0))
+                        brute_alpha = max(brute_alpha, (load - (t2 - t1)) / 2 ** k)
+        rep = measure_alpha(inst, y)
+        assert rep.alpha == brute_alpha
+        assert rep.reproduce(inst, y) == brute_alpha
+        positive += brute_alpha > 0
+    assert 0 < positive < 30
+    # ties: a carry of exactly 0 restarts the window, and a later window of
+    # equal overload does not replace the first
+    inst = make_instance(1, [(0, [1])] * 4)
+    for entries, witness in [({(0, 0, 0): F(1), (0, 1, 1): F(1), (0, 2, 1): F(1)}, (0, 0, 1, 2)),
+                             ({(0, 0, 0): F(1), (0, 1, 0): F(1), (0, 2, 5): F(1), (0, 3, 5): F(1)},
+                              (0, 0, 0, 1))]:
+        rep = measure_alpha(inst, TimeIndexedSolution(horizon=8, entries=entries))
+        assert (rep.alpha, rep.witness) == (1, witness)
+
+
 def test_normalize_exchange_example():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 5): F(2), (0, 1, 3): F(2)})
