@@ -27,7 +27,7 @@ from .core import (
     instance_to_json,
     validate_instance,
 )
-from .util import InternalCheckError, ValidationError, rat_to_str, substream_seed
+from .util import InternalCheckError, ValidationError, rat_from_str, rat_to_str, substream_seed
 
 
 def _out_path(name: str, explicit) -> str:
@@ -203,19 +203,22 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sdp(args) -> int:
+    delta = rat_from_str(args.delta)
     if args.mode == "choose-r":
-        r = sdp.choose_r(Fraction(args.delta), args.n, args.m)
+        r = sdp.choose_r(delta, args.n, args.m)
         print(f"r = {r}")
         return 0
     if args.mode == "mc":
-        r = args.r or sdp.choose_r(Fraction(args.delta), args.n, args.m)
-        rep = sdp.gaussian_measure_mc(r, Fraction(args.delta), args.n, args.m,
+        r = args.r or sdp.choose_r(delta, args.n, args.m)
+        rep = sdp.gaussian_measure_mc(r, delta, args.n, args.m,
                                       args.samples, substream_seed(args.seed, "mc"))
         print(f"r = {r}  fraction = {rep.fraction:.6f}  target = {rep.target:.6f}  "
               f"slack = {rep.slack:.6f}  ok = {rep.within_target}")
         return 0 if rep.within_target else 1
+    if args.vectors is None:
+        raise ValidationError(f"sdp --mode {args.mode} needs --vectors")
     seq = coloring.seq_from_json(_read_json(args.vectors))
-    r = args.r or sdp.choose_r(Fraction(args.delta), seq.n, seq.m)
+    r = args.r or sdp.choose_r(delta, seq.n, seq.m)
     block = sdp.build_block_instance(seq, r)
     if args.mode == "build":
         out = {"r": r, "m": block.m, "n": block.n,
@@ -224,13 +227,13 @@ def cmd_sdp(args) -> int:
         print(f"built {block.count} block vectors in dimension {block.dim}")
         return 0
     # verify: search for an all-prefixes-in-K coloring, then fold and check
-    signs = sdp.search_block_coloring(block, Fraction(args.delta))
+    signs = sdp.search_block_coloring(block, delta)
     if signs is None:
         print("no in-body coloring found (search exhausted)")
         return 0
     sol = sdp.signs_to_sdp_vectors(signs, r)
     rep = sdp.sdp_prefix_discrepancy(seq, sol)
-    bound_sq = (1 + Fraction(args.delta)) ** 2
+    bound_sq = (1 + delta) ** 2
     data = {"r": r, "w": [list(row) for row in sol.signs],
             "value_sq": rat_to_str(rep.value_sq), "bound_sq": rat_to_str(bound_sq)}
     _write_json(_out_path("sdp.json", args.out), data)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .util import ValidationError, rat_from_str, rat_to_str
+from .util import ValidationError, int_from_json, rat_from_str, rat_to_str
 
 PREFIX = "prefix"
 INTERVAL = "interval"
@@ -359,11 +359,11 @@ def seq_to_json(seq: SignedVectorSequence) -> dict:
 
 def seq_from_json(data: dict) -> SignedVectorSequence:
     try:
-        m = int(data["m"])
+        m = int_from_json(data["m"])
         vectors = [[rat_from_str(x) for x in row] for row in data["vectors"]]
+        signs = [int_from_json(s) for s in data.get("signs", [])]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"vector file malformed: {exc}") from None
-    signs = [int(s) for s in data.get("signs", [])]
     return SignedVectorSequence(m=m, vectors=vectors, signs=signs)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .util import ValidationError, rat_from_str, rat_to_str
+from .lp import LE
+from .util import ValidationError, int_from_json, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,27 @@ def worst_window(pairs):
             best = (run, start, t)
         prev = t
     return best
+
+
+def add_carry_rows(lp, tag: str, steps) -> list[str]:
+    """Lindley's recursion as LP rows, for ``(load coeffs, width)`` steps in
+    time order: step b adds C_b = ``tag[b]`` >= 0 and the row
+    C_{b-1} + load_b - C_b <= width_b.  Feasible carries are at least the queue
+    carry max(0, max_a sum_{a..b} (load - width)), which is feasible itself,
+    so capping C_b caps every window that ends with step b.
+    """
+    names: list[str] = []
+    for b, (coeffs, width) in enumerate(steps):
+        carry_in = {names[-1]: 1} if names else {}
+        names.append(f"{tag}[{b}]")
+        lp.variables.append(names[-1])
+        lp.add_constraint({**coeffs, **carry_in, names[-1]: -1}, LE, width)
+    return names
+
+
+def rounding_level(n: int) -> int:
+    """ceil(log2 n): the dyadic level at which rounding n jobs starts."""
+    return (n - 1).bit_length()
 
 
 def _check_assignment(inst: SchedulingInstance, asg: MachineAssignment) -> None:
@@ -297,7 +319,7 @@ def instance_to_json(inst: SchedulingInstance) -> dict:
 
 def instance_from_json(data: dict) -> SchedulingInstance:
     try:
-        m = int(data["m"])
+        m = int_from_json(data["m"])
         raw_jobs = data["jobs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance file missing field: {exc}") from None

@@ -18,8 +18,17 @@ from typing import Callable, Optional
 
 from . import lp as lpmod
 from .coloring import PREFIX, SignedVectorSequence, discrepancy
-from .core import Job, MachineAssignment, SchedulingInstance, p_max, validate_instance, worst_window
-from .util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
+from .core import (
+    Job,
+    MachineAssignment,
+    SchedulingInstance,
+    add_carry_rows,
+    p_max,
+    rounding_level,
+    validate_instance,
+    worst_window,
+)
+from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
 
 
 @dataclass
@@ -62,13 +71,6 @@ class MinTSearch:
     resolution: Fraction
 
 
-def _interval_pairs(inst: SchedulingInstance):
-    times = sorted({job.release for job in inst.jobs})
-    for a in range(len(times)):
-        for b in range(a, len(times)):
-            yield times[a], times[b]
-
-
 def var_name(j: int, i: int) -> str:
     return f"x[{j},{i}]"
 
@@ -77,11 +79,14 @@ def build_assignment_lp(inst: SchedulingInstance, T, minimize_t: bool = False,
                         pattern_threshold=None) -> lpmod.LinearProgram:
     """Assignment LP at flow bound T.
 
-    Row sums fix every job to total assignment 1; for every machine and every
-    pair of release times t1 <= t2 the volume released inside [t1, t2] is
-    capped by t2 - t1 + T.  Variables with processing time above the bound are
-    pruned entirely (after pruning the largest usable processing time is at
-    most the bound by construction).
+    Row sums fix every job to total assignment 1; on every machine the volume
+    released inside any [t1, t2] is capped by t2 - t1 + T.  Per machine, with
+    L_b the volume released at its b-th usable release time t_b, carry rows
+    (add_carry_rows, widths t_{b+1} - t_b) make L_b + C_{b-1} the worst window
+    ending at t_b, and one row per release caps it by T: at most 2R - 1 rows
+    per machine, not one per pair of release times.  Variables with processing
+    time above the bound are pruned entirely (after pruning the largest usable
+    processing time is at most the bound by construction).
 
     With ``minimize_t`` the bound becomes a variable T >= pattern_threshold
     and the objective minimizes it; the pruning threshold is then
@@ -106,19 +111,16 @@ def build_assignment_lp(inst: SchedulingInstance, T, minimize_t: bool = False,
     for j in range(inst.n):
         coeffs = {var_name(j, i): Fraction(1) for i in range(inst.m) if allowed[j][i]}
         lp.add_constraint(coeffs, lpmod.EQ, 1)
+    cap_t, cap = ({"T": -1}, 0) if minimize_t else ({}, T)
     for i in range(inst.m):
-        for t1, t2 in _interval_pairs(inst):
-            coeffs = {}
-            for j, job in enumerate(inst.jobs):
-                if t1 <= job.release <= t2 and allowed[j][i]:
-                    coeffs[var_name(j, i)] = job.proc[i]
-            if not coeffs:
-                continue
-            if minimize_t:
-                coeffs["T"] = Fraction(-1)
-                lp.add_constraint(coeffs, lpmod.LE, t2 - t1)
-            else:
-                lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + T)
+        loads: dict = {}
+        for j, job in enumerate(inst.jobs):
+            if allowed[j][i]:
+                loads.setdefault(job.release, {})[var_name(j, i)] = job.proc[i]
+        times = sorted(loads)
+        carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
+        for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
+            lp.add_constraint({**loads[t], **carry_in, **cap_t}, lpmod.LE, cap)
     return lp
 
 
@@ -443,7 +445,7 @@ def full_round_maxflow(
     search = solve_min_T(inst)
     t_star = search.t_star
     fa = search.assignment
-    level = max((inst.n - 1).bit_length(), 0)  # ceil(log2 n)
+    level = rounding_level(inst.n)
     fa = quantize_dyadic(fa, level)
     t_quant = quantized_bound(inst, search.assignment, level)
     fa = FractionalAssignment(x=fa.x, T=t_quant)
@@ -465,10 +467,7 @@ def full_round_maxflow(
         assign.append(winners[0])
     result = MachineAssignment(assign=tuple(assign))
     metrics = evaluate_max_flow(inst, result)
-    pmax = p_max(inst)
-    bound = t_star + pmax + sum(
-        (2 * rec.discrepancy * pmax / Fraction(2 ** (rec.h - 1)) for rec in records), Fraction(0)
-    )
+    bound = telescoped_bound(t_star, p_max(inst), [(rec.h, rec.discrepancy) for rec in records])
     if metrics.max_flow > bound:
         raise InternalCheckError(
             f"final value {metrics.max_flow} exceeds the telescoped bound {bound}"
@@ -483,6 +482,11 @@ def full_round_maxflow(
         bound_value=bound,
     )
     return result, trace
+
+
+def telescoped_bound(t_star, pmax, levels) -> Fraction:
+    """T* + p_max + sum of 2 D_h p_max / 2^(h-1) over the ``(h, D_h)`` levels."""
+    return t_star + pmax + sum((2 * d * pmax / Fraction(2 ** (h - 1)) for h, d in levels), Fraction(0))
 
 
 def result_to_json(trace: RoundingTrace, assignment: MachineAssignment) -> dict:
@@ -500,17 +504,18 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
 
     problems = []
     try:
-        asg = MachineAssignment(assign=tuple(int(i) for i in data["assignment"]))
+        asg = MachineAssignment(assign=tuple(int_from_json(i) for i in data["assignment"]))
         t_star = rat_from_str(data["T_star"])
         max_flow = rat_from_str(data["max_flow"])
-        levels = [(int(rec["h"]), rat_from_str(rec["D"])) for rec in data["levels"]]
+        levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"])) for rec in data["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
+    if any(h < 1 for h, _ in levels):
+        return ["malformed result file: level h below 1"]
     metrics = evaluate_max_flow(inst, asg)
     if metrics.max_flow != max_flow:
         problems.append(f"recorded max_flow {max_flow} != evaluated {metrics.max_flow}")
-    pmax = p_max(inst)
-    bound = t_star + pmax + sum((2 * d * pmax / Fraction(2 ** (h - 1)) for h, d in levels), Fraction(0))
+    bound = telescoped_bound(t_star, p_max(inst), levels)
     if metrics.max_flow > bound:
         problems.append(f"max_flow {metrics.max_flow} violates bound {bound}")
     return problems

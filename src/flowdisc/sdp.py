@@ -78,6 +78,8 @@ def choose_r(delta, n: int, m: int) -> int:
     delta = float(delta)
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
+    if n < 1 or m < 1:
+        raise ValidationError(f"need n >= 1 and m >= 1, got n = {n}, m = {m}")
     target = (1.0 + delta) ** 2
     r = 1
     while True:
@@ -260,6 +262,8 @@ def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) 
     """
     if samples < 10 ** 4:
         raise ValidationError(f"need at least 10^4 samples, got {samples}")
+    if r < 1 or n < 1 or m < 1:
+        raise ValidationError(f"need r, n, m >= 1, got r = {r}, n = {n}, m = {m}")
     threshold = (1.0 + float(delta)) ** 2 * r
     rng = np.random.default_rng(seed)
     exceed = 0

@@ -20,11 +20,13 @@ from .core import (
     Job,
     MachineAssignment,
     SchedulingInstance,
+    add_carry_rows,
     evaluate_total_flow_srpt,
+    rounding_level,
     validate_instance,
     worst_window,
 )
-from .util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
 
 
 def class_index(p) -> int:
@@ -155,13 +157,19 @@ def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
 
 def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] = None) -> tuple:
     """Class-grouped LP: objective sum((t - r)/2^k + 1/2) y and window capacity
-    per (machine, class, event window [t1, t2)) with slack alpha * 2^k.
+    per (machine, class k, event window [t1, t2)) with slack alpha * 2^k.
 
-    Window enumeration is restricted to event slots (releases and the horizon
-    endpoints).  Returns (LinearProgram, horizon).
+    Windows start and end on event slots (releases and the horizon
+    endpoints).  Per (machine, class) group, carry rows (add_carry_rows) over
+    the class-<=k volume between consecutive events give the worst window
+    ending at each event, and each carry is capped by alpha * 2^k: one step
+    per event gap instead of one row per pair of events.  Returns
+    (LinearProgram, horizon).
     """
     _require_integral(inst)
     alpha = Fraction(alpha)
+    if alpha < 0:
+        raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
     lp = lpmod.LinearProgram()
     classes: dict[tuple[int, int], int] = {}
@@ -185,17 +193,15 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
         for k in ks:
-            cap = alpha * Fraction(2) ** k
-            for a in range(len(events)):
-                for b in range(a + 1, len(events)):
-                    t1, t2 = events[a], events[b]
-                    coeffs = {}
-                    for j, job in enumerate(inst.jobs):
-                        if (i, j) in classes and job.proc[i] <= Fraction(2) ** k:
-                            for t in range(max(t1, int(job.release)), t2):
-                                coeffs[yvar(i, j, t)] = Fraction(1)
-                    if coeffs:
-                        lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + cap)
+            group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
+            steps = []
+            for t1, t2 in zip(events, events[1:]):
+                coeffs = {yvar(i, j, t): 1 for j in group
+                          for t in range(max(t1, int(inst.jobs[j].release)), t2)}
+                if coeffs or steps:  # gaps before the group's first release carry nothing
+                    steps.append((coeffs, t2 - t1))
+            for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+                lp.add_constraint({carry: 1}, lpmod.LE, alpha * Fraction(2) ** k)
     for j, job in enumerate(inst.jobs):
         for i in range(inst.m):
             p = job.proc[i]
@@ -587,6 +593,11 @@ class TotalFlowTrace:
     assignment: MachineAssignment
 
 
+def dilation_factor(level: int) -> int:
+    """2^(level-1): the time dilation that makes every level-h split integral."""
+    return 2 ** max(level - 1, 0)
+
+
 def dilate_instance(inst: SchedulingInstance, factor: int) -> SchedulingInstance:
     """Uniform time dilation: releases and processing times scale together, so
     schedules correspond exactly and metrics divide back by the factor."""
@@ -687,8 +698,8 @@ def full_round_totalflow(
     if problems:
         raise ValidationError("; ".join(problems))
     _require_integral(inst)
-    level = max((inst.n - 1).bit_length(), 0)
-    dilation = 2 ** max(level - 1, 0)
+    level = rounding_level(inst.n)
+    dilation = dilation_factor(level)
     dinst = dilate_instance(inst, dilation)
     lp, H = build_auxiliary_lp(dinst, 0)
     sol = lpmod.solve_lp(lp)
@@ -817,15 +828,15 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     """Re-validate a total-flow result file against its instance."""
     problems = []
     try:
-        asg = MachineAssignment(assign=tuple(int(i) for i in data["assignment"]))
+        asg = MachineAssignment(assign=tuple(int_from_json(i) for i in data["assignment"]))
         total_flow = rat_from_str(data["total_flow"])
         for rec in data["alpha_levels"]:
+            h = int_from_json(rec["h"])
             if rat_from_str(rec["alpha_after"]) > rat_from_str(rec["alpha_before"]) + rat_from_str(rec["bound"]):
-                problems.append(f"level {rec['h']}: recorded slack violates its bound")
+                problems.append(f"level {h}: recorded slack violates its bound")
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
-    level = max((inst.n - 1).bit_length(), 0)
-    dilation = 2 ** max(level - 1, 0)
+    dilation = dilation_factor(rounding_level(inst.n))
     metrics = evaluate_total_flow_srpt(dilate_instance(inst, dilation), asg)
     if metrics.total_flow / dilation != total_flow:
         problems.append(

@@ -36,6 +36,13 @@ def rat_from_str(s) -> Fraction:
         raise ValidationError(f"bad rational literal {s!r}: {exc}") from None
 
 
+def int_from_json(v) -> int:
+    """Parse a JSON integer (bools, floats and strings are rejected)."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValidationError(f"expected integer, got {type(v).__name__} {v!r}")
+
+
 def substream_seed(seed: int, name: str) -> int:
     """Derive a stable 63-bit seed for a named random substream.
 

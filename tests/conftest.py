@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+
+from flowdisc import lp as lpmod
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -23,3 +27,23 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def record():
     return record_criterion
+
+
+@pytest.fixture
+def complete_carries():
+    """Extend a point with the Lindley carries of an LP built by add_carry_rows.
+
+    Each carry appears first in its own row, with coefficient -1; it gets the
+    least value that row allows, max(0, rest of the row - rhs).
+    """
+    def complete(lp, values):
+        out = dict(values)
+        for con in lp.constraints:
+            unknown = [v for v in con.coeffs if v not in out]
+            if unknown:
+                (carry,) = unknown
+                assert con.relation == lpmod.LE and con.coeffs[carry] == -1
+                rest = sum(c * out[v] for v, c in con.coeffs.items() if v != carry)
+                out[carry] = max(Fraction(0), rest - con.rhs)
+        return out
+    return complete

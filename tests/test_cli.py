@@ -157,6 +157,12 @@ def test_exit_code_malformed_file(tmp_path, capsys):
     ("totalflow", "--instance", {"m": 2, "jobs": []}),
     ("color", "--vectors", {"m": 0, "vectors": [[]]}),
     ("maxflow", "--instance", {"m": 1, "jobs": [{"r": True, "p": ["1/1"]}]}),
+    ("maxflow", "--instance", {"m": "x", "jobs": []}),
+    ("maxflow", "--instance", {"m": 1e400, "jobs": [{"r": "0/1", "p": ["1/1"]}]}),
+    ("totalflow", "--instance", {"m": float("nan"), "jobs": [{"r": "0/1", "p": ["1/1"]}]}),
+    ("totalflow", "--instance", {"m": True, "jobs": [{"r": "0/1", "p": ["1/1"]}]}),
+    ("color", "--vectors", {"m": 1, "vectors": [["1/2"]], "signs": ["x"]}),
+    ("color", "--vectors", {"m": 1.0, "vectors": [["1/2"]]}),
 ])
 def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, flag, payload):
     monkeypatch.setenv("FLOWDISC_OUTDIR", str(tmp_path))
@@ -164,5 +170,46 @@ def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command
     with open(path, "w") as fh:
         json.dump(payload, fh)
     assert run([command, flag, path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command, field, bad", [
+    ("maxflow", "assignment", 0.5),       # was truncated to a machine index
+    ("maxflow", "assignment", 1e400),
+    ("maxflow", "h", 1.0),
+    ("maxflow", "h", -3000),              # was a ZeroDivisionError traceback
+    ("totalflow", "assignment", 0.5),
+    ("totalflow", "h", "1"),
+])
+def test_check_rejects_malformed_result_field(tmp_path, capsys, command, field, bad):
+    inst_path = str(tmp_path / "i.json")
+    res_path = str(tmp_path / "r.json")
+    assert run(["gen", "instance", "--n", "3", "--m", "2", "--seed", "4",
+                "--out", inst_path]) == 0
+    assert run([command, "--instance", inst_path, "--out", res_path]) == 0
+    data = json.loads(open(res_path).read())
+    if field == "assignment":
+        data["assignment"][0] += bad
+    else:
+        data["levels" if command == "maxflow" else "alpha_levels"][0]["h"] = bad
+    with open(res_path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert run(["check", "--instance", inst_path, "--result", res_path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("malformed result file:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "choose-r", "--delta", "abc"],
+    ["--mode", "choose-r", "--delta", "1/0"],
+    ["--mode", "choose-r", "--n", "0"],
+    ["--mode", "choose-r", "--m", "0"],
+    ["--mode", "mc", "--n", "0", "--r", "2", "--samples", "10000"],
+    ["--mode", "verify"],
+])
+def test_sdp_rejected_argument_is_one_error_line(capsys, argv):
+    assert run(["sdp"] + argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

@@ -28,6 +28,7 @@ from flowdisc.maxflow import (
     rounding_vectors,
     solve_min_T,
     split_to_pair_instance,
+    var_name,
 )
 from flowdisc.util import ValidationError
 
@@ -288,6 +289,58 @@ def test_window_checker_matches_window_oracle():
                 assert load == windows[(t1, t2)] and load - (t2 - t1) == worst
                 assert cap == t2 - t1 + T
     assert verdicts == {True, False}
+
+
+def _quadratic_assignment_lp(inst, T):
+    """Reference assignment LP at bound T: one window row per machine and pair of release times."""
+    usable = [[p is not None and p <= T for p in job.proc] for job in inst.jobs]
+    lp = lpmod.LinearProgram()
+    lp.variables = [var_name(j, i) for j in range(inst.n) for i in range(inst.m) if usable[j][i]]
+    for j in range(inst.n):
+        lp.add_constraint({var_name(j, i): 1 for i in range(inst.m) if usable[j][i]}, lpmod.EQ, 1)
+    times = sorted({job.release for job in inst.jobs})
+    for i in range(inst.m):
+        for a, t1 in enumerate(times):
+            for t2 in times[a:]:
+                coeffs = {var_name(j, i): job.proc[i] for j, job in enumerate(inst.jobs)
+                          if t1 <= job.release <= t2 and usable[j][i]}
+                if coeffs:
+                    lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + T)
+    return lp
+
+
+def test_carry_rows_match_quadratic_windows(complete_carries):
+    # fractional releases and processing times, equal releases, forbidden
+    # entries, and a third machine that no job can use
+    rng = random.Random(43)
+    statuses = set()
+    for trial in range(40):
+        jobs = []
+        for _ in range(rng.randint(1, 7)):
+            if jobs and rng.random() < 0.3:
+                release = jobs[-1][0]
+            else:
+                release = F(rng.randint(0, 9), rng.choice([1, 2, 3]))
+            proc = [F(rng.randint(1, 6), rng.choice([1, 2])) if rng.random() < 0.7 else None
+                    for _ in range(2)]
+            if proc == [None, None]:
+                proc[rng.randrange(2)] = F(rng.randint(1, 6))
+            jobs.append((release, proc + [None]))
+        inst = make_instance(3, jobs)
+        releases = len({job.release for job in inst.jobs})
+        search = solve_min_T(inst)
+        for T in (search.t_star, search.t_star - search.resolution,
+                  search.t_star + F(1, 3), search.t_star + 2):
+            lp, ref_lp = build_assignment_lp(inst, T), _quadratic_assignment_lp(inst, T)
+            assert sum(c.relation == lpmod.LE for c in lp.constraints) <= (2 * releases - 1) * inst.m
+            sol, ref = lpmod.solve_lp(lp), lpmod.solve_lp(ref_lp)
+            assert sol.status == ref.status
+            statuses.add(sol.status)
+            if sol.status == lpmod.OPTIMAL:
+                x = {v: sol.values[v] for v in ref_lp.variables}
+                assert lpmod.check_point(ref_lp, x) == []
+                assert lpmod.check_point(lp, complete_carries(lp, ref.values)) == []
+    assert statuses == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
 
 
 def test_round_load_identity_and_bound():

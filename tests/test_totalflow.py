@@ -27,6 +27,7 @@ from flowdisc.totalflow import (
     solution_violations,
     split_jobs_instance,
     ti_cost,
+    yvar,
 )
 from flowdisc.util import ValidationError
 
@@ -121,6 +122,65 @@ def test_measure_alpha_consistent_with_feasibility():
     sol = lpmod.solve_lp(lp)
     y = solution_from_lp(inst, sol, H)
     assert measure_alpha(inst, y).alpha <= alpha0
+
+
+def _quadratic_auxiliary_lp(inst, alpha, H):
+    """Reference auxiliary LP: one window row per (machine, class) and pair of event slots."""
+    usable = [(i, j, class_index(job.proc[i])) for j, job in enumerate(inst.jobs)
+              for i in range(inst.m) if job.proc[i] is not None]
+    slots = {(i, j): range(int(inst.jobs[j].release), H) for i, j, _ in usable}
+    lp = lpmod.LinearProgram()
+    lp.variables = [yvar(i, j, t) for j in range(inst.n) for i in range(inst.m)
+                    if (i, j) in slots for t in slots[(i, j)]]
+    for j, job in enumerate(inst.jobs):
+        lp.add_constraint({yvar(i, j, t): 1 / job.proc[i] for i in range(inst.m)
+                           if (i, j) in slots for t in slots[(i, j)]}, lpmod.EQ, 1)
+        for i in range(inst.m):
+            if (i, j) in slots:
+                k = class_index(job.proc[i])
+                for t in slots[(i, j)]:
+                    lp.objective[yvar(i, j, t)] = (t - job.release) / F(2) ** k + F(1, 2)
+    events = sorted({0, H} | {int(job.release) for job in inst.jobs})
+    for i, k in sorted({(i, k) for i, _, k in usable}):
+        for a, t1 in enumerate(events):
+            for t2 in events[a + 1:]:
+                coeffs = {yvar(i, j, t): 1 for ii, j, kk in usable if ii == i and kk <= k
+                          for t in range(max(t1, int(inst.jobs[j].release)), t2)}
+                if coeffs:
+                    lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + alpha * F(2) ** k)
+    return lp
+
+
+def test_aux_carry_rows_match_quadratic_windows(complete_carries):
+    # equal releases, forbidden entries, a third machine that no job can use,
+    # and horizons too short for some instances
+    from flowdisc.totalflow import default_horizon
+
+    rng = random.Random(47)
+    statuses = set()
+    for trial in range(30):
+        jobs = []
+        for _ in range(rng.randint(1, 4)):
+            release = jobs[-1][0] if jobs and rng.random() < 0.3 else rng.randint(0, 4)
+            proc = [rng.randint(1, 5) if rng.random() < 0.75 else None for _ in range(2)]
+            if proc == [None, None]:
+                proc[rng.randrange(2)] = rng.randint(1, 5)
+            jobs.append((release, proc + [None]))
+        inst = make_instance(3, jobs)
+        H = rng.choice([default_horizon(inst), max(r for r, _ in jobs) + rng.randint(1, 3)])
+        for alpha in (F(0), F(1, 4), F(1)):
+            lp, _ = build_auxiliary_lp(inst, alpha, horizon=H)
+            ref_lp = _quadratic_auxiliary_lp(inst, alpha, H)
+            sol, ref = lpmod.solve_lp(lp), lpmod.solve_lp(ref_lp)
+            assert (sol.status, sol.objective_value) == (ref.status, ref.objective_value)
+            statuses.add(sol.status)
+            if sol.status == lpmod.OPTIMAL:
+                y = {v: sol.values[v] for v in ref_lp.variables}
+                assert lpmod.check_point(ref_lp, y) == []
+                assert lpmod.check_point(lp, complete_carries(lp, ref.values)) == []
+    assert statuses == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
+    with pytest.raises(ValidationError):
+        build_auxiliary_lp(inst, F(-1, 4))
 
 
 def _random_solution(inst, rng, horizon=None):
