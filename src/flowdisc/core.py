@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp import LE
-from .util import ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,33 @@ def add_carry_rows(lp, tag: str, steps) -> list[str]:
         lp.variables.append(names[-1])
         lp.add_constraint({**coeffs, **carry_in, names[-1]: -1}, LE, width)
     return names
+
+
+def snap_pairs(values: dict, unit, shift_rate=None) -> dict:
+    """Pairwise transfers until every value is a multiple of ``unit``.
+
+    Each step takes the first two off-grid keys a, b and moves the smallest
+    amount that lands one of them on the grid, either a down and b up or a up
+    and b down.  A move costs its amount times ``shift_rate(gain, lose)`` (zero
+    without one); the step takes the smaller (cost, amount), a down on a tie.
+    Every value stays inside its original grid cell and the total is kept.
+    """
+    out = dict(values)
+    while True:
+        off = [key for key, v in out.items() if v % unit != 0]
+        if not off:
+            return out
+        if len(off) < 2:
+            raise InternalCheckError(f"{off[0]!r} alone is off the grid of {unit}, so the total is too")
+        a, b = off[0], off[1]
+        down_a, down_b = out[a] % unit, out[b] % unit
+        up = min(unit - down_a, down_b)
+        down = min(down_a, unit - down_b)
+        cost_up = up * shift_rate(a, b) if shift_rate else 0
+        cost_down = down * shift_rate(b, a) if shift_rate else 0
+        step = -down if (cost_down, down) <= (cost_up, up) else up
+        out[a] += step
+        out[b] -= step
 
 
 def rounding_level(n: int) -> int:

@@ -175,15 +175,6 @@ class PairingGame:
             prefix += colors[e] * self.entry[e]
         return None
 
-    def prefix_peak(self, colors) -> Fraction:
-        run = Fraction(0)
-        peak = Fraction(0)
-        for e in self.elements:
-            if colors[e]:
-                run += colors[e] * self.entry[e]
-            peak = max(peak, abs(run))
-        return peak
-
 
 class PairingMaker:
     """The robust pairing maker.  Certified discrepancy at most 4 on +-1 values.

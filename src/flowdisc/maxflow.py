@@ -25,6 +25,7 @@ from .core import (
     add_carry_rows,
     p_max,
     rounding_level,
+    snap_pairs,
     validate_instance,
     worst_window,
 )
@@ -241,48 +242,18 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
     )
 
 
-def _dyadic_margins(v: Fraction, unit: Fraction):
-    """Distance of v down to and up to the nearest multiples of unit."""
-    q = v / unit
-    floor_mult = (q.numerator // q.denominator) * unit
-    down = v - floor_mult
-    up = (unit - down) % unit
-    return down, up
-
-
 def quantize_dyadic(fa: FractionalAssignment, level: int) -> FractionalAssignment:
     """Pairwise transfers until every value is a multiple of 1/2^level.
 
-    Each step takes the first two non-multiple entries of a job and shifts
-    mass by the smallest margin that lands one of them on the grid (ties
-    prefer moving the earlier entry down).  Every entry stays inside its
-    original grid cell, so no entry moves by 1/2^level or more and any
-    machine-window load grows by less than p_max * n / 2^level.  The new
-    bound accounts for exactly that.
+    Each job's row is snapped by core.snap_pairs at no cost, so ties move the
+    earlier entry down.  Every entry stays inside its original grid cell, so no
+    entry moves by 1/2^level or more and any machine-window load grows by less
+    than p_max * n / 2^level.  The new bound accounts for exactly that.
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
     unit = Fraction(1, 2 ** level)
-    x = [row[:] for row in fa.x]
-    n = len(x)
-    for j in range(n):
-        while True:
-            frac_idx = [i for i, v in enumerate(x[j]) if v % unit != 0]
-            if not frac_idx:
-                break
-            if len(frac_idx) < 2:
-                raise InternalCheckError("row with a single off-grid entry cannot sum to 1")
-            a, b = frac_idx[0], frac_idx[1]
-            down_a, up_a = _dyadic_margins(x[j][a], unit)
-            down_b, up_b = _dyadic_margins(x[j][b], unit)
-            delta_up = min(up_a, down_b)     # a up, b down
-            delta_down = min(down_a, up_b)   # a down, b up
-            if delta_down <= delta_up:
-                x[j][a] -= delta_down
-                x[j][b] += delta_down
-            else:
-                x[j][a] += delta_up
-                x[j][b] -= delta_up
+    x = [list(snap_pairs(dict(enumerate(row)), unit).values()) for row in fa.x]
     return FractionalAssignment(x=x, T=fa.T)
 
 
@@ -510,8 +481,10 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
         levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"])) for rec in data["levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
-    if any(h < 1 for h, _ in levels):
-        return ["malformed result file: level h below 1"]
+    hs = [h for h, _ in levels]
+    expected = list(range(rounding_level(inst.n), 0, -1))
+    if hs != expected:
+        return [f"malformed result file: levels h = {hs}, expected {expected}"]
     metrics = evaluate_max_flow(inst, asg)
     if metrics.max_flow != max_flow:
         problems.append(f"recorded max_flow {max_flow} != evaluated {metrics.max_flow}")

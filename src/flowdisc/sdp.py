@@ -148,10 +148,6 @@ class SdpDiscrepancyReport:
     value_sq: Fraction  # max over (coordinate, prefix) of the squared l2 norm
     witness: tuple      # (coordinate, prefix length)
 
-    @property
-    def value_float(self) -> float:
-        return math.sqrt(float(self.value_sq))
-
 
 def sdp_prefix_discrepancy(seq: SignedVectorSequence, sol: SdpSolution) -> SdpDiscrepancyReport:
     """Exact squared value of max_{i,k} l2-norm of sum_{j<=k} v_i^(j) w_j."""

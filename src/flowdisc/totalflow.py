@@ -23,6 +23,7 @@ from .core import (
     add_carry_rows,
     evaluate_total_flow_srpt,
     rounding_level,
+    snap_pairs,
     validate_instance,
     worst_window,
 )
@@ -60,8 +61,12 @@ class TimeIndexedSolution:
     def job_machine_total(self, i: int, j: int) -> Fraction:
         return sum((v for (ii, jj, _), v in self.entries.items() if ii == i and jj == j), Fraction(0))
 
-    def copy(self) -> "TimeIndexedSolution":
-        return TimeIndexedSolution(self.horizon, dict(self.entries))
+    def streams(self) -> dict:
+        """(machine, job) -> that pair's slot-ordered [(slot, volume), ...]."""
+        out: dict = {}
+        for (i, j, t), v in sorted(self.entries.items()):
+            out.setdefault((i, j), []).append((t, v))
+        return out
 
 
 def solution_violations(inst: SchedulingInstance, y: TimeIndexedSolution) -> list[str]:
@@ -106,6 +111,30 @@ def yvar(i: int, j: int, t: int) -> str:
     return f"y[{i},{j},{t}]"
 
 
+def slot_rate(job: Job, t: int, scale) -> Fraction:
+    """Cost of one unit of the job's volume in slot t: (t - r)/scale + 1/2."""
+    return (t - job.release) / scale + Fraction(1, 2)
+
+
+def _slot_program(inst: SchedulingInstance, H: int, scale: Callable) -> lpmod.LinearProgram:
+    """The y variables of every usable (machine, job, slot), one completion row
+    per job (sum y/p = 1) and the objective slot_rate(job, t, scale(p))."""
+    lp = lpmod.LinearProgram()
+    for j, job in enumerate(inst.jobs):
+        coeffs = {}
+        for i, p in enumerate(job.proc):
+            if p is None:
+                continue
+            per = scale(p)
+            for t in range(int(job.release), H):
+                name = yvar(i, j, t)
+                lp.variables.append(name)
+                lp.objective[name] = slot_rate(job, t, per)
+                coeffs[name] = 1 / p
+        lp.add_constraint(coeffs, lpmod.EQ, 1)
+    return lp
+
+
 def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = None) -> tuple:
     """Slot-indexed LP: objective sum((t - r)/p + 1/2) y, unit slot capacity.
 
@@ -114,22 +143,7 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
     """
     _require_integral(inst)
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = lpmod.LinearProgram()
-    for j, job in enumerate(inst.jobs):
-        for i in range(inst.m):
-            if job.proc[i] is None:
-                continue
-            for t in range(int(job.release), H):
-                lp.variables.append(yvar(i, j, t))
-    for j, job in enumerate(inst.jobs):
-        coeffs = {}
-        for i in range(inst.m):
-            p = job.proc[i]
-            if p is None:
-                continue
-            for t in range(int(job.release), H):
-                coeffs[yvar(i, j, t)] = Fraction(1) / p
-        lp.add_constraint(coeffs, lpmod.EQ, 1)
+    lp = _slot_program(inst, H, lambda p: p)
     for i in range(inst.m):
         for t in range(H):
             coeffs = {}
@@ -138,13 +152,6 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
                     coeffs[yvar(i, j, t)] = Fraction(1)
             if coeffs:
                 lp.add_constraint(coeffs, lpmod.LE, 1)
-    for j, job in enumerate(inst.jobs):
-        for i in range(inst.m):
-            p = job.proc[i]
-            if p is None:
-                continue
-            for t in range(int(job.release), H):
-                lp.objective[yvar(i, j, t)] = (Fraction(t) - job.release) / p + Fraction(1, 2)
     return lp, H
 
 
@@ -153,6 +160,11 @@ def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
     for job in inst.jobs:
         slots.add(int(job.release))
     return sorted(slots)
+
+
+def class_scale(p) -> int:
+    """2^k for the size class k of p: the time scale of the grouped objective."""
+    return 2 ** class_index(p)
 
 
 def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] = None) -> tuple:
@@ -171,24 +183,8 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     if alpha < 0:
         raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = lpmod.LinearProgram()
-    classes: dict[tuple[int, int], int] = {}
-    for j, job in enumerate(inst.jobs):
-        for i in range(inst.m):
-            if job.proc[i] is None:
-                continue
-            classes[(i, j)] = class_index(job.proc[i])
-            for t in range(int(job.release), H):
-                lp.variables.append(yvar(i, j, t))
-    for j, job in enumerate(inst.jobs):
-        coeffs = {}
-        for i in range(inst.m):
-            p = job.proc[i]
-            if p is None:
-                continue
-            for t in range(int(job.release), H):
-                coeffs[yvar(i, j, t)] = Fraction(1) / p
-        lp.add_constraint(coeffs, lpmod.EQ, 1)
+    lp = _slot_program(inst, H, class_scale)
+    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
     events = _event_slots(inst, H)
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
@@ -202,14 +198,6 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
                     steps.append((coeffs, t2 - t1))
             for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
                 lp.add_constraint({carry: 1}, lpmod.LE, alpha * Fraction(2) ** k)
-    for j, job in enumerate(inst.jobs):
-        for i in range(inst.m):
-            p = job.proc[i]
-            if p is None:
-                continue
-            k = classes[(i, j)]
-            for t in range(int(job.release), H):
-                lp.objective[yvar(i, j, t)] = (Fraction(t) - job.release) / Fraction(2) ** k + Fraction(1, 2)
     return lp, H
 
 
@@ -224,19 +212,13 @@ def solution_from_lp(inst: SchedulingInstance, sol: lpmod.LpSolution, horizon: i
 
 
 def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
-    total = Fraction(0)
-    for (i, j, t), v in y.entries.items():
-        p = inst.jobs[j].proc[i]
-        total += ((Fraction(t) - inst.jobs[j].release) / p + Fraction(1, 2)) * v
-    return total
+    return sum((slot_rate(inst.jobs[j], t, inst.jobs[j].proc[i]) * v
+                for (i, j, t), v in y.entries.items()), Fraction(0))
 
 
 def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
-    total = Fraction(0)
-    for (i, j, t), v in y.entries.items():
-        k = class_index(inst.jobs[j].proc[i])
-        total += ((Fraction(t) - inst.jobs[j].release) / Fraction(2) ** k + Fraction(1, 2)) * v
-    return total
+    return sum((slot_rate(inst.jobs[j], t, class_scale(inst.jobs[j].proc[i])) * v
+                for (i, j, t), v in y.entries.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -366,11 +348,11 @@ def split_jobs_instance(inst: SchedulingInstance, level: int) -> tuple:
 def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level: int) -> TimeIndexedSolution:
     """Make every per-(machine, job) total a multiple of p_ij / 2^level.
 
-    The completed fractions of each job move pairwise between machines (first
-    two off-grid machines, smallest snapping margin) with the direction chosen
-    by exact cost rates: adding volume lands on the machine's earliest support
-    slot, removal scales the machine's volume down proportionally, and the
-    cheaper of the two directions is taken (it is never cost-increasing).
+    The completed fractions of each job move pairwise between machines
+    (core.snap_pairs) with the direction chosen by exact cost rates: adding
+    volume lands on the machine's earliest support slot, removal scales the
+    machine's volume down proportionally, and the cheaper of the two
+    directions is taken (it is never cost-increasing).
     Each (machine, job) changes by one net adjustment below p_ij / 2^level,
     so any class window gains less than n * 2^k / 2^level volume and the
     measured relaxation slack grows by at most 1.
@@ -378,75 +360,30 @@ def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level
     if level < 0:
         raise ValidationError("level must be nonnegative")
     unit = Fraction(1, 2 ** level)
-    out = y.copy()
-    for j in range(inst.n):
-        machines = [i for i in range(inst.m) if inst.jobs[j].proc[i] is not None]
-        support: dict[int, list] = {i: [] for i in machines}
-        for (ii, jj, t), v in out.entries.items():
-            if jj == j:
-                support[ii].append((t, v))
-        frac = {i: sum((v for _, v in support[i]), Fraction(0)) / inst.jobs[j].proc[i]
+    streams = y.streams()
+    entries = dict(y.entries)
+    for j, job in enumerate(inst.jobs):
+        machines = [i for i, p in enumerate(job.proc) if p is not None]
+        stream = {i: streams.get((i, j), []) for i in machines}
+        frac = {i: sum((v for _, v in stream[i]), Fraction(0)) / job.proc[i] for i in machines}
+        first = {i: stream[i][0][0] if stream[i] else int(job.release) for i in machines}
+        # cost per completed fraction: added volume lands at the earliest slot,
+        # removed volume scales the whole stream down
+        add = {i: slot_rate(job, first[i], class_scale(job.proc[i])) * job.proc[i] for i in machines}
+        cost = {i: sum((slot_rate(job, t, class_scale(job.proc[i])) * v for t, v in stream[i]), Fraction(0))
                 for i in machines}
-
-        def add_rate(i: int) -> Fraction:
-            # cost per completed fraction when volume lands at the earliest slot
-            p = inst.jobs[j].proc[i]
-            k = class_index(p)
-            t0 = min((t for t, _ in support[i]), default=int(inst.jobs[j].release))
-            return ((Fraction(t0) - inst.jobs[j].release) / Fraction(2) ** k + Fraction(1, 2)) * p
-
-        def avg_rate(i: int) -> Fraction:
-            p = inst.jobs[j].proc[i]
-            k = class_index(p)
-            total_cost = sum(
-                (((Fraction(t) - inst.jobs[j].release) / Fraction(2) ** k + Fraction(1, 2)) * v
-                 for t, v in support[i]),
-                Fraction(0),
-            )
-            return total_cost / frac[i]
-
-        target = dict(frac)
-        while True:
-            off = [i for i in machines if target[i] % unit != 0]
-            if not off:
-                break
-            if len(off) < 2:
-                raise InternalCheckError("job with one off-grid machine cannot complete to 1")
-            a, b = off[0], off[1]
-            down_a = target[a] % unit
-            up_a = unit - down_a
-            down_b = target[b] % unit
-            up_b = unit - down_b
-            delta_up = min(up_a, down_b)
-            delta_down = min(down_a, up_b)
-            cost_up = delta_up * (add_rate(a) - avg_rate(b))
-            cost_down = delta_down * (add_rate(b) - avg_rate(a))
-            if (cost_down, delta_down) <= (cost_up, delta_up):
-                target[a] -= delta_down
-                target[b] += delta_down
-            else:
-                target[a] += delta_up
-                target[b] -= delta_up
+        target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - cost[lose] / frac[lose])
         # realize the net changes once per machine
         for i in machines:
             delta = target[i] - frac[i]
-            if delta == 0:
-                continue
-            p = inst.jobs[j].proc[i]
             if delta < 0:
-                scale = target[i] / frac[i]
-                for t, v in support[i]:
-                    key = (i, j, t)
-                    newv = v * scale
-                    if newv == 0:
-                        out.entries.pop(key, None)
-                    else:
-                        out.entries[key] = newv
-            else:
-                t0 = min((t for t, _ in support[i]), default=int(inst.jobs[j].release))
-                key = (i, j, t0)
-                out.entries[key] = out.entries.get(key, Fraction(0)) + delta * p
-    return TimeIndexedSolution(horizon=out.horizon, entries=out.entries)
+                ratio = target[i] / frac[i]
+                for t, v in stream[i]:
+                    entries[(i, j, t)] = v * ratio  # the constructor drops zeros
+            elif delta > 0:
+                key = (i, j, first[i])
+                entries[key] = entries.get(key, Fraction(0)) + delta * job.proc[i]
+    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
 
 
 def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: dict):
@@ -497,11 +434,12 @@ def round_half_integral_totalflow(
     returned together with the achieved prefix discrepancy.
     """
     ybar = normalize_consistent_order(inst, y)
+    streams = ybar.streams()
     order = canonical_order(inst)
     full: dict[int, int] = {}
-    halves: list[tuple[int, int, int]] = []  # (job, i1, i2) lexicographic (machine, class)
+    half_of: dict[int, tuple[int, int, int]] = {}  # job -> (job, i1, i2), i1 < i2
     for j in range(inst.n):
-        tot = [(i, ybar.job_machine_total(i, j)) for i in range(inst.m)]
+        tot = [(i, sum((v for _, v in streams.get((i, j), [])), Fraction(0))) for i in range(inst.m)]
         support = [(i, v) for i, v in tot if v != 0]
         p = inst.jobs[j].proc
         if len(support) == 1 and support[0][1] == p[support[0][0]]:
@@ -511,13 +449,11 @@ def round_half_integral_totalflow(
             and support[0][1] * 2 == p[support[0][0]]
             and support[1][1] * 2 == p[support[1][0]]
         ):
-            i1, i2 = support[0][0], support[1][0]
-            halves.append((j, i1, i2))
+            half_of[j] = (j, support[0][0], support[1][0])
         else:
             raise ValidationError(f"job {j}: totals {support} are not machine-half-integral")
 
-    split_jobs = [j for j in order if any(h[0] == j for h in halves)]
-    half_of = {j: next(h for h in halves if h[0] == j) for j in split_jobs}
+    split_jobs = [j for j in order if j in half_of]
     dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of)
     seq = SignedVectorSequence(m=dim, vectors=vectors) if vectors else None
     if seq is not None:
@@ -527,20 +463,14 @@ def round_half_integral_totalflow(
         signs = []
         achieved = Fraction(0)
 
-    def earliest(j: int, i: int) -> int:
-        ts = [t for (ii, jj, t) in ybar.entries if ii == i and jj == j]
-        return min(ts)
-
     def build(flip: int) -> TimeIndexedSolution:
         entries = {}
         for j, i in full.items():
-            t0 = earliest(j, i)
-            entries[(i, j, t0)] = inst.jobs[j].proc[i]
+            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
         for pos, j in enumerate(split_jobs):
             plus_i, minus_i = pos_side[pos]
             i = plus_i if signs[pos] * flip == 1 else minus_i
-            t0 = earliest(j, i)
-            entries[(i, j, t0)] = inst.jobs[j].proc[i]
+            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
         return TimeIndexedSolution(horizon=ybar.horizon, entries=entries)
 
     y_pos = build(1)
@@ -598,6 +528,11 @@ def dilation_factor(level: int) -> int:
     return 2 ** max(level - 1, 0)
 
 
+def slack_bound(h: int, d) -> Fraction:
+    """(4 D + 4)/2^(h-1): how far level h may raise the slack at discrepancy D."""
+    return (4 * d + 4) / Fraction(2 ** (h - 1))
+
+
 def dilate_instance(inst: SchedulingInstance, factor: int) -> SchedulingInstance:
     """Uniform time dilation: releases and processing times scale together, so
     schedules correspond exactly and metrics divide back by the factor."""
@@ -621,6 +556,7 @@ def _split_solution(
     each machine is sliced into the corresponding chunks.
     """
     scale = 2 ** level
+    streams = y.streams()
     pieces_of: dict[int, list[int]] = {}
     for piece, j in enumerate(origin):
         pieces_of.setdefault(j, []).append(piece)
@@ -631,7 +567,7 @@ def _split_solution(
             p = inst.jobs[j].proc[i]
             if p is None:
                 continue
-            tot = y.job_machine_total(i, j)
+            tot = sum((v for _, v in streams.get((i, j), [])), Fraction(0))
             cnt = tot / (p / scale)
             if cnt.denominator != 1:
                 raise ValidationError(
@@ -650,9 +586,7 @@ def _split_solution(
         for i, piece_list in sorted(holders.items()):
             p = inst.jobs[j].proc[i]
             chunk = p / scale
-            stream = sorted(
-                ((t, v) for (ii, jj, t), v in y.entries.items() if ii == i and jj == j)
-            )
+            stream = streams[(i, j)]
             pos = 0
             t, avail = stream[0]
             for piece in piece_list:
@@ -723,7 +657,7 @@ def full_round_totalflow(
         y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer)
         y = _merge_split_solution(dinst, origin, y_rounded)
         alpha_after = measure_alpha(dinst, y).alpha
-        level_bound = (4 * achieved + 4) / Fraction(2 ** (h - 1))
+        level_bound = slack_bound(h, achieved)
         if alpha_after > alpha_before + level_bound:
             raise InternalCheckError(
                 f"level {h}: slack {alpha_after} exceeds {alpha_before} + {level_bound}"
@@ -830,13 +764,28 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     try:
         asg = MachineAssignment(assign=tuple(int_from_json(i) for i in data["assignment"]))
         total_flow = rat_from_str(data["total_flow"])
-        for rec in data["alpha_levels"]:
-            h = int_from_json(rec["h"])
-            if rat_from_str(rec["alpha_after"]) > rat_from_str(rec["alpha_before"]) + rat_from_str(rec["bound"]):
-                problems.append(f"level {h}: recorded slack violates its bound")
+        levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"]), rat_from_str(rec["alpha_before"]),
+                   rat_from_str(rec["alpha_after"]), rat_from_str(rec["bound"]))
+                  for rec in data["alpha_levels"]]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
-    dilation = dilation_factor(rounding_level(inst.n))
+    level = rounding_level(inst.n)
+    hs = [h for h, *_ in levels]
+    expected = list(range(level, 0, -1))
+    if hs != expected:
+        return [f"malformed result file: levels h = {hs}, expected {expected}"]
+    prev_after = None
+    for h, d, before, after, bound in levels:
+        if d < 0:
+            problems.append(f"level {h}: negative discrepancy {d}")
+        if bound != slack_bound(h, d):
+            problems.append(f"level {h}: recorded bound {bound} != (4D + 4)/2^(h-1) = {slack_bound(h, d)}")
+        if prev_after is not None and before != prev_after:
+            problems.append(f"level {h}: alpha_before {before} != previous alpha_after {prev_after}")
+        if after > before + bound:
+            problems.append(f"level {h}: recorded slack violates its bound")
+        prev_after = after
+    dilation = dilation_factor(level)
     metrics = evaluate_total_flow_srpt(dilate_instance(inst, dilation), asg)
     if metrics.total_flow / dilation != total_flow:
         problems.append(

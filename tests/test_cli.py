@@ -201,6 +201,39 @@ def test_check_rejects_malformed_result_field(tmp_path, capsys, command, field, 
     assert len(out) == 1 and out[0].startswith("malformed result file:")
 
 
+def _with_tf_level(pos, **fields):
+    return lambda data: data["alpha_levels"][pos].update(fields)
+
+
+@pytest.mark.parametrize("command, n, edit", [
+    # a one-job run has no levels; an inflated D loosened the bound
+    ("maxflow", 1, lambda data: data["levels"].append({"h": 1, "D": "1/1"})),
+    # a two-job run has the one level h = 1
+    ("totalflow", 2, _with_tf_level(0, h=7, bound="100", alpha_after="100")),
+    ("totalflow", 3, _with_tf_level(0, bound="100/1")),
+    ("totalflow", 3, _with_tf_level(0, D="-1/1", bound="0/1")),
+    ("totalflow", 3, _with_tf_level(1, alpha_before="100/1")),
+], ids=["maxflow-level-without-split", "totalflow-h", "totalflow-bound",
+        "totalflow-negative-D", "totalflow-alpha-chain"])
+def test_check_rejects_inconsistent_levels(tmp_path, capsys, command, n, edit):
+    inst_path = str(tmp_path / "i.json")
+    res_path = str(tmp_path / "r.json")
+    if n == 1:
+        with open(inst_path, "w") as fh:
+            json.dump({"m": 1, "jobs": [{"r": "0/1", "p": ["1/1"]}]}, fh)
+    else:
+        assert run(["gen", "instance", "--n", str(n), "--m", "2", "--seed", "4",
+                    "--out", inst_path]) == 0
+    assert run([command, "--instance", inst_path, "--out", res_path]) == 0
+    data = json.loads(open(res_path).read())
+    edit(data)
+    with open(res_path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert run(["check", "--instance", inst_path, "--result", res_path]) == 1
+    assert "ok" not in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ["--mode", "choose-r", "--delta", "abc"],
     ["--mode", "choose-r", "--delta", "1/0"],

@@ -16,9 +16,10 @@ from flowdisc.core import (
     instance_to_json,
     make_instance,
     p_max,
+    snap_pairs,
     validate_instance,
 )
-from flowdisc.util import ValidationError
+from flowdisc.util import InternalCheckError, ValidationError
 
 
 def test_validate_well_formed():
@@ -190,3 +191,46 @@ def test_instance_json_rejects_garbage():
 def test_p_max():
     inst = make_instance(2, [(0, [3, None]), (0, [1, 7])])
     assert p_max(inst) == 7
+
+
+def test_snap_pairs_tie_rule_and_rates():
+    unit = F(1, 4)
+    # equal margins of 1/8 either way: the earlier value moves down
+    assert snap_pairs({"a": F(1, 8), "b": F(7, 8)}, unit) == {"a": 0, "b": 1}
+    # at no cost the smaller amount wins (a down by 1/16, not up by 3/16)
+    assert snap_pairs({"a": F(1, 16), "b": F(3, 16)}, unit) == {"a": 0, "b": F(1, 4)}
+    # a rate that charges b for gaining makes a up the cheaper move
+    def charge_b(gain, lose):
+        return 1 if gain == "b" else 0
+    assert snap_pairs({"a": F(1, 8), "b": F(7, 8)}, unit, charge_b) == {"a": F(1, 4), "b": F(3, 4)}
+    assert snap_pairs({"a": F(1, 16), "b": F(3, 16)}, unit, charge_b) == {"a": F(1, 4), "b": 0}
+    # on-grid values are never touched; the order of the off-grid keys decides
+    snapped = snap_pairs({"z": F(1, 2), "b": F(3, 8), "a": F(5, 8)}, unit)
+    assert snapped == {"z": F(1, 2), "b": F(1, 4), "a": F(3, 4)}
+
+
+def test_snap_pairs_single_off_grid_value():
+    with pytest.raises(InternalCheckError):
+        snap_pairs({0: F(1, 8), 1: F(1, 2)}, F(1, 4))
+    with pytest.raises(InternalCheckError):
+        snap_pairs({0: F(1, 3)}, F(1, 2))
+
+
+def test_snap_pairs_keeps_cells_and_total_random():
+    rng = random.Random(17)
+    for trial in range(300):
+        unit = F(1, 2 ** rng.randint(0, 4))
+        keys = [(trial, q) for q in range(rng.randint(1, 6))]
+        values = {key: F(rng.randint(0, 48), rng.choice([1, 2, 3, 6, 16, 24, 32])) for key in keys[:-1]}
+        rest = sum(values.values(), F(0))
+        values[keys[-1]] = unit * (-(-rest // unit) + rng.randint(0, 4)) - rest  # total on the grid
+        rates = {key: F(rng.randint(-3, 3), rng.randint(1, 4)) for key in keys}
+        shift_rate = rng.choice([None, lambda gain, lose: rates[gain] - rates[lose]])
+        out = snap_pairs(values, unit, shift_rate)
+        assert list(out) == keys
+        assert sum(out.values(), F(0)) == sum(values.values(), F(0))
+        for key, v in values.items():
+            low = v - v % unit
+            assert out[key] % unit == 0 and low <= out[key] <= low + unit
+            if v == low:
+                assert out[key] == v

@@ -234,6 +234,42 @@ def test_measure_alpha_matches_all_slot_windows():
         assert (rep.alpha, rep.witness) == (1, witness)
 
 
+def test_streams_agree_with_entries():
+    rng = random.Random(41)
+    for trial in range(20):
+        inst = gen_random_instance(rng.randint(1, 5), 3, (1, 6), (0, 4), 0.2, seed=800 + trial)
+        y = _random_solution(inst, rng)
+        streams = y.streams()
+        assert {(i, j, t): v for (i, j), stream in streams.items() for t, v in stream} == y.entries
+        for (i, j), stream in streams.items():
+            assert [t for t, _ in stream] == sorted({t for t, _ in stream})
+        for i in range(inst.m):
+            for j in range(inst.n):
+                assert sum((v for _, v in streams.get((i, j), [])), F(0)) == y.job_machine_total(i, j)
+
+
+def test_slot_objective_and_completion_rows():
+    rng = random.Random(43)
+    for trial in range(12):
+        inst = gen_random_instance(rng.randint(1, 4), 2, (1, 9), (0, 4), 0.2, seed=900 + trial)
+        ti_lp, H = build_time_indexed_lp(inst)
+        aux_lp, _ = build_auxiliary_lp(inst, F(1, 2))
+        for lp, scale in [(ti_lp, lambda p: p), (aux_lp, lambda p: 1 << (int(p) - 1).bit_length())]:
+            expected = {}  # y name -> (job, objective, completion coefficient)
+            for j, job in enumerate(inst.jobs):
+                for i, p in enumerate(job.proc):
+                    if p is None:
+                        continue
+                    for t in range(int(job.release), H):
+                        expected[yvar(i, j, t)] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
+            assert [name for name in lp.variables if name.startswith("y[")] == list(expected)
+            assert {name: cost for name, (_, cost, _) in expected.items()} == lp.objective
+            completion = [con for con in lp.constraints if con.relation == lpmod.EQ]
+            assert [(con.coeffs, con.rhs) for con in completion] == [
+                ({name: c for name, (jj, _, c) in expected.items() if jj == j}, 1) for j in range(inst.n)
+            ]
+
+
 def test_normalize_exchange_example():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 5): F(2), (0, 1, 3): F(2)})
