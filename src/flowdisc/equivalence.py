@@ -57,6 +57,8 @@ def vectors_to_maxflow_instance(vectors: list[TwoSparseVector], m: int) -> Sched
     loads every machine with exactly volume 1 per step, so the assignment LP
     optimum is exactly 1.
     """
+    if not vectors:
+        raise ValidationError("the vector sequence is empty")
     jobs = []
     for t, vec in enumerate(vectors, start=1):
         vec.validate(m)

@@ -15,6 +15,13 @@ Provided strategies:
   structure whose five invariants are asserted after every move.
 - `RandomBreaker`: seeded uniform play, for tournaments.
 
+The engine keeps an exact integer segment tree (`PrefixTree`) over the
+positions, so a move and the max |prefix| it leaves cost O(log n) instead of
+an O(n) rescan; the greedy maker reads its two trial signs from the same tree
+by point updates.  At the end of every game the tree's peak is checked against
+one full rescan (`_max_abs_prefix`), and the history must replay to the final
+coloring.
+
 `exhaustive_breaker_value` computes the best payoff a perfect breaker can
 force against a fixed maker strategy (the certification tool for the pairing
 bound).  `color_two_permutation` reuses the pairing strategy to color a value
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .util import InternalCheckError, ValidationError
@@ -40,6 +48,58 @@ def color_move(index: int, sign: int) -> tuple:
     return ("color", index, sign)
 
 
+class PrefixTree:
+    """Exact max |prefix| of a partially colored sequence under point updates.
+
+    The values are scaled to integers over their common denominator.  A padded
+    power-of-two segment tree stores per node the sum of its colored scaled
+    values and its largest and smallest prefix sum, the empty prefix included,
+    so the root reads the peak of every prefix of the whole sequence.
+    """
+
+    def __init__(self, values, colors):
+        self.den = lcm(*{v.denominator for v in values})
+        self.scaled = [v.numerator * (self.den // v.denominator) for v in values]
+        size = 1
+        while size < len(values):
+            size *= 2
+        self.size = size
+        self.sum = [0] * (2 * size)
+        self.hi = [0] * (2 * size)
+        self.lo = [0] * (2 * size)
+        for i, (w, c) in enumerate(zip(self.scaled, colors)):
+            self._set_leaf(size + i, c * w)
+        for p in range(size - 1, 0, -1):
+            self._pull(p)
+
+    def _set_leaf(self, p: int, x: int) -> None:
+        self.sum[p] = x
+        self.hi[p] = x if x > 0 else 0
+        self.lo[p] = x if x < 0 else 0
+
+    def _pull(self, p: int) -> None:
+        s, hi, lo = self.sum, self.hi, self.lo
+        left, right = 2 * p, 2 * p + 1
+        sl = s[left]
+        s[p] = sl + s[right]
+        a, b = hi[left], sl + hi[right]
+        hi[p] = a if a > b else b
+        a, b = lo[left], sl + lo[right]
+        lo[p] = a if a < b else b
+
+    def set(self, i: int, sign: int) -> None:
+        """Color position i with sign (0 uncolors it); O(log n)."""
+        p = self.size + i
+        self._set_leaf(p, sign * self.scaled[i])
+        p >>= 1
+        while p:
+            self._pull(p)
+            p >>= 1
+
+    def peak(self) -> Fraction:
+        return Fraction(max(self.hi[1], -self.lo[1]), self.den)
+
+
 @dataclass
 class GameState:
     values: tuple
@@ -48,6 +108,12 @@ class GameState:
     wait_allowed: dict
     history: list = field(default_factory=list)  # (player, index-or-None, sign-or-None)
     must_color: bool = False
+    tree: PrefixTree = field(init=False, repr=False, compare=False)
+    n_open: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tree = PrefixTree(self.values, self.colors)
+        self.n_open = self.colors.count(0)
 
     @property
     def n(self) -> int:
@@ -55,6 +121,19 @@ class GameState:
 
     def uncolored(self) -> list[int]:
         return [i for i, c in enumerate(self.colors) if c == 0]
+
+    def color(self, idx: int, sign: int) -> None:
+        """Color the uncolored element idx; keeps the tree and the open count."""
+        self.colors[idx] = sign
+        self.tree.set(idx, sign)
+        self.n_open -= 1
+
+    def peak_if(self, idx: int, sign: int) -> Fraction:
+        """Max |prefix| were idx colored sign; the state is left unchanged."""
+        self.tree.set(idx, sign)
+        peak = self.tree.peak()
+        self.tree.set(idx, self.colors[idx])
+        return peak
 
 
 def _max_abs_prefix(values, colors) -> Fraction:
@@ -77,6 +156,8 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     elements remain re-queries the current player with ``must_color`` set.
     """
     values = tuple(Fraction(v) for v in values)
+    if not values:
+        raise ValidationError("the game needs at least one value")
     for v in values:
         if not -1 <= v <= 1:
             raise ValidationError(f"game value {v} outside [-1, 1]")
@@ -91,7 +172,7 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     players = {MAKER: maker, BREAKER: breaker}
     trace: list[Fraction] = []
     prev_wait = False
-    while state.uncolored():
+    while state.n_open:
         player = state.to_move
         state.must_color = False
         move = players[player].move(state)
@@ -109,13 +190,15 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
                 raise ValidationError(f"{player} strategy colored an unavailable index {idx}")
             if sign not in (-1, 1):
                 raise ValidationError(f"{player} strategy produced sign {sign}")
-            state.colors[idx] = sign
+            state.color(idx, sign)
             state.history.append((player, idx, sign))
             prev_wait = False
         else:
             raise ValidationError(f"{player} strategy returned malformed move {move!r}")
-        trace.append(_max_abs_prefix(state.values, state.colors))
+        trace.append(state.tree.peak())
         state.to_move = MAKER if player == BREAKER else BREAKER
+    if state.tree.peak() != _max_abs_prefix(state.values, state.colors):
+        raise InternalCheckError("the prefix tree's peak differs from a full rescan")
     # replay check: history must reproduce the final coloring
     replay = [0] * state.n
     for _, idx, sign in state.history:
@@ -186,14 +269,18 @@ class PairingMaker:
 
     def __init__(self, allow_fractional: bool = False):
         self.allow_fractional = allow_fractional
+        self._values = None  # the values the cached game was built for
+        self._game: Optional[PairingGame] = None
 
     def move(self, state: GameState) -> tuple:
-        if not self.allow_fractional:
-            for v in state.values:
-                if v not in (-1, 1):
-                    raise ValidationError(f"pairing maker requires +-1 values, got {v}")
-        game = PairingGame(list(range(state.n)), list(state.values))
-        mv = game.respond(state.colors)
+        if state.values is not self._values:
+            if not self.allow_fractional:
+                for v in state.values:
+                    if v not in (-1, 1):
+                        raise ValidationError(f"pairing maker requires +-1 values, got {v}")
+            self._game = PairingGame(list(range(state.n)), list(state.values))
+            self._values = state.values
+        mv = self._game.respond(state.colors)
         if mv is None:
             return WAIT
         return color_move(*mv)
@@ -214,9 +301,7 @@ class GreedyMaker:
                 continue
             best = None
             for sign in (1, -1):
-                trial = list(state.colors)
-                trial[i] = sign
-                peak = _max_abs_prefix(state.values, trial)
+                peak = state.peak_if(i, sign)
                 if best is None or peak < best[0]:
                     best = (peak, sign)
             return color_move(i, best[1])
@@ -550,6 +635,7 @@ class TreeBreaker:
         self.claim: Optional[tuple[int, int]] = None  # (i_0, i_{l+1}) frozen at endgame
         self.checked_moves = 0  # build-phase moves that passed the invariant check
         self._seen_history = 0
+        self._bound_values = None  # the state values last found equal to self.values
 
     # -- helpers ----------------------------------------------------------
     def _opponent_moves(self, state: GameState) -> list[Optional[int]]:
@@ -577,14 +663,15 @@ class TreeBreaker:
         sign = 1 if total >= 0 else -1
         open_ = [e for e in range(target + 1) if state.colors[e] == 0]
         if open_:
-            pick = max(open_, key=lambda e: (self.values[e], -e))
+            # the order of (value, -e), as value = 1 - layer/k
+            pick = max(open_, key=lambda e: (-self.tree.layer[e], -e))
             return color_move(pick, sign)
         # claimed prefix exhausted: keep pushing the achieved deviation by
         # coloring the heaviest remaining element in the same direction
         rest = state.uncolored()
         if not rest:
             return WAIT
-        pick = max(rest, key=lambda e: (self.values[e], -e))
+        pick = max(rest, key=lambda e: (-self.tree.layer[e], -e))
         return color_move(pick, sign)
 
     def _enter_maintenance(self, idx: list[int]) -> None:
@@ -593,8 +680,10 @@ class TreeBreaker:
 
     # -- main move --------------------------------------------------------
     def move(self, state: GameState) -> tuple:
-        if list(state.values) != self.values:
-            raise ValidationError("tree breaker bound to a different hard instance")
+        if state.values is not self._bound_values:
+            if list(state.values) != self.values:
+                raise ValidationError("tree breaker bound to a different hard instance")
+            self._bound_values = state.values
         opp = self._opponent_moves(state)
         if self.phase == "maintain":
             return self._maintenance_move(state)

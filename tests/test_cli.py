@@ -163,6 +163,8 @@ def test_exit_code_malformed_file(tmp_path, capsys):
     ("totalflow", "--instance", {"m": True, "jobs": [{"r": "0/1", "p": ["1/1"]}]}),
     ("color", "--vectors", {"m": 1, "vectors": [["1/2"]], "signs": ["x"]}),
     ("color", "--vectors", {"m": 1.0, "vectors": [["1/2"]]}),
+    ("game", "--values", {"m": 1, "vectors": []}),
+    ("reduce", "--vectors", {"m": 2, "vectors": []}),
 ])
 def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, flag, payload):
     monkeypatch.setenv("FLOWDISC_OUTDIR", str(tmp_path))

@@ -52,6 +52,12 @@ def test_construction_rejects_bad_vectors():
         vectors_to_maxflow_instance([two_sparse(0, 1, F(3, 4), F(0))], 2)
 
 
+def test_construction_rejects_an_empty_sequence():
+    # an instance with no jobs is rejected by every pipeline downstream
+    with pytest.raises(ValidationError):
+        vectors_to_maxflow_instance([], 2)
+
+
 def test_lp_optimum_exactly_one():
     rng = random.Random(9)
     for trial in range(4):

@@ -12,6 +12,7 @@ from flowdisc.game import (
     PairingMaker,
     RandomBreaker,
     TreeBreaker,
+    _max_abs_prefix,
     breaker_hard_instance,
     build_hard_tree,
     check_breaker_structure,
@@ -198,6 +199,90 @@ def test_tree_breaker_full_games_and_monotone_payoffs():
             payoffs[name].append(max(trace))
     for name, series in payoffs.items():
         assert series == sorted(series), (name, series)
+
+
+def _mixed_values(rng, n):
+    # mixed denominators, negative values and zeros, all inside [-1, 1]
+    values = []
+    for _ in range(n):
+        d = rng.choice((1, 2, 3, 4, 5, 7, 12))
+        values.append(F(rng.randint(-d, d), d))
+    return values
+
+
+def _reference_greedy(values, colors):
+    # the greedy rule by a list copy and a full rescan per trial sign
+    for i, c in enumerate(colors):
+        if c != 0:
+            continue
+        best = None
+        for sign in (1, -1):
+            trial = list(colors)
+            trial[i] = sign
+            peak = _max_abs_prefix(values, trial)
+            if best is None or peak < best[0]:
+                best = (peak, sign)
+        return color_move(i, best[1])
+    return ("wait",)
+
+
+@pytest.mark.parametrize("maker_name", ["greedy", "pairing"])
+@pytest.mark.parametrize("starter", [MAKER, BREAKER])
+def test_tree_trace_matches_rescan_after_every_move(maker_name, starter):
+    rng = random.Random(f"trace:{maker_name}:{starter}")
+    waits = 0
+    for game in range(25):
+        values = _mixed_values(rng, rng.randint(1, 40))
+        maker = GreedyMaker() if maker_name == "greedy" else PairingMaker(allow_fractional=True)
+        breaker = RandomBreaker(seed=rng.randrange(10 ** 6), wait_prob=0.3)
+        state, trace = play_game(values, maker, breaker, starter=starter)
+        assert len(trace) == len(state.history)
+        colors = [0] * len(values)
+        for (_player, idx, sign), peak in zip(state.history, trace):
+            if idx is not None:
+                colors[idx] = sign
+            assert type(peak) is F
+            assert peak == _max_abs_prefix(values, colors), (game, idx)
+            waits += idx is None
+    assert waits > 0
+
+
+def test_greedy_maker_matches_reference_on_partial_states():
+    rng = random.Random(33)
+    ties = 0
+    for case in range(300):
+        n = rng.randint(1, 30)
+        values = tuple(_mixed_values(rng, n))
+        colors = [rng.choice((-1, 0, 1)) if rng.random() < 0.6 else 0 for _ in range(n)]
+        state = GameState(values=values, colors=list(colors), to_move=MAKER,
+                          wait_allowed={MAKER: True, BREAKER: True})
+        expected = _reference_greedy(values, colors)
+        assert GreedyMaker().move(state) == expected, case
+        # the trial signs leave the state as it was
+        assert state.colors == colors
+        assert state.tree.peak() == _max_abs_prefix(values, colors)
+        if expected != ("wait",):
+            i = expected[1]
+            trials = []
+            for sign in (1, -1):
+                trial = list(colors)
+                trial[i] = sign
+                trials.append(_max_abs_prefix(values, trial))
+            ties += trials[0] == trials[1]
+    assert ties > 20  # the tie rule (+1 first, strict improvement) is exercised
+
+
+def test_pairing_maker_reused_on_a_new_sequence():
+    rng = random.Random(8)
+    first = [rng.choice((-1, 1)) for _ in range(15)]
+    second = [rng.choice((-1, 1)) for _ in range(22)]
+    reused = PairingMaker()
+    play_game(first, reused, RandomBreaker(seed=1, wait_prob=0.2))
+    again, _ = play_game(second, reused, RandomBreaker(seed=2, wait_prob=0.2))
+    fresh, _ = play_game(second, PairingMaker(), RandomBreaker(seed=2, wait_prob=0.2))
+    assert again.history == fresh.history
+    with pytest.raises(ValidationError):
+        play_game([1, F(1, 2), -1], reused, RandomBreaker(seed=3), starter=MAKER)
 
 
 def test_two_permutation_identity_all_ones():
