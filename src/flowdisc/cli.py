@@ -277,6 +277,8 @@ def summarize(entries: list[tuple[SchedulingInstance, dict]]) -> tuple[str, str,
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
     outdir = args.outdir or os.environ.get("FLOWDISC_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
     entries = []
@@ -304,6 +306,9 @@ def cmd_check(args) -> int:
     problems = validate_instance(inst)
     if args.result:
         data = _read_json(args.result)
+        if not isinstance(data, dict):
+            print(f"malformed result file: expected a JSON object, got {type(data).__name__}")
+            return 1
         checker = maxflow.check_result if "T_star" in data else totalflow.check_result
         problems += checker(inst, data)
     if problems:

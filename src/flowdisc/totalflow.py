@@ -1,11 +1,14 @@
 """Total-flow-time pipeline: time-indexed LP, grouped auxiliary LP with
 relaxation slack, consistent ordering, job splitting, and discrepancy rounding.
 
-Solutions live on an integer slot grid.  Jobs are grouped per machine into
-size classes (class k holds processing times in (2^(k-1), 2^k]); the
-auxiliary objective charges (t - r)/2^k + 1/2 per unit volume so same-class
-volume can be exchanged between jobs at no cost.  The relaxation slack alpha
-of a solution is the worst window overload per class, measured exactly.
+Solutions live on an integer slot grid.  The time-indexed LP has one column
+per slot, while the auxiliary LP has one per event gap (releases and the
+horizon ends bound the gaps), so its solutions sit on gap starts.  Jobs are
+grouped per machine into size classes (class k holds processing times in
+(2^(k-1), 2^k]); the auxiliary objective charges (t - r)/2^k + 1/2 per unit
+volume so same-class volume can be exchanged between jobs at no cost.  The
+relaxation slack alpha of a solution is the worst window overload per class,
+measured exactly.
 """
 
 from __future__ import annotations
@@ -116,17 +119,20 @@ def slot_rate(job: Job, t: int, scale) -> Fraction:
     return (t - job.release) / scale + Fraction(1, 2)
 
 
-def _slot_program(inst: SchedulingInstance, H: int, scale: Callable) -> lpmod.LinearProgram:
-    """The y variables of every usable (machine, job, slot), one completion row
-    per job (sum y/p = 1) and the objective slot_rate(job, t, scale(p))."""
+def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> lpmod.LinearProgram:
+    """The y variables of every usable (machine, job, slot), where a job uses
+    the candidate ``slots`` at or after its release, one completion row per
+    job (sum y/p = 1) and the objective slot_rate(job, t, scale(p))."""
     lp = lpmod.LinearProgram()
     for j, job in enumerate(inst.jobs):
         coeffs = {}
+        release = int(job.release)
+        mine = [t for t in slots if t >= release]
         for i, p in enumerate(job.proc):
             if p is None:
                 continue
             per = scale(p)
-            for t in range(int(job.release), H):
+            for t in mine:
                 name = yvar(i, j, t)
                 lp.variables.append(name)
                 lp.objective[name] = slot_rate(job, t, per)
@@ -143,7 +149,7 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
     """
     _require_integral(inst)
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = _slot_program(inst, H, lambda p: p)
+    lp = _slot_program(inst, lambda p: p, range(H))
     for i in range(inst.m):
         for t in range(H):
             coeffs = {}
@@ -156,9 +162,11 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
 
 
 def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
+    """0, the releases below H and H itself, sorted: the ends of the event gaps."""
     slots = {0, H}
     for job in inst.jobs:
-        slots.add(int(job.release))
+        if job.release < H:
+            slots.add(int(job.release))
     return sorted(slots)
 
 
@@ -171,11 +179,24 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     """Class-grouped LP: objective sum((t - r)/2^k + 1/2) y and window capacity
     per (machine, class k, event window [t1, t2)) with slack alpha * 2^k.
 
-    Windows start and end on event slots (releases and the horizon
-    endpoints).  Per (machine, class) group, carry rows (add_carry_rows) over
-    the class-<=k volume between consecutive events give the worst window
-    ending at each event, and each carry is capped by alpha * 2^k: one step
-    per event gap instead of one row per pair of events.  Returns
+    The events are 0, the releases and the horizon H; consecutive events
+    bound the event gaps.  There is one y column per (machine, job, event gap
+    [t1, t2) with r_j <= t1), named y[i,j,t1] after the gap's first slot, so
+    the LP's size does not depend on H.  This is exact for the slot-indexed
+    LP with one column per slot in [r_j, H): releases are events, so inside
+    one gap all of a (machine, job)'s slot columns have the same completion
+    coefficient 1/p and sit in the same carry step of every class >= k;
+    slot_rate rises strictly with t, so moving a solution's volume to the
+    gap's first slot keeps every row and lowers the cost.  Every optimum of
+    the slot LP therefore lives on the gap starts, and the two LPs have the
+    same status and the same optimum value (interval-indexed LPs, Dyer and
+    Wolsey 1990; Hall, Schulz, Shmoys and Wein 1997, here with no cost
+    rounded).
+
+    Windows start and end on events.  Per (machine, class) group, carry rows
+    (add_carry_rows) over the class-<=k volume of each gap give the worst
+    window ending at each event, and each carry is capped by alpha * 2^k: one
+    step per event gap instead of one row per pair of events.  Returns
     (LinearProgram, horizon).
     """
     _require_integral(inst)
@@ -183,17 +204,16 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     if alpha < 0:
         raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = _slot_program(inst, H, class_scale)
-    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
     events = _event_slots(inst, H)
+    lp = _slot_program(inst, class_scale, events[:-1])
+    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
         for k in ks:
             group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
             steps = []
             for t1, t2 in zip(events, events[1:]):
-                coeffs = {yvar(i, j, t): 1 for j in group
-                          for t in range(max(t1, int(inst.jobs[j].release)), t2)}
+                coeffs = {yvar(i, j, t1): 1 for j in group if inst.jobs[j].release <= t1}
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
             for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):

@@ -203,6 +203,27 @@ def test_check_rejects_malformed_result_field(tmp_path, capsys, command, field, 
     assert len(out) == 1 and out[0].startswith("malformed result file:")
 
 
+@pytest.mark.parametrize("payload", [5, None, True, 1.5])
+def test_check_rejects_result_that_is_not_an_object(tmp_path, capsys, payload):
+    inst_path = str(tmp_path / "i.json")
+    res_path = str(tmp_path / "r.json")
+    assert run(["gen", "instance", "--n", "3", "--m", "2", "--seed", "4",
+                "--out", inst_path]) == 0
+    with open(res_path, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert run(["check", "--instance", inst_path, "--result", res_path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("malformed result file:")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_bench_rejects_count_below_one(tmp_path, capsys, count):
+    assert run(["bench", "--count", count, "--outdir", str(tmp_path / "bench")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def _with_tf_level(pos, **fields):
     return lambda data: data["alpha_levels"][pos].update(fields)
 

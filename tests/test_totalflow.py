@@ -4,15 +4,25 @@ from fractions import Fraction as F
 import pytest
 
 from flowdisc import lp as lpmod
-from flowdisc.coloring import PREFIX, color_brute_force
-from flowdisc.core import MachineAssignment, evaluate_total_flow_srpt, gen_random_instance, make_instance
+from flowdisc.coloring import PREFIX, color_brute_force, color_greedy
+from flowdisc.core import (
+    MachineAssignment,
+    add_carry_rows,
+    evaluate_total_flow_srpt,
+    gen_random_instance,
+    make_instance,
+)
 from flowdisc.totalflow import (
     TimeIndexedSolution,
+    _require_integral,
+    _slot_program,
     aux_cost,
     build_auxiliary_lp,
     build_time_indexed_lp,
     check_result,
     class_index,
+    class_scale,
+    default_horizon,
     dilate_instance,
     full_round_totalflow,
     is_integral,
@@ -93,10 +103,20 @@ def test_aux_objective_between_half_and_full():
 def test_ti_feasible_solutions_fit_aux_at_alpha_zero():
     inst = gen_random_instance(4, 2, (1, 4), (0, 4), 0.0, seed=10)
     lp, H = build_time_indexed_lp(inst)
-    sol = lpmod.solve_lp(lp)
+    y = solution_from_lp(inst, lpmod.solve_lp(lp), H)
     aux, _ = build_auxiliary_lp(inst, 0, horizon=H)
-    values = {v: sol.values.get(v, F(0)) for v in aux.variables}
+    # each volume moves to the first slot of its event gap
+    starts = sorted({0} | {int(job.release) for job in inst.jobs})
+    moved = {}
+    for (i, j, t), v in y.entries.items():
+        key = (i, j, max(s for s in starts if s <= t))
+        moved[key] = moved.get(key, F(0)) + v
+    moved = TimeIndexedSolution(horizon=H, entries=moved)
+    assert {yvar(*key) for key in moved.entries} <= set(aux.variables)
+    values = {v: F(0) for v in aux.variables}
+    values.update({yvar(*key): v for key, v in moved.entries.items()})
     assert lpmod.check_point(aux, values) == []
+    assert aux_cost(inst, moved) <= aux_cost(inst, y)
 
 
 def test_measure_alpha_capacity_obeying_zero():
@@ -175,12 +195,112 @@ def test_aux_carry_rows_match_quadratic_windows(complete_carries):
             assert (sol.status, sol.objective_value) == (ref.status, ref.objective_value)
             statuses.add(sol.status)
             if sol.status == lpmod.OPTIMAL:
-                y = {v: sol.values[v] for v in ref_lp.variables}
+                # the event-slot optimum, lifted to every slot: 0 off the gap starts
+                y = {v: x for v, x in sol.values.items() if v.startswith("y[")}
+                assert set(y) <= set(ref_lp.variables)
+                y = {v: y.get(v, F(0)) for v in ref_lp.variables}
                 assert lpmod.check_point(ref_lp, y) == []
                 assert lpmod.check_point(lp, complete_carries(lp, ref.values)) == []
     assert statuses == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
     with pytest.raises(ValidationError):
         build_auxiliary_lp(inst, F(-1, 4))
+
+
+def _slot_auxiliary_lp(inst, alpha, horizon=None):
+    """Reference auxiliary LP with one y column per (machine, job, slot in [r_j, H))."""
+    _require_integral(inst)
+    alpha = F(alpha)
+    if alpha < 0:
+        raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
+    H = default_horizon(inst) if horizon is None else int(horizon)
+    lp = _slot_program(inst, class_scale, range(H))
+    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
+    events = sorted({0, H} | {int(job.release) for job in inst.jobs})
+    for i in range(inst.m):
+        ks = sorted({k for (ii, _), k in classes.items() if ii == i})
+        for k in ks:
+            group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
+            steps = []
+            for t1, t2 in zip(events, events[1:]):
+                coeffs = {yvar(i, j, t): 1 for j in group
+                          for t in range(max(t1, int(inst.jobs[j].release)), t2)}
+                if coeffs or steps:  # gaps before the group's first release carry nothing
+                    steps.append((coeffs, t2 - t1))
+            for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+                lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
+    return lp, H
+
+
+def _y_part(values):
+    return {v: x for v, x in values.items() if v.startswith("y[") and x != 0}
+
+
+def test_event_slot_lp_matches_slot_lp(complete_carries):
+    # forbidden entries, equal releases, up to three machines, and horizons
+    # too short for some instances
+    rng = random.Random(59)
+    statuses, same_y = [], 0
+    for trial in range(150):
+        m = rng.randint(1, 3)
+        jobs = []
+        for _ in range(rng.randint(1, 4)):
+            release = jobs[-1][0] if jobs and rng.random() < 0.3 else rng.randint(0, 6)
+            proc = [rng.randint(1, 5) if rng.random() < 0.75 else None for _ in range(m)]
+            if all(p is None for p in proc):
+                proc[rng.randrange(m)] = rng.randint(1, 5)
+            jobs.append((release, proc))
+        inst = make_instance(m, jobs)
+        H = rng.choice([default_horizon(inst), max(r for r, _ in jobs) + rng.randint(1, 3)])
+        starts = sorted({0} | {r for r, _ in jobs})
+        for alpha in (F(0), F(1, 4), F(1)):
+            lp, _ = build_auxiliary_lp(inst, alpha, horizon=H)
+            ref_lp, _ = _slot_auxiliary_lp(inst, alpha, horizon=H)
+            sol, ref = lpmod.solve_lp(lp), lpmod.solve_lp(ref_lp)
+            assert (sol.status, sol.objective_value) == (ref.status, ref.objective_value)
+            statuses.append(sol.status)
+            if sol.status != lpmod.OPTIMAL:
+                continue
+            y, y_ref = _y_part(sol.values), _y_part(ref.values)
+            # the slot-LP optimum has no volume off the gap starts
+            assert all(int(v[2:-1].split(",")[2]) in starts for v in y_ref)
+            lifted = {v: y.get(v, F(0)) for v in ref_lp.variables if v.startswith("y[")}
+            assert set(y) <= set(lifted)
+            assert lpmod.check_point(ref_lp, complete_carries(ref_lp, lifted)) == []
+            lowered = {v: y_ref.get(v, F(0)) for v in lp.variables if v.startswith("y[")}
+            assert lpmod.check_point(lp, complete_carries(lp, lowered)) == []
+            assert y == y_ref
+            same_y += 1
+    assert set(statuses) == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
+    assert same_y == statuses.count(lpmod.OPTIMAL) > 300
+
+
+def test_aux_lp_size_does_not_grow_with_the_horizon():
+    inst = make_instance(2, [(0, [1, 2]), (10 ** 6, [3, None])])
+    lp, H = build_auxiliary_lp(inst, 0)
+    gaps = 2  # [0, 10^6) and [10^6, H)
+    assert H > 10 ** 6
+    assert sum(v.startswith("y[") for v in lp.variables) <= inst.m * inst.n * gaps
+    y, trace = full_round_totalflow(inst, brute)
+    assert is_integral(inst, y)
+    assert check_result(inst, result_to_json(trace)) == []
+
+
+def test_horizon_at_or_below_a_release_is_infeasible():
+    inst = make_instance(1, [(0, [1]), (5, [1]), (7, [1])])
+    for H in (5, 6):
+        lp, _ = build_auxiliary_lp(inst, 1, horizon=H)
+        assert all(int(v[2:-1].split(",")[2]) < H for v in lp.variables if v.startswith("y["))
+        assert lpmod.solve_lp(lp).status == lpmod.INFEASIBLE
+        ti_lp, _ = build_time_indexed_lp(inst, horizon=H)
+        assert lpmod.solve_lp(ti_lp).status == lpmod.INFEASIBLE
+
+
+def test_full_round_at_roadmap_scale():
+    # the auxiliary LP optimum is the same at every optimal vertex
+    inst = gen_random_instance(24, 2, (1, 4), (0, 48), 0.2, seed=7)
+    _y, trace = full_round_totalflow(inst, color_greedy)
+    assert trace.lp_cost == 493
+    assert check_result(inst, result_to_json(trace)) == []
 
 
 def _random_solution(inst, rng, horizon=None):
@@ -254,14 +374,17 @@ def test_slot_objective_and_completion_rows():
         inst = gen_random_instance(rng.randint(1, 4), 2, (1, 9), (0, 4), 0.2, seed=900 + trial)
         ti_lp, H = build_time_indexed_lp(inst)
         aux_lp, _ = build_auxiliary_lp(inst, F(1, 2))
-        for lp, scale in [(ti_lp, lambda p: p), (aux_lp, lambda p: 1 << (int(p) - 1).bit_length())]:
+        gap_starts = sorted({0} | {int(job.release) for job in inst.jobs})
+        for lp, scale, slots in [(ti_lp, lambda p: p, range(H)),
+                                 (aux_lp, lambda p: 1 << (int(p) - 1).bit_length(), gap_starts)]:
             expected = {}  # y name -> (job, objective, completion coefficient)
             for j, job in enumerate(inst.jobs):
                 for i, p in enumerate(job.proc):
                     if p is None:
                         continue
-                    for t in range(int(job.release), H):
-                        expected[yvar(i, j, t)] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
+                    for t in slots:
+                        if job.release <= t < H:
+                            expected[yvar(i, j, t)] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
             assert [name for name in lp.variables if name.startswith("y[")] == list(expected)
             assert {name: cost for name, (_, cost, _) in expected.items()} == lp.objective
             completion = [con for con in lp.constraints if con.relation == lpmod.EQ]
