@@ -37,10 +37,16 @@ def _out_path(name: str, explicit) -> str:
     return os.path.join(base, name)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_json(path: str, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_text(path, json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _read_json(path: str):
@@ -49,6 +55,10 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not a UTF-8 text file")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}")
 
@@ -70,6 +80,8 @@ def cmd_gen(args) -> int:
     elif args.kind == "vectors":
         import random
 
+        if args.n < 1:
+            raise ValidationError(f"--n must be at least 1, got {args.n}")
         rng = random.Random(substream_seed(args.seed, "vector-gen"))
         vectors = []
         for _ in range(args.n):
@@ -117,6 +129,8 @@ def cmd_totalflow(args) -> int:
 
 def cmd_color(args) -> int:
     seq = coloring.seq_from_json(_read_json(args.vectors))
+    if not seq.vectors:
+        raise ValidationError("the vector sequence is empty")
     mode = {"prefix": coloring.PREFIX, "interval": coloring.INTERVAL,
             "one-sided": coloring.ONE_SIDED}[args.mode]
     if args.colorer == "brute":
@@ -160,13 +174,13 @@ def cmd_game(args) -> int:
     maker = makers[args.maker]()
     breaker = breakers[args.breaker]()
     state, trace = game.play_game(values, maker, breaker, starter=args.starter)
-    path = _out_path("trace.csv", args.trace)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "player", "index_or_wait", "sign", "max_prefix_after"])
-        for turn, ((player, idx, sign), peak) in enumerate(zip(state.history, trace)):
-            writer.writerow([turn, player, "wait" if idx is None else idx,
-                             "" if sign is None else sign, rat_to_str(peak)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["turn", "player", "index_or_wait", "sign", "max_prefix_after"])
+    for turn, ((player, idx, sign), peak) in enumerate(zip(state.history, trace)):
+        writer.writerow([turn, player, "wait" if idx is None else idx,
+                         "" if sign is None else sign, rat_to_str(peak)])
+    _write_text(_out_path("trace.csv", args.trace), buf.getvalue())
     print(f"moves = {len(trace)}  payoff = {rat_to_str(max(trace))}")
     return 0
 
@@ -280,7 +294,10 @@ def cmd_bench(args) -> int:
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
     outdir = args.outdir or os.environ.get("FLOWDISC_OUTDIR", ".")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create {outdir}: {exc.strerror}")
     entries = []
     for run_id in range(args.count):
         inst = gen_random_instance(
@@ -295,8 +312,7 @@ def cmd_bench(args) -> int:
         _write_json(os.path.join(outdir, f"bench_{run_id:03d}_result.json"), data)
         entries.append((inst, data))
     csv_text, pretty, all_ok = summarize(entries)
-    with open(os.path.join(outdir, "summary.csv"), "w") as fh:
-        fh.write(csv_text)
+    _write_text(os.path.join(outdir, "summary.csv"), csv_text)
     print(pretty)
     return 0 if all_ok else 1
 

@@ -1,12 +1,16 @@
 """Exact-rational linear programming via two-phase primal simplex.
 
 Everything is computed over exact rationals; there are no tolerances anywhere.
-Internally each tableau row is kept as a vector of integers plus a positive
-denominator, which keeps the hot pivot loop in (fast) bignum arithmetic with a
-single gcd pass per row instead of per-entry `Fraction` normalization.
+Coefficients, right-hand sides and bounds are ints or `Fraction`s.  Each
+tableau row is a sparse ``{column: int}`` dict that stores only its nonzero
+entries, built straight from its constraint with one lcm of the row's
+denominators.  A pivot updates only the rows that hold the entering column,
+with one gcd pass per updated row, so the hot loop stays in bignum arithmetic
+with no per-entry `Fraction` normalization.
 
-Pivoting uses Bland's rule for both the entering and the leaving choice, so
-solves are deterministic and cannot cycle.
+Pivoting uses Bland's rule for both the entering and the leaving choice (the
+smallest column with a negative reduced cost enters; ratio-test ties leave by
+the smallest basic column), so solves are deterministic and cannot cycle.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
 from .util import ValidationError
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
+_FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -92,93 +96,109 @@ def _validate(lp: LinearProgram) -> None:
             raise ValidationError(f"bound on undeclared variable {name!r}")
 
 
-def _gcd_reduce(ints: list, den: int) -> tuple[list, int]:
-    g = den
-    for v in ints:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return ints, den
+def _gcd_reduce(row: dict) -> None:
+    """Divide a sparse integer row by the gcd of its entries, in place."""
+    g = math.gcd(*row.values())
     if g > 1:
-        ints = [v // g for v in ints]
-        den //= g
-    return ints, den
+        for j in row:
+            row[j] //= g
+
+
+def _eliminate(row: dict, prow: dict, s: int) -> None:
+    """Set `row` to ``row * prow[s] - row[s] * prow``, gcd-reduced, in place.
+
+    With ``prow[s] > 0`` the result is a positive multiple of the true row
+    after the pivot, and column `s` leaves `row`.
+    """
+    piv, a = prow[s], row[s]
+    if piv != 1:
+        for j in row:
+            row[j] *= piv
+    for j, v in prow.items():
+        x = row.get(j, 0) - a * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    _gcd_reduce(row)
 
 
 class _Tableau:
-    """Dense simplex tableau with integer rows and per-row denominators."""
+    """Sparse simplex tableau of integer rows.
 
-    def __init__(self, rows, dens, basis, ncols):
-        self.rows = rows          # list[list[int]], each of length ncols + 1 (rhs last)
-        self.dens = dens          # list[int], all > 0
-        self.basis = basis        # basis variable (column) per row
+    Row i is a ``{col: int}`` dict that stores only its nonzero entries, with
+    the right-hand side at key ``ncols``.  Its positive denominator is its own
+    entry at its basic column ``basis[i]``: the true row is
+    ``row / row[basis[i]]``.  The objective row `z` is kept up to a positive
+    factor, since only the signs of its entries are read.  A pivot touches
+    only the rows that hold the entering column; the pivots chosen are those
+    of a dense tableau under the same Bland rule (`tests/test_lp.py` keeps
+    that dense solver as the reference).
+    """
+
+    def __init__(self, rows: list, basis: list, ncols: int):
+        self.rows = rows
+        self.basis = basis
         self.ncols = ncols
-        self.zrow: list = []      # objective row, length ncols + 1
-        self.zden: int = 1
+        self.z: dict = {}
 
-    def set_objective(self, reduced: list[Fraction], z_const: Fraction) -> None:
-        denom = reduce(math.lcm, [f.denominator for f in reduced] + [z_const.denominator], 1)
-        self.zrow = [int(f * denom) for f in reduced] + [int(-z_const * denom)]
-        self.zden = denom
+    def set_costs(self, cost: dict) -> None:
+        """Make `z` the reduced costs of the integer costs `cost` ({col: int}).
 
-    def pivot(self, r: int, s: int) -> None:
+        z = cost - sum over rows of cost[basis] * row / den, scaled by the lcm
+        of the denominators involved; its rhs entry is minus the basic cost.
+        """
+        scale = math.lcm(*(row[b] for row, b in zip(self.rows, self.basis) if b in cost))
+        z = {j: scale * c for j, c in cost.items()}
+        for row, b in zip(self.rows, self.basis):
+            if b in cost:
+                f = cost[b] * (scale // row[b])
+                for j, v in row.items():
+                    z[j] = z.get(j, 0) - f * v
+        self.z = {j: v for j, v in z.items() if v}
+        _gcd_reduce(self.z)
+
+    def holders(self, s: int) -> list:
+        """Indices of the rows with a nonzero entry in column s."""
+        return [i for i, row in enumerate(self.rows) if s in row]
+
+    def pivot(self, r: int, s: int, holders: list) -> None:
+        """Pivot on row r, column s; `holders` is ``self.holders(s)``."""
         prow = self.rows[r]
-        piv = prow[s]
-        assert piv > 0
-        for q in range(len(self.rows)):
-            if q == r:
-                continue
-            row = self.rows[q]
-            a = row[s]
-            if a == 0:
-                continue
-            new = [row[j] * piv - a * prow[j] for j in range(self.ncols + 1)]
-            new, den = _gcd_reduce(new, self.dens[q] * piv)
-            self.rows[q] = new
-            self.dens[q] = den
-        a = self.zrow[s]
-        if a != 0:
-            new = [self.zrow[j] * piv - a * prow[j] for j in range(self.ncols + 1)]
-            new, den = _gcd_reduce(new, self.zden * piv)
-            self.zrow = new
-            self.zden = den
-        new, den = _gcd_reduce(list(prow), piv)
-        self.rows[r] = new
-        self.dens[r] = den
+        assert prow[s] > 0
+        for q in holders:
+            if q != r:
+                _eliminate(self.rows[q], prow, s)
+        if s in self.z:
+            _eliminate(self.z, prow, s)
+        _gcd_reduce(prow)
         self.basis[r] = s
 
-    def run(self, allowed) -> str:
-        """Bland-rule simplex until optimal or unbounded over `allowed` columns."""
+    def run(self, nenter: int) -> str:
+        """Bland-rule simplex until optimal or unbounded; columns below `nenter` may enter."""
+        rhs = self.ncols
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if allowed[j] and self.zrow[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, v in self.z.items() if v < 0 and j < nenter), default=-1)
             if enter < 0:
                 return OPTIMAL
+            holders = self.holders(enter)
             leave = -1
             best_num = best_den = 0  # ratio = rhs/a as best_num/best_den
-            for i, row in enumerate(self.rows):
+            for i in holders:
+                row = self.rows[i]
                 a = row[enter]
-                if a <= 0:
+                if a < 0:
                     continue
-                rhs = row[self.ncols]
+                num = row.get(rhs, 0)
                 if leave < 0:
-                    leave, best_num, best_den = i, rhs, a
+                    leave, best_num, best_den = i, num, a
                     continue
-                cmp = rhs * best_den - best_num * a
+                cmp = num * best_den - best_num * a
                 if cmp < 0 or (cmp == 0 and self.basis[i] < self.basis[leave]):
-                    leave, best_num, best_den = i, rhs, a
+                    leave, best_num, best_den = i, num, a
             if leave < 0:
                 return UNBOUNDED
-            self.pivot(leave, enter)
-
-    def basic_values(self) -> dict:
-        out = {}
-        for i, b in enumerate(self.basis):
-            out[b] = Fraction(self.rows[i][self.ncols], self.dens[i])
-        return out
+            self.pivot(leave, enter, holders)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -188,190 +208,108 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     _validate(lp)
 
-    # Column transforms: shift lower bounds to 0, split free variables,
-    # turn upper bounds into extra rows.
-    col_names: list[str] = []
-    piece_map: dict = {}  # var -> ("shift", col, lower) | ("split", col_pos, col_neg)
-    extra_rows: list[tuple[dict, str, Fraction]] = []  # coeffs over columns
+    # Columns: a variable with lower bound lo gets one column holding x - lo;
+    # a free variable gets the pair (x+, x-) at columns (col, col + 1).  Upper
+    # bounds become extra <= rows after the constraints.
+    place: dict = {}  # var -> (col, lo), lo None for a free variable
+    upper: list = []  # (var, hi)
+    ncols = 0
     for var in lp.variables:
-        lo, hi = lp.bounds.get(var, (Fraction(0), None))
-        lo = None if lo is None else Fraction(lo)
-        hi = None if hi is None else Fraction(hi)
-        if lo is None:
-            cp = len(col_names)
-            col_names.append(var + "+")
-            cm = len(col_names)
-            col_names.append(var + "-")
-            piece_map[var] = ("split", cp, cm)
-            if hi is not None:
-                extra_rows.append(({cp: Fraction(1), cm: Fraction(-1)}, LE, hi))
-        else:
-            c = len(col_names)
-            col_names.append(var)
-            piece_map[var] = ("shift", c, lo)
-            if hi is not None:
-                if hi < lo:
-                    return LpSolution(INFEASIBLE, {}, None)
-                extra_rows.append(({c: Fraction(1)}, LE, hi - lo))
+        lo, hi = lp.bounds.get(var, (0, None))
+        place[var] = (ncols, lo)
+        ncols += 1 if lo is not None else 2
+        if hi is not None:
+            if lo is not None and hi < lo:
+                return LpSolution(INFEASIBLE, {}, None)
+            upper.append((var, hi))
 
-    def to_columns(coeffs: dict) -> tuple[dict, Fraction]:
-        """Rewrite variable coefficients over columns; return (col coeffs, lhs offset)."""
-        cols: dict = {}
-        offset = Fraction(0)
-        for var, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            piece = piece_map[var]
-            if piece[0] == "shift":
-                _, col, lo = piece
-                cols[col] = cols.get(col, Fraction(0)) + c
-                offset += c * lo
-            else:
-                _, cp, cm = piece
-                cols[cp] = cols.get(cp, Fraction(0)) + c
-                cols[cm] = cols.get(cm, Fraction(0)) - c
-        return cols, offset
+    def int_row(coeffs: dict, rhs):
+        """`coeffs` over the columns and `rhs` less the lower-bound shifts, as
+        integers over one lcm `den` of their denominators: (row, rhs, den)."""
+        terms = [(place[var], c) for var, c in coeffs.items() if c]
+        for (_, lo), c in terms:
+            if lo:
+                rhs -= c * lo
+        den = math.lcm(rhs.denominator, *(c.denominator for _, c in terms))
+        row = {}
+        for (col, lo), c in terms:
+            row[col] = x = c.numerator * (den // c.denominator)
+            if lo is None:
+                row[col + 1] = -x
+        return row, rhs.numerator * (den // rhs.denominator), den
 
-    rows_spec: list[tuple[dict, str, Fraction]] = []
-    for con in lp.constraints:
-        cols, offset = to_columns(con.coeffs)
-        rows_spec.append((cols, con.relation, Fraction(con.rhs) - offset))
-    rows_spec.extend(extra_rows)
-
-    nstruct = len(col_names)
-    # slack/surplus and artificial columns
-    slack_of: list[Optional[int]] = []
-    ncols = nstruct
-    row_kinds = []
-    for cols, rel, rhs in rows_spec:
+    specs = []  # (row, rhs >= 0, den, relation)
+    rows_in = [(con.coeffs, con.rhs, con.relation) for con in lp.constraints]
+    for coeffs, rhs, rel in rows_in + [({var: 1}, hi, LE) for var, hi in upper]:
+        row, rhs, den = int_row(coeffs, rhs)
         if rhs < 0:
-            cols = {c: -v for c, v in cols.items()}
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        row_kinds.append((cols, rel, rhs))
-    for cols, rel, rhs in row_kinds:
-        if rel == LE:
-            slack_of.append(ncols)
-            ncols += 1
-        elif rel == GE:
-            slack_of.append(ncols)
-            ncols += 1
-        else:
-            slack_of.append(None)
-    art_of: list[Optional[int]] = []
-    for cols, rel, rhs in row_kinds:
-        if rel == LE:
-            art_of.append(None)
-        else:
-            art_of.append(ncols)
-            ncols += 1
+            row, rhs, rel = {j: -v for j, v in row.items()}, -rhs, _FLIP[rel]
+        specs.append((row, rhs, den, rel))
 
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    basis: list[int] = []
-    art_cols: set[int] = set(c for c in art_of if c is not None)
-    for idx, (cols, rel, rhs) in enumerate(row_kinds):
-        dvals = [v.denominator for v in cols.values()] + [rhs.denominator]
-        den = reduce(math.lcm, dvals, 1)
-        ints = [0] * (ncols + 1)
-        for c, v in cols.items():
-            ints[c] = int(v * den)
-        ints[ncols] = int(rhs * den)
+    # Slack/surplus columns for the <= and >= rows, then artificial columns
+    # for the >= and == rows; a row's initial basis is its slack or artificial.
+    slack = ncols
+    first_art = art = ncols + sum(rel != EQ for *_, rel in specs)
+    ncols = first_art + sum(rel != LE for *_, rel in specs)
+    rows: list = []
+    basis: list = []
+    for row, rhs, den, rel in specs:
+        if rel != EQ:
+            row[slack] = den if rel == LE else -den
+            slack += 1
         if rel == LE:
-            ints[slack_of[idx]] = den
-            basis.append(slack_of[idx])
-        elif rel == GE:
-            ints[slack_of[idx]] = -den
-            ints[art_of[idx]] = den
-            basis.append(art_of[idx])
+            basis.append(slack - 1)
         else:
-            ints[art_of[idx]] = den
-            basis.append(art_of[idx])
-        ints, den = _gcd_reduce(ints, den)
-        rows.append(ints)
-        dens.append(den)
-
-    tab = _Tableau(rows, dens, basis, ncols)
+            row[art] = den
+            basis.append(art)
+            art += 1
+        if rhs:
+            row[ncols] = rhs
+        rows.append(row)  # already in lowest terms: one lcm of reduced denominators
+    tab = _Tableau(rows, basis, ncols)
 
     # Phase 1: minimize the sum of artificials (skipped when there are none).
-    if art_cols:
-        reduced = []
-        for j in range(ncols):
-            r = Fraction(1) if j in art_cols else Fraction(0)
-            for i, b in enumerate(tab.basis):
-                if b in art_cols and tab.rows[i][j]:
-                    r -= Fraction(tab.rows[i][j], tab.dens[i])
-            reduced.append(r)
-        z0 = Fraction(0)
-        for i, b in enumerate(tab.basis):
-            if b in art_cols:
-                z0 += Fraction(tab.rows[i][ncols], tab.dens[i])
-        tab.set_objective(reduced, z0)
-        allowed = [True] * ncols
-        status = tab.run(allowed)
+    if first_art < ncols:
+        tab.set_costs({j: 1 for j in range(first_art, ncols)})
+        status = tab.run(ncols)
         assert status == OPTIMAL  # phase 1 is bounded below by 0
-        phase1 = Fraction(-tab.zrow[ncols], tab.zden)
-        if phase1 != 0:
+        if tab.z.get(ncols):
             return LpSolution(INFEASIBLE, {}, None)
         # drive leftover artificials out of the basis (or drop redundant rows)
-        drop: list[int] = []
+        keep = []
         for i in range(len(tab.rows)):
-            if tab.basis[i] in art_cols:
-                piv_col = -1
-                for j in range(ncols):
-                    if j not in art_cols and tab.rows[i][j] > 0:
-                        piv_col = j
-                        break
-                    if j not in art_cols and tab.rows[i][j] < 0:
-                        # negate the row first so the pivot entry is positive
-                        tab.rows[i] = [-v for v in tab.rows[i]]
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    tab.pivot(i, piv_col)
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab.rows[i]
-            del tab.dens[i]
-            del tab.basis[i]
+            if tab.basis[i] >= first_art:
+                row = tab.rows[i]
+                s = min((j for j in row if j < first_art), default=-1)
+                if s < 0:
+                    continue
+                if row[s] < 0:
+                    # negate the row first so the pivot entry is positive
+                    for j in row:
+                        row[j] = -row[j]
+                tab.pivot(i, s, tab.holders(s))
+            keep.append(i)
+        tab.rows = [tab.rows[i] for i in keep]
+        tab.basis = [tab.basis[i] for i in keep]
 
     # Phase 2 with the real objective (identically zero objectives skip it:
     # any feasible basic point is optimal).
-    obj_cols, obj_offset = to_columns(lp.objective)
-    if obj_cols:
-        cost = [Fraction(0)] * ncols
-        for c, v in obj_cols.items():
-            cost[c] = v
-        reduced = list(cost)
-        z0 = Fraction(0)
-        for i, b in enumerate(tab.basis):
-            cb = cost[b]
-            if cb:
-                deni = tab.dens[i]
-                row = tab.rows[i]
-                for j in range(ncols):
-                    if row[j]:
-                        reduced[j] -= cb * Fraction(row[j], deni)
-                z0 += cb * Fraction(row[ncols], deni)
-        tab.set_objective(reduced, z0)
-        allowed = [j not in art_cols for j in range(ncols)]
-        status = tab.run(allowed)
-        if status == UNBOUNDED:
+    cost, _, _ = int_row(lp.objective, 0)
+    if cost:
+        tab.set_costs(cost)
+        if tab.run(first_art) == UNBOUNDED:
             return LpSolution(UNBOUNDED, {}, None)
 
-    col_values = tab.basic_values()
+    col_values = {b: Fraction(row.get(ncols, 0), row[b]) for row, b in zip(tab.rows, tab.basis)}
+    zero = Fraction(0)
     values = {}
     for var in lp.variables:
-        piece = piece_map[var]
-        if piece[0] == "shift":
-            _, col, lo = piece
-            values[var] = col_values.get(col, Fraction(0)) + lo
+        col, lo = place[var]
+        if lo is None:
+            values[var] = col_values.get(col, zero) - col_values.get(col + 1, zero)
         else:
-            _, cp, cm = piece
-            values[var] = col_values.get(cp, Fraction(0)) - col_values.get(cm, Fraction(0))
-    obj_val = sum((Fraction(c) * values[v] for v, c in lp.objective.items()), Fraction(0))
+            values[var] = col_values.get(col, zero) + lo
+    obj_val = sum((c * values[v] for v, c in lp.objective.items()), zero)
     return LpSolution(OPTIMAL, values, obj_val)
 
 

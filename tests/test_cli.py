@@ -165,6 +165,7 @@ def test_exit_code_malformed_file(tmp_path, capsys):
     ("color", "--vectors", {"m": 1.0, "vectors": [["1/2"]]}),
     ("game", "--values", {"m": 1, "vectors": []}),
     ("reduce", "--vectors", {"m": 2, "vectors": []}),
+    ("color", "--vectors", {"m": 2, "vectors": []}),   # was a witness naming prefix -1
 ])
 def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, flag, payload):
     monkeypatch.setenv("FLOWDISC_OUTDIR", str(tmp_path))
@@ -174,6 +175,28 @@ def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command
     assert run([command, flag, path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "instance", "--out", "{dir}"],                   # was IsADirectoryError
+    ["gen", "instance", "--out", "{dir}/missing/x.json"],    # was FileNotFoundError
+    ["bench", "--count", "1", "--n", "2", "--outdir", "{file}"],  # was FileExistsError
+    ["maxflow", "--instance", "{dir}"],                      # was IsADirectoryError
+    ["maxflow", "--instance", "{binary}"],                   # was UnicodeDecodeError
+    ["gen", "vectors", "--n", "0", "--out", "{dir}/v.json"],  # wrote an empty sequence
+    ["game", "--hard-k", "2", "--breaker", "tree", "--trace", "{dir}"],  # was IsADirectoryError
+])
+def test_file_error_or_empty_request_is_one_error_line(tmp_path, capsys, argv):
+    paths = {"dir": str(tmp_path), "file": str(tmp_path / "file.txt"),
+             "binary": str(tmp_path / "binary.json")}
+    with open(paths["file"], "w") as fh:
+        fh.write("not a directory\n")
+    with open(paths["binary"], "wb") as fh:
+        fh.write(b"\xff\xfe\x00\x81")
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not os.path.exists(tmp_path / "v.json")
 
 
 @pytest.mark.parametrize("command, field, bad", [

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -129,3 +131,290 @@ def test_dump_lp_mentions_everything():
     p.add_constraint({"x": 1}, lp.LE, 3)
     text = lp.dump_lp(p)
     assert "min" in text and "<=" in text and "x" in text
+
+
+# -- the dense tableau, kept as the reference for the sparse solver ----------
+
+
+def _dense_gcd_reduce(ints, den):
+    g = den
+    for v in ints:
+        if v:
+            g = math.gcd(g, v)
+            if g == 1:
+                return ints, den
+    if g > 1:
+        ints = [v // g for v in ints]
+        den //= g
+    return ints, den
+
+
+class _DenseTableau:
+    """Dense simplex tableau with integer rows and per-row denominators."""
+
+    def __init__(self, rows, dens, basis, ncols):
+        self.rows, self.dens, self.basis, self.ncols = rows, dens, basis, ncols
+        self.zrow, self.zden = [], 1
+
+    def set_objective(self, reduced, z_const):
+        denom = reduce(math.lcm, [f.denominator for f in reduced] + [z_const.denominator], 1)
+        self.zrow = [int(f * denom) for f in reduced] + [int(-z_const * denom)]
+        self.zden = denom
+
+    def pivot(self, r, s):
+        prow = self.rows[r]
+        piv = prow[s]
+        assert piv > 0
+        for q in range(len(self.rows)):
+            if q == r:
+                continue
+            row = self.rows[q]
+            a = row[s]
+            if a == 0:
+                continue
+            new = [row[j] * piv - a * prow[j] for j in range(self.ncols + 1)]
+            self.rows[q], self.dens[q] = _dense_gcd_reduce(new, self.dens[q] * piv)
+        a = self.zrow[s]
+        if a != 0:
+            new = [self.zrow[j] * piv - a * prow[j] for j in range(self.ncols + 1)]
+            self.zrow, self.zden = _dense_gcd_reduce(new, self.zden * piv)
+        self.rows[r], self.dens[r] = _dense_gcd_reduce(list(prow), piv)
+        self.basis[r] = s
+
+    def run(self, allowed):
+        while True:
+            enter = -1
+            for j in range(self.ncols):
+                if allowed[j] and self.zrow[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return lp.OPTIMAL
+            leave = -1
+            best_num = best_den = 0
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                rhs = row[self.ncols]
+                if leave < 0:
+                    leave, best_num, best_den = i, rhs, a
+                    continue
+                cmp = rhs * best_den - best_num * a
+                if cmp < 0 or (cmp == 0 and self.basis[i] < self.basis[leave]):
+                    leave, best_num, best_den = i, rhs, a
+            if leave < 0:
+                return lp.UNBOUNDED
+            self.pivot(leave, enter)
+
+
+def _dense_solve_lp(p):
+    """Reference two-phase Bland simplex over a dense Fraction-built tableau."""
+    lp._validate(p)
+    col_names, piece_map, extra_rows = [], {}, []
+    for var in p.variables:
+        lo, hi = p.bounds.get(var, (F(0), None))
+        lo = None if lo is None else F(lo)
+        hi = None if hi is None else F(hi)
+        if lo is None:
+            cp, cm = len(col_names), len(col_names) + 1
+            col_names += [var + "+", var + "-"]
+            piece_map[var] = ("split", cp, cm)
+            if hi is not None:
+                extra_rows.append(({cp: F(1), cm: F(-1)}, lp.LE, hi))
+        else:
+            c = len(col_names)
+            col_names.append(var)
+            piece_map[var] = ("shift", c, lo)
+            if hi is not None:
+                if hi < lo:
+                    return lp.LpSolution(lp.INFEASIBLE, {}, None)
+                extra_rows.append(({c: F(1)}, lp.LE, hi - lo))
+
+    def to_columns(coeffs):
+        cols, offset = {}, F(0)
+        for var, c in coeffs.items():
+            c = F(c)
+            if c == 0:
+                continue
+            piece = piece_map[var]
+            if piece[0] == "shift":
+                _, col, lo = piece
+                cols[col] = cols.get(col, F(0)) + c
+                offset += c * lo
+            else:
+                _, cp, cm = piece
+                cols[cp] = cols.get(cp, F(0)) + c
+                cols[cm] = cols.get(cm, F(0)) - c
+        return cols, offset
+
+    row_kinds = []
+    for con in p.constraints:
+        cols, offset = to_columns(con.coeffs)
+        row_kinds.append((cols, con.relation, F(con.rhs) - offset))
+    row_kinds.extend(extra_rows)
+    for k, (cols, rel, rhs) in enumerate(row_kinds):
+        if rhs < 0:
+            flip = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[rel]
+            row_kinds[k] = ({c: -v for c, v in cols.items()}, flip, -rhs)
+    ncols = len(col_names)
+    slack_of, art_of = [], []
+    for _, rel, _ in row_kinds:
+        slack_of.append(None if rel == lp.EQ else ncols)
+        ncols += rel != lp.EQ
+    for _, rel, _ in row_kinds:
+        art_of.append(None if rel == lp.LE else ncols)
+        ncols += rel != lp.LE
+    art_cols = {c for c in art_of if c is not None}
+    rows, dens, basis = [], [], []
+    for idx, (cols, rel, rhs) in enumerate(row_kinds):
+        den = reduce(math.lcm, [v.denominator for v in cols.values()] + [rhs.denominator], 1)
+        ints = [0] * (ncols + 1)
+        for c, v in cols.items():
+            ints[c] = int(v * den)
+        ints[ncols] = int(rhs * den)
+        if rel == lp.LE:
+            ints[slack_of[idx]] = den
+            basis.append(slack_of[idx])
+        else:
+            if rel == lp.GE:
+                ints[slack_of[idx]] = -den
+            ints[art_of[idx]] = den
+            basis.append(art_of[idx])
+        ints, den = _dense_gcd_reduce(ints, den)
+        rows.append(ints)
+        dens.append(den)
+    tab = _DenseTableau(rows, dens, basis, ncols)
+
+    def set_costs(cost):
+        reduced, z0 = list(cost), F(0)
+        for i, b in enumerate(tab.basis):
+            if cost[b]:
+                for j in range(ncols):
+                    if tab.rows[i][j]:
+                        reduced[j] -= cost[b] * F(tab.rows[i][j], tab.dens[i])
+                z0 += cost[b] * F(tab.rows[i][ncols], tab.dens[i])
+        tab.set_objective(reduced, z0)
+
+    if art_cols:
+        set_costs([F(j in art_cols) for j in range(ncols)])
+        assert tab.run([True] * ncols) == lp.OPTIMAL
+        if tab.zrow[ncols] != 0:
+            return lp.LpSolution(lp.INFEASIBLE, {}, None)
+        drop = []
+        for i in range(len(tab.rows)):
+            if tab.basis[i] in art_cols:
+                piv_col = -1
+                for j in range(ncols):
+                    if j not in art_cols and tab.rows[i][j] != 0:
+                        if tab.rows[i][j] < 0:
+                            tab.rows[i] = [-v for v in tab.rows[i]]
+                        piv_col = j
+                        break
+                if piv_col >= 0:
+                    tab.pivot(i, piv_col)
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del tab.rows[i], tab.dens[i], tab.basis[i]
+    obj_cols, _ = to_columns(p.objective)
+    if obj_cols:
+        set_costs([obj_cols.get(j, F(0)) for j in range(ncols)])
+        if tab.run([j not in art_cols for j in range(ncols)]) == lp.UNBOUNDED:
+            return lp.LpSolution(lp.UNBOUNDED, {}, None)
+    col_values = {b: F(tab.rows[i][ncols], tab.dens[i]) for i, b in enumerate(tab.basis)}
+    values = {}
+    for var in p.variables:
+        piece = piece_map[var]
+        if piece[0] == "shift":
+            values[var] = col_values.get(piece[1], F(0)) + piece[2]
+        else:
+            values[var] = col_values.get(piece[1], F(0)) - col_values.get(piece[2], F(0))
+    obj_val = sum((F(c) * values[v] for v, c in p.objective.items()), F(0))
+    return lp.LpSolution(lp.OPTIMAL, values, obj_val)
+
+
+def _random_lp(rng):
+    """A small LP mixing every bound kind, relation, sign and degenerate row."""
+    names = [f"v{i}" for i in range(rng.randint(1, 4))]
+    bounds = {}
+    for v in names:
+        kind = rng.randrange(6)
+        lo = F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        if kind == 1:
+            bounds[v] = (None, None)
+        elif kind == 2:
+            bounds[v] = (None, lo)
+        elif kind == 3:
+            bounds[v] = (lo, None)
+        elif kind == 4:
+            bounds[v] = (lo, lo + rng.randint(0, 3))
+        elif kind == 5 and rng.random() < 0.3:
+            bounds[v] = (lo, lo - 1)  # empty range
+    objective = {}
+    if rng.random() < 0.8:  # else identically zero
+        objective = {v: F(rng.randint(-3, 3), rng.choice([1, 2])) for v in names}
+    p = lp.LinearProgram(variables=list(names), objective=objective, bounds=bounds)
+    for _ in range(rng.randint(0, 4)):
+        coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2, 5])) for v in names
+                  if rng.random() < 0.7}
+        rhs = F(rng.choice([0, 0, rng.randint(-6, 6)]), rng.choice([1, 3]))
+        p.add_constraint(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), rhs)
+    for _ in range(rng.choice([0, 0, 1, 2])):  # redundant equality rows
+        eqs = [c for c in p.constraints if c.relation == lp.EQ]
+        if not eqs:
+            break
+        a, b = rng.choice(eqs), rng.choice(eqs)
+        k = F(rng.choice([-2, -1, 1, 3]))
+        coeffs = {v: k * a.coeffs.get(v, 0) + b.coeffs.get(v, 0)
+                  for v in set(a.coeffs) | set(b.coeffs)}
+        p.add_constraint(coeffs, lp.EQ, k * a.rhs + b.rhs)
+    return p
+
+
+def _degenerate_lp(rng):
+    """A small integer LP with ratio-test ties and alternative optima, where
+    the leaving-row tie rule decides which optimal vertex is returned."""
+    names = [f"v{i}" for i in range(rng.randint(3, 5))]
+    p = lp.LinearProgram(variables=list(names),
+                         objective={v: F(rng.choice([0, -1, 1])) for v in names})
+    for _ in range(rng.randint(4, 7)):
+        p.add_constraint({v: rng.choice([-1, 0, 1, 1, 2]) for v in names},
+                         rng.choice([lp.LE, lp.LE, lp.GE]), rng.choice([0, 1, 2]))
+    return p
+
+
+def test_sparse_solver_matches_dense_reference():
+    rng = random.Random(20221)
+    statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    for k in range(2500):
+        p = _random_lp(rng) if k % 2 else _degenerate_lp(rng)
+        sol, ref = lp.solve_lp(p), _dense_solve_lp(p)
+        assert (sol.status, sol.values, sol.objective_value) == \
+            (ref.status, ref.values, ref.objective_value)
+        statuses[sol.status] += 1
+        if sol.status == lp.OPTIMAL:
+            assert lp.check_point(p, sol.values) == []
+    assert min(statuses.values()) >= 200, statuses
+
+
+def test_drive_out_negates_the_row():
+    # Phase 1 ends at once on -x - y == 0 with its artificial basic at level
+    # 0: the row holds x with coefficient -1, so it is negated and x pivots in.
+    p = lp.LinearProgram(variables=["x", "y", "z"], objective={"y": F(-1), "z": F(1)})
+    p.add_constraint({"x": -1, "y": -1}, lp.EQ, 0)
+    p.add_constraint({"x": 1, "z": 1}, lp.GE, 1)
+    sol = lp.solve_lp(p)
+    assert sol == _dense_solve_lp(p)
+    assert sol.values == {"x": 0, "y": 0, "z": 1} and sol.objective_value == 1
+
+
+def test_redundant_equality_row_is_dropped():
+    # The second row repeats the first: phase 1 leaves its artificial basic
+    # with no structural entry, so the row is dropped before phase 2.
+    p = lp.LinearProgram(variables=["x", "y"], objective={"x": F(1), "y": F(2)})
+    p.add_constraint({"x": 1, "y": 1}, lp.EQ, 3)
+    p.add_constraint({"x": 2, "y": 2}, lp.EQ, 6)
+    sol = lp.solve_lp(p)
+    assert sol == _dense_solve_lp(p)
+    assert sol.values == {"x": 3, "y": 0} and sol.objective_value == 3

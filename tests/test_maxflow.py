@@ -426,3 +426,10 @@ def test_t_star_lower_bounds_integral_optimum_exhaustive():
             met = evaluate_max_flow(inst, MachineAssignment(assign))
             best = met.max_flow if best is None else min(best, met.max_flow)
         assert search.t_star <= best
+
+
+def test_full_round_at_roadmap_scale():
+    inst = gen_random_instance(60, 2, (1, 4), (0, 120), 0.2, seed=7)
+    asg, trace = full_round_maxflow(inst, color_greedy)
+    assert trace.t_star == 7 and trace.final_value == 10
+    assert check_result(inst, result_to_json(trace, asg)) == []
