@@ -16,7 +16,6 @@ colorer for 2-sparse sign vectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -84,14 +83,11 @@ def _require_fully_signed(seq: SignedVectorSequence) -> None:
             raise ValidationError(f"vector {j} is uncolored")
 
 
-def _scaled_columns(seq: SignedVectorSequence):
-    """Per-coordinate integer entry lists plus their common scale (exactness keeper)."""
-    cols = []
-    for i in range(seq.m):
-        scale = lcm(*(seq.vectors[j][i].denominator for j in range(seq.n))) if seq.n else 1
-        ints = [int(seq.vectors[j][i] * scale) for j in range(seq.n)]
-        cols.append((ints, scale))
-    return cols
+def _integer_vectors(seq: SignedVectorSequence) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors as integer tuples over one common scale (exactness keeper):
+    vector j is ``ints[j] / scale``, so values compare as plain ints."""
+    scale = lcm(*(x.denominator for v in seq.vectors for x in v))
+    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in seq.vectors], scale
 
 
 def discrepancy(seq: SignedVectorSequence, mode: str) -> DiscrepancyReport:
@@ -101,88 +97,103 @@ def discrepancy(seq: SignedVectorSequence, mode: str) -> DiscrepancyReport:
     _require_fully_signed(seq)
     if seq.n == 0:
         return DiscrepancyReport(mode, Fraction(0), (0, 0, -1))
-    best_val: Optional[Fraction] = None
+    vecs, scale = _integer_vectors(seq)
+    best_val: Optional[int] = None
     best_wit = None
-    for i, (ints, scale) in enumerate(_scaled_columns(seq)):
+    for i, col in enumerate(zip(*vecs)):
         run = 0
         if mode == PREFIX:
-            for k in range(seq.n):
-                run += seq.signs[k] * ints[k]
-                val = Fraction(abs(run), scale)
+            for k, x in enumerate(col):
+                run += seq.signs[k] * x
+                val = abs(run)
                 if best_val is None or val > best_val:
                     best_val, best_wit = val, (i, 0, k)
         elif mode == INTERVAL:
             # spread of prefix sums (S_0 = 0 included) = max window |sum|
             lo_v = hi_v = 0
             lo_k = hi_k = -1  # prefix index of extreme (-1 = empty prefix)
-            for k in range(seq.n):
-                run += seq.signs[k] * ints[k]
+            for k, x in enumerate(col):
+                run += seq.signs[k] * x
                 if run < lo_v:
                     lo_v, lo_k = run, k
                 if run > hi_v:
                     hi_v, hi_k = run, k
-            val = Fraction(hi_v - lo_v, scale)
+            val = hi_v - lo_v
             a, b = min(lo_k, hi_k), max(lo_k, hi_k)
             wit = (i, a + 1, b)
             if best_val is None or val > best_val:
                 best_val, best_wit = val, wit
         else:  # one-sided: max over l of S_l - min_{q < l} S_q
             min_v, min_k = 0, -1
-            for k in range(seq.n):
+            for k, x in enumerate(col):
                 prev_min, prev_min_k = min_v, min_k
-                run += seq.signs[k] * ints[k]
-                val = Fraction(run - prev_min, scale)
+                run += seq.signs[k] * x
+                val = run - prev_min
                 if best_val is None or val > best_val:
                     best_val, best_wit = val, (i, prev_min_k + 1, k)
                 if run < min_v:
                     min_v, min_k = run, k
-    return DiscrepancyReport(mode, best_val, best_wit)
+    return DiscrepancyReport(mode, Fraction(best_val, scale), best_wit)
 
 
-def _pattern_value(cols, signs, mode) -> Fraction:
-    """Value-only evaluation used by the exhaustive search."""
-    best = None
-    for ints, scale in cols:
-        run = 0
-        if mode == PREFIX:
-            peak = 0
-            for k, s in enumerate(signs):
-                run += s * ints[k]
-                a = -run if run < 0 else run
-                if a > peak:
-                    peak = a
-            val = Fraction(peak, scale)
-        elif mode == INTERVAL:
-            lo = hi = 0
-            for k, s in enumerate(signs):
-                run += s * ints[k]
-                if run < lo:
-                    lo = run
-                elif run > hi:
-                    hi = run
-            val = Fraction(hi - lo, scale)
-        else:
-            mn = 0
-            peak = None
-            for k, s in enumerate(signs):
-                run += s * ints[k]
-                d = run - mn
-                if peak is None or d > peak:
-                    peak = d
-                if run < mn:
-                    mn = run
-            val = Fraction(peak, scale)
-        if best is None or val > best:
-            best = val
-    return best
+# One step of the exhaustive search per mode: append sign `s` times the integer
+# vector `vec` to a prefix whose per-coordinate state is `state` and whose value
+# is `value`; return the new state and value.  The value is a max over windows
+# of the prefix, so a step never lowers it.
+
+def _prefix_step(state, vec, s, value):
+    runs = tuple(run + s * x for run, x in zip(state, vec))  # state: run
+    for run in runs:
+        if run > value:
+            value = run
+        elif -run > value:
+            value = -run
+    return runs, value
+
+
+def _interval_step(state, vec, s, value):
+    out = []
+    for (run, lo, hi), x in zip(state, vec):  # state: (run, min prefix, max prefix)
+        run += s * x
+        if run < lo:
+            lo = run
+        elif run > hi:
+            hi = run
+        if hi - lo > value:
+            value = hi - lo
+        out.append((run, lo, hi))
+    return tuple(out), value
+
+
+def _one_sided_step(state, vec, s, value):
+    out = []
+    for (run, lo), x in zip(state, vec):  # state: (run, min earlier prefix)
+        run += s * x
+        if value is None or run - lo > value:
+            value = run - lo
+        out.append((run, min(lo, run)))
+    return tuple(out), value
 
 
 def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> list[int]:
     """Exhaustive optimal coloring; returns the lexicographically least optimum.
 
-    For the flip-invariant measures (prefix, interval) the first sign is fixed
-    to +1, halving the search.  One-sided interval values are not invariant
-    under a global flip, so that mode enumerates all 2^n patterns.
+    A depth-first search over the sign patterns in ``itertools.product``
+    order: -1 is tried before +1 at every index.  For the flip-invariant
+    measures (prefix, interval) the first sign is fixed to +1, halving the
+    search; one-sided interval values are not invariant under a global flip,
+    so that mode searches all 2^n patterns.  A pattern replaces the best one
+    only when its value is strictly smaller, so the first optimum in that
+    order, the lexicographically least, is returned.
+
+    The vectors are scaled once to integers over a common denominator, and
+    each node carries O(m) integer state that one appended sign updates in
+    O(m).  Pruning is exact: every measure is a max over windows of the
+    signed prefix, and appending vectors adds windows without changing the
+    old ones, so a node's value bounds every pattern below it from below.  A
+    node whose value is not strictly below the best value found so far holds
+    no pattern the strict update would take, and is cut.  The patterns taken
+    are therefore the ones a full enumeration takes, in the same order.
     """
     if mode not in _MODES:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -190,18 +201,30 @@ def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> 
         raise ValidationError(f"n = {seq.n} exceeds brute-force limit {limit}")
     if seq.n == 0:
         return []
-    cols = _scaled_columns(seq)
-    if mode == ONE_SIDED:
-        candidates = itertools.product((-1, 1), repeat=seq.n)
+    vecs, _ = _integer_vectors(seq)
+    n, m = seq.n, seq.m
+    if mode == PREFIX:
+        step, root, root_value = _prefix_step, (0,) * m, 0
+    elif mode == INTERVAL:
+        step, root, root_value = _interval_step, ((0, 0, 0),) * m, 0
     else:
-        candidates = ((1,) + rest for rest in itertools.product((-1, 1), repeat=seq.n - 1))
-    best_val = None
-    best_signs = None
-    for signs in candidates:
-        val = _pattern_value(cols, signs, mode)
-        if best_val is None or val < best_val:
-            best_val, best_signs = val, signs
-    return list(best_signs)
+        step, root, root_value = _one_sided_step, ((0, 0),) * m, None
+    first_signs = (-1, 1) if mode == ONE_SIDED else (1,)
+    signs = [0] * n
+    best_val = best_signs = None
+    # Pending nodes as (index, sign, parent state, parent value), +1 pushed
+    # below -1 so that pops follow product order; no recursion, so any n fits.
+    stack = [(0, s, root, root_value) for s in reversed(first_signs)]
+    while stack:
+        k, s, state, value = stack.pop()
+        state, value = step(state, vecs[k], s, value)
+        if best_val is None or value < best_val:
+            signs[k] = s
+            if k + 1 == n:
+                best_val, best_signs = value, list(signs)
+            else:
+                stack += ((k + 1, 1, state, value), (k + 1, -1, state, value))
+    return best_signs
 
 
 def color_greedy(seq: SignedVectorSequence) -> list[int]:

@@ -35,7 +35,7 @@ UNBOUNDED = "Unbounded"
 class Constraint:
     coeffs: dict
     relation: str
-    rhs: Fraction
+    rhs: Fraction  # or int, as given
 
 
 @dataclass
@@ -55,8 +55,13 @@ class LinearProgram:
         if relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {relation!r}")
         self.constraints.append(
-            Constraint({v: Fraction(c) for v, c in coeffs.items()}, relation, Fraction(rhs))
+            Constraint({v: _exact(c) for v, c in coeffs.items()}, relation, _exact(rhs))
         )
+
+
+def _exact(x):
+    """`x` itself if it is an int or a `Fraction`, else `Fraction(x)`."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -325,7 +330,7 @@ def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
     out: list[Violation] = []
     for pos, con in enumerate(lp.constraints):
         lhs = sum((c * Fraction(values[v]) for v, c in con.coeffs.items()), Fraction(0))
-        rhs = con.rhs
+        rhs = Fraction(con.rhs)
         if con.relation == LE and lhs > rhs:
             out.append(Violation("constraint", pos, LE, lhs, rhs, rhs - lhs))
         elif con.relation == GE and lhs < rhs:

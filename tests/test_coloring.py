@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -64,6 +65,49 @@ def test_witness_reproduces_value():
             assert rep.reproduce(s) == rep.value
 
 
+def _fraction_discrepancy(seq, mode):
+    """Value and witness from Fraction prefix sums S_0 = 0, S_1, ..., S_n.
+
+    Ties go to the first candidate in scan order (coordinate, then index), and
+    each extreme prefix is the first one reaching it, as in `discrepancy`.
+    """
+    cands = []  # (value, witness) in scan order
+    for i in range(seq.m):
+        sums = [F(0)]
+        for v, s in zip(seq.vectors, seq.signs):
+            sums.append(sums[-1] + s * v[i])
+
+        def first_min(stop):  # prefix index -1..stop-1 of the first smallest S
+            return min(range(-1, stop), key=lambda k: sums[k + 1])
+
+        if mode == PREFIX:
+            cands += [(abs(sums[k + 1]), (i, 0, k)) for k in range(seq.n)]
+        elif mode == INTERVAL:
+            lo = first_min(seq.n)
+            hi = max(range(-1, seq.n), key=lambda k: sums[k + 1])
+            cands.append((sums[hi + 1] - sums[lo + 1], (i, min(lo, hi) + 1, max(lo, hi))))
+        else:
+            for k in range(seq.n):
+                q = first_min(k)
+                cands.append((sums[k + 1] - sums[q + 1], (i, q + 1, k)))
+    return max(cands, key=lambda c: c[0])
+
+
+def test_discrepancy_matches_fraction_reference():
+    rng = random.Random(31)
+    for trial in range(400):
+        n, m = rng.randint(1, 12), rng.randint(1, 4)
+        # each coordinate draws from its own denominators, so the common scale
+        # differs from every coordinate's own one
+        dens = [rng.sample((1, 2, 3, 4, 5, 6, 7, 9, 11), 2) for _ in range(m)]
+        vs = [[F(rng.randint(-4, 4), rng.choice(dens[i])) for i in range(m)] for _ in range(n)]
+        s = signed(m, vs, [rng.choice((-1, 1)) for _ in range(n)])
+        for mode in (PREFIX, INTERVAL, ONE_SIDED):
+            rep = discrepancy(s, mode)
+            assert (rep.value, rep.witness) == _fraction_discrepancy(s, mode), (mode, vs)
+            assert type(rep.value) is F
+
+
 def _enumerate_optimum(seq, mode):
     """Independent exhaustive oracle: plain product loop, no pruning."""
     best = None
@@ -96,6 +140,92 @@ def test_brute_force_is_global_optimum():
             signs = color_brute_force(s, mode)
             val = discrepancy(s.with_signs(signs), mode).value
             assert val == _enumerate_optimum(s, mode), (mode, vs)
+
+
+def _pattern_value(cols, signs, mode) -> F:
+    """Value of one sign pattern, per-coordinate scales (the former colorer's scorer)."""
+    best = None
+    for ints, scale in cols:
+        run = 0
+        if mode == PREFIX:
+            peak = 0
+            for k, s in enumerate(signs):
+                run += s * ints[k]
+                a = -run if run < 0 else run
+                if a > peak:
+                    peak = a
+            val = F(peak, scale)
+        elif mode == INTERVAL:
+            lo = hi = 0
+            for k, s in enumerate(signs):
+                run += s * ints[k]
+                if run < lo:
+                    lo = run
+                elif run > hi:
+                    hi = run
+            val = F(hi - lo, scale)
+        else:
+            mn = 0
+            peak = None
+            for k, s in enumerate(signs):
+                run += s * ints[k]
+                d = run - mn
+                if peak is None or d > peak:
+                    peak = d
+                if run < mn:
+                    mn = run
+            val = F(peak, scale)
+        if best is None or val > best:
+            best = val
+    return best
+
+
+def _product_brute_force(seq, mode):
+    """The former exhaustive colorer: every pattern in product order, rescored
+    from scratch, strict `<` update (the reference for the depth-first search)."""
+    cols = []
+    for i in range(seq.m):
+        scale = math.lcm(*(v[i].denominator for v in seq.vectors))
+        cols.append(([int(v[i] * scale) for v in seq.vectors], scale))
+    if mode == ONE_SIDED:
+        candidates = itertools.product((-1, 1), repeat=seq.n)
+    else:
+        candidates = ((1,) + rest for rest in itertools.product((-1, 1), repeat=seq.n - 1))
+    best_val = best_signs = None
+    for signs in candidates:
+        val = _pattern_value(cols, signs, mode)
+        if best_val is None or val < best_val:
+            best_val, best_signs = val, signs
+    return list(best_signs), best_val
+
+
+def _seeded_vectors(rng, kind, n, m):
+    if kind == "ties":
+        return [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(n)]
+    if kind == "zero":
+        return [[0] * m for _ in range(n)]
+    if kind == "mixed":
+        return [[F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 7))) for _ in range(m)]
+                for _ in range(n)]
+    # "negative": one-sided optimum below zero when every entry is <= 0
+    return [[F(-rng.randint(0, 3), 3) for _ in range(m)] for _ in range(n)]
+
+
+def test_brute_force_signs_match_product_enumeration():
+    rng = random.Random(20)
+    kinds = ("ties", "zero", "mixed", "negative")
+    negative_optima = 0
+    cases = 0
+    for trial in range(1200):
+        kind = kinds[trial % len(kinds)]
+        n, m = trial % 10 + 1, rng.randint(1, 3)
+        s = SignedVectorSequence(m, _seeded_vectors(rng, kind, n, m))
+        for mode in (PREFIX, INTERVAL, ONE_SIDED):
+            want, val = _product_brute_force(s, mode)
+            assert color_brute_force(s, mode) == want, (kind, mode, s.vectors)
+            negative_optima += mode == ONE_SIDED and val < 0
+            cases += 1
+    assert cases == 3600 and negative_optima > 100
 
 
 def test_brute_force_limit():
