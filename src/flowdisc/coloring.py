@@ -390,14 +390,17 @@ def seq_from_json(data: dict) -> SignedVectorSequence:
     return SignedVectorSequence(m=m, vectors=vectors, signs=signs)
 
 
+# colorer name -> callable `seq -> signs` (prefix objective)
+COLORERS = {
+    "brute": lambda seq: color_brute_force(seq, PREFIX),
+    "greedy": color_greedy,
+    "floating": color_floating,
+    "paired": color_two_sparse_paired,
+}
+
+
 def get_colorer(name: str):
     """Resolve a colorer name to a callable `seq -> signs` (prefix objective)."""
-    table = {
-        "brute": lambda seq: color_brute_force(seq, PREFIX),
-        "greedy": color_greedy,
-        "floating": color_floating,
-        "paired": color_two_sparse_paired,
-    }
-    if name not in table:
-        raise ValidationError(f"unknown colorer {name!r} (choose from {sorted(table)})")
-    return table[name]
+    if name not in COLORERS:
+        raise ValidationError(f"unknown colorer {name!r} (choose from {sorted(COLORERS)})")
+    return COLORERS[name]

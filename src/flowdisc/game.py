@@ -286,11 +286,6 @@ class PairingMaker:
         return color_move(*mv)
 
 
-def maker_pairing_move(state: GameState) -> tuple:
-    """Single pairing-maker move on +-1 values (functional facade)."""
-    return PairingMaker().move(state)
-
-
 class GreedyMaker:
     """Colors the first uncolored element with the sign that minimizes the
     resulting max |prefix| over the partial coloring; tie -> +1."""
@@ -397,17 +392,11 @@ def color_two_permutation(values, sigma) -> list[int]:
 def permutation_prefix_peaks(values, sigma, colors) -> tuple[Fraction, Fraction]:
     """Max |prefix| of the identity system and of the sigma system."""
     values = [Fraction(v) for v in values]
-    n = len(values)
 
     def peak(order):
-        run = Fraction(0)
-        best = Fraction(0)
-        for i in order:
-            run += colors[i] * values[i]
-            best = max(best, abs(run))
-        return best
+        return _max_abs_prefix([values[i] for i in order], [colors[i] for i in order])
 
-    return peak(range(n)), peak(sigma)
+    return peak(range(len(values))), peak(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +518,7 @@ def build_hard_tree(k: int) -> TreeShape:
                 emit(d + 1, idx, q + 1)
         return idx
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * k + 100))
-    try:
-        emit(0, None, 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    emit(0, None, 1)
     size = [1] * len(layer)
     for i in range(len(layer) - 1, -1, -1):
         for c in children[i]:

@@ -38,12 +38,16 @@ def class_index(p) -> int:
     p = Fraction(p)
     if p <= 0:
         raise ValidationError(f"size class needs a positive processing time, got {p}")
-    k = 0
-    while Fraction(2) ** k < p:
-        k += 1
-    while Fraction(2) ** (k - 1) >= p:
-        k -= 1
-    return k
+    a, b = p.numerator, p.denominator
+    # 2^(k-1) < a/b < 2^(k+1), so the class is k or k + 1
+    k = a.bit_length() - b.bit_length()
+    fits = a <= b << k if k >= 0 else a << -k <= b
+    return k if fits else k + 1
+
+
+def pow2(k: int):
+    """2^k exactly: an int for k >= 0, a Fraction below."""
+    return 1 << k if k >= 0 else Fraction(1, 1 << -k)
 
 
 @dataclass
@@ -170,9 +174,9 @@ def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
     return sorted(slots)
 
 
-def class_scale(p) -> int:
+def class_scale(p):
     """2^k for the size class k of p: the time scale of the grouped objective."""
-    return 2 ** class_index(p)
+    return pow2(class_index(p))
 
 
 def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] = None) -> tuple:
@@ -217,7 +221,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
             for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
-                lp.add_constraint({carry: 1}, lpmod.LE, alpha * Fraction(2) ** k)
+                lp.add_constraint({carry: 1}, lpmod.LE, alpha * pow2(k))
     return lp, H
 
 
@@ -252,10 +256,10 @@ class AlphaReport:
         i, k, t1, t2 = self.witness
         load = Fraction(0)
         for (ii, j, t), v in y.entries.items():
-            if ii == i and t1 <= t < t2 and inst.jobs[j].proc[ii] <= Fraction(2) ** k:
+            if ii == i and t1 <= t < t2 and class_index(inst.jobs[j].proc[ii]) <= k:
                 load += v
         excess = load - (t2 - t1)
-        return max(Fraction(0), excess / Fraction(2) ** k)
+        return max(Fraction(0), excess / pow2(k))
 
 
 def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution) -> AlphaReport:
@@ -275,7 +279,7 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution) -> AlphaRepo
     for i, items in sorted(by_machine.items()):
         for k in sorted({kk for kk, _, _ in items}):
             excess, t1, t2 = worst_window((t, v) for kk, t, v in items if kk <= k)
-            cand = (excess - 1) / Fraction(2) ** k
+            cand = (excess - 1) / pow2(k)
             if cand > best:
                 best = cand
                 best_wit = (i, k, t1, t2 + 1)
@@ -432,8 +436,8 @@ def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: d
         else:
             plus, minus = (i2, k2, p2), (i1, k1, p1)
         v = [Fraction(0)] * dim
-        v[coord(plus[0], plus[1])] = plus[2] / Fraction(2) ** (plus[1] + 1)
-        v[coord(minus[0], minus[1])] = -minus[2] / Fraction(2) ** (minus[1] + 1)
+        v[coord(plus[0], plus[1])] = plus[2] / pow2(plus[1] + 1)
+        v[coord(minus[0], minus[1])] = -minus[2] / pow2(minus[1] + 1)
         vectors.append(v)
         pos_side.append((plus[0], minus[0]))
     return dim, vectors, pos_side
@@ -498,10 +502,6 @@ def round_half_integral_totalflow(
     cost_pos = aux_cost(inst, y_pos)
     cost_neg = aux_cost(inst, y_neg)
     chosen = y_pos if cost_pos <= cost_neg else y_neg
-    # the earliest-slot compaction is the midpoint of the two candidates
-    compaction_cost = (cost_pos + cost_neg) / 2
-    if min(cost_pos, cost_neg) > compaction_cost:
-        raise InternalCheckError("flip fallback failed to beat the compaction cost")
     alpha_in = measure_alpha(inst, ybar).alpha
     alpha_out = measure_alpha(inst, chosen).alpha
     if alpha_out > alpha_in + 4 * achieved + 4:
@@ -511,13 +511,17 @@ def round_half_integral_totalflow(
     return chosen, achieved
 
 
-def is_integral(inst: SchedulingInstance, y: TimeIndexedSolution) -> bool:
-    seen: dict[int, int] = {}
-    for (i, j, t), v in y.entries.items():
-        if v != inst.jobs[j].proc[i] or j in seen:
-            return False
-        seen[j] = i
-    return len(seen) == inst.n
+def integral_assignment(inst: SchedulingInstance, y: TimeIndexedSolution) -> Optional[MachineAssignment]:
+    """The machine of each job when y is integral (every job's whole volume
+    p_ij in one entry), else None."""
+    assign = [None] * inst.n
+    for (i, j, _t), v in y.entries.items():
+        if v != inst.jobs[j].proc[i] or assign[j] is not None:
+            return None
+        assign[j] = i
+    if None in assign:
+        return None
+    return MachineAssignment(assign=tuple(assign))
 
 
 @dataclass(frozen=True)
@@ -565,8 +569,7 @@ def dilate_instance(inst: SchedulingInstance, factor: int) -> SchedulingInstance
 
 
 def _split_solution(
-    inst: SchedulingInstance, split_inst: SchedulingInstance, origin: list[int],
-    y: TimeIndexedSolution, level: int,
+    inst: SchedulingInstance, origin: list[int], y: TimeIndexedSolution, level: int
 ) -> TimeIndexedSolution:
     """Distribute a level-h solution onto the split instance's pieces.
 
@@ -625,9 +628,7 @@ def _split_solution(
     return TimeIndexedSolution(horizon=y.horizon, entries=entries)
 
 
-def _merge_split_solution(
-    inst: SchedulingInstance, origin: list[int], y_split: TimeIndexedSolution
-) -> TimeIndexedSolution:
+def _merge_split_solution(origin: list[int], y_split: TimeIndexedSolution) -> TimeIndexedSolution:
     entries: dict = {}
     for (i, piece, t), v in y_split.entries.items():
         key = (i, origin[piece], t)
@@ -672,10 +673,10 @@ def full_round_totalflow(
     alpha_after = alpha_quantized  # the slack of the current y, measured once
     for h in range(level, 0, -1):
         split_inst, origin = split_jobs_instance(dinst, h)
-        y_split = _split_solution(dinst, split_inst, origin, y, h)
+        y_split = _split_solution(dinst, origin, y, h)
         alpha_before = alpha_after
         y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer)
-        y = _merge_split_solution(dinst, origin, y_rounded)
+        y = _merge_split_solution(origin, y_rounded)
         alpha_after = measure_alpha(dinst, y).alpha
         level_bound = slack_bound(h, achieved)
         if alpha_after > alpha_before + level_bound:
@@ -685,16 +686,13 @@ def full_round_totalflow(
         records.append(TotalLevelRecord(h=h, discrepancy=achieved,
                                         alpha_before=alpha_before, alpha_after=alpha_after,
                                         level_bound=level_bound))
-    if not is_integral(dinst, y):
+    asg = integral_assignment(dinst, y)
+    if asg is None:
         raise InternalCheckError("pipeline did not reach an integral solution")
     alpha_final = alpha_after
     bound = alpha_initial + 1 + sum((r.level_bound for r in records), Fraction(0))
     if alpha_final > bound:
         raise InternalCheckError(f"final slack {alpha_final} exceeds telescoped bound {bound}")
-    assign = [None] * inst.n
-    for (i, j, _t) in y.entries:
-        assign[j] = i
-    asg = MachineAssignment(assign=tuple(assign))
     metrics = evaluate_total_flow_srpt(dinst, asg)
     trace = TotalFlowTrace(
         dilation=dilation,
@@ -727,12 +725,9 @@ def schedule_from_integral(inst: SchedulingInstance, y: TimeIndexedSolution) -> 
     machine, and report the flow against the LP lower bound for that fixed
     assignment (the approximation ratio is reported, never asserted).
     """
-    if not is_integral(inst, y):
+    asg = integral_assignment(inst, y)
+    if asg is None:
         raise ValidationError("solution is not integral")
-    assign = [None] * inst.n
-    for (i, j, _t) in y.entries:
-        assign[j] = i
-    asg = MachineAssignment(assign=tuple(assign))
     metrics = evaluate_total_flow_srpt(inst, asg)
     restricted = SchedulingInstance(
         m=inst.m,

@@ -69,7 +69,7 @@ from flowdisc.totalflow import (
     aux_cost,
     build_time_indexed_lp,
     default_horizon,
-    is_integral,
+    integral_assignment,
     measure_alpha,
     normalize_consistent_order,
     round_half_integral_totalflow,
@@ -245,7 +245,7 @@ def test_criterion_5_totalflow_rounding_bounds(record):
         ybar = normalize_consistent_order(inst, y)
         alpha_in = measure_alpha(inst, ybar).alpha
         out, d = round_half_integral_totalflow(inst, y, brute)
-        assert is_integral(inst, out)
+        assert integral_assignment(inst, out) is not None
         assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
         compact = {}
         for j in range(inst.n):

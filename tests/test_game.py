@@ -19,7 +19,6 @@ from flowdisc.game import (
     color_move,
     color_two_permutation,
     exhaustive_breaker_value,
-    maker_pairing_move,
     permutation_prefix_peaks,
     play_game,
 )
@@ -77,14 +76,14 @@ def test_maker_pairing_move_requires_unit_values():
     state = GameState(values=(F(1, 2),), colors=[0], to_move=MAKER,
                       wait_allowed={MAKER: True, BREAKER: True})
     with pytest.raises(ValidationError):
-        maker_pairing_move(state)
+        PairingMaker().move(state)
 
 
 def test_maker_pairing_move_on_negated_values():
     # inversion normalization: the partner's contribution must cancel exactly
     state = GameState(values=(F(-1), F(-1)), colors=[1, 0], to_move=MAKER,
                       wait_allowed={MAKER: True, BREAKER: True})
-    move = maker_pairing_move(state)
+    move = PairingMaker().move(state)
     assert move == ("color", 1, -1)
     assert state.values[0] * state.colors[0] + state.values[1] * move[2] == 0
 

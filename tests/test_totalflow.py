@@ -25,7 +25,7 @@ from flowdisc.totalflow import (
     default_horizon,
     dilate_instance,
     full_round_totalflow,
-    is_integral,
+    integral_assignment,
     measure_alpha,
     normalize_consistent_order,
     quantize_dyadic_time,
@@ -52,6 +52,41 @@ def test_class_index_basics():
     assert class_index(F(3, 2)) == 1
     with pytest.raises(ValidationError):
         class_index(0)
+
+    def reference(p):  # the two-loop search the closed form replaced
+        k = 0
+        while F(2) ** k < p:
+            k += 1
+        while F(2) ** (k - 1) >= p:
+            k -= 1
+        return k
+
+    for a in range(1, 301):
+        for b in range(1, 41):
+            assert class_index(F(a, b)) == reference(F(a, b)), (a, b)
+
+
+def test_class_scale_and_aux_cost_are_exact():
+    for p in (F(1, 2), F(3, 8), 1, 3):
+        scale = class_scale(p)
+        assert type(scale) in (int, F), (p, scale)
+        assert scale == F(2) ** class_index(p)
+        inst = make_instance(1, [(0, [p])])
+        y = TimeIndexedSolution(horizon=2, entries={(0, 0, 1): F(p)})
+        cost = aux_cost(inst, y)
+        assert type(cost) is F, (p, cost)
+        assert cost == (F(1) / scale + F(1, 2)) * p
+
+
+def test_integral_assignment_reads_only_integral_solutions():
+    inst = make_instance(2, [(0, [2, 3]), (1, [1, None])])
+    y = TimeIndexedSolution(horizon=6, entries={(1, 0, 0): F(3), (0, 1, 2): F(1)})
+    assert integral_assignment(inst, y) == MachineAssignment(assign=(1, 0))
+    duplicated = {(1, 0, 0): F(3), (0, 0, 3): F(2), (0, 1, 2): F(1)}
+    half = {(1, 0, 0): F(3, 2), (0, 1, 2): F(1)}
+    missing = {(1, 0, 0): F(3)}
+    for entries in (duplicated, half, missing):
+        assert integral_assignment(inst, TimeIndexedSolution(horizon=6, entries=entries)) is None
 
 
 def test_ti_lp_single_unit_job():
@@ -281,7 +316,7 @@ def test_aux_lp_size_does_not_grow_with_the_horizon():
     assert H > 10 ** 6
     assert sum(v.startswith("y[") for v in lp.variables) <= inst.m * inst.n * gaps
     y, trace = full_round_totalflow(inst, brute)
-    assert is_integral(inst, y)
+    assert integral_assignment(inst, y) is not None
     assert check_result(inst, result_to_json(trace)) == []
 
 
@@ -539,7 +574,7 @@ def test_round_half_integral_examples_and_bounds():
         ybar = normalize_consistent_order(inst, y)
         alpha_in = measure_alpha(inst, ybar).alpha
         out, d = round_half_integral_totalflow(inst, y, brute)
-        assert is_integral(inst, out)
+        assert integral_assignment(inst, out) is not None
         assert solution_violations(inst, out) == []
         assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
         # flip fallback: never worse than the earliest-slot compaction
@@ -560,7 +595,7 @@ def test_round_all_integral_compaction_only():
                                                 (0, 1, 2): F(2)})
     out, d = round_half_integral_totalflow(inst, y, brute)
     assert d == 0
-    assert is_integral(inst, out)
+    assert integral_assignment(inst, out) is not None
     assert aux_cost(inst, out) <= aux_cost(inst, y)
 
 
@@ -569,7 +604,7 @@ def test_full_round_trace_bound_exact():
     inst = gen_random_instance(4, 2, (1, 4), (0, 4), 0.0, seed=77)
     y, trace = full_round_totalflow(inst, brute)
     dinst = dilate_instance(inst, trace.dilation)
-    assert is_integral(dinst, y)
+    assert integral_assignment(dinst, y) is not None
     assert trace.alpha_quantized <= trace.alpha_initial + 1
     for rec in trace.levels:
         assert rec.alpha_after <= rec.alpha_before + rec.level_bound
