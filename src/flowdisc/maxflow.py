@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable, Optional
 
@@ -40,8 +41,13 @@ class FractionalAssignment:
     T: Fraction
 
     def __post_init__(self):
-        self.x = [[Fraction(v) for v in row] for row in self.x]
-        self.T = Fraction(self.T)
+        self.x = [[_fraction(v) for v in row] for row in self.x]
+        self.T = _fraction(self.T)
+
+
+def _fraction(v) -> Fraction:
+    """`v` itself if it is a `Fraction`, else `Fraction(v)`."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -135,13 +141,16 @@ def assignment_from_solution(inst: SchedulingInstance, T, sol: lpmod.LpSolution)
     return FractionalAssignment(x=x, T=Fraction(T))
 
 
-def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment) -> list[str]:
+def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment,
+                                     fixed_load=None) -> list[str]:
     """Exact feasibility check of a fractional assignment at its own bound.
 
     Machine i is overloaded iff some release times t1 <= t2 have a load
-    sum(x_ij p_ij : t1 <= r_j <= t2) above t2 - t1 + T.  One worst_window scan
-    per machine decides this in O(m (n + R log R)) for R distinct releases;
-    each overloaded machine gets one line naming its worst window.
+    sum(x_ij p_ij : t1 <= r_j <= t2) above t2 - t1 + T.  ``fixed_load[i]``, if
+    given, maps release times to load already placed on machine i (a split's
+    integral pieces) and joins that sum.  One worst_window scan per machine
+    decides this in O(m (n + R log R)) for R distinct releases; each
+    overloaded machine gets one line naming its worst window.
     """
     problems = []
     for j in range(inst.n):
@@ -155,8 +164,10 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
             if v > 0 and (p is None or p > fa.T):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
     for i in range(inst.m):
-        worst = worst_window((job.release, fa.x[j][i] * job.proc[i])
-                             for j, job in enumerate(inst.jobs) if job.proc[i] is not None)
+        fixed = fixed_load[i].items() if fixed_load is not None else ()
+        worst = worst_window(chain(fixed, ((job.release, fa.x[j][i] * job.proc[i])
+                                           for j, job in enumerate(inst.jobs)
+                                           if job.proc[i] is not None)))
         if worst is not None and worst[0] > fa.T:
             excess, t1, t2 = worst
             problems.append(
@@ -263,18 +274,22 @@ def quantized_bound(inst: SchedulingInstance, fa: FractionalAssignment, level: i
 
 @dataclass
 class PairSplit:
-    """Pair instance plus the map back to original jobs."""
+    """The half-jobs of a level's pair instance, its integral pieces folded
+    into fixed loads, and the map back to original jobs."""
 
-    instance: SchedulingInstance
-    assignment: FractionalAssignment  # the canonical half-integral solution
-    origin: list[int]                 # pair-job -> original job
-    pairs: list[tuple[int, int]]      # pair-job -> (machine, machine)
+    instance: SchedulingInstance  # the half-jobs only
+    assignment: FractionalAssignment  # 1/2 on each machine of every half-job
+    origin: list[int]                 # half-job -> original job
+    pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct
     level: int
+    fixed_load: list[dict]            # machine -> {release: load of its integral pieces}
+    integral_counts: list[list[int]]  # [job][machine] -> integral pieces
+    p_max_level: Fraction             # largest processing time over all pieces
 
-    def merge_assignment(self, asg: MachineAssignment, n: int, m: int) -> FractionalAssignment:
-        """Fold an integral pair assignment back to level h-1 fractions."""
+    def merge_assignment(self, asg: MachineAssignment) -> FractionalAssignment:
+        """Fold an integral half-job assignment back to level h-1 fractions."""
         scale = 2 ** (self.level - 1)
-        counts = [[0] * m for _ in range(n)]
+        counts = [row[:] for row in self.integral_counts]
         for jp, machine in enumerate(asg.assign):
             counts[self.origin[jp]][machine] += 1
         x = [[Fraction(c, scale) for c in row] for row in counts]
@@ -282,59 +297,72 @@ class PairSplit:
 
 
 def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, level: int) -> PairSplit:
-    """Split every job into 2^(level-1) two-machine jobs at level `level`.
+    """Split every job into 2^(level-1) two-machine pieces at level `level`.
 
     Machine slots (machine i repeated 2^level * x_ij times) are sorted and
-    paired first-with-last; each pair becomes one job carrying the original
-    processing times scaled down by 2^(level-1), infinite elsewhere.  The
-    half-on-each-member solution is feasible at the same bound because the
-    per-window loads are identical.
+    paired first-with-last; each piece carries the original processing times
+    scaled down by 2^(level-1).  A piece whose two slots name different
+    machines becomes a half-job, infinite elsewhere; the rest all sit on the
+    one machine whose slots span the middle, so they are integral and only
+    their count and their load at the job's release are kept.  Half on each
+    member plus the fixed loads gives every window the load of x, so the split
+    is feasible at the same bound.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
     scale = 2 ** level
+    half = scale // 2
     jobs: list[Job] = []
     origin: list[int] = []
     pairs: list[tuple[int, int]] = []
-    x_rows: list[list[Fraction]] = []
-    for j in range(inst.n):
+    fixed_load: list[dict] = [{} for _ in range(inst.m)]
+    integral_counts = [[0] * inst.m for _ in range(inst.n)]
+    top = Fraction(0)
+    for j, job in enumerate(inst.jobs):
         slots: list[int] = []
         for i in range(inst.m):
             cnt = fa.x[j][i] * scale
             if cnt.denominator != 1:
                 raise ValidationError(f"x[{j},{i}] = {fa.x[j][i]} is not a multiple of 1/{scale}")
+            if cnt:
+                if job.proc[i] is None:
+                    raise ValidationError(f"x[{j},{i}] = {fa.x[j][i]} positive on a forbidden machine")
+                top = max(top, job.proc[i])
             slots.extend([i] * int(cnt))
         if len(slots) != scale:
             raise ValidationError(f"job {j}: assignment row does not sum to 1")
-        for q in range(scale // 2):
+        q = 0
+        while q < half and slots[q] != slots[scale - 1 - q]:
             i1, i2 = slots[q], slots[scale - 1 - q]
             proc = [None] * inst.m
-            proc[i1] = inst.jobs[j].proc[i1] / 2 ** (level - 1)
-            proc[i2] = inst.jobs[j].proc[i2] / 2 ** (level - 1)
-            jobs.append(Job(release=inst.jobs[j].release, proc=tuple(proc)))
+            proc[i1] = job.proc[i1] / half
+            proc[i2] = job.proc[i2] / half
+            jobs.append(Job(release=job.release, proc=tuple(proc)))
             origin.append(j)
             pairs.append((i1, i2))
-            row = [Fraction(0)] * inst.m
-            if i1 == i2:
-                row[i1] = Fraction(1)
-            else:
-                row[i1] = Fraction(1, 2)
-                row[i2] = Fraction(1, 2)
-            x_rows.append(row)
-    split_inst = SchedulingInstance(m=inst.m, jobs=tuple(jobs))
-    split_fa = FractionalAssignment(x=x_rows, T=fa.T)
-    return PairSplit(instance=split_inst, assignment=split_fa, origin=origin,
-                     pairs=pairs, level=level)
+            q += 1
+        if q < half:
+            i = slots[q]
+            integral_counts[j][i] = half - q
+            load = fixed_load[i].get(job.release, 0)
+            fixed_load[i][job.release] = load + (half - q) * job.proc[i] / half
+    x_rows = [[Fraction(1, 2) if i in pair else Fraction(0) for i in range(inst.m)] for pair in pairs]
+    return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
+                     assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,
+                     pairs=pairs, level=level, fixed_load=fixed_load,
+                     integral_counts=integral_counts,
+                     p_max_level=top / half)
 
 
-def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment):
+def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=None):
     """The release-ordered half-split jobs and their balancing vectors.
 
     Vector entries are +p/(2 p_max) on the lower machine index and the
-    negated counterpart on the higher; l1 norms never exceed 1.
+    negated counterpart on the higher; l1 norms never exceed 1 as long as
+    ``pmax`` (default p_max(inst)) is at least every processing time in inst.
     Returns (ordered (job, i1, i2) triples, vectors).
     """
-    pmax = p_max(inst)
+    pmax = p_max(inst) if pmax is None else pmax
     halves = []
     for j in range(inst.n):
         support = [(i, v) for i, v in enumerate(fa.x[j]) if v != 0]
@@ -354,6 +382,8 @@ def round_half_integral_maxflow(
     inst: SchedulingInstance,
     fa: FractionalAssignment,
     colorer: Callable[[SignedVectorSequence], list[int]],
+    fixed_load=None,
+    pmax=None,
 ) -> tuple[MachineAssignment, Fraction]:
     """Round a half-integral assignment by prefix coloring; returns (assignment, D).
 
@@ -361,12 +391,14 @@ def round_half_integral_maxflow(
     its lower machine index and -p/(2 p_max) on the other, ordered by release
     (ties by index).  A +1 sign sends the job to the positive machine.  The
     result satisfies every machine window at T + 2 * D * p_max where D is the
-    achieved prefix discrepancy of the coloring.
+    achieved prefix discrepancy of the coloring.  ``fixed_load`` (see
+    fractional_assignment_violations) joins both checks.  ``pmax`` defaults to
+    p_max(inst); a split passes its level's p_max over all pieces.
     """
-    bad_input = fractional_assignment_violations(inst, fa)
+    bad_input = fractional_assignment_violations(inst, fa, fixed_load)
     if bad_input:
         raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
-    pmax = p_max(inst)
+    pmax = p_max(inst) if pmax is None else pmax
     assign: list[Optional[int]] = [None] * inst.n
     for j in range(inst.n):
         support = [(i, v) for i, v in enumerate(fa.x[j]) if v != 0]
@@ -378,7 +410,7 @@ def round_half_integral_maxflow(
                 raise ValidationError(f"job {j} half-assigned to a forbidden machine")
         else:
             raise ValidationError(f"job {j}: row {fa.x[j]} is not half-integral")
-    halves, vectors = rounding_vectors(inst, fa)
+    halves, vectors = rounding_vectors(inst, fa, pmax)
     seq = SignedVectorSequence(m=inst.m, vectors=vectors)
     if vectors:
         signs = colorer(seq)
@@ -393,7 +425,8 @@ def round_half_integral_maxflow(
     bound = fa.T + 2 * achieved * pmax
     leftover = fractional_assignment_violations(
         inst, FractionalAssignment(x=[[Fraction(1) if i == result.assign[j] else Fraction(0)
-                                       for i in range(inst.m)] for j in range(inst.n)], T=bound)
+                                       for i in range(inst.m)] for j in range(inst.n)], T=bound),
+        fixed_load,
     )
     if leftover:
         raise InternalCheckError(
@@ -424,11 +457,12 @@ def full_round_maxflow(
     running_T = t_quant
     for h in range(level, 0, -1):
         split = split_to_pair_instance(inst, fa, h)
-        asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer)
-        pml = p_max(split.instance)
+        pml = split.p_max_level
+        asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer,
+                                                          split.fixed_load, pml)
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))
         running_T = running_T + 2 * achieved * pml
-        fa = split.merge_assignment(asg_split, inst.n, inst.m)
+        fa = split.merge_assignment(asg_split)
         fa = FractionalAssignment(x=fa.x, T=running_T)
     assign = []
     for j in range(inst.n):
@@ -485,6 +519,9 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     expected = list(range(rounding_level(inst.n), 0, -1))
     if hs != expected:
         return [f"malformed result file: levels h = {hs}, expected {expected}"]
+    for h, d in levels:
+        if d < 0:
+            return [f"malformed result file: level {h}: negative D {d}"]
     metrics = evaluate_max_flow(inst, asg)
     if metrics.max_flow != max_flow:
         problems.append(f"recorded max_flow {max_flow} != evaluated {metrics.max_flow}")

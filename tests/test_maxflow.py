@@ -2,13 +2,17 @@ import itertools
 import random
 import re
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from flowdisc import lp as lpmod
+from flowdisc import maxflow
 from flowdisc.coloring import PREFIX, color_brute_force, color_greedy
 from flowdisc.core import (
+    Job,
     MachineAssignment,
+    SchedulingInstance,
     evaluate_max_flow,
     gen_periodic_instance,
     gen_random_instance,
@@ -30,7 +34,7 @@ from flowdisc.maxflow import (
     split_to_pair_instance,
     var_name,
 )
-from flowdisc.util import ValidationError
+from flowdisc.util import InternalCheckError, ValidationError
 
 
 def brute(seq):
@@ -137,18 +141,21 @@ def test_split_level_two_pairing():
     inst = make_instance(2, [(0, [4, 8])])
     fa = FractionalAssignment(x=[[F(3, 4), F(1, 4)]], T=F(8))
     sp = split_to_pair_instance(inst, fa, 2)
-    assert sorted(sp.pairs) == [(0, 0), (0, 1)]
-    for job in sp.instance.jobs:
-        finite = [p for p in job.proc if p is not None]
-        assert finite and all(p in (F(2), F(4)) for p in finite)  # p / 2
+    # the pieces are (0, 1), a half-job, and (0, 0), an integral piece
+    assert sp.pairs == [(0, 1)]
+    assert sp.integral_counts == [[1, 0]]
+    assert sp.instance.jobs[0].proc == (F(2), F(4))  # p / 2
+    assert sp.fixed_load == [{F(0): F(2)}, {}]  # the integral piece's p / 2
 
 
 def test_split_integral_job_degenerate_pair():
     inst = make_instance(2, [(0, [4, 8])])
     fa = FractionalAssignment(x=[[F(1), F(0)]], T=F(8))
     sp = split_to_pair_instance(inst, fa, 1)
-    assert sp.pairs == [(0, 0)]
-    assert sp.assignment.x[0][0] == 1
+    # the one piece is the degenerate pair (0, 0), wholly on machine 0
+    assert sp.pairs == [] and sp.instance.n == 0
+    assert sp.integral_counts == [[1, 0]]
+    assert sp.fixed_load == [{F(0): F(4)}, {}]
 
 
 def test_split_backmap_reproduces_fractions():
@@ -164,9 +171,11 @@ def test_split_backmap_reproduces_fractions():
             x.append([F(parts[i], denom) if i < len(parts) else F(0) for i in range(inst.m)])
         fa = FractionalAssignment(x=x, T=F(50))
         sp = split_to_pair_instance(inst, fa, level)
-        # folding the canonical half-assignment back gives the original fractions
-        counts = [[F(0)] * inst.m for _ in range(inst.n)]
+        # folding the canonical half-assignment back, with each integral piece
+        # as two slots on its machine, gives the original fractions
+        counts = [[F(2 * c, 2 ** level) for c in row] for row in sp.integral_counts]
         for jp, (i1, i2) in enumerate(sp.pairs):
+            assert i1 != i2
             j = sp.origin[jp]
             counts[j][i1] += F(1, 2 ** level)
             counts[j][i2] += F(1, 2 ** level)
@@ -178,6 +187,180 @@ def test_split_rejects_non_dyadic():
     fa = FractionalAssignment(x=[[F(1, 3), F(2, 3)]], T=F(8))
     with pytest.raises(ValidationError):
         split_to_pair_instance(inst, fa, 2)
+
+
+def _reference_split(inst, fa, level):
+    """The split before half-jobs: one job per piece, integral pieces included.
+
+    Returns (instance, canonical half-integral assignment, origin, pairs).
+    """
+    scale = 2 ** level
+    jobs, origin, pairs, x_rows = [], [], [], []
+    for j in range(inst.n):
+        slots = []
+        for i in range(inst.m):
+            cnt = fa.x[j][i] * scale
+            if cnt.denominator != 1:
+                raise ValidationError(f"x[{j},{i}] = {fa.x[j][i]} is not a multiple of 1/{scale}")
+            slots.extend([i] * int(cnt))
+        if len(slots) != scale:
+            raise ValidationError(f"job {j}: assignment row does not sum to 1")
+        for q in range(scale // 2):
+            i1, i2 = slots[q], slots[scale - 1 - q]
+            proc = [None] * inst.m
+            proc[i1] = inst.jobs[j].proc[i1] / 2 ** (level - 1)
+            proc[i2] = inst.jobs[j].proc[i2] / 2 ** (level - 1)
+            jobs.append(Job(release=inst.jobs[j].release, proc=tuple(proc)))
+            origin.append(j)
+            pairs.append((i1, i2))
+            row = [F(0)] * inst.m
+            if i1 == i2:
+                row[i1] = F(1)
+            else:
+                row[i1] = F(1, 2)
+                row[i2] = F(1, 2)
+            x_rows.append(row)
+    return (SchedulingInstance(m=inst.m, jobs=tuple(jobs)), FractionalAssignment(x=x_rows, T=fa.T),
+            origin, pairs)
+
+
+def _reference_merge(origin, level, asg, n, m):
+    """The merged level h-1 rows, counting every piece of the reference split."""
+    counts = [[0] * m for _ in range(n)]
+    for jp, machine in enumerate(asg.assign):
+        counts[origin[jp]][machine] += 1
+    return [[F(c, 2 ** (level - 1)) for c in row] for row in counts]
+
+
+def _random_dyadic(inst, level, rng):
+    """A row per job with entries on multiples of 1/2^level, on allowed machines only."""
+    units = 2 ** level
+    x = []
+    for job in inst.jobs:
+        allowed = [i for i, p in enumerate(job.proc) if p is not None]
+        chosen = rng.sample(allowed, rng.randint(1, len(allowed)))
+        cuts = sorted(rng.choices(range(units + 1), k=len(chosen) - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [units])]
+        row = [F(0)] * inst.m
+        for i, c in zip(chosen, parts):
+            row[i] = F(c, units)
+        x.append(row)
+    return x
+
+
+def test_split_matches_reference_split():
+    # m = 2..4, fractional and repeated releases, forbidden machines, levels 1..5
+    rng = random.Random(47)
+    seen = {"overloaded": 0, "feasible": 0, "halves_below_pmax": 0, "no_halves": 0}
+    for trial in range(80):
+        m = rng.randint(2, 4)
+        jobs = []
+        for _ in range(rng.randint(1, 5)):
+            if jobs and rng.random() < 0.3:
+                release = jobs[-1][0]
+            else:
+                release = F(rng.randint(0, 6), rng.choice([1, 2, 3]))
+            proc = [F(rng.randint(1, 6), rng.choice([1, 2])) if rng.random() < 0.7 else None
+                    for _ in range(m)]
+            if proc.count(None) == m:
+                proc[rng.randrange(m)] = F(rng.randint(1, 6))
+            jobs.append((release, proc))
+        inst = make_instance(m, jobs)
+        level = rng.randint(1, 5)
+        fa = FractionalAssignment(x=_random_dyadic(inst, level, rng), T=F(0))
+        sp = split_to_pair_instance(inst, fa, level)
+        ref_inst, ref_fa, ref_origin, ref_pairs = _reference_split(inst, fa, level)
+
+        keep = [k for k, (i1, i2) in enumerate(ref_pairs) if i1 != i2]
+        assert sp.pairs == [ref_pairs[k] for k in keep]
+        assert sp.origin == [ref_origin[k] for k in keep]
+        assert sp.instance.m == m and list(sp.instance.jobs) == [ref_inst.jobs[k] for k in keep]
+        assert sp.assignment.x == [ref_fa.x[k] for k in keep]
+        fixed = [{} for _ in range(m)]
+        counts = [[0] * m for _ in range(inst.n)]
+        for k, (i1, i2) in enumerate(ref_pairs):
+            if i1 == i2:
+                release = ref_inst.jobs[k].release
+                fixed[i1][release] = fixed[i1].get(release, 0) + ref_inst.jobs[k].proc[i1]
+                counts[ref_origin[k]][i1] += 1
+        assert sp.fixed_load == fixed
+        assert sp.integral_counts == counts
+        assert sp.p_max_level == p_max(ref_inst)
+        if not keep:
+            seen["no_halves"] += 1
+        elif p_max(sp.instance) < sp.p_max_level:
+            seen["halves_below_pmax"] += 1
+
+        # the tightest bound, then an overloaded one whenever a window (not a
+        # single piece's processing time) sets it
+        loads = _window_loads(ref_inst, ref_fa.x)
+        tight = max([sp.p_max_level] + [load - (t2 - t1) for (i, t1, t2), load in loads.items()])
+        bounds = [tight] + ([tight - F(1, 4)] if tight - F(1, 4) >= sp.p_max_level else [])
+        for T in bounds:
+            ref_args = (ref_inst, FractionalAssignment(x=ref_fa.x, T=T))
+            args = (sp.instance, FractionalAssignment(x=sp.assignment.x, T=T))
+            lines = fractional_assignment_violations(*args, sp.fixed_load)
+            assert lines == fractional_assignment_violations(*ref_args)
+            seen["overloaded" if lines else "feasible"] += 1
+            for colorer in [color_greedy] + ([brute] if len(keep) <= 10 else []):
+                if lines:
+                    with pytest.raises(ValidationError) as ref_err:
+                        round_half_integral_maxflow(*ref_args, colorer)
+                    with pytest.raises(ValidationError) as err:
+                        round_half_integral_maxflow(*args, colorer, sp.fixed_load, sp.p_max_level)
+                    assert str(err.value) == str(ref_err.value)
+                    continue
+                ref_asg, ref_d = round_half_integral_maxflow(*ref_args, colorer)
+                asg, d = round_half_integral_maxflow(*args, colorer, sp.fixed_load, sp.p_max_level)
+                assert d == ref_d
+                assert asg.assign == tuple(ref_asg.assign[k] for k in keep)
+                merged = sp.merge_assignment(asg)
+                assert merged.x == _reference_merge(ref_origin, level, ref_asg, inst.n, m)
+    assert all(seen.values()), seen
+
+
+def test_leftover_check_sees_fixed_load(monkeypatch):
+    # x = (3/4, 1/4) at level 2: half-job (0, 1) with p' = (2, 2) and one
+    # integral piece on machine 0, a fixed load of 2; machine 0 carries 3 = T.
+    # With the achieved discrepancy forced to 0 the bound stays T, so sending
+    # the half-job to machine 0 (load 4) must trip the leftover check, which
+    # only sees that overload through the fixed load.
+    inst = make_instance(2, [(0, [4, 4])])
+    fa = FractionalAssignment(x=[[F(3, 4), F(1, 4)]], T=F(3))
+    sp = split_to_pair_instance(inst, fa, 2)
+    ref_inst, ref_fa, _, _ = _reference_split(inst, fa, 2)
+    monkeypatch.setattr(maxflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
+    to_first = lambda seq: [1] * len(seq.vectors)  # noqa: E731
+    with pytest.raises(InternalCheckError, match="machine 0 window"):
+        round_half_integral_maxflow(ref_inst, ref_fa, to_first)
+    with pytest.raises(InternalCheckError, match="machine 0 window"):
+        round_half_integral_maxflow(sp.instance, sp.assignment, to_first, sp.fixed_load, sp.p_max_level)
+
+
+def test_full_round_records_reference_levels(monkeypatch):
+    # every level's p_max_level and D are those of the whole-piece split
+    calls = []
+    real_split = maxflow.split_to_pair_instance
+
+    def spy(inst, fa, level):
+        calls.append((fa, level))
+        return real_split(inst, fa, level)
+
+    monkeypatch.setattr(maxflow, "split_to_pair_instance", spy)
+    narrower = 0
+    for seed in range(6):
+        inst = gen_random_instance(7 + seed, 2 + seed % 2, (1, 9), (0, 12), 0.2, seed=1200 + seed)
+        calls.clear()
+        asg, trace = full_round_maxflow(inst, color_greedy)
+        assert [h for _, h in calls] == [rec.h for rec in trace.levels]
+        for (fa, h), rec in zip(calls, trace.levels):
+            ref_inst, ref_fa, _, ref_pairs = _reference_split(inst, fa, h)
+            assert rec.p_max_level == p_max(ref_inst)
+            assert rec.discrepancy == round_half_integral_maxflow(ref_inst, ref_fa, color_greedy)[1]
+            halves = [p for k, (i1, i2) in enumerate(ref_pairs) if i1 != i2
+                      for p in ref_inst.jobs[k].proc if p is not None]
+            narrower += 0 < max(halves, default=0) < rec.p_max_level
+    assert narrower  # some level's half-jobs alone have a smaller p_max
 
 
 def test_rounding_vector_formula():
