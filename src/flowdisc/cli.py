@@ -60,6 +60,8 @@ def _read_json(path: str):
         raise ValidationError(f"{path}: not a UTF-8 text file")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}")
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ValidationError(f"{path}: {exc}")
 
 
 def _load_instance(path: str) -> SchedulingInstance:

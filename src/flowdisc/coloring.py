@@ -16,6 +16,7 @@ colorer for 2-sparse sign vectors.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -38,12 +39,16 @@ class SignedVectorSequence:
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.m}")
-        self.vectors = [tuple(Fraction(x) for x in v) for v in self.vectors]
-        if not self.signs:
-            self.signs = [0] * len(self.vectors)
+        self.vectors = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+                        for v in self.vectors]
         for v in self.vectors:
             if len(v) != self.m:
                 raise ValidationError(f"vector of dimension {len(v)}, expected {self.m}")
+        self._check_signs()
+
+    def _check_signs(self) -> None:
+        if not self.signs:
+            self.signs = [0] * len(self.vectors)
         if len(self.signs) != len(self.vectors):
             raise ValidationError("signs length differs from vector count")
         for s in self.signs:
@@ -59,7 +64,12 @@ class SignedVectorSequence:
         return [j for j, v in enumerate(self.vectors) if sum(abs(x) for x in v) > 1]
 
     def with_signs(self, signs) -> "SignedVectorSequence":
-        return SignedVectorSequence(self.m, list(self.vectors), list(signs))
+        """The same (already validated) vector tuples under new signs."""
+        seq = copy.copy(self)
+        seq.vectors = list(self.vectors)
+        seq.signs = list(signs)
+        seq._check_signs()
+        return seq
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,32 @@ Provided strategies:
 - `GreedyMaker`: colors the first uncolored element to minimize |prefix|.
 - `TreeBreaker`: the unbounded-discrepancy strategy for the layered hard
   instances from `breaker_hard_instance`, maintaining an explicit interval
-  structure whose five invariants are asserted after every move.
+  structure whose five invariants are asserted after every build move.
 - `RandomBreaker`: seeded uniform play, for tournaments.
 
-The engine keeps an exact integer segment tree (`PrefixTree`) over the
-positions, so a move and the max |prefix| it leaves cost O(log n) instead of
-an O(n) rescan; the greedy maker reads its two trial signs from the same tree
-by point updates.  At the end of every game the tree's peak is checked against
-one full rescan (`_max_abs_prefix`), and the history must replay to the final
-coloring.
+A move costs O(log n) integer work plus cursor steps that add up to O(n) over
+a game (O(k) more per `TreeBreaker` endgame move), with no per-move Python
+scan over the sequence and no per-move `Fraction`; only `TreeBreaker`'s
+invariant check after each of its few build moves is a full scan:
+
+- The state keeps an exact integer segment tree (`PrefixTree`) over the values
+  scaled to their common denominator, for the max |prefix| and any prefix sum,
+  and a sorted ``open`` list of the uncolored indices (a bisect and one list
+  deletion per move).  `RandomBreaker` draws from that list, so its rng draws
+  are those of a rebuilt list; `GreedyMaker` takes ``open[0]`` and compares
+  its two trial peaks as scaled integers.
+- `play_game` builds one `Fraction` per distinct peak value of the game, so
+  the trace still holds Fractions.
+- `PairingMaker` follows the history incrementally (half-colored pairs, and a
+  forward cursor to the first uncolored element carrying its integer prefix)
+  and resyncs from the colors on a new state; `TreeBreaker`'s endgame reads
+  its two boundary prefixes from the tree and keeps one forward cursor per
+  layer to that layer's first open element.
+
+At the end of every game the tree's peak is checked against one full integer
+rescan over its own scaling (`_max_abs_prefix`), and the history must replay
+to the final coloring.  Strategies keep no state across games beyond what one
+state object needs.
 
 `exhaustive_breaker_value` computes the best payoff a perfect breaker can
 force against a fixed maker strategy (the certification tool for the pairing
@@ -31,6 +48,7 @@ permutation stay bounded by 4.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -96,8 +114,29 @@ class PrefixTree:
             self._pull(p)
             p >>= 1
 
+    def prefix_scaled(self, m: int) -> int:
+        """Scaled sum of the colored values at positions < m; O(log n)."""
+        s = self.sum
+        total = 0
+        lo, hi = self.size, self.size + m
+        while lo < hi:
+            if lo & 1:
+                total += s[lo]
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                total += s[hi]
+            lo >>= 1
+            hi >>= 1
+        return total
+
+    def peak_scaled(self) -> int:
+        """Max |prefix| times ``den``."""
+        hi, lo = self.hi[1], -self.lo[1]
+        return hi if hi > lo else lo
+
     def peak(self) -> Fraction:
-        return Fraction(max(self.hi[1], -self.lo[1]), self.den)
+        return Fraction(self.peak_scaled(), self.den)
 
 
 @dataclass
@@ -109,43 +148,44 @@ class GameState:
     history: list = field(default_factory=list)  # (player, index-or-None, sign-or-None)
     must_color: bool = False
     tree: PrefixTree = field(init=False, repr=False, compare=False)
-    n_open: int = field(init=False, repr=False, compare=False)
+    open: list = field(init=False, repr=False, compare=False)  # uncolored indices, ascending
 
     def __post_init__(self):
         self.tree = PrefixTree(self.values, self.colors)
-        self.n_open = self.colors.count(0)
+        self.open = [i for i, c in enumerate(self.colors) if c == 0]
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     def uncolored(self) -> list[int]:
-        return [i for i, c in enumerate(self.colors) if c == 0]
+        return list(self.open)
 
     def color(self, idx: int, sign: int) -> None:
-        """Color the uncolored element idx; keeps the tree and the open count."""
+        """Color the uncolored element idx; keeps the tree and the open list."""
         self.colors[idx] = sign
         self.tree.set(idx, sign)
-        self.n_open -= 1
+        del self.open[bisect_left(self.open, idx)]
 
-    def peak_if(self, idx: int, sign: int) -> Fraction:
-        """Max |prefix| were idx colored sign; the state is left unchanged."""
+    def peak_scaled_if(self, idx: int, sign: int) -> int:
+        """Scaled max |prefix| were idx colored sign; the state is left unchanged."""
         self.tree.set(idx, sign)
-        peak = self.tree.peak()
+        peak = self.tree.peak_scaled()
         self.tree.set(idx, self.colors[idx])
         return peak
 
 
 def _max_abs_prefix(values, colors) -> Fraction:
-    run = Fraction(0)
-    peak = Fraction(0)
+    """Max |prefix| by one full scan, as integers over the values' own lcm."""
+    den = lcm(*{v.denominator for v in values})
+    run = peak = 0
     for v, c in zip(values, colors):
         if c:
-            run += c * v
-        a = -run if run < 0 else run
-        if a > peak:
-            peak = a
-    return peak
+            run += c * v.numerator * (den // v.denominator)
+            a = -run if run < 0 else run
+            if a > peak:
+                peak = a
+    return Fraction(peak, den)
 
 
 def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREAKER)):
@@ -155,11 +195,11 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     ``("color", index, sign)`` or ``("wait",)``.  Waiting twice in a row while
     elements remain re-queries the current player with ``must_color`` set.
     """
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     if not values:
         raise ValidationError("the game needs at least one value")
     for v in values:
-        if not -1 <= v <= 1:
+        if abs(v.numerator) > v.denominator:
             raise ValidationError(f"game value {v} outside [-1, 1]")
     if starter not in (MAKER, BREAKER):
         raise ValidationError(f"unknown starter {starter!r}")
@@ -170,9 +210,11 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
         wait_allowed={MAKER: MAKER in wait_allowed, BREAKER: BREAKER in wait_allowed},
     )
     players = {MAKER: maker, BREAKER: breaker}
+    tree = state.tree
+    peaks: dict[int, Fraction] = {}  # one Fraction per distinct scaled peak
     trace: list[Fraction] = []
     prev_wait = False
-    while state.n_open:
+    while state.open:
         player = state.to_move
         state.must_color = False
         move = players[player].move(state)
@@ -195,9 +237,13 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
             prev_wait = False
         else:
             raise ValidationError(f"{player} strategy returned malformed move {move!r}")
-        trace.append(state.tree.peak())
+        scaled = tree.peak_scaled()
+        peak = peaks.get(scaled)
+        if peak is None:
+            peak = peaks[scaled] = Fraction(scaled, tree.den)
+        trace.append(peak)
         state.to_move = MAKER if player == BREAKER else BREAKER
-    if state.tree.peak() != _max_abs_prefix(state.values, state.colors):
+    if tree.peak() != _max_abs_prefix(state.values, state.colors):
         raise InternalCheckError("the prefix tree's peak differs from a full rescan")
     # replay check: history must reproduce the final coloring
     replay = [0] * state.n
@@ -265,12 +311,27 @@ class PairingMaker:
     With ``allow_fractional`` the same pairing heuristic runs on arbitrary
     nonzero values in [-1, 1] (used in hard-instance tournaments); no bound is
     claimed there.
+
+    Plays the moves of ``PairingGame.respond`` over the pairs (2q, 2q+1) of
+    the whole sequence without rescanning it: the half-colored pairs are
+    updated from the history entries added since the last call, and the first
+    uncolored element is found by a forward cursor that carries the scaled
+    prefix sum of the elements before it.  Between calls the colors may change
+    only by the moves the history records; a different state object, or a
+    history that does not extend the one last seen, triggers an O(n) resync
+    from ``colors``.
     """
 
     def __init__(self, allow_fractional: bool = False):
         self.allow_fractional = allow_fractional
-        self._values = None  # the values the cached game was built for
-        self._game: Optional[PairingGame] = None
+        self._values = None  # the values `_sgn` was built for
+        self._sgn: list[int] = []
+        self._state: Optional[GameState] = None  # the state the fields below follow
+        self._seen = 0  # history entries folded in
+        self._last = None  # history[_seen - 1] when it was folded in
+        self._half: set[int] = set()  # pairs q with exactly one of 2q, 2q+1 colored
+        self._cur = 0  # no uncolored element before _cur
+        self._prefix = 0  # scaled sum of the colored elements before _cur
 
     def move(self, state: GameState) -> tuple:
         if state.values is not self._values:
@@ -278,12 +339,44 @@ class PairingMaker:
                 for v in state.values:
                     if v not in (-1, 1):
                         raise ValidationError(f"pairing maker requires +-1 values, got {v}")
-            self._game = PairingGame(list(range(state.n)), list(state.values))
+            self._sgn = [1 if v >= 0 else -1 for v in state.values]
             self._values = state.values
-        mv = self._game.respond(state.colors)
-        if mv is None:
+            self._state = None
+        self._sync(state)
+        colors, sgn = state.colors, self._sgn
+        if self._half:
+            # complete the last half-colored pair
+            q = max(self._half)
+            a, b = 2 * q, 2 * q + 1
+            colored, open_ = (a, b) if colors[b] == 0 else (b, a)
+            return color_move(open_, -colors[colored] * sgn[colored] * sgn[open_])
+        # color the first uncolored element against the prefix before it
+        scaled = state.tree.scaled
+        cur, prefix, n = self._cur, self._prefix, state.n
+        while cur < n and colors[cur]:
+            prefix += colors[cur] * scaled[cur]
+            cur += 1
+        self._cur, self._prefix = cur, prefix
+        if cur == n:
             return WAIT
-        return color_move(*mv)
+        return color_move(cur, (1 if prefix < 0 else -1) * sgn[cur])
+
+    def _sync(self, state: GameState) -> None:
+        """Bring the half-colored pairs up to the state's colors."""
+        colors, history, seen = state.colors, state.history, self._seen
+        if (state is self._state and len(history) >= seen
+                and (not seen or history[seen - 1] is self._last)):
+            touched = {idx >> 1 for _, idx, _ in history[seen:] if idx is not None}
+        else:  # resync
+            self._state, self._half, self._cur, self._prefix = state, set(), 0, 0
+            touched = range(state.n // 2)
+        for q in touched:
+            if 2 * q + 1 < len(colors) and (colors[2 * q] == 0) != (colors[2 * q + 1] == 0):
+                self._half.add(q)
+            else:
+                self._half.discard(q)
+        self._seen = len(history)
+        self._last = history[-1] if history else None
 
 
 class GreedyMaker:
@@ -291,16 +384,12 @@ class GreedyMaker:
     resulting max |prefix| over the partial coloring; tie -> +1."""
 
     def move(self, state: GameState) -> tuple:
-        for i in range(state.n):
-            if state.colors[i] != 0:
-                continue
-            best = None
-            for sign in (1, -1):
-                peak = state.peak_if(i, sign)
-                if best is None or peak < best[0]:
-                    best = (peak, sign)
-            return color_move(i, best[1])
-        return WAIT
+        if not state.open:
+            return WAIT
+        i = state.open[0]
+        plus = state.peak_scaled_if(i, 1)
+        minus = state.peak_scaled_if(i, -1)
+        return color_move(i, -1 if minus < plus else 1)
 
 
 class RandomBreaker:
@@ -313,7 +402,7 @@ class RandomBreaker:
         self.wait_prob = wait_prob
 
     def move(self, state: GameState) -> tuple:
-        open_ = state.uncolored()
+        open_ = state.open
         if not open_:
             return WAIT
         if (
@@ -618,6 +707,11 @@ class TreeBreaker:
         self.checked_moves = 0  # build-phase moves that passed the invariant check
         self._seen_history = 0
         self._bound_values = None  # the state values last found equal to self.values
+        self._layer_elems: list[list[int]] = [[] for _ in range(k // 2)]  # ascending
+        for e, d in enumerate(self.tree.layer):
+            self._layer_elems[d].append(e)
+        self._cursor_state: Optional[GameState] = None  # the state the cursors follow
+        self._cursors: list[int] = []  # per layer: no open element before this position
 
     # -- helpers ----------------------------------------------------------
     def _opponent_moves(self, state: GameState) -> list[Optional[int]]:
@@ -630,31 +724,46 @@ class TreeBreaker:
 
     def _maintenance_move(self, state: GameState) -> tuple:
         lo, hi = self.claim
-        prefix = Fraction(0)
-        pref_lo = Fraction(0)
-        for e in range(hi):
-            if state.colors[e]:
-                prefix += state.colors[e] * state.values[e]
-            if e == lo:
-                pref_lo = prefix
+        tree = state.tree
+        pref_lo = tree.prefix_scaled(lo + 1)
+        prefix = tree.prefix_scaled(hi)
         # reinforce whichever boundary prefix is further from zero
         if abs(pref_lo) > abs(prefix):
             target, total = lo, pref_lo
         else:
             target, total = hi - 1, prefix
         sign = 1 if total >= 0 else -1
-        open_ = [e for e in range(target + 1) if state.colors[e] == 0]
-        if open_:
-            # the order of (value, -e), as value = 1 - layer/k
-            pick = max(open_, key=lambda e: (-self.tree.layer[e], -e))
-            return color_move(pick, sign)
-        # claimed prefix exhausted: keep pushing the achieved deviation by
-        # coloring the heaviest remaining element in the same direction
-        rest = state.uncolored()
-        if not rest:
-            return WAIT
-        pick = max(rest, key=lambda e: (-self.tree.layer[e], -e))
-        return color_move(pick, sign)
+        # the heaviest open element (lowest layer, then smallest index) at or
+        # before target; failing that, the heaviest one anywhere, which keeps
+        # pushing the achieved deviation once the claimed prefix is exhausted
+        firsts = self._first_open_per_layer(state)
+        for e in firsts:
+            if e <= target:
+                return color_move(e, sign)
+        if firsts:
+            return color_move(firsts[0], sign)
+        return WAIT
+
+    def _first_open_per_layer(self, state: GameState) -> list[int]:
+        """Each layer's first uncolored element, by layer.
+
+        Colors only go from 0 to +-1, so each layer's cursor only moves
+        forward: amortized O(k) per call over a game.  A different state
+        object restarts the cursors.
+        """
+        if state is not self._cursor_state:
+            self._cursor_state = state
+            self._cursors = [0] * len(self._layer_elems)
+        colors = state.colors
+        firsts = []
+        for d, elems in enumerate(self._layer_elems):
+            pos = self._cursors[d]
+            while pos < len(elems) and colors[elems[pos]]:
+                pos += 1
+            self._cursors[d] = pos
+            if pos < len(elems):
+                firsts.append(elems[pos])
+        return firsts
 
     def _enter_maintenance(self, idx: list[int]) -> None:
         self.phase = "maintain"

@@ -179,6 +179,12 @@ def class_scale(p):
     return pow2(class_index(p))
 
 
+def class_table(inst: SchedulingInstance) -> dict:
+    """(machine, job) -> size class of its finite processing time.  Built once
+    per instance and handed to every layer that groups volume by class."""
+    return {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
+
+
 def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] = None) -> tuple:
     """Class-grouped LP: objective sum((t - r)/2^k + 1/2) y and window capacity
     per (machine, class k, event window [t1, t2)) with slack alpha * 2^k.
@@ -210,7 +216,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     H = default_horizon(inst) if horizon is None else int(horizon)
     events = _event_slots(inst, H)
     lp = _slot_program(inst, class_scale, events[:-1])
-    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
+    classes = class_table(inst)
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
         for k in ks:
@@ -240,8 +246,10 @@ def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
                 for (i, j, t), v in y.entries.items()), Fraction(0))
 
 
-def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
-    return sum((slot_rate(inst.jobs[j], t, class_scale(inst.jobs[j].proc[i])) * v
+def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
+    if classes is None:
+        classes = class_table(inst)
+    return sum((slot_rate(inst.jobs[j], t, pow2(classes[i, j])) * v
                 for (i, j, t), v in y.entries.items()), Fraction(0))
 
 
@@ -250,19 +258,21 @@ class AlphaReport:
     alpha: Fraction
     witness: Optional[tuple]  # (machine, class, t1, t2) with window [t1, t2)
 
-    def reproduce(self, inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
+    def reproduce(self, inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
         if self.witness is None:
             return Fraction(0)
+        if classes is None:
+            classes = class_table(inst)
         i, k, t1, t2 = self.witness
         load = Fraction(0)
         for (ii, j, t), v in y.entries.items():
-            if ii == i and t1 <= t < t2 and class_index(inst.jobs[j].proc[ii]) <= k:
+            if ii == i and t1 <= t < t2 and classes[ii, j] <= k:
                 load += v
         excess = load - (t2 - t1)
         return max(Fraction(0), excess / pow2(k))
 
 
-def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution) -> AlphaReport:
+def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> AlphaReport:
     """Exact worst window overload per class: max over (i, k, [t1, t2)) of
     (volume of class-<=k jobs inside the window minus its width) / 2^k,
     floored at zero.
@@ -271,9 +281,11 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution) -> AlphaRepo
     one worst_window scan per (machine, class) is exact.  Slot t covers
     [t, t+1): its closed window [t1, t2] is the half-open [t1, t2 + 1).
     """
+    if classes is None:
+        classes = class_table(inst)
     by_machine: dict[int, list] = {}
     for (i, j, t), v in y.entries.items():
-        by_machine.setdefault(i, []).append((class_index(inst.jobs[j].proc[i]), t, v))
+        by_machine.setdefault(i, []).append((classes[i, j], t, v))
     best = Fraction(0)
     best_wit = None
     for i, items in sorted(by_machine.items()):
@@ -291,7 +303,8 @@ def canonical_order(inst: SchedulingInstance) -> list[int]:
 
 
 def normalize_consistent_order(
-    inst: SchedulingInstance, y: TimeIndexedSolution, order: Optional[list[int]] = None
+    inst: SchedulingInstance, y: TimeIndexedSolution, order: Optional[list[int]] = None,
+    classes=None,
 ) -> TimeIndexedSolution:
     """Reflow each (machine, class) group so jobs run in one global order.
 
@@ -306,11 +319,12 @@ def normalize_consistent_order(
         rel = [inst.jobs[j].release for j in order]
         if sorted(order) != list(range(inst.n)) or any(a > b for a, b in zip(rel, rel[1:])):
             raise ValidationError("order must be a release-monotone permutation of the jobs")
+    if classes is None:
+        classes = class_table(inst)
     rank = {j: pos for pos, j in enumerate(order)}
     groups: dict[tuple[int, int], list] = {}
     for (i, j, t), v in y.entries.items():
-        k = class_index(inst.jobs[j].proc[i])
-        groups.setdefault((i, k), []).append((j, t, v))
+        groups.setdefault((i, classes[i, j]), []).append((j, t, v))
     entries: dict = {}
     for (i, k), items in sorted(groups.items()):
         slot_vol: dict[int, Fraction] = {}
@@ -369,7 +383,9 @@ def split_jobs_instance(inst: SchedulingInstance, level: int) -> tuple:
     return SchedulingInstance(m=inst.m, jobs=tuple(jobs)), origin
 
 
-def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level: int) -> TimeIndexedSolution:
+def quantize_dyadic_time(
+    inst: SchedulingInstance, y: TimeIndexedSolution, level: int, classes=None
+) -> TimeIndexedSolution:
     """Make every per-(machine, job) total a multiple of p_ij / 2^level.
 
     The completed fractions of each job move pairwise between machines
@@ -383,6 +399,8 @@ def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
+    if classes is None:
+        classes = class_table(inst)
     unit = Fraction(1, 2 ** level)
     streams = y.streams()
     entries = dict(y.entries)
@@ -393,8 +411,9 @@ def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level
         first = {i: stream[i][0][0] if stream[i] else int(job.release) for i in machines}
         # cost per completed fraction: added volume lands at the earliest slot,
         # removed volume scales the whole stream down
-        add = {i: slot_rate(job, first[i], class_scale(job.proc[i])) * job.proc[i] for i in machines}
-        cost = {i: sum((slot_rate(job, t, class_scale(job.proc[i])) * v for t, v in stream[i]), Fraction(0))
+        scale = {i: pow2(classes[i, j]) for i in machines}
+        add = {i: slot_rate(job, first[i], scale[i]) * job.proc[i] for i in machines}
+        cost = {i: sum((slot_rate(job, t, scale[i]) * v for t, v in stream[i]), Fraction(0))
                 for i in machines}
         target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - cost[lose] / frac[lose])
         # realize the net changes once per machine
@@ -410,7 +429,7 @@ def quantize_dyadic_time(inst: SchedulingInstance, y: TimeIndexedSolution, level
     return TimeIndexedSolution(horizon=y.horizon, entries=entries)
 
 
-def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: dict):
+def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: dict, classes=None):
     """Balancing vectors over (machine, class) pairs for the split jobs.
 
     Each split job carries +p/2^(k+1) on its lexicographically smaller
@@ -418,19 +437,21 @@ def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: d
     never exceed 1/2, so l1 norms stay at most 1.  Returns (vectors,
     positive/negative machine per job).
     """
-    classes = sorted({class_index(p) for _, _, p in inst.finite_procs()})
-    class_pos = {k: pos for pos, k in enumerate(classes)}
-    dim = inst.m * len(classes)
+    if classes is None:
+        classes = class_table(inst)
+    present = sorted(set(classes.values()))
+    class_pos = {k: pos for pos, k in enumerate(present)}
+    dim = inst.m * len(present)
 
     def coord(i: int, k: int) -> int:
-        return i * len(classes) + class_pos[k]
+        return i * len(present) + class_pos[k]
 
     vectors = []
     pos_side = []
     for j in split_jobs:
         _, i1, i2 = half_of[j]
         p1, p2 = inst.jobs[j].proc[i1], inst.jobs[j].proc[i2]
-        k1, k2 = class_index(p1), class_index(p2)
+        k1, k2 = classes[i1, j], classes[i2, j]
         if (i1, k1) <= (i2, k2):
             plus, minus = (i1, k1, p1), (i2, k2, p2)
         else:
@@ -457,7 +478,8 @@ def round_half_integral_totalflow(
     coloring and its global flip the cheaper solution (grouped objective) is
     returned together with the achieved prefix discrepancy.
     """
-    ybar = normalize_consistent_order(inst, y)
+    classes = class_table(inst)
+    ybar = normalize_consistent_order(inst, y, classes=classes)
     streams = ybar.streams()
     order = canonical_order(inst)
     full: dict[int, int] = {}
@@ -478,7 +500,7 @@ def round_half_integral_totalflow(
             raise ValidationError(f"job {j}: totals {support} are not machine-half-integral")
 
     split_jobs = [j for j in order if j in half_of]
-    dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of)
+    dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of, classes)
     seq = SignedVectorSequence(m=dim, vectors=vectors) if vectors else None
     if seq is not None:
         signs = colorer(seq)
@@ -499,11 +521,11 @@ def round_half_integral_totalflow(
 
     y_pos = build(1)
     y_neg = build(-1)
-    cost_pos = aux_cost(inst, y_pos)
-    cost_neg = aux_cost(inst, y_neg)
+    cost_pos = aux_cost(inst, y_pos, classes)
+    cost_neg = aux_cost(inst, y_neg, classes)
     chosen = y_pos if cost_pos <= cost_neg else y_neg
-    alpha_in = measure_alpha(inst, ybar).alpha
-    alpha_out = measure_alpha(inst, chosen).alpha
+    alpha_in = measure_alpha(inst, ybar, classes).alpha
+    alpha_out = measure_alpha(inst, chosen, classes).alpha
     if alpha_out > alpha_in + 4 * achieved + 4:
         raise InternalCheckError(
             f"rounded slack {alpha_out} exceeds {alpha_in} + 4*{achieved} + 4"
@@ -662,9 +684,10 @@ def full_round_totalflow(
         raise InternalCheckError(f"auxiliary LP unexpectedly {sol.status}")
     y = solution_from_lp(dinst, sol, H)
     lp_cost = sol.objective_value
-    alpha_initial = measure_alpha(dinst, y).alpha
-    y = quantize_dyadic_time(dinst, y, level)
-    alpha_quantized = measure_alpha(dinst, y).alpha
+    classes = class_table(dinst)
+    alpha_initial = measure_alpha(dinst, y, classes).alpha
+    y = quantize_dyadic_time(dinst, y, level, classes)
+    alpha_quantized = measure_alpha(dinst, y, classes).alpha
     if alpha_quantized > alpha_initial + 1:
         raise InternalCheckError(
             f"quantized slack {alpha_quantized} exceeds {alpha_initial} + 1"
@@ -677,7 +700,7 @@ def full_round_totalflow(
         alpha_before = alpha_after
         y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer)
         y = _merge_split_solution(origin, y_rounded)
-        alpha_after = measure_alpha(dinst, y).alpha
+        alpha_after = measure_alpha(dinst, y, classes).alpha
         level_bound = slack_bound(h, achieved)
         if alpha_after > alpha_before + level_bound:
             raise InternalCheckError(
@@ -743,15 +766,15 @@ def schedule_from_integral(inst: SchedulingInstance, y: TimeIndexedSolution) -> 
         raise InternalCheckError("restricted time-indexed LP should be feasible")
     if metrics.total_flow < sol.objective_value:
         raise InternalCheckError("SRPT flow fell below its LP lower bound")
-    classes = {class_index(p) for _, _, p in inst.finite_procs()}
+    classes = class_table(inst)
     return ScheduleRatioReport(
         assignment=asg,
         total_flow=metrics.total_flow,
-        aux_cost=aux_cost(inst, y),
+        aux_cost=aux_cost(inst, y, classes),
         restricted_lp_cost=sol.objective_value,
         ratio=metrics.total_flow / sol.objective_value if sol.objective_value else Fraction(0),
-        alpha=measure_alpha(inst, y).alpha,
-        class_span=len(classes),
+        alpha=measure_alpha(inst, y, classes).alpha,
+        class_span=len(set(classes.values())),
     )
 
 

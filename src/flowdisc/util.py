@@ -21,7 +21,10 @@ class InternalCheckError(AssertionError):
 def rat_to_str(x) -> str:
     """Serialize an exact rational as ``"num/den"`` (always with denominator)."""
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise ValidationError(f"cannot write a rational this long: {exc}") from None
 
 
 def rat_from_str(s) -> Fraction:

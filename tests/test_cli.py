@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowdisc.cli import main, summarize
 from flowdisc.core import instance_from_json
@@ -308,3 +313,63 @@ def test_sdp_rejected_argument_is_one_error_line(capsys, argv):
     assert run(["sdp"] + argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+# -- input contract of `flowdisc game`, by fuzzing ---------------------------
+
+_HUGE = ["7" * 50, "7" * 4000, "3" * 3999 + "1", "9" * 4400]  # the last is past the digit limit
+_ENTRIES = st.one_of(
+    st.builds(lambda q, p: f"{p}/{q}", st.integers(1, 12), st.integers(-12, 12)),
+    st.integers(-3, 3),
+    st.sampled_from(["5/3", "-7/2", "1.5", "0.5", "1e5", "abc", "", "1/0", "nan", "inf"]),
+    st.sampled_from(_HUGE).map(lambda d: "1/" + d),
+    st.sampled_from(_HUGE).map(lambda d: d + "/" + d + "1"),
+    st.sampled_from([None, True, False, 0.5, [1], {}]),
+)
+_ROWS = st.one_of(st.lists(_ENTRIES, min_size=0, max_size=3),
+                  st.sampled_from([None, "1/2", 5]))
+_VALUE_FILES = st.one_of(
+    st.fixed_dictionaries(
+        {"m": st.sampled_from([1, 1, 1, 0, 2, -1, "1", None, True, 1.0]),
+         "vectors": st.one_of(st.lists(_ROWS, max_size=6), st.sampled_from([None, "x", 3]))},
+        optional={"signs": st.sampled_from([[], [1], ["x"], None])}),
+    st.sampled_from([[], None, 5, "x", {}, {"m": 1}]),
+).map(lambda data: json.dumps(data, allow_nan=True))
+_RAW_FILES = st.sampled_from([
+    '{"m": 1, "vectors": [[1' + "0" * 5000 + ']]}',  # JSON int past the digit limit
+    '{"m": 1, "vectors": [[NaN]]}',
+    '{"m": 1, "vectors": [["1/2"]',
+    "",
+])
+
+
+@settings(max_examples=150, deadline=None)
+# two valid values whose peak has a denominator past the digit limit
+@example(text=json.dumps({"m": 1, "vectors": [["1/" + _HUGE[1]], ["1/" + _HUGE[2]]]}),
+         maker="pairing", breaker="random", starter="breaker", hard_k=None)
+@given(
+    text=st.one_of(_VALUE_FILES, _RAW_FILES),
+    maker=st.sampled_from(["pairing", "greedy"]),
+    breaker=st.sampled_from(["random", "tree"]),
+    starter=st.sampled_from(["maker", "breaker"]),
+    hard_k=st.sampled_from([None, None, None, 0, 2, 3, 4, -2, 10]),
+)
+def test_game_input_contract_by_fuzzing(text, maker, breaker, starter, hard_k):
+    with tempfile.TemporaryDirectory() as tmp:
+        values = os.path.join(tmp, "values.json")
+        with open(values, "w") as fh:
+            fh.write(text)
+        argv = ["game", "--values", values, "--maker", maker, "--breaker", breaker,
+                "--starter", starter, "--trace", os.path.join(tmp, "trace.csv")]
+        if hard_k is not None:
+            argv += ["--hard-k", str(hard_k)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a traceback fails the test
+    assert code in (0, 1, 2)
+    err = err.getvalue().splitlines()
+    if code == 0:
+        assert err == [] and out.getvalue().startswith("moves = ")
+    else:
+        assert len(err) == 1, err
+        assert err[0].startswith("error:" if code == 1 else "internal check failed:"), err

@@ -373,3 +373,30 @@ def test_seq_json_roundtrip():
     again = seq_from_json(json.loads(blob))
     assert again.vectors == s.vectors and again.signs == s.signs and again.m == s.m
     assert json.dumps(seq_to_json(again), sort_keys=True) == blob
+
+
+def test_sequence_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    s = SignedVectorSequence(2, [[half, 1], ("1/3", F(-1))])
+    assert s.vectors == [(F(1, 2), F(1)), (F(1, 3), F(-1))]
+    assert s.vectors[0][0] is half
+    assert all(type(x) is F for v in s.vectors for x in v)
+    t = s.with_signs([1, -1])
+    assert t.signs == [1, -1] and s.signs == [0, 0]
+    assert t.vectors == s.vectors and t.vectors is not s.vectors
+    assert all(a is b for a, b in zip(t.vectors, s.vectors))  # the tuples are shared
+    assert s.with_signs([]).signs == [0, 0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SignedVectorSequence(0, []),
+    lambda: SignedVectorSequence(2, [[1, 0], [1]]),
+    lambda: SignedVectorSequence(1, [[1], [1]], [1]),
+    lambda: SignedVectorSequence(1, [[1]], [2]),
+    lambda: SignedVectorSequence(1, [[1], [1]]).with_signs([1, 0, -1]),
+    lambda: SignedVectorSequence(1, [[1], [1]]).with_signs([1, 3]),
+    lambda: SignedVectorSequence(1, [[1]]).with_signs(["+"]),
+])
+def test_sequence_checks_still_fire(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -9,7 +9,9 @@ from flowdisc.game import (
     BreakerStructure,
     GameState,
     GreedyMaker,
+    PairingGame,
     PairingMaker,
+    PrefixTree,
     RandomBreaker,
     TreeBreaker,
     _max_abs_prefix,
@@ -200,6 +202,17 @@ def test_tree_breaker_full_games_and_monotone_payoffs():
         assert series == sorted(series), (name, series)
 
 
+def _fraction_peak(values, colors):
+    # the full rescan on Fractions, independent of any integer scaling
+    run = F(0)
+    peak = F(0)
+    for v, c in zip(values, colors):
+        if c:
+            run += c * v
+        peak = max(peak, abs(run))
+    return peak
+
+
 def _mixed_values(rng, n):
     # mixed denominators, negative values and zeros, all inside [-1, 1]
     values = []
@@ -218,7 +231,7 @@ def _reference_greedy(values, colors):
         for sign in (1, -1):
             trial = list(colors)
             trial[i] = sign
-            peak = _max_abs_prefix(values, trial)
+            peak = _fraction_peak(values, trial)
             if best is None or peak < best[0]:
                 best = (peak, sign)
         return color_move(i, best[1])
@@ -241,7 +254,7 @@ def test_tree_trace_matches_rescan_after_every_move(maker_name, starter):
             if idx is not None:
                 colors[idx] = sign
             assert type(peak) is F
-            assert peak == _max_abs_prefix(values, colors), (game, idx)
+            assert peak == _fraction_peak(values, colors), (game, idx)
             waits += idx is None
     assert waits > 0
 
@@ -259,14 +272,14 @@ def test_greedy_maker_matches_reference_on_partial_states():
         assert GreedyMaker().move(state) == expected, case
         # the trial signs leave the state as it was
         assert state.colors == colors
-        assert state.tree.peak() == _max_abs_prefix(values, colors)
+        assert state.tree.peak() == _fraction_peak(values, colors)
         if expected != ("wait",):
             i = expected[1]
             trials = []
             for sign in (1, -1):
                 trial = list(colors)
                 trial[i] = sign
-                trials.append(_max_abs_prefix(values, trial))
+                trials.append(_fraction_peak(values, trial))
             ties += trials[0] == trials[1]
     assert ties > 20  # the tie rule (+1 first, strict improvement) is exercised
 
@@ -316,3 +329,287 @@ def test_two_permutation_random_signed():
         cols = color_two_permutation(values, sigma)
         a, b = permutation_prefix_peaks(values, sigma, cols)
         assert a <= 4 and b <= 4
+
+
+# ---------------------------------------------------------------------------
+# The O(n) scans the strategies used to make, kept as move-by-move references
+# ---------------------------------------------------------------------------
+
+
+class _ScanRandomBreaker:
+    # draws from the uncolored list rebuilt from the colors on every move
+    def __init__(self, seed, wait_prob=0.0):
+        self.rng = random.Random(seed)
+        self.wait_prob = wait_prob
+
+    def move(self, state):
+        open_ = [i for i, c in enumerate(state.colors) if c == 0]
+        if not open_:
+            return ("wait",)
+        if (not state.must_color and state.wait_allowed[BREAKER]
+                and self.rng.random() < self.wait_prob):
+            return ("wait",)
+        return color_move(self.rng.choice(open_), self.rng.choice((-1, 1)))
+
+
+class _ScanPairingMaker:
+    # PairingGame.respond over the whole sequence, on the colors alone
+    def __init__(self, allow_fractional=False):
+        self.allow_fractional = allow_fractional
+        self.values = self.game = None
+
+    def move(self, state):
+        if state.values is not self.values:
+            if not self.allow_fractional and any(v not in (-1, 1) for v in state.values):
+                raise ValidationError("pairing maker requires +-1 values")
+            self.game = PairingGame(list(range(state.n)), list(state.values))
+            self.values = state.values
+        mv = self.game.respond(state.colors)
+        return ("wait",) if mv is None else color_move(*mv)
+
+
+class _ScanGreedyMaker:
+    # scans for the first uncolored element, compares the trial peaks as Fractions
+    def move(self, state):
+        for i in range(state.n):
+            if state.colors[i] != 0:
+                continue
+            best = None
+            for sign in (1, -1):
+                state.tree.set(i, sign)
+                peak = state.tree.peak()
+                state.tree.set(i, 0)
+                if best is None or peak < best[0]:
+                    best = (peak, sign)
+            return color_move(i, best[1])
+        return ("wait",)
+
+
+def _scan_maintenance_move(tb, state):
+    # TreeBreaker's endgame move by Fraction prefix sums and max() scans
+    lo, hi = tb.claim
+    prefix = pref_lo = F(0)
+    for e in range(hi):
+        if state.colors[e]:
+            prefix += state.colors[e] * state.values[e]
+        if e == lo:
+            pref_lo = prefix
+    if abs(pref_lo) > abs(prefix):
+        target, total = lo, pref_lo
+    else:
+        target, total = hi - 1, prefix
+    sign = 1 if total >= 0 else -1
+    open_ = [e for e in range(target + 1) if state.colors[e] == 0]
+    if open_:
+        return color_move(max(open_, key=lambda e: (-tb.tree.layer[e], -e)), sign)
+    rest = [e for e in range(state.n) if state.colors[e] == 0]
+    if not rest:
+        return ("wait",)
+    return color_move(max(rest, key=lambda e: (-tb.tree.layer[e], -e)), sign)
+
+
+class Lockstep:
+    """Plays ``fast``'s moves and asserts that ``scan`` makes each one too."""
+
+    def __init__(self, fast, scan):
+        self.fast, self.scan = fast, scan
+        self.calls = 0
+
+    def move(self, state):
+        mv = self.fast.move(state)
+        assert mv == self.scan.move(state), (len(state.history), mv)
+        self.calls += 1
+        return mv
+
+
+class CheckedTreeBreaker(TreeBreaker):
+    """TreeBreaker whose every endgame move is checked against the scans."""
+
+    maintenance_moves = 0
+
+    def _maintenance_move(self, state):
+        mv = super()._maintenance_move(state)
+        assert mv == _scan_maintenance_move(self, state), (len(state.history), mv)
+        self.maintenance_moves += 1
+        return mv
+
+
+MAKERS = {
+    "pairing": (lambda: PairingMaker(allow_fractional=True),
+                lambda: _ScanPairingMaker(allow_fractional=True)),
+    "greedy": (GreedyMaker, _ScanGreedyMaker),
+}
+
+
+def test_integer_rescan_matches_fraction_rescan():
+    rng = random.Random(4)
+    for _ in range(300):
+        values = _mixed_values(rng, rng.randint(0, 25))
+        colors = [rng.choice((-1, 0, 1)) for _ in values]
+        assert _max_abs_prefix(values, colors) == _fraction_peak(values, colors)
+
+
+def test_prefix_tree_queries_match_direct_sums():
+    rng = random.Random(12)
+    for _ in range(100):
+        values = _mixed_values(rng, rng.randint(1, 33))
+        colors = [rng.choice((-1, 0, 1)) for _ in values]
+        tree = PrefixTree(values, colors)
+        for m in range(len(values) + 1):
+            expected = sum((c * v for v, c in zip(values[:m], colors[:m])), F(0))
+            assert F(tree.prefix_scaled(m), tree.den) == expected
+        assert F(tree.peak_scaled(), tree.den) == tree.peak() == _fraction_peak(values, colors)
+
+
+@pytest.mark.parametrize("kind", ["unit", "mixed"])
+@pytest.mark.parametrize("maker_name", ["pairing", "greedy"])
+@pytest.mark.parametrize("starter", [MAKER, BREAKER])
+def test_strategies_match_the_scans_move_by_move(kind, maker_name, starter):
+    rng = random.Random(f"lockstep:{kind}:{maker_name}:{starter}")
+    fast_maker, scan_maker = MAKERS[maker_name]
+    waits = 0
+    for game in range(20):
+        n = rng.randint(1, 45)
+        values = ([rng.choice((-1, 1)) for _ in range(n)] if kind == "unit"
+                  else _mixed_values(rng, n))
+        seed = rng.randrange(10 ** 6)
+        maker = Lockstep(fast_maker(), scan_maker())
+        breaker = Lockstep(RandomBreaker(seed, wait_prob=0.3), _ScanRandomBreaker(seed, 0.3))
+        state, trace = play_game(values, maker, breaker, starter=starter)
+        # the scans alone play the same game
+        alone, alone_trace = play_game(values, scan_maker(), _ScanRandomBreaker(seed, 0.3),
+                                       starter=starter)
+        assert state.history == alone.history and trace == alone_trace, game
+        assert maker.calls + breaker.calls >= len(state.history)
+        waits += sum(idx is None for _, idx, _ in state.history)
+    assert waits > 0
+
+
+def _random_partial_state(rng, values, to_move=MAKER):
+    colors = [rng.choice((-1, 1)) if rng.random() < 0.5 else 0 for _ in values]
+    return GameState(values=tuple(values), colors=colors, to_move=to_move,
+                     wait_allowed={MAKER: True, BREAKER: True})
+
+
+def _apply(state, player, mv):
+    if mv[0] == "color":
+        state.color(mv[1], mv[2])
+        state.history.append((player, mv[1], mv[2]))
+    else:
+        state.history.append((player, None, None))
+
+
+@pytest.mark.parametrize("maker_name", ["pairing", "greedy"])
+def test_makers_match_the_scans_from_partial_states(maker_name):
+    rng = random.Random(f"partial:{maker_name}")
+    fast_maker, scan_maker = MAKERS[maker_name]
+    for case in range(60):
+        values = _mixed_values(rng, rng.randint(1, 30))
+        state = _random_partial_state(rng, values)
+        maker = Lockstep(fast_maker(), scan_maker())
+        breaker = _ScanRandomBreaker(case, wait_prob=0.3)
+        while state.open:
+            _apply(state, MAKER, maker.move(state))
+            if state.open:
+                _apply(state, BREAKER, breaker.move(state))
+        assert state.colors.count(0) == 0
+
+
+def test_pairing_maker_resyncs_after_outside_edits():
+    rng = random.Random(77)
+    resynced = 0
+    for case in range(80):
+        values = _mixed_values(rng, rng.randint(2, 30))
+        state = _random_partial_state(rng, values)
+        maker = PairingMaker(allow_fractional=True)
+        scan = _ScanPairingMaker(allow_fractional=True)
+        while state.open:
+            assert maker.move(state) == scan.move(state), case
+            edit = rng.randrange(4)
+            e = rng.choice(state.open)
+            if edit == 0:
+                # colored outside play_game, and recorded as a move
+                state.color(e, rng.choice((-1, 1)))
+                state.history.append((BREAKER, e, state.colors[e]))
+            elif edit == 1:
+                # colored outside play_game, and the history rewritten
+                state.color(e, rng.choice((-1, 1)))
+                state.history = [(BREAKER, e, state.colors[e])]
+                resynced += 1
+            elif edit == 2:
+                # a copy of the state with one more element colored
+                colors = list(state.colors)
+                colors[e] = rng.choice((-1, 1))
+                state = GameState(values=state.values, colors=colors, to_move=MAKER,
+                                  wait_allowed=state.wait_allowed,
+                                  history=list(state.history))
+                resynced += 1
+            else:
+                _apply(state, MAKER, maker.move(state))
+    assert resynced > 40
+
+
+def test_maintenance_move_matches_the_scan_on_random_states():
+    # the games at k <= 6 keep one layer open inside the claim at a time, so
+    # the lowest-layer-first pick is pinned here on random claims and colors
+    rng = random.Random(9)
+    tb = TreeBreaker(6)
+    n = len(tb.values)
+    layers_seen = set()
+    for case in range(25):
+        density = rng.random()
+        colors = [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+        state = GameState(values=tuple(tb.values), colors=colors, to_move=BREAKER,
+                          wait_allowed={MAKER: True, BREAKER: True})
+        lo = rng.randrange(n - 1)
+        tb.phase, tb.claim = "maintain", (lo, rng.randrange(lo + 1, n))
+        for _ in range(15):
+            mv = tb._maintenance_move(state)
+            assert mv == _scan_maintenance_move(tb, state), case
+            if mv[0] == "wait":
+                break
+            layers_seen.add(tb.tree.layer[mv[1]])
+            state.color(mv[1], mv[2])
+            # the opponent colors a random open element in between
+            if state.open:
+                state.color(rng.choice(state.open), rng.choice((-1, 1)))
+    assert layers_seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("maker_name", ["pairing", "greedy"])
+def test_hard_games_match_the_scans_move_by_move(k, maker_name):
+    fast_maker, scan_maker = MAKERS[maker_name]
+    values = breaker_hard_instance(k)
+    maker = Lockstep(fast_maker(), scan_maker())
+    breaker = CheckedTreeBreaker(k)
+    state, trace = play_game(values, maker, breaker, starter=BREAKER)
+    # every breaker move is a checked build move or a checked endgame move,
+    # except the opening at k=2, which colors the lone root
+    breaker_moves = sum(player == BREAKER for player, _, _ in state.history)
+    assert breaker.checked_moves == k // 2 - 1
+    assert breaker.maintenance_moves == breaker_moves - breaker.checked_moves - (k == 2)
+    payoff = max(trace)
+    assert payoff == {2: F(1), 4: F(1), 6: F(44, 3) if maker_name == "greedy" else F(22, 3)}[k]
+    # the unchecked engine and the plain TreeBreaker play the same game
+    plain, plain_trace = play_game(values, fast_maker(), TreeBreaker(k), starter=BREAKER)
+    assert plain.history == state.history and plain_trace == trace
+
+
+def test_exhaustive_pairing_value_matches_the_scan():
+    rng = random.Random(5)
+    cases = [[1] * n for n in range(1, 7)]
+    cases += [[rng.choice((-1, 1)) for _ in range(rng.randint(1, 7))] for _ in range(6)]
+    for values in cases:
+        for starter in (MAKER, BREAKER):
+            for waits in (True, False):
+                fast = exhaustive_breaker_value(values, PairingMaker(), starter=starter,
+                                                allow_wait=waits)
+                scan = exhaustive_breaker_value(values, _ScanPairingMaker(), starter=starter,
+                                                allow_wait=waits)
+                assert fast == scan, (values, starter, waits)
+    for _ in range(6):
+        values = _mixed_values(rng, rng.randint(1, 6))
+        fast = exhaustive_breaker_value(values, PairingMaker(allow_fractional=True))
+        scan = exhaustive_breaker_value(values, _ScanPairingMaker(allow_fractional=True))
+        assert fast == scan, values
