@@ -1,8 +1,10 @@
 """Prefix/interval discrepancy evaluation and sign-finding algorithms.
 
 A `SignedVectorSequence` is an ordered list of rational vectors together with
-a (possibly partial) coloring in {-1, 0, +1}.  Three discrepancy measures are
-supported:
+a (possibly partial) coloring in {-1, 0, +1}.  The exhaustive and greedy
+colorers and `discrepancy` work on the vectors as ints over one common scale:
+given at construction (``scale=``) or derived once per sequence.  Three
+discrepancy measures are supported:
 
 - ``prefix``: max over prefixes k of the infinity norm of the signed sum,
 - ``interval``: the same over all consecutive index windows,
@@ -35,12 +37,23 @@ class SignedVectorSequence:
     m: int
     vectors: list  # list of tuples of Fractions, each of length m
     signs: list = field(default_factory=list)  # entries in {-1, 0, +1}; 0 = uncolored
+    # If given, ``vectors`` arrive as int tuples that stand for vectors / scale;
+    # otherwise the colorers derive that integer form once, on first use.
+    scale: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.m}")
-        self.vectors = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-                        for v in self.vectors]
+        if self.scale is None:
+            self._ints = None
+            self.vectors = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+                            for v in self.vectors]
+        else:
+            self._ints = [tuple(v) for v in self.vectors]
+            if not all(type(x) is int for v in self._ints for x in v) or self.scale < 1:
+                raise ValidationError("scaled vectors must be ints over a positive int scale")
+            views = {v: tuple(Fraction(x, self.scale) for x in v) for v in set(self._ints)}
+            self.vectors = [views[v] for v in self._ints]  # equal vectors share one tuple
         for v in self.vectors:
             if len(v) != self.m:
                 raise ValidationError(f"vector of dimension {len(v)}, expected {self.m}")
@@ -95,9 +108,13 @@ def _require_fully_signed(seq: SignedVectorSequence) -> None:
 
 def _integer_vectors(seq: SignedVectorSequence) -> tuple[list[tuple[int, ...]], int]:
     """The vectors as integer tuples over one common scale (exactness keeper):
-    vector j is ``ints[j] / scale``, so values compare as plain ints."""
-    scale = lcm(*(x.denominator for v in seq.vectors for x in v))
-    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in seq.vectors], scale
+    vector j is ``ints[j] / scale``, so values compare as plain ints.  Derived
+    once per sequence (``with_signs`` copies share it), or given at construction."""
+    if seq._ints is None:
+        seq.scale = lcm(*(x.denominator for v in seq.vectors for x in v))
+        seq._ints = [tuple(x.numerator * (seq.scale // x.denominator) for x in v)
+                     for v in seq.vectors]
+    return seq._ints, seq.scale
 
 
 def discrepancy(seq: SignedVectorSequence, mode: str) -> DiscrepancyReport:
@@ -239,12 +256,14 @@ def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> 
 
 def color_greedy(seq: SignedVectorSequence) -> list[int]:
     """Process vectors in order, choosing the sign that minimizes the running
-    prefix infinity norm; ties go to +1."""
-    sums = [Fraction(0)] * seq.m
+    prefix infinity norm; ties go to +1.  Runs on the integer vectors, whose
+    common positive scale leaves every comparison as it is on the rationals."""
+    vecs, _ = _integer_vectors(seq)
+    sums = [0] * seq.m
     signs = []
-    for v in seq.vectors:
-        plus = max(abs(s + x) for s, x in zip(sums, v)) if seq.m else Fraction(0)
-        minus = max(abs(s - x) for s, x in zip(sums, v)) if seq.m else Fraction(0)
+    for v in vecs:
+        plus = max(abs(s + x) for s, x in zip(sums, v))
+        minus = max(abs(s - x) for s, x in zip(sums, v))
         eps = 1 if plus <= minus else -1
         signs.append(eps)
         sums = [s + eps * x for s, x in zip(sums, v)]

@@ -350,6 +350,8 @@ def instance_from_json(data: dict) -> SchedulingInstance:
         raw_jobs = data["jobs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance file missing field: {exc}") from None
+    if not isinstance(raw_jobs, list):
+        raise ValidationError(f"instance file: jobs must be a list, got {type(raw_jobs).__name__}")
     jobs = []
     for idx, row in enumerate(raw_jobs):
         try:

@@ -7,13 +7,20 @@ a prefix coloring decides each pair, and the merged result lives at level
 h-1.  Every level's feasibility bound degrades by exactly twice the achieved
 prefix discrepancy times the level's largest processing time, which the trace
 records and the tests recheck with exact arithmetic.
+
+At level h every load is an integer over one scale (D * 2^h for D the lcm of
+the processing-time denominators in the split), so the split, the window
+checker, the rounding vectors and the colorer add ints; a `Fraction` is built
+only for a public field or a report line.  The input check of a level after
+the first runs only if its loads or bound differ from those the previous
+leftover check passed; every leftover check runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Callable, Optional
 
@@ -150,30 +157,46 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
     given, maps release times to load already placed on machine i (a split's
     integral pieces) and joins that sum.  One worst_window scan per machine
     decides this in O(m (n + R log R)) for R distinct releases; each
-    overloaded machine gets one line naming its worst window.
+    overloaded machine gets one line naming its worst window.  The scan runs
+    on integers over one scale, lx * lt for lx the lcm of the x denominators
+    and lt that of the times, processing times and fixed loads; a positive
+    scale keeps every comparison, and a report line converts back.
     """
     problems = []
-    for j in range(inst.n):
-        total = sum(fa.x[j], Fraction(0))
-        if total != 1:
-            problems.append(f"job {j}: row sum {total} != 1")
-        for i, p in enumerate(inst.jobs[j].proc):
-            v = fa.x[j][i]
-            if v < 0:
-                problems.append(f"x[{j},{i}] = {v} negative")
-            if v > 0 and (p is None or p > fa.T):
+    fixed = fixed_load if fixed_load is not None else [{}] * inst.m
+    lx = lcm(*(v.denominator for row in fa.x for v in row))
+    lt = lcm(*(job.release.denominator for job in inst.jobs),
+             *(p.denominator for _, _, p in inst.finite_procs()),
+             *(v.denominator for loads in fixed for item in loads.items() for v in item))
+    scale = lx * lt
+    t_num, t_den = fa.T.numerator, fa.T.denominator
+    pairs = [[(_scaled(t, scale), _scaled(load, scale)) for t, load in f.items()] for f in fixed]
+    for j, job in enumerate(inst.jobs):
+        xs = [_scaled(v, lx) for v in fa.x[j]]
+        if sum(xs) != lx:
+            problems.append(f"job {j}: row sum {Fraction(sum(xs), lx)} != 1")
+        r = _scaled(job.release, scale)
+        for i, p in enumerate(job.proc):
+            if xs[i] < 0:
+                problems.append(f"x[{j},{i}] = {fa.x[j][i]} negative")
+            p = None if p is None else _scaled(p, lt)
+            if xs[i] > 0 and (p is None or p * t_den > t_num * lt):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
+            if p is not None:
+                pairs[i].append((r, xs[i] * p))
     for i in range(inst.m):
-        fixed = fixed_load[i].items() if fixed_load is not None else ()
-        worst = worst_window(chain(fixed, ((job.release, fa.x[j][i] * job.proc[i])
-                                           for j, job in enumerate(inst.jobs)
-                                           if job.proc[i] is not None)))
-        if worst is not None and worst[0] > fa.T:
-            excess, t1, t2 = worst
+        worst = worst_window(pairs[i])
+        if worst is not None and worst[0] * t_den > t_num * scale:
+            excess, t1, t2 = (Fraction(v, scale) for v in worst)
             problems.append(
                 f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + fa.T}"
             )
     return problems
+
+
+def _scaled(v, scale: int) -> int:
+    """The rational ``v`` times ``scale``, which its denominator divides."""
+    return v.numerator * (scale // v.denominator)
 
 
 def _feasible_at(inst: SchedulingInstance, T) -> Optional[lpmod.LpSolution]:
@@ -238,7 +261,8 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
                 raise InternalCheckError("assignment LP infeasible even at the loosest pattern")
             t_star = cap
 
-    witness = _feasible_at(inst, t_star)
+    feasible(t_star)  # a breakpoint's solve is cached: the same LP, the same solver
+    witness = feas_cache[t_star]
     if witness is None:
         raise InternalCheckError(f"certified bound {t_star} did not re-verify feasible")
     below = t_star - resolution
@@ -275,16 +299,49 @@ def quantized_bound(inst: SchedulingInstance, fa: FractionalAssignment, level: i
 @dataclass
 class PairSplit:
     """The half-jobs of a level's pair instance, its integral pieces folded
-    into fixed loads, and the map back to original jobs."""
+    into fixed loads, and the map back to original jobs.
+
+    Loads are integers: a piece of job j on machine i weighs ``weights[j][i]``
+    = p_ij * D over ``den`` = D * 2^(level-1), for D the lcm of the
+    processing-time denominators."""
 
     instance: SchedulingInstance  # the half-jobs only
     assignment: FractionalAssignment  # 1/2 on each machine of every half-job
     origin: list[int]                 # half-job -> original job
     pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct
     level: int
-    fixed_load: list[dict]            # machine -> {release: load of its integral pieces}
     integral_counts: list[list[int]]  # [job][machine] -> integral pieces
     p_max_level: Fraction             # largest processing time over all pieces
+    releases: list                    # job -> its release
+    weights: list[list]               # [job][machine] -> p * D where x > 0
+    den: int
+
+    @property
+    def fixed_load(self) -> list[dict]:
+        """machine -> {release: load of its integral pieces}"""
+        out: list[dict] = [{} for _ in range(self.instance.m)]
+        for j, row in enumerate(self.integral_counts):
+            for i, c in enumerate(row):
+                if c:
+                    r = self.releases[j]
+                    out[i][r] = out[i].get(r, 0) + c * self.weights[j][i]
+        return [{r: Fraction(v, self.den) for r, v in loads.items()} for loads in out]
+
+    def loads(self, asg: Optional[MachineAssignment] = None) -> list[dict]:
+        """machine -> {job: load}: over ``2 den`` the load that the input check
+        scans (integral pieces, each half-job at 1/2 on both machines), or with
+        ``asg`` over ``den`` the load that its leftover check scans (each
+        half-job whole on its machine).  Per job, so each (machine, release)
+        load is their sum."""
+        k = 1 if asg else 2
+        counts = Counter({(j, i): k * c for j, row in enumerate(self.integral_counts)
+                          for i, c in enumerate(row) if c})
+        counts.update(zip(self.origin, asg.assign) if asg else
+                      ((j, i) for j, pair in zip(self.origin, self.pairs) for i in pair))
+        out: list[dict] = [{} for _ in range(self.instance.m)]
+        for (j, i), c in counts.items():
+            out[i][j] = c * self.weights[j][i]
+        return out
 
     def merge_assignment(self, asg: MachineAssignment) -> FractionalAssignment:
         """Fold an integral half-job assignment back to level h-1 fractions."""
@@ -294,6 +351,9 @@ class PairSplit:
             counts[self.origin[jp]][machine] += 1
         x = [[Fraction(c, scale) for c in row] for row in counts]
         return FractionalAssignment(x=x, T=self.assignment.T)
+
+
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, level: int) -> PairSplit:
@@ -306,52 +366,53 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
     one machine whose slots span the middle, so they are integral and only
     their count and their load at the job's release are kept.  Half on each
     member plus the fixed loads gives every window the load of x, so the split
-    is feasible at the same bound.
+    is feasible at the same bound.  Slot counts and weights are integers.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
     scale = 2 ** level
     half = scale // 2
+    d = lcm(*(p.denominator for _, _, p in inst.finite_procs()))
     jobs: list[Job] = []
     origin: list[int] = []
     pairs: list[tuple[int, int]] = []
-    fixed_load: list[dict] = [{} for _ in range(inst.m)]
+    weights = [[None] * inst.m for _ in range(inst.n)]
     integral_counts = [[0] * inst.m for _ in range(inst.n)]
-    top = Fraction(0)
     for j, job in enumerate(inst.jobs):
         slots: list[int] = []
-        for i in range(inst.m):
-            cnt = fa.x[j][i] * scale
-            if cnt.denominator != 1:
-                raise ValidationError(f"x[{j},{i}] = {fa.x[j][i]} is not a multiple of 1/{scale}")
+        for i, v in enumerate(fa.x[j]):
+            if scale % v.denominator:
+                raise ValidationError(f"x[{j},{i}] = {v} is not a multiple of 1/{scale}")
+            cnt = _scaled(v, scale)
             if cnt:
                 if job.proc[i] is None:
-                    raise ValidationError(f"x[{j},{i}] = {fa.x[j][i]} positive on a forbidden machine")
-                top = max(top, job.proc[i])
-            slots.extend([i] * int(cnt))
+                    raise ValidationError(f"x[{j},{i}] = {v} positive on a forbidden machine")
+                weights[j][i] = _scaled(job.proc[i], d)
+            slots.extend([i] * cnt)
         if len(slots) != scale:
             raise ValidationError(f"job {j}: assignment row does not sum to 1")
         q = 0
+        pieces: dict = {}  # (i1, i2) -> its half-job, shared by equal pieces
         while q < half and slots[q] != slots[scale - 1 - q]:
-            i1, i2 = slots[q], slots[scale - 1 - q]
-            proc = [None] * inst.m
-            proc[i1] = job.proc[i1] / half
-            proc[i2] = job.proc[i2] / half
-            jobs.append(Job(release=job.release, proc=tuple(proc)))
+            pair = slots[q], slots[scale - 1 - q]
+            if pair not in pieces:
+                proc = [None] * inst.m
+                for i in pair:
+                    proc[i] = job.proc[i] / half
+                pieces[pair] = Job(release=job.release, proc=tuple(proc))
+            jobs.append(pieces[pair])
             origin.append(j)
-            pairs.append((i1, i2))
+            pairs.append(pair)
             q += 1
         if q < half:
-            i = slots[q]
-            integral_counts[j][i] = half - q
-            load = fixed_load[i].get(job.release, 0)
-            fixed_load[i][job.release] = load + (half - q) * job.proc[i] / half
-    x_rows = [[Fraction(1, 2) if i in pair else Fraction(0) for i in range(inst.m)] for pair in pairs]
+            integral_counts[j][slots[q]] = half - q
+    x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
+    top = max((w for row in weights for w in row if w is not None), default=0)
     return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
                      assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,
-                     pairs=pairs, level=level, fixed_load=fixed_load,
-                     integral_counts=integral_counts,
-                     p_max_level=top / half)
+                     pairs=pairs, level=level, integral_counts=integral_counts,
+                     p_max_level=Fraction(top, d * half),
+                     releases=[job.release for job in inst.jobs], weights=weights, den=d * half)
 
 
 def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=None):
@@ -362,20 +423,44 @@ def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=No
     ``pmax`` (default p_max(inst)) is at least every processing time in inst.
     Returns (ordered (job, i1, i2) triples, vectors).
     """
-    pmax = p_max(inst) if pmax is None else pmax
+    _, halves = _half_integral_rows(inst, fa)
+    halves, seq = _rounding_sequence(inst, halves, p_max(inst) if pmax is None else pmax)
+    return halves, seq.vectors
+
+
+def _half_integral_rows(inst: SchedulingInstance, fa: FractionalAssignment):
+    """(machine of each integral row or None, (job, i1, i2) of each half row);
+    any other row is a ValidationError."""
+    assign: list[Optional[int]] = [None] * inst.n
     halves = []
     for j in range(inst.n):
-        support = [(i, v) for i, v in enumerate(fa.x[j]) if v != 0]
-        if len(support) == 2 and support[0][1] == support[1][1] == Fraction(1, 2):
-            halves.append((j, support[0][0], support[1][0]))
-    halves.sort(key=lambda h: (inst.jobs[h[0]].release, h[0]))
-    vectors = []
+        support = [(i, v) for i, v in enumerate(fa.x[j]) if v]
+        if len(support) == 1 and support[0][1] == 1:
+            assign[j] = support[0][0]
+        elif len(support) == 2 and support[0][1] == support[1][1] == _HALF:
+            i1, i2 = support[0][0], support[1][0]
+            if inst.jobs[j].proc[i1] is None or inst.jobs[j].proc[i2] is None:
+                raise ValidationError(f"job {j} half-assigned to a forbidden machine")
+            halves.append((j, i1, i2))
+        else:
+            raise ValidationError(f"job {j}: row {fa.x[j]} is not half-integral")
+    return assign, halves
+
+
+def _rounding_sequence(inst: SchedulingInstance, halves, pmax):
+    """``halves`` in release order (ties by index) and their vectors as one
+    sequence of ints over 2 p_max d, d the lcm of the denominators involved."""
+    jobs = inst.jobs
+    r = lcm(*(jobs[j].release.denominator for j, _, _ in halves))
+    halves = sorted(halves, key=lambda h: (_scaled(jobs[h[0]].release, r), h[0]))
+    d = lcm(pmax.denominator, *(jobs[j].proc[i].denominator for j, i1, i2 in halves for i in (i1, i2)))
+    ints = []
     for j, i1, i2 in halves:
-        v = [Fraction(0)] * inst.m
-        v[i1] = inst.jobs[j].proc[i1] / (2 * pmax)
-        v[i2] = -inst.jobs[j].proc[i2] / (2 * pmax)
-        vectors.append(v)
-    return halves, vectors
+        v = [0] * inst.m
+        v[i1], v[i2] = _scaled(jobs[j].proc[i1], d), -_scaled(jobs[j].proc[i2], d)
+        ints.append(v)
+    # p_max = 0 leaves only zero entries, whatever the scale
+    return halves, SignedVectorSequence(m=inst.m, vectors=ints, scale=2 * _scaled(pmax, d) or 1)
 
 
 def round_half_integral_maxflow(
@@ -384,6 +469,7 @@ def round_half_integral_maxflow(
     colorer: Callable[[SignedVectorSequence], list[int]],
     fixed_load=None,
     pmax=None,
+    check_input: bool = True,
 ) -> tuple[MachineAssignment, Fraction]:
     """Round a half-integral assignment by prefix coloring; returns (assignment, D).
 
@@ -393,29 +479,20 @@ def round_half_integral_maxflow(
     result satisfies every machine window at T + 2 * D * p_max where D is the
     achieved prefix discrepancy of the coloring.  ``fixed_load`` (see
     fractional_assignment_violations) joins both checks.  ``pmax`` defaults to
-    p_max(inst); a split passes its level's p_max over all pieces.
+    p_max(inst); a split passes its level's p_max over all pieces.  Only a
+    caller that has shown the input check would pass may skip it with
+    ``check_input=False``; the leftover check always runs.
     """
-    bad_input = fractional_assignment_violations(inst, fa, fixed_load)
-    if bad_input:
-        raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
+    if check_input:
+        bad_input = fractional_assignment_violations(inst, fa, fixed_load)
+        if bad_input:
+            raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
     pmax = p_max(inst) if pmax is None else pmax
-    assign: list[Optional[int]] = [None] * inst.n
-    for j in range(inst.n):
-        support = [(i, v) for i, v in enumerate(fa.x[j]) if v != 0]
-        if len(support) == 1 and support[0][1] == 1:
-            assign[j] = support[0][0]
-        elif len(support) == 2 and support[0][1] == support[1][1] == Fraction(1, 2):
-            i1, i2 = support[0][0], support[1][0]
-            if inst.jobs[j].proc[i1] is None or inst.jobs[j].proc[i2] is None:
-                raise ValidationError(f"job {j} half-assigned to a forbidden machine")
-        else:
-            raise ValidationError(f"job {j}: row {fa.x[j]} is not half-integral")
-    halves, vectors = rounding_vectors(inst, fa, pmax)
-    seq = SignedVectorSequence(m=inst.m, vectors=vectors)
-    if vectors:
+    assign, halves = _half_integral_rows(inst, fa)
+    halves, seq = _rounding_sequence(inst, halves, pmax)
+    if halves:
         signs = colorer(seq)
-        seq = seq.with_signs(signs)
-        achieved = discrepancy(seq, PREFIX).value
+        achieved = discrepancy(seq.with_signs(signs), PREFIX).value
     else:
         signs = []
         achieved = Fraction(0)
@@ -424,8 +501,8 @@ def round_half_integral_maxflow(
     result = MachineAssignment(assign=tuple(assign))
     bound = fa.T + 2 * achieved * pmax
     leftover = fractional_assignment_violations(
-        inst, FractionalAssignment(x=[[Fraction(1) if i == result.assign[j] else Fraction(0)
-                                       for i in range(inst.m)] for j in range(inst.n)], T=bound),
+        inst, FractionalAssignment(x=[[_ONE if i == machine else _ZERO for i in range(inst.m)]
+                                      for machine in result.assign], T=bound),
         fixed_load,
     )
     if leftover:
@@ -433,6 +510,23 @@ def round_half_integral_maxflow(
             "rounded assignment violates its discrepancy bound: " + "; ".join(leftover)
         )
     return result, achieved
+
+
+def _repeats_leftover(split: PairSplit, leftover) -> bool:
+    """Whether the input check of ``split`` can only repeat ``leftover``, the
+    (loads, bound) that the previous level's leftover check passed.
+
+    By construction every half-job row is 1/2 on two machines, so the check's
+    per-entry part asks only that each half-job's processing time, at most
+    p_max_level, stay within the bound.  Its window part is a scan of the
+    loads per (machine, release) at the bound.  Equal loads per (machine, job)
+    and an equal bound make every window it scans one that the leftover check
+    scanned with the same load (that check also saw zero loads of unchosen
+    machines), so it passes.  Otherwise the caller runs the full check.
+    """
+    loads, bound = leftover
+    T = split.assignment.T
+    return T == bound and split.p_max_level <= T and split.loads() == loads
 
 
 def full_round_maxflow(
@@ -455,13 +549,16 @@ def full_round_maxflow(
     fa = FractionalAssignment(x=fa.x, T=t_quant)
     records: list[LevelRecord] = []
     running_T = t_quant
+    leftover = None  # (loads, bound) the previous leftover check passed
     for h in range(level, 0, -1):
         split = split_to_pair_instance(inst, fa, h)
         pml = split.p_max_level
+        check = leftover is None or not _repeats_leftover(split, leftover)
         asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer,
-                                                          split.fixed_load, pml)
+                                                          split.fixed_load, pml, check_input=check)
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))
         running_T = running_T + 2 * achieved * pml
+        leftover = split.loads(asg_split), running_T
         fa = split.merge_assignment(asg_split)
         fa = FractionalAssignment(x=fa.x, T=running_T)
     assign = []

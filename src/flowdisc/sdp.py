@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -73,20 +74,48 @@ def choose_r(delta, n: int, m: int) -> int:
 
     With x = ln(2 n r m), a chi-square with r degrees of freedom exceeds
     r + 2 sqrt(r x) + 2 x with probability at most e^(-x) = 1/(2 n r m); the
-    block size must push that threshold below (1+delta)^2 r.
+    block size must push that threshold below (1+delta)^2 r.  Each r is
+    decided exactly (see _tail_fits), with no float.
     """
-    delta = float(delta)
+    delta = Fraction(delta)
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
     if n < 1 or m < 1:
         raise ValidationError(f"need n >= 1 and m >= 1, got n = {n}, m = {m}")
-    target = (1.0 + delta) ** 2
     r = 1
-    while True:
-        x = math.log(2 * n * r * m)
-        if r + 2 * math.sqrt(r * x) + 2 * x <= target * r:
-            return r
+    while not _tail_fits(r, 2 * n * r * m, (1 + delta) ** 2):
         r += 1
+    return r
+
+
+def _tail_fits(r: int, N: int, c: Fraction) -> bool:
+    """Whether r + 2 sqrt(r x) + 2 x <= c r for x = ln N, N >= 2.
+
+    At a rational q >= 0 the test is exact on squares and monotone in q.
+    ln N = 2 k atanh(1/3) + 2 atanh(z), k = floor(log2 N), z = (N - 2^k)/(N + 2^k),
+    is transcendental, so it never meets the threshold: bounds lo < ln N < hi
+    refined until both give one answer decide it.
+    """
+    def fits(q: Fraction) -> bool:
+        slack = (c - 1) * r - 2 * q
+        return slack >= 0 and 4 * r * q <= slack * slack
+
+    k, terms = N.bit_length() - 1, 1
+    while True:
+        (a_lo, a_hi), (b_lo, b_hi) = (_atanh(Fraction(1, 3), terms),
+                                      _atanh(Fraction(N - 2 ** k, N + 2 ** k), terms))
+        lo, hi = 2 * (k * a_lo + b_lo), 2 * (k * a_hi + b_hi)
+        if fits(hi) or not fits(lo):
+            return fits(hi)
+        terms *= 2
+
+
+@lru_cache(maxsize=64)
+def _atanh(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Bounds on atanh(z) = sum z^(2i+1)/(2i+1), 0 <= z < 1: the sum of the first
+    ``terms`` terms, and it plus z^(2t+1)/((2t+1)(1 - z^2)) for t = terms."""
+    part = sum((z ** (2 * i + 1) / (2 * i + 1) for i in range(terms)), Fraction(0))
+    return part, part + z ** (2 * terms + 1) / ((2 * terms + 1) * (1 - z * z))
 
 
 def in_body_K(point: list, r: int, delta) -> tuple[bool, list]:

@@ -373,3 +373,163 @@ def test_game_input_contract_by_fuzzing(text, maker, breaker, starter, hard_k):
     else:
         assert len(err) == 1, err
         assert err[0].startswith("error:" if code == 1 else "internal check failed:"), err
+
+
+# -- input contract of `maxflow`, `totalflow`, `color` and `check`, by fuzzing --
+
+_SMALL = st.one_of(st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 6), st.integers(1, 3)),
+                   st.integers(0, 5))
+
+
+@st.composite
+def _instances(draw):
+    """A valid instance, often with one field replaced by a fuzzed value."""
+    m = draw(st.integers(1, 3))
+    jobs = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.lists(st.one_of(_SMALL, _SMALL, st.none()), min_size=m, max_size=m))
+        jobs.append({"r": draw(_SMALL), "p": p if any(x is not None for x in p) else ["1"] + p[1:]})
+    data = {"m": m, "jobs": jobs}
+    spot = draw(st.sampled_from(["none", "none", "m", "jobs", "job", "r", "p", "entry"]))
+    bad = draw(st.one_of(_ENTRIES, st.sampled_from([[], {}, [1], 2, 4, 0, -1])))
+    job = draw(st.sampled_from(jobs))
+    if spot in ("m", "jobs"):
+        data[spot] = bad
+    elif spot == "job":
+        jobs[jobs.index(job)] = bad
+    elif spot in ("r", "p"):
+        job[spot] = bad
+    elif spot == "entry":
+        job["p"][draw(st.integers(0, m - 1))] = bad
+    return data
+
+
+_INSTANCE_FILES = st.one_of(
+    _instances(), _instances(), _instances(),
+    st.sampled_from([[], None, 5, "x", {}, {"m": 2}, {"jobs": []}]),
+).map(lambda data: json.dumps(data, allow_nan=True))
+
+
+@st.composite
+def _vector_files(draw):
+    """A valid vector file, often with one field replaced by a fuzzed value."""
+    m = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.lists(st.one_of(_SMALL, _ENTRIES.filter(
+        lambda v: isinstance(v, str) and "/" in v)), min_size=m, max_size=m), min_size=1, max_size=6))
+    data = {"m": m, "vectors": vectors}
+    spot = draw(st.sampled_from(["none", "none", "m", "vectors", "row", "entry"]))
+    bad = draw(st.one_of(_ENTRIES, st.sampled_from([[], {}, [1], 2, 4, 0, -1])))
+    row = draw(st.integers(0, len(vectors) - 1))
+    if spot in ("m", "vectors"):
+        data[spot] = bad
+    elif spot == "row":
+        vectors[row] = bad
+    elif spot == "entry":
+        vectors[row][draw(st.integers(0, m - 1))] = bad
+    return json.dumps(data)
+
+
+_RESULT_EDITS = st.lists(st.tuples(
+    st.sampled_from(["T_star", "assignment", "levels", "max_flow", "lp_cost", "alpha_levels",
+                     "total_flow", "h", "D", "alpha_before", "alpha_after", "bound", "entry"]),
+    st.one_of(_ENTRIES, st.integers(-2, 4), st.sampled_from([[], {}, [1], [0, 0], "-5/1"])),
+), max_size=2)
+
+
+def _edit_result(data, edits):
+    """Apply (field, value) edits to a result: top-level fields, a field of the
+    first level, or the first assignment entry ("entry")."""
+    for field, value in edits:
+        levels = data.get("levels") or data.get("alpha_levels")
+        if field in data or field in ("T_star", "assignment", "levels", "max_flow"):
+            data[field] = value
+        elif field == "entry" and isinstance(data.get("assignment"), list) and data["assignment"]:
+            data["assignment"][0] = value
+        elif isinstance(levels, list) and levels and isinstance(levels[0], dict):
+            levels[0][field] = value
+    return data
+
+
+def _run_contract(argv, files, success_prefix):
+    """Run ``argv`` with ``files`` (name -> text) in a scratch directory: exit 0
+    with no stderr, or exit 1 or 2 with one stderr line; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        argv = [paths.get(arg, arg) for arg in argv] + ["--out", os.path.join(tmp, "out.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a traceback fails the test
+    assert code in (0, 1, 2)
+    err = err.getvalue().splitlines()
+    if code == 0:
+        assert err == [] and out.getvalue().startswith(success_prefix)
+    else:
+        assert len(err) == 1, err
+        assert err[0].startswith("error:" if code == 1 else "internal check failed:"), err
+
+
+_LONG_INSTANCES = [
+    '{"m": 1, "jobs": [{"r": 1' + "0" * 5000 + ', "p": ["1"]}]}',  # JSON int past the digit limit
+    json.dumps({"m": 2, "jobs": [{"r": "0", "p": ["1/" + _HUGE[1], "1/" + _HUGE[2]]},
+                                 {"r": "1/" + _HUGE[1], "p": ["1", "1/" + _HUGE[2]]}]}),
+    '{"m": 1, "jobs": [{"r": NaN, "p": [1]}]}',
+    '{"m": 2, "jobs": [',
+]
+
+
+@settings(max_examples=60, deadline=None)
+@example(text=_LONG_INSTANCES[1], command="maxflow", colorer="greedy")
+@given(text=st.one_of(_INSTANCE_FILES, st.sampled_from(_LONG_INSTANCES)),
+       command=st.sampled_from(["maxflow", "totalflow"]),
+       colorer=st.sampled_from(["greedy", "brute", "floating", "paired"]))
+def test_pipeline_input_contract_by_fuzzing(text, command, colorer):
+    prefix = "T* = " if command == "maxflow" else "lp_cost = "
+    _run_contract([command, "--instance", "inst.json", "--colorer", colorer],
+                  {"inst.json": text}, prefix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.one_of(_vector_files(), _vector_files(), _VALUE_FILES, _RAW_FILES),
+       colorer=st.sampled_from(["greedy", "brute", "floating", "paired"]),
+       mode=st.sampled_from(["prefix", "interval", "one-sided"]),
+       limit=st.sampled_from([20, 20, 0, -1, 3]))
+def test_color_input_contract_by_fuzzing(text, colorer, mode, limit):
+    _run_contract(["color", "--vectors", "vec.json", "--colorer", colorer, "--mode", mode,
+                   "--limit", str(limit)], {"vec.json": text}, f"{colorer} {mode}: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=st.one_of(_INSTANCE_FILES, st.sampled_from(_LONG_INSTANCES)),
+       command=st.sampled_from(["maxflow", "totalflow"]),
+       edits=_RESULT_EDITS,
+       raw=st.one_of(st.none(), st.none(), _RAW_FILES, st.sampled_from(["[]", "5", "null"])))
+def test_check_input_contract_by_fuzzing(instance, command, edits, raw):
+    # the result file: the command's own result on the instance, with edits, or raw text
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, res = os.path.join(tmp, "inst.json"), os.path.join(tmp, "res.json")
+        with open(inst, "w") as fh:
+            fh.write(instance)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            made = main([command, "--instance", inst, "--out", res]) == 0
+        if made and raw is None:
+            with open(res) as fh:
+                text = json.dumps(_edit_result(json.load(fh), edits))
+        else:
+            text = raw if raw is not None else json.dumps(_edit_result({}, edits))
+        with open(res, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--instance", inst, "--result", res])  # a traceback fails
+    assert code in (0, 1, 2)
+    out, err = out.getvalue().splitlines(), err.getvalue().splitlines()
+    if code == 0:
+        assert err == [] and out == ["ok"]
+    elif err:  # a file that cannot be read as an instance or a result
+        assert out == [] and len(err) == 1 and err[0].startswith("error:"), err
+    else:  # the result's findings, one line each
+        assert out and all(out), out

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdisc.coloring import (
+    COLORERS,
     INTERVAL,
     ONE_SIDED,
     PREFIX,
@@ -400,3 +402,68 @@ def test_sequence_keeps_fractions_and_converts_the_rest():
 def test_sequence_checks_still_fire(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def _fraction_greedy(seq):
+    """The greedy colorer on Fraction prefix sums (reference)."""
+    sums = [F(0)] * seq.m
+    signs = []
+    for v in seq.vectors:
+        plus = max(abs(s + x) for s, x in zip(sums, v))
+        minus = max(abs(s - x) for s, x in zip(sums, v))
+        eps = 1 if plus <= minus else -1
+        signs.append(eps)
+        sums = [s + eps * x for s, x in zip(sums, v)]
+    return signs
+
+
+def _seeded_sequences(rng, count):
+    """Sequences with mixed denominators, zero vectors and exact ties."""
+    for _ in range(count):
+        n, m = rng.randint(0, 14), rng.randint(1, 4)
+        dens = [rng.sample((1, 2, 3, 4, 5, 7, 9), 2) for _ in range(m)]
+        vs = [[F(rng.randint(-3, 3), rng.choice(dens[i])) for i in range(m)] for _ in range(n)]
+        if vs and rng.random() < 0.3:
+            vs[rng.randrange(n)] = [F(0)] * m
+        if n >= 2 and rng.random() < 0.3:
+            vs[1] = [-x for x in vs[0]]  # a later tie between +1 and -1
+        yield m, vs
+
+
+def test_greedy_matches_fraction_reference():
+    rng = random.Random(61)
+    ties = 0
+    for m, vs in _seeded_sequences(rng, 300):
+        s = SignedVectorSequence(m, vs)
+        assert color_greedy(s) == _fraction_greedy(s), vs
+        ties += any(max(abs(x) for x in v) == 0 for v in s.vectors)
+    assert ties  # the +1 tie rule was exercised
+
+
+def test_scaled_integer_input_is_the_same_sequence():
+    rng = random.Random(62)
+    for m, vs in _seeded_sequences(rng, 120):
+        s = SignedVectorSequence(m, vs)
+        scale = math.lcm(*(x.denominator for v in s.vectors for x in v))
+        ints = [[int(x * scale) for x in v] for v in s.vectors]
+        t = SignedVectorSequence(m, ints, scale=scale)
+        assert t == s and t.vectors == s.vectors
+        assert all(type(x) is F for v in t.vectors for x in v)
+        for name, colorer in COLORERS.items():
+            try:
+                expected = colorer(s)
+            except ValidationError as exc:  # the paired colorer takes +-1 entries only
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                    colorer(t)
+                continue
+            assert colorer(t) == expected, name
+            if s.n:
+                for mode in (PREFIX, INTERVAL, ONE_SIDED):
+                    assert discrepancy(t.with_signs(expected), mode) == \
+                        discrepancy(s.with_signs(expected), mode)
+
+
+@pytest.mark.parametrize("ints, scale", [([[F(1, 2)]], 2), ([[True]], 1), ([[1]], 0), ([[1]], -2)])
+def test_scaled_input_must_be_ints_over_a_positive_scale(ints, scale):
+    with pytest.raises(ValidationError):
+        SignedVectorSequence(1, ints, scale=scale)

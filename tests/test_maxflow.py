@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -18,6 +19,7 @@ from flowdisc.core import (
     gen_random_instance,
     make_instance,
     p_max,
+    worst_window,
 )
 from flowdisc.maxflow import (
     FractionalAssignment,
@@ -616,3 +618,198 @@ def test_full_round_at_roadmap_scale():
     asg, trace = full_round_maxflow(inst, color_greedy)
     assert trace.t_star == 7 and trace.final_value == 10
     assert check_result(inst, result_to_json(trace, asg)) == []
+
+
+def _fraction_violations(inst, fa, fixed_load=None):
+    """fractional_assignment_violations on Fraction loads (reference)."""
+    problems = []
+    for j in range(inst.n):
+        total = sum(fa.x[j], F(0))
+        if total != 1:
+            problems.append(f"job {j}: row sum {total} != 1")
+        for i, p in enumerate(inst.jobs[j].proc):
+            v = fa.x[j][i]
+            if v < 0:
+                problems.append(f"x[{j},{i}] = {v} negative")
+            if v > 0 and (p is None or p > fa.T):
+                problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
+    for i in range(inst.m):
+        fixed = fixed_load[i].items() if fixed_load is not None else ()
+        worst = worst_window(itertools.chain(fixed, ((job.release, fa.x[j][i] * job.proc[i])
+                                                     for j, job in enumerate(inst.jobs)
+                                                     if job.proc[i] is not None)))
+        if worst is not None and worst[0] > fa.T:
+            excess, t1, t2 = worst
+            problems.append(
+                f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + fa.T}"
+            )
+    return problems
+
+
+def _fractional_instance(rng, m=3, max_jobs=6):
+    """Fractional releases and processing times, repeated releases, forbidden
+    entries, and a last machine that no job can use."""
+    jobs = []
+    for _ in range(rng.randint(1, max_jobs)):
+        if jobs and rng.random() < 0.3:
+            release = jobs[-1][0]
+        else:
+            release = F(rng.randint(0, 9), rng.choice([1, 2, 3]))
+        proc = [F(rng.randint(1, 6), rng.choice([1, 2, 3])) if rng.random() < 0.7 else None
+                for _ in range(m - 1)]
+        if proc.count(None) == m - 1:
+            proc[rng.randrange(m - 1)] = F(rng.randint(1, 6))
+        jobs.append((release, proc + [None]))
+    return make_instance(m, jobs)
+
+
+def test_integer_checker_matches_fraction_reference():
+    rng = random.Random(73)
+    kinds = {"overloaded": 0, "entry": 0, "fixed": 0, "clean": 0}
+    for trial in range(300):
+        inst = _fractional_instance(rng)
+        x = []
+        for job in inst.jobs:
+            weights = [F(rng.randint(0, 4)) if p is not None or rng.random() < 0.1 else F(0)
+                       for p in job.proc]
+            if rng.random() < 0.1:
+                weights[rng.randrange(inst.m)] = F(-1)
+            total = sum(weights)
+            x.append([w / total if total else w for w in weights])
+        T = F(rng.randint(-2, 14), rng.choice([1, 2, 3, 4]))
+        fixed = None
+        if rng.random() < 0.5:
+            fixed = [{F(rng.randint(0, 9), rng.choice([1, 2, 5])): F(rng.randint(0, 6), rng.choice([1, 3]))
+                      for _ in range(rng.randint(0, 3))} for _ in range(inst.m)]
+            kinds["fixed"] += 1
+        fa = FractionalAssignment(x=x, T=T)
+        lines = fractional_assignment_violations(inst, fa, fixed)
+        assert lines == _fraction_violations(inst, fa, fixed)
+        kinds["overloaded"] += any("window" in line for line in lines)
+        kinds["entry"] += any("window" not in line for line in lines)
+        kinds["clean"] += not lines
+    assert all(kinds.values()), kinds
+
+
+def _fraction_rounding_vectors(inst, fa, pmax):
+    """rounding_vectors on Fraction entries (reference)."""
+    halves = []
+    for j in range(inst.n):
+        support = [(i, v) for i, v in enumerate(fa.x[j]) if v != 0]
+        if len(support) == 2 and support[0][1] == support[1][1] == F(1, 2):
+            halves.append((j, support[0][0], support[1][0]))
+    halves.sort(key=lambda h: (inst.jobs[h[0]].release, h[0]))
+    vectors = []
+    for j, i1, i2 in halves:
+        v = [F(0)] * inst.m
+        v[i1] = inst.jobs[j].proc[i1] / (2 * pmax)
+        v[i2] = -inst.jobs[j].proc[i2] / (2 * pmax)
+        vectors.append(v)
+    return halves, vectors
+
+
+def test_rounding_vectors_match_fraction_reference():
+    rng = random.Random(74)
+    for trial in range(100):
+        inst = _fractional_instance(rng, m=rng.randint(2, 4), max_jobs=8)
+        fa = FractionalAssignment(x=_random_half_integral(inst, rng).x, T=F(0))
+        pmax = p_max(inst) + F(rng.randint(0, 2), rng.choice([1, 3]))
+        halves, vectors = rounding_vectors(inst, fa, pmax)
+        assert (halves, [list(v) for v in vectors]) == _fraction_rounding_vectors(inst, fa, pmax)
+
+
+def _levels_of(monkeypatch, inst):
+    """Run full_round_maxflow; return per level after the first its input
+    (fa, h), its split and the (loads, bound) the previous leftover check passed."""
+    splits, leftovers = [], []
+    real_split, real_repeats = maxflow.split_to_pair_instance, maxflow._repeats_leftover
+
+    def split(inst, fa, level):
+        splits.append((fa, level, real_split(inst, fa, level)))
+        return splits[-1][2]
+
+    def repeats(split, leftover):
+        leftovers.append(leftover)
+        return real_repeats(split, leftover)
+
+    monkeypatch.setattr(maxflow, "split_to_pair_instance", split)
+    monkeypatch.setattr(maxflow, "_repeats_leftover", repeats)
+    full_round_maxflow(inst, color_greedy)
+    monkeypatch.undo()
+    return [(fa, h, sp, leftover) for (fa, h, sp), leftover in zip(splits[1:], leftovers)]
+
+
+def _tampered_merges(inst, fa, h, sp, rng):
+    """The split of ``fa`` with one count moved, with one fixed load raised,
+    or with a lower T."""
+    unit = F(1, 2 ** h)
+    for j in rng.sample(range(inst.n), min(inst.n, 3)):
+        src = [i for i in range(inst.m) if fa.x[j][i] > 0]
+        dst = [i for i in range(inst.m) if inst.jobs[j].proc[i] is not None]
+        a, b = rng.choice(src), rng.choice(dst)
+        if a != b:
+            x = [row[:] for row in fa.x]
+            x[j][a] -= unit
+            x[j][b] += unit
+            yield split_to_pair_instance(inst, FractionalAssignment(x=x, T=fa.T), h)
+    pieces = [(j, i) for j, row in enumerate(sp.integral_counts) for i, c in enumerate(row) if c]
+    for j, i in rng.sample(pieces, min(len(pieces), 2)):
+        counts = [row[:] for row in sp.integral_counts]
+        counts[j][i] += rng.randint(1, 2 ** (h - 1))
+        yield dataclasses.replace(sp, integral_counts=counts)
+    ref_inst, ref_fa, _, _ = _reference_split(inst, fa, h)
+    # the worst window's excess: at it the windows pass, just below it they fail
+    tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
+    for T in (fa.T - F(1, 2 ** h), tight, tight - F(1, 2 ** h)):
+        if T < fa.T:
+            yield split_to_pair_instance(inst, FractionalAssignment(x=fa.x, T=T), h)
+
+
+def test_level_check_rejects_exactly_what_the_full_scan_rejects(monkeypatch):
+    # after the first level the loop replaces the full input check by
+    # _repeats_leftover and runs the full scan only when that fails
+    rng = random.Random(75)
+    seen = {"repeats": 0, "tampered": 0, "rejected": 0}
+    for trial in range(24):
+        if trial % 2:
+            inst = gen_random_instance(rng.randint(5, 9), rng.randint(2, 3), (1, 5), (0, 10),
+                                       0.2, seed=1500 + trial)
+        else:
+            inst = _fractional_instance(rng, m=3, max_jobs=7)
+        for fa, h, sp, leftover in _levels_of(monkeypatch, inst):
+            full = fractional_assignment_violations(sp.instance, sp.assignment, sp.fixed_load)
+            assert maxflow._repeats_leftover(sp, leftover) and full == []
+            seen["repeats"] += 1
+            for bad in _tampered_merges(inst, fa, h, sp, rng):
+                full = fractional_assignment_violations(bad.instance, bad.assignment, bad.fixed_load)
+                repeats = maxflow._repeats_leftover(bad, leftover)
+                assert ([] if repeats else full) == full
+                assert not repeats  # every tamper changes a load or the bound
+                seen["tampered"] += 1
+                seen["rejected"] += bool(full)
+    assert seen["tampered"] > seen["rejected"] > 20, seen
+
+
+def _lp_key(lp):
+    return (tuple(lp.variables), tuple(sorted(lp.objective.items())),
+            tuple((tuple(c.coeffs.items()), c.relation, c.rhs) for c in lp.constraints),
+            tuple(sorted(lp.bounds.items(), key=repr)))
+
+
+def test_min_T_search_solves_no_lp_twice(monkeypatch):
+    rng = random.Random(76)
+    cached = 0
+    for trial in range(16):
+        inst = gen_random_instance(rng.randint(2, 8), rng.randint(2, 3), (1, 6), (0, 8),
+                                   0.2, seed=1700 + trial)
+        solved = []
+        real = lpmod.solve_lp
+        monkeypatch.setattr(lpmod, "solve_lp", lambda lp: solved.append(_lp_key(lp)) or real(lp))
+        search = solve_min_T(inst)
+        monkeypatch.undo()
+        assert len(solved) == len(set(solved))
+        fresh = maxflow.assignment_from_solution(inst, search.t_star,
+                                                 maxflow._feasible_at(inst, search.t_star))
+        assert search.assignment == fresh
+        cached += search.t_star in {p for _, _, p in inst.finite_procs()}
+    assert cached  # some t_star was a breakpoint, so its witness came from the cache

@@ -1,8 +1,10 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 
+from flowdisc import sdp
 from flowdisc.coloring import SignedVectorSequence
 from flowdisc.sdp import (
     build_block_instance,
@@ -185,3 +187,39 @@ def test_mc_deterministic_and_converging():
 def test_mc_requires_enough_samples():
     with pytest.raises(ValidationError):
         gaussian_measure_mc(8, F(1, 4), 4, 2, 100, seed=0)
+
+
+def _decimal_choose_r(delta, n, m):
+    """choose_r evaluated in 60-digit decimal arithmetic (reference), with the
+    smallest distance to the threshold seen at the returned r and at r - 1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c = (1 + Decimal(delta.numerator) / Decimal(delta.denominator)) ** 2
+        gaps = []
+        r = 1
+        while True:
+            x = Decimal(2 * n * r * m).ln()
+            gap = c * r - (r + 2 * (r * x).sqrt() + 2 * x)
+            gaps = gaps[-1:] + [abs(gap)]
+            if gap >= 0:
+                return r, min(gaps)
+            r += 1
+
+
+def test_choose_r_matches_decimal_reference_on_a_grid():
+    for delta in (F(1), F(3, 4), F(1, 2), F(2, 5), F(1, 3), F(1, 4)):
+        for n in (1, 2, 4, 8, 16):
+            for m in (1, 2, 3):
+                r, gap = _decimal_choose_r(delta, n, m)
+                assert gap > F(1, 10 ** 40)  # far above the decimal rounding error
+                assert choose_r(delta, n, m) == r, (delta, n, m)
+
+
+def test_choose_r_decides_near_the_threshold():
+    # at r = 34 (delta = 1/2, n = 4, m = 2) the two sides differ by about 0.2,
+    # so a tight threshold c sits within 1e-12 of the true left side
+    x = Decimal(2 * 4 * 34 * 2).ln()
+    lhs = 34 + 2 * (34 * x).sqrt() + 2 * x
+    for eps in (F(1, 10 ** 12), -F(1, 10 ** 12)):
+        c = F(lhs / 34) + eps
+        assert sdp._tail_fits(34, 2 * 4 * 34 * 2, c) == (eps > 0)
