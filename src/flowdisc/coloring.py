@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .util import ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
 
 PREFIX = "prefix"
 INTERVAL = "interval"
@@ -295,7 +295,8 @@ def _lex_least_kernel_vector(matrix: list[list[Fraction]], ncols: int) -> list[F
         pivot_of_col[col] = rank
         rank += 1
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    assert free_cols, "kernel unexpectedly trivial"
+    if not free_cols:
+        raise InternalCheckError("kernel unexpectedly trivial")
     basis = []
     for fc in free_cols:
         vec = [Fraction(0)] * ncols
@@ -337,7 +338,8 @@ def color_floating(seq: SignedVectorSequence) -> list[int]:
                 t = (1 - a) / l if l > 0 else (-1 - a) / l
                 if step is None or t < step:
                     step = t
-            assert step is not None and step > 0
+            if step is None or step <= 0:
+                raise InternalCheckError(f"floating step {step} is not positive")
             hit = []
             for pos, idx in enumerate(floating):
                 alpha[idx] += step * lam[pos]
@@ -346,7 +348,8 @@ def color_floating(seq: SignedVectorSequence) -> list[int]:
             for idx in hit:
                 signs[idx] = int(alpha[idx])
                 floating.remove(idx)
-        assert len(floating) <= m
+        if len(floating) > m:
+            raise InternalCheckError(f"{len(floating)} coefficients floating, more than m = {m}")
     for idx in floating:
         signs[idx] = 1 if alpha[idx] >= 0 else -1
     return signs
@@ -364,10 +367,8 @@ def color_two_sparse_paired(seq: SignedVectorSequence) -> list[int]:
     """
     from .game import interleave_pairing_colorings  # local import: game has no coloring dep
 
-    first_dim: list[Optional[int]] = []
-    second_dim: list[Optional[int]] = []
-    first_val: list[int] = []
-    second_val: list[int] = []
+    games_first: dict[int, list] = {}  # coordinate -> [(vector, entry), ...] in order
+    games_second: dict[int, list] = {}
     for j, v in enumerate(seq.vectors):
         nz = [(i, x) for i, x in enumerate(v) if x != 0]
         if len(nz) > 2:
@@ -375,27 +376,10 @@ def color_two_sparse_paired(seq: SignedVectorSequence) -> list[int]:
         for _, x in nz:
             if x not in (-1, 1):
                 raise ValidationError(f"vector {j} has entry {x} outside {{-1, 0, +1}}")
-        first_dim.append(nz[0][0] if nz else None)
-        first_val.append(int(nz[0][1]) if nz else 0)
-        second_dim.append(nz[1][0] if len(nz) > 1 else None)
-        second_val.append(int(nz[1][1]) if len(nz) > 1 else 0)
-
-    def side_games(dims, vals):
-        games = {}
-        for j in range(seq.n):
-            if dims[j] is not None:
-                games.setdefault(dims[j], []).append((j, vals[j]))
-        return games
-
+        for games, (i, x) in zip((games_first, games_second), nz):
+            games.setdefault(i, []).append((j, int(x)))
     colors = [0] * seq.n
-    interleave_pairing_colorings(
-        n=seq.n,
-        games_a=side_games(first_dim, first_val),
-        games_b=side_games(second_dim, second_val),
-        dim_a=first_dim,
-        dim_b=second_dim,
-        colors=colors,
-    )
+    interleave_pairing_colorings(games_first, games_second, colors)
     return colors
 
 

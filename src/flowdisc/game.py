@@ -28,11 +28,13 @@ invariant check after each of its few build moves is a full scan:
   its two trial peaks as scaled integers.
 - `play_game` builds one `Fraction` per distinct peak value of the game, so
   the trace still holds Fractions.
-- `PairingMaker` follows the history incrementally (half-colored pairs, and a
-  forward cursor to the first uncolored element carrying its integer prefix)
-  and resyncs from the colors on a new state; `TreeBreaker`'s endgame reads
-  its two boundary prefixes from the tree and keeps one forward cursor per
-  layer to that layer's first open element.
+- Strategies read the state instead of keeping copies of it.  `PairingMaker`
+  takes the first uncolored element from ``open[0]`` and its prefix from the
+  tree; it keeps only the set of half-colored pairs, updated from the history
+  entries added since its last call and resynced from the colors on a new
+  state.  `TreeBreaker` reads the maker's last move from ``history[-1]``; its
+  endgame reads its two boundary prefixes from the tree and keeps one forward
+  cursor per layer to that layer's first open element.
 
 At the end of every game the tree's peak is checked against one full integer
 rescan over its own scaling (`_max_abs_prefix`), and the history must replay
@@ -41,9 +43,15 @@ state object needs.
 
 `exhaustive_breaker_value` computes the best payoff a perfect breaker can
 force against a fixed maker strategy (the certification tool for the pairing
-bound).  `color_two_permutation` reuses the pairing strategy to color a value
-sequence so that the prefixes of both the identity order and a second
-permutation stay bounded by 4.
+bound); it checks the maker's moves by the same rule as `play_game`.
+
+The two-system colorers play the same `PairingMaker`:
+`interleave_pairing_colorings` keeps one `GameState` per (side, dimension)
+over that dimension's entries, records every coloring in each game the
+element belongs to, and alternates the sides.  `color_two_permutation` uses it
+to color a value sequence so that the prefixes of both the identity order and
+a second permutation stay bounded by 4, and `coloring.color_two_sparse_paired`
+to color 2-sparse sign vectors within 8.
 """
 
 from __future__ import annotations
@@ -188,6 +196,17 @@ def _max_abs_prefix(values, colors) -> Fraction:
     return Fraction(peak, den)
 
 
+def _checked_color(player: str, move: tuple, colors) -> tuple[int, int]:
+    """(index, sign) of a ``("color", index, sign)`` move, which must color an
+    uncolored element with +-1."""
+    _, idx, sign = move
+    if not 0 <= idx < len(colors) or colors[idx] != 0:
+        raise ValidationError(f"{player} strategy colored an unavailable index {idx}")
+    if sign not in (-1, 1):
+        raise ValidationError(f"{player} strategy produced sign {sign}")
+    return idx, sign
+
+
 def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREAKER)):
     """Run a full game; returns (final GameState, per-move max |prefix| trace).
 
@@ -227,11 +246,7 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
             state.history.append((player, None, None))
             prev_wait = True
         elif move[0] == "color":
-            _, idx, sign = move
-            if not 0 <= idx < state.n or state.colors[idx] != 0:
-                raise ValidationError(f"{player} strategy colored an unavailable index {idx}")
-            if sign not in (-1, 1):
-                raise ValidationError(f"{player} strategy produced sign {sign}")
+            idx, sign = _checked_color(player, move, state.colors)
             state.color(idx, sign)
             state.history.append((player, idx, sign))
             prev_wait = False
@@ -258,80 +273,38 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
 
 
 # ---------------------------------------------------------------------------
-# Pairing machinery (shared by the maker strategy and the two-system colorers)
+# Strategies (the pairing maker also plays the two-system colorers' games)
 # ---------------------------------------------------------------------------
-
-
-class PairingGame:
-    """Robust pairing logic over an ordered subset of shared elements.
-
-    ``elements`` are global ids in game order; ``entries`` their (nonzero)
-    values.  The strategy works in sign-normalized space: element e with
-    entry x behaves like value |x| colored eps*sgn(x).  Pairs are consecutive
-    element pairs; an odd trailing element is ignored (colored greedily only
-    when it is the last one left, costing at most 1 in the bound).
-    """
-
-    def __init__(self, elements: list[int], entries: list):
-        self.elements = list(elements)
-        self.entry = {e: Fraction(v) for e, v in zip(elements, entries)}
-        self.sgn = {e: (1 if self.entry[e] >= 0 else -1) for e in elements}
-        npairs = len(self.elements) // 2
-        self.pairs = [(self.elements[2 * q], self.elements[2 * q + 1]) for q in range(npairs)]
-
-    def respond(self, colors) -> Optional[tuple[int, int]]:
-        """Next pairing move given the shared coloring, or None if all colored.
-
-        Half-colored pairs are completed first (the last such pair when there
-        are several); otherwise the first uncolored element is colored
-        greedily against the current prefix sum.
-        """
-        half = None
-        for a, b in self.pairs:
-            ca, cb = colors[a], colors[b]
-            if (ca == 0) != (cb == 0):
-                half = (a, b)
-        if half is not None:
-            a, b = half
-            colored, open_ = (a, b) if colors[b] == 0 else (b, a)
-            norm = colors[colored] * self.sgn[colored]
-            return open_, -norm * self.sgn[open_]
-        prefix = Fraction(0)
-        for e in self.elements:
-            if colors[e] == 0:
-                norm = 1 if prefix < 0 else -1
-                return e, norm * self.sgn[e]
-            prefix += colors[e] * self.entry[e]
-        return None
 
 
 class PairingMaker:
     """The robust pairing maker.  Certified discrepancy at most 4 on +-1 values.
 
     With ``allow_fractional`` the same pairing heuristic runs on arbitrary
-    nonzero values in [-1, 1] (used in hard-instance tournaments); no bound is
-    claimed there.
+    nonzero values (used in hard-instance tournaments and by the two-system
+    colorers); no bound is claimed there.
 
-    Plays the moves of ``PairingGame.respond`` over the pairs (2q, 2q+1) of
-    the whole sequence without rescanning it: the half-colored pairs are
-    updated from the history entries added since the last call, and the first
-    uncolored element is found by a forward cursor that carries the scaled
-    prefix sum of the elements before it.  Between calls the colors may change
-    only by the moves the history records; a different state object, or a
-    history that does not extend the one last seen, triggers an O(n) resync
-    from ``colors``.
+    The strategy works in sign-normalized space: element i with value x
+    behaves like |x| colored eps*sgn(x).  Pairs are (2q, 2q+1); an odd
+    trailing element is colored only when it is the last one left.  A
+    half-colored pair is completed first (the last one when there are
+    several); otherwise the first uncolored element, ``state.open[0]``, is
+    colored against the prefix before it, read from ``state.tree``.
+
+    The half-colored pairs are updated from the history entries added since
+    the last call.  Between calls the colors may change only by the moves the
+    history records; a different state object, or a history that does not
+    extend the one last seen, triggers an O(n) resync from ``colors``.
     """
 
     def __init__(self, allow_fractional: bool = False):
         self.allow_fractional = allow_fractional
         self._values = None  # the values `_sgn` was built for
         self._sgn: list[int] = []
-        self._state: Optional[GameState] = None  # the state the fields below follow
+        self._state: Optional[GameState] = None  # the state `_half` follows
         self._seen = 0  # history entries folded in
         self._last = None  # history[_seen - 1] when it was folded in
         self._half: set[int] = set()  # pairs q with exactly one of 2q, 2q+1 colored
-        self._cur = 0  # no uncolored element before _cur
-        self._prefix = 0  # scaled sum of the colored elements before _cur
 
     def move(self, state: GameState) -> tuple:
         if state.values is not self._values:
@@ -350,16 +323,11 @@ class PairingMaker:
             a, b = 2 * q, 2 * q + 1
             colored, open_ = (a, b) if colors[b] == 0 else (b, a)
             return color_move(open_, -colors[colored] * sgn[colored] * sgn[open_])
-        # color the first uncolored element against the prefix before it
-        scaled = state.tree.scaled
-        cur, prefix, n = self._cur, self._prefix, state.n
-        while cur < n and colors[cur]:
-            prefix += colors[cur] * scaled[cur]
-            cur += 1
-        self._cur, self._prefix = cur, prefix
-        if cur == n:
+        if not state.open:
             return WAIT
-        return color_move(cur, (1 if prefix < 0 else -1) * sgn[cur])
+        # color the first uncolored element against the prefix before it
+        cur = state.open[0]
+        return color_move(cur, (1 if state.tree.prefix_scaled(cur) < 0 else -1) * sgn[cur])
 
     def _sync(self, state: GameState) -> None:
         """Bring the half-colored pairs up to the state's colors."""
@@ -368,7 +336,7 @@ class PairingMaker:
                 and (not seen or history[seen - 1] is self._last)):
             touched = {idx >> 1 for _, idx, _ in history[seen:] if idx is not None}
         else:  # resync
-            self._state, self._half, self._cur, self._prefix = state, set(), 0, 0
+            self._state, self._half = state, set()
             touched = range(state.n // 2)
         for q in touched:
             if 2 * q + 1 < len(colors) and (colors[2 * q] == 0) != (colors[2 * q + 1] == 0):
@@ -416,38 +384,52 @@ class RandomBreaker:
         return color_move(idx, sign)
 
 
-def interleave_pairing_colorings(n, games_a, games_b, dim_a, dim_b, colors) -> None:
+def interleave_pairing_colorings(games_a, games_b, colors) -> None:
     """Alternate two families of pairing games until every element is colored.
 
     ``games_a``/``games_b`` map a dimension key to ``[(element, entry), ...]``
-    in game order; ``dim_a``/``dim_b`` give each element's dimension on that
-    side (None = the element does not participate on that side).  Side A
-    guards the per-dimension prefixes of its entries, side B of its own; each
-    responds in the dimension of the opponent's last move, falling back to a
-    proactive move on the first uncolored element.
+    in game order, entries nonzero; an element is in at most one game per
+    side.  Each game is a `GameState` over its entries played by its own
+    `PairingMaker`, and every coloring is recorded in each game the element
+    belongs to.  Side A guards the per-dimension prefixes of its entries,
+    side B of its own; each responds in the game of the opponent's last
+    move, falling back to the game of the first uncolored element, or to +1
+    when that element has no game on its side.
     """
-    built_a = {d: PairingGame([e for e, _ in lst], [v for _, v in lst]) for d, lst in games_a.items()}
-    built_b = {d: PairingGame([e for e, _ in lst], [v for _, v in lst]) for d, lst in games_b.items()}
-    sides = {"a": (built_a, dim_a), "b": (built_b, dim_b)}
-    turn = "a"
-    last_elem: Optional[int] = None
-    while any(c == 0 for c in colors):
-        games, dims = sides[turn]
-        move = None
-        if last_elem is not None and dims[last_elem] is not None:
-            move = games[dims[last_elem]].respond(colors)
-        if move is None:
-            e0 = next(i for i in range(n) if colors[i] == 0)
-            if dims[e0] is None:
-                move = (e0, 1)
-            else:
-                move = games[dims[e0]].respond(colors)
-                assert move is not None
-        elem, sign = move
-        assert colors[elem] == 0
+    sides = []
+    for games in (games_a, games_b):
+        at = {}  # element -> ((state, maker, elements), position in the game)
+        for entries in games.values():
+            elems = [e for e, _ in entries]
+            state = GameState(values=tuple(v for _, v in entries),
+                              colors=[colors[e] for e in elems], to_move=MAKER,
+                              wait_allowed={MAKER: True, BREAKER: True})
+            game = (state, PairingMaker(allow_fractional=True), elems)
+            for pos, e in enumerate(elems):
+                at[e] = (game, pos)
+        sides.append(at)
+
+    def reply(game):
+        state, maker, elems = game
+        move = maker.move(state)
+        return (None, None) if move[0] == "wait" else (elems[move[1]], move[2])
+
+    turn, last, first = 0, None, 0  # no uncolored element before `first`
+    for _ in range(colors.count(0)):
+        at = sides[turn]
+        elem, sign = reply(at[last][0]) if last in at else (None, None)
+        if elem is None:
+            while colors[first]:
+                first += 1
+            elem, sign = reply(at[first][0]) if first in at else (first, 1)
         colors[elem] = sign
-        last_elem = elem
-        turn = "b" if turn == "a" else "a"
+        for side, where in enumerate(sides):
+            if elem in where:
+                (state, _, _), pos = where[elem]
+                state.color(pos, sign)
+                state.history.append((MAKER if side == turn else BREAKER, pos, sign))
+        last = elem
+        turn ^= 1
 
 
 def color_two_permutation(values, sigma) -> list[int]:
@@ -457,24 +439,14 @@ def color_two_permutation(values, sigma) -> list[int]:
     colored +1 and do not participate).
     """
     values = [Fraction(v) for v in values]
-    n = len(values)
-    if sorted(sigma) != list(range(n)):
+    if sorted(sigma) != list(range(len(values))):
         raise ValidationError("sigma is not a permutation of range(n)")
-    nz = [i for i in range(n) if values[i] != 0]
-    order_b = [sigma[k] for k in range(n) if values[sigma[k]] != 0]
-    colors = [0] * n
-    for i in range(n):
-        if values[i] == 0:
-            colors[i] = 1
-    if nz:
-        interleave_pairing_colorings(
-            n=n,
-            games_a={0: [(i, values[i]) for i in nz]},
-            games_b={0: [(i, values[i]) for i in order_b]},
-            dim_a=[0 if values[i] != 0 else None for i in range(n)],
-            dim_b=[0 if values[i] != 0 else None for i in range(n)],
-            colors=colors,
-        )
+    colors = [0 if v else 1 for v in values]
+    interleave_pairing_colorings(
+        games_a={0: [(i, v) for i, v in enumerate(values) if v]},
+        games_b={0: [(i, values[i]) for i in sigma if values[i]]},
+        colors=colors,
+    )
     return colors
 
 
@@ -529,9 +501,8 @@ def exhaustive_breaker_value(values, maker, starter=BREAKER, allow_wait=True, li
             move = maker.move(state_for(colors, MAKER))
             if move[0] != "color":
                 raise ValidationError("maker strategy must color while elements remain")
-            _, idx, sign = move
+            idx, sign = _checked_color(MAKER, move, colors)
             nxt = list(colors)
-            assert nxt[idx] == 0
             nxt[idx] = sign
             val = max(here, visit(tuple(nxt), BREAKER))
         else:
@@ -705,7 +676,6 @@ class TreeBreaker:
         self.phase = "open"
         self.claim: Optional[tuple[int, int]] = None  # (i_0, i_{l+1}) frozen at endgame
         self.checked_moves = 0  # build-phase moves that passed the invariant check
-        self._seen_history = 0
         self._bound_values = None  # the state values last found equal to self.values
         self._layer_elems: list[list[int]] = [[] for _ in range(k // 2)]  # ascending
         for e, d in enumerate(self.tree.layer):
@@ -714,14 +684,6 @@ class TreeBreaker:
         self._cursors: list[int] = []  # per layer: no open element before this position
 
     # -- helpers ----------------------------------------------------------
-    def _opponent_moves(self, state: GameState) -> list[Optional[int]]:
-        moves = []
-        for player, idx, _ in state.history[self._seen_history:]:
-            if player != BREAKER:
-                moves.append(idx)
-        self._seen_history = len(state.history) + 1  # +1 accounts for our reply
-        return moves
-
     def _maintenance_move(self, state: GameState) -> tuple:
         lo, hi = self.claim
         tree = state.tree
@@ -775,7 +737,6 @@ class TreeBreaker:
             if list(state.values) != self.values:
                 raise ValidationError("tree breaker bound to a different hard instance")
             self._bound_values = state.values
-        opp = self._opponent_moves(state)
         if self.phase == "maintain":
             return self._maintenance_move(state)
         if self.phase == "open":
@@ -798,7 +759,9 @@ class TreeBreaker:
 
         idx = self.structure.indices
         ell = self.structure.ell
-        last_opp = opp[-1] if opp else None
+        # the maker's last move: the breaker never waits while elements remain,
+        # so in play_game the entry before each of its build moves is the maker's
+        last_opp = state.history[-1][1] if state.history else None
         gap_t = None
         if last_opp is not None:
             for t in range(1, ell + 1):

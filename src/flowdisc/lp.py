@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .util import ValidationError
+from .util import InternalCheckError, ValidationError
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -170,7 +170,8 @@ class _Tableau:
     def pivot(self, r: int, s: int, holders: list) -> None:
         """Pivot on row r, column s; `holders` is ``self.holders(s)``."""
         prow = self.rows[r]
-        assert prow[s] > 0
+        if prow[s] <= 0:
+            raise InternalCheckError(f"pivot entry {prow[s]} is not positive")
         for q in holders:
             if q != r:
                 _eliminate(self.rows[q], prow, s)
@@ -277,7 +278,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if first_art < ncols:
         tab.set_costs({j: 1 for j in range(first_art, ncols)})
         status = tab.run(ncols)
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
+        if status != OPTIMAL:
+            raise InternalCheckError(f"phase 1 ended {status}, though it is bounded below by 0")
         if tab.z.get(ncols):
             return LpSolution(INFEASIBLE, {}, None)
         # drive leftover artificials out of the basis (or drop redundant rows)

@@ -303,22 +303,17 @@ def canonical_order(inst: SchedulingInstance) -> list[int]:
 
 
 def normalize_consistent_order(
-    inst: SchedulingInstance, y: TimeIndexedSolution, order: Optional[list[int]] = None,
-    classes=None,
+    inst: SchedulingInstance, y: TimeIndexedSolution, classes=None,
 ) -> TimeIndexedSolution:
     """Reflow each (machine, class) group so jobs run in one global order.
 
     Per group, the per-slot group volumes and the per-job totals are kept and
-    jobs are refilled earliest-first in order.  Same-class exchanges are free
-    under the grouped objective, so cost, per-(i,j) totals and the measured
-    relaxation slack are all preserved exactly.
+    jobs are refilled earliest-first in the canonical (release, index) order.
+    Same-class exchanges are free under the grouped objective, so cost,
+    per-(i,j) totals and the measured relaxation slack are all preserved
+    exactly.
     """
-    if order is None:
-        order = canonical_order(inst)
-    else:
-        rel = [inst.jobs[j].release for j in order]
-        if sorted(order) != list(range(inst.n)) or any(a > b for a, b in zip(rel, rel[1:])):
-            raise ValidationError("order must be a release-monotone permutation of the jobs")
+    order = canonical_order(inst)
     if classes is None:
         classes = class_table(inst)
     rank = {j: pos for pos, j in enumerate(order)}

@@ -3,13 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from flowdisc.coloring import (
+    PREFIX,
+    SignedVectorSequence,
+    color_two_sparse_paired,
+    discrepancy,
+)
 from flowdisc.game import (
     BREAKER,
     MAKER,
     BreakerStructure,
     GameState,
     GreedyMaker,
-    PairingGame,
     PairingMaker,
     PrefixTree,
     RandomBreaker,
@@ -102,6 +107,28 @@ def test_exhaustive_single_element():
 def test_exhaustive_limit():
     with pytest.raises(ValidationError):
         exhaustive_breaker_value([1] * 13, GreedyMaker())
+
+
+class _BadSignMaker:
+    def move(self, state):
+        return color_move(state.open[0], 5)
+
+
+class _RecoloringMaker:
+    def move(self, state):
+        return color_move(0, 1)
+
+
+@pytest.mark.parametrize("maker, message", [
+    (_BadSignMaker, "maker strategy produced sign 5"),
+    (_RecoloringMaker, "maker strategy colored an unavailable index 0"),
+])
+def test_exhaustive_rejects_bad_maker_moves_like_the_engine(maker, message):
+    with pytest.raises(ValidationError) as engine:
+        play_game([1, 1, 1], maker(), Scripted([color_move(1, 1)]), starter=MAKER)
+    with pytest.raises(ValidationError) as exhaustive:
+        exhaustive_breaker_value([1, 1, 1], maker(), starter=MAKER)
+    assert str(engine.value) == str(exhaustive.value) == message
 
 
 def test_pairing_bound_certified_small():
@@ -334,6 +361,120 @@ def test_two_permutation_random_signed():
 # ---------------------------------------------------------------------------
 # The O(n) scans the strategies used to make, kept as move-by-move references
 # ---------------------------------------------------------------------------
+
+
+class PairingGame:
+    """The pairing strategy by a scan of the colors on every move.
+
+    ``elements`` are global ids in game order; ``entries`` their (nonzero)
+    values.  The strategy works in sign-normalized space: element e with
+    entry x behaves like value |x| colored eps*sgn(x).  Pairs are consecutive
+    element pairs; an odd trailing element is ignored (colored greedily only
+    when it is the last one left, costing at most 1 in the bound).
+    """
+
+    def __init__(self, elements, entries):
+        self.elements = list(elements)
+        self.entry = {e: F(v) for e, v in zip(elements, entries)}
+        self.sgn = {e: (1 if self.entry[e] >= 0 else -1) for e in elements}
+        npairs = len(self.elements) // 2
+        self.pairs = [(self.elements[2 * q], self.elements[2 * q + 1]) for q in range(npairs)]
+
+    def respond(self, colors):
+        """Next pairing move given the shared coloring, or None if all colored.
+
+        Half-colored pairs are completed first (the last such pair when there
+        are several); otherwise the first uncolored element is colored
+        greedily against the current prefix sum.
+        """
+        half = None
+        for a, b in self.pairs:
+            ca, cb = colors[a], colors[b]
+            if (ca == 0) != (cb == 0):
+                half = (a, b)
+        if half is not None:
+            a, b = half
+            colored, open_ = (a, b) if colors[b] == 0 else (b, a)
+            norm = colors[colored] * self.sgn[colored]
+            return open_, -norm * self.sgn[open_]
+        prefix = F(0)
+        for e in self.elements:
+            if colors[e] == 0:
+                norm = 1 if prefix < 0 else -1
+                return e, norm * self.sgn[e]
+            prefix += colors[e] * self.entry[e]
+        return None
+
+
+def _scan_interleave(n, games_a, games_b, dim_a, dim_b, colors):
+    # the two pairing-game families alternated by scans of the shared colors
+    built_a = {d: PairingGame([e for e, _ in lst], [v for _, v in lst]) for d, lst in games_a.items()}
+    built_b = {d: PairingGame([e for e, _ in lst], [v for _, v in lst]) for d, lst in games_b.items()}
+    sides = {"a": (built_a, dim_a), "b": (built_b, dim_b)}
+    turn = "a"
+    last_elem = None
+    while any(c == 0 for c in colors):
+        games, dims = sides[turn]
+        move = None
+        if last_elem is not None and dims[last_elem] is not None:
+            move = games[dims[last_elem]].respond(colors)
+        if move is None:
+            e0 = next(i for i in range(n) if colors[i] == 0)
+            if dims[e0] is None:
+                move = (e0, 1)
+            else:
+                move = games[dims[e0]].respond(colors)
+                assert move is not None
+        elem, sign = move
+        assert colors[elem] == 0
+        colors[elem] = sign
+        last_elem = elem
+        turn = "b" if turn == "a" else "a"
+
+
+def _scan_two_permutation(values, sigma):
+    values = [F(v) for v in values]
+    n = len(values)
+    if sorted(sigma) != list(range(n)):
+        raise ValidationError("sigma is not a permutation of range(n)")
+    nz = [i for i in range(n) if values[i] != 0]
+    order_b = [sigma[k] for k in range(n) if values[sigma[k]] != 0]
+    colors = [0] * n
+    for i in range(n):
+        if values[i] == 0:
+            colors[i] = 1
+    if nz:
+        dims = [0 if values[i] != 0 else None for i in range(n)]
+        _scan_interleave(n, {0: [(i, values[i]) for i in nz]},
+                         {0: [(i, values[i]) for i in order_b]}, dims, dims, colors)
+    return colors
+
+
+def _scan_two_sparse_paired(seq):
+    first_dim, second_dim, first_val, second_val = [], [], [], []
+    for j, v in enumerate(seq.vectors):
+        nz = [(i, x) for i, x in enumerate(v) if x != 0]
+        if len(nz) > 2:
+            raise ValidationError(f"vector {j} has sparsity {len(nz)} > 2")
+        for _, x in nz:
+            if x not in (-1, 1):
+                raise ValidationError(f"vector {j} has entry {x} outside {{-1, 0, +1}}")
+        first_dim.append(nz[0][0] if nz else None)
+        first_val.append(int(nz[0][1]) if nz else 0)
+        second_dim.append(nz[1][0] if len(nz) > 1 else None)
+        second_val.append(int(nz[1][1]) if len(nz) > 1 else 0)
+
+    def side_games(dims, vals):
+        games = {}
+        for j in range(seq.n):
+            if dims[j] is not None:
+                games.setdefault(dims[j], []).append((j, vals[j]))
+        return games
+
+    colors = [0] * seq.n
+    _scan_interleave(seq.n, side_games(first_dim, first_val), side_games(second_dim, second_val),
+                     first_dim, second_dim, colors)
+    return colors
 
 
 class _ScanRandomBreaker:
@@ -613,3 +754,71 @@ def test_exhaustive_pairing_value_matches_the_scan():
         fast = exhaustive_breaker_value(values, PairingMaker(allow_fractional=True))
         scan = exhaustive_breaker_value(values, _ScanPairingMaker(allow_fractional=True))
         assert fast == scan, values
+
+
+VALUES = (-1, 0, 1, F(1, 2), F(-2, 3), 3)
+
+
+def _outcome(colorer, *args):
+    try:
+        return colorer(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_two_permutation_matches_the_scan():
+    rng = random.Random("two-permutation")
+    messages = set()
+    for case in range(1000):
+        n = rng.randint(0, 60)
+        values = [rng.choice(VALUES) for _ in range(n)]
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        if n and rng.random() < 0.05:
+            sigma[rng.randrange(n)] = rng.choice((sigma[0], n))
+        got = _outcome(color_two_permutation, values, sigma)
+        assert got == _outcome(_scan_two_permutation, values, sigma), case
+        if isinstance(got, str):
+            messages.add(got)
+    assert messages == {"sigma is not a permutation of range(n)"}
+
+
+def test_two_sparse_paired_matches_the_scan():
+    rng = random.Random("two-sparse-paired")
+    messages = set()
+    for case in range(1000):
+        n, m = rng.randint(0, 60), rng.randint(1, 5)
+        rows = []
+        for _ in range(n):
+            row = [0] * m
+            for coord in rng.sample(range(m), rng.randint(0, min(2, m))):
+                row[coord] = rng.choice((-1, 1))
+            rows.append(row)
+        if n and rng.random() < 0.2:  # one vector drawn from the whole value set
+            rows[rng.randrange(n)] = [rng.choice(VALUES) for _ in range(m)]
+        seq = SignedVectorSequence(m, rows)
+        got = _outcome(color_two_sparse_paired, seq)
+        assert got == _outcome(_scan_two_sparse_paired, seq), case
+        if isinstance(got, str):
+            messages.add(got.split(" has ")[1].split()[0])
+    assert messages == {"sparsity", "entry"}
+
+
+def test_two_system_colorers_keep_their_bounds_at_n_2000():
+    rng = random.Random("bounds")
+    n = 2000
+    values = [rng.choice((-1, 0, 1)) for _ in range(n)]
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    a, b = permutation_prefix_peaks(values, sigma, color_two_permutation(values, sigma))
+    assert a <= 4 and b <= 4
+    m = 4
+    rows = []
+    for _ in range(n):
+        row = [0] * m
+        for coord in rng.sample(range(m), rng.randint(0, 2)):
+            row[coord] = rng.choice((-1, 1))
+        rows.append(row)
+    seq = SignedVectorSequence(m, rows)
+    signs = color_two_sparse_paired(seq)
+    assert discrepancy(seq.with_signs(signs), PREFIX).value <= 8
