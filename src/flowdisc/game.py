@@ -166,9 +166,6 @@ class GameState:
     def n(self) -> int:
         return len(self.values)
 
-    def uncolored(self) -> list[int]:
-        return list(self.open)
-
     def color(self, idx: int, sign: int) -> None:
         """Color the uncolored element idx; keeps the tree and the open list."""
         self.colors[idx] = sign
@@ -198,12 +195,14 @@ def _max_abs_prefix(values, colors) -> Fraction:
 
 def _checked_color(player: str, move: tuple, colors) -> tuple[int, int]:
     """(index, sign) of a ``("color", index, sign)`` move, which must color an
-    uncolored element with +-1."""
+    uncolored element with the int +-1; a bool is not an int here."""
+    if len(move) != 3:
+        raise ValidationError(f"{player} strategy returned malformed move {move!r}")
     _, idx, sign = move
-    if not 0 <= idx < len(colors) or colors[idx] != 0:
-        raise ValidationError(f"{player} strategy colored an unavailable index {idx}")
-    if sign not in (-1, 1):
-        raise ValidationError(f"{player} strategy produced sign {sign}")
+    if type(idx) is not int or not 0 <= idx < len(colors) or colors[idx] != 0:
+        raise ValidationError(f"{player} strategy colored an unavailable index {idx!r}")
+    if type(sign) is not int or sign not in (-1, 1):
+        raise ValidationError(f"{player} strategy produced sign {sign!r}")
     return idx, sign
 
 

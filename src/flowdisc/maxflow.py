@@ -11,14 +11,12 @@ records and the tests recheck with exact arithmetic.
 At level h every load is an integer over one scale (D * 2^h for D the lcm of
 the processing-time denominators in the split), so the split, the window
 checker, the rounding vectors and the colorer add ints; a `Fraction` is built
-only for a public field or a report line.  The input check of a level after
-the first runs only if its loads or bound differ from those the previous
-leftover check passed; every leftover check runs.
+only for a public field or a report line.  Every level runs both exact
+checks: its input check before the coloring and its leftover check after.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -299,49 +297,16 @@ def quantized_bound(inst: SchedulingInstance, fa: FractionalAssignment, level: i
 @dataclass
 class PairSplit:
     """The half-jobs of a level's pair instance, its integral pieces folded
-    into fixed loads, and the map back to original jobs.
-
-    Loads are integers: a piece of job j on machine i weighs ``weights[j][i]``
-    = p_ij * D over ``den`` = D * 2^(level-1), for D the lcm of the
-    processing-time denominators."""
+    into fixed loads, and the map back to original jobs."""
 
     instance: SchedulingInstance  # the half-jobs only
     assignment: FractionalAssignment  # 1/2 on each machine of every half-job
     origin: list[int]                 # half-job -> original job
     pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct
     level: int
+    fixed_load: list[dict]            # machine -> {release: load of its integral pieces}
     integral_counts: list[list[int]]  # [job][machine] -> integral pieces
     p_max_level: Fraction             # largest processing time over all pieces
-    releases: list                    # job -> its release
-    weights: list[list]               # [job][machine] -> p * D where x > 0
-    den: int
-
-    @property
-    def fixed_load(self) -> list[dict]:
-        """machine -> {release: load of its integral pieces}"""
-        out: list[dict] = [{} for _ in range(self.instance.m)]
-        for j, row in enumerate(self.integral_counts):
-            for i, c in enumerate(row):
-                if c:
-                    r = self.releases[j]
-                    out[i][r] = out[i].get(r, 0) + c * self.weights[j][i]
-        return [{r: Fraction(v, self.den) for r, v in loads.items()} for loads in out]
-
-    def loads(self, asg: Optional[MachineAssignment] = None) -> list[dict]:
-        """machine -> {job: load}: over ``2 den`` the load that the input check
-        scans (integral pieces, each half-job at 1/2 on both machines), or with
-        ``asg`` over ``den`` the load that its leftover check scans (each
-        half-job whole on its machine).  Per job, so each (machine, release)
-        load is their sum."""
-        k = 1 if asg else 2
-        counts = Counter({(j, i): k * c for j, row in enumerate(self.integral_counts)
-                          for i, c in enumerate(row) if c})
-        counts.update(zip(self.origin, asg.assign) if asg else
-                      ((j, i) for j, pair in zip(self.origin, self.pairs) for i in pair))
-        out: list[dict] = [{} for _ in range(self.instance.m)]
-        for (j, i), c in counts.items():
-            out[i][j] = c * self.weights[j][i]
-        return out
 
     def merge_assignment(self, asg: MachineAssignment) -> FractionalAssignment:
         """Fold an integral half-job assignment back to level h-1 fractions."""
@@ -366,7 +331,9 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
     one machine whose slots span the middle, so they are integral and only
     their count and their load at the job's release are kept.  Half on each
     member plus the fixed loads gives every window the load of x, so the split
-    is feasible at the same bound.  Slot counts and weights are integers.
+    is feasible at the same bound.  Slot counts and loads are integers, the
+    loads p * D over D * 2^(level-1) for D the lcm of the processing-time
+    denominators; each fixed load becomes one `Fraction` at the end.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
@@ -376,8 +343,9 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
     jobs: list[Job] = []
     origin: list[int] = []
     pairs: list[tuple[int, int]] = []
-    weights = [[None] * inst.m for _ in range(inst.n)]
+    fixed: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: load * D * half}
     integral_counts = [[0] * inst.m for _ in range(inst.n)]
+    top = 0
     for j, job in enumerate(inst.jobs):
         slots: list[int] = []
         for i, v in enumerate(fa.x[j]):
@@ -387,7 +355,7 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
             if cnt:
                 if job.proc[i] is None:
                     raise ValidationError(f"x[{j},{i}] = {v} positive on a forbidden machine")
-                weights[j][i] = _scaled(job.proc[i], d)
+                top = max(top, _scaled(job.proc[i], d))
             slots.extend([i] * cnt)
         if len(slots) != scale:
             raise ValidationError(f"job {j}: assignment row does not sum to 1")
@@ -405,14 +373,15 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
             pairs.append(pair)
             q += 1
         if q < half:
-            integral_counts[j][slots[q]] = half - q
+            i = slots[q]
+            integral_counts[j][i] = half - q
+            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * _scaled(job.proc[i], d)
     x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
-    top = max((w for row in weights for w in row if w is not None), default=0)
     return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
                      assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,
-                     pairs=pairs, level=level, integral_counts=integral_counts,
-                     p_max_level=Fraction(top, d * half),
-                     releases=[job.release for job in inst.jobs], weights=weights, den=d * half)
+                     pairs=pairs, level=level,
+                     fixed_load=[{r: Fraction(v, d * half) for r, v in f.items()} for f in fixed],
+                     integral_counts=integral_counts, p_max_level=Fraction(top, d * half))
 
 
 def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=None):
@@ -469,7 +438,6 @@ def round_half_integral_maxflow(
     colorer: Callable[[SignedVectorSequence], list[int]],
     fixed_load=None,
     pmax=None,
-    check_input: bool = True,
 ) -> tuple[MachineAssignment, Fraction]:
     """Round a half-integral assignment by prefix coloring; returns (assignment, D).
 
@@ -479,14 +447,11 @@ def round_half_integral_maxflow(
     result satisfies every machine window at T + 2 * D * p_max where D is the
     achieved prefix discrepancy of the coloring.  ``fixed_load`` (see
     fractional_assignment_violations) joins both checks.  ``pmax`` defaults to
-    p_max(inst); a split passes its level's p_max over all pieces.  Only a
-    caller that has shown the input check would pass may skip it with
-    ``check_input=False``; the leftover check always runs.
+    p_max(inst); a split passes its level's p_max over all pieces.
     """
-    if check_input:
-        bad_input = fractional_assignment_violations(inst, fa, fixed_load)
-        if bad_input:
-            raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
+    bad_input = fractional_assignment_violations(inst, fa, fixed_load)
+    if bad_input:
+        raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
     pmax = p_max(inst) if pmax is None else pmax
     assign, halves = _half_integral_rows(inst, fa)
     halves, seq = _rounding_sequence(inst, halves, pmax)
@@ -512,23 +477,6 @@ def round_half_integral_maxflow(
     return result, achieved
 
 
-def _repeats_leftover(split: PairSplit, leftover) -> bool:
-    """Whether the input check of ``split`` can only repeat ``leftover``, the
-    (loads, bound) that the previous level's leftover check passed.
-
-    By construction every half-job row is 1/2 on two machines, so the check's
-    per-entry part asks only that each half-job's processing time, at most
-    p_max_level, stay within the bound.  Its window part is a scan of the
-    loads per (machine, release) at the bound.  Equal loads per (machine, job)
-    and an equal bound make every window it scans one that the leftover check
-    scanned with the same load (that check also saw zero loads of unchosen
-    machines), so it passes.  Otherwise the caller runs the full check.
-    """
-    loads, bound = leftover
-    T = split.assignment.T
-    return T == bound and split.p_max_level <= T and split.loads() == loads
-
-
 def full_round_maxflow(
     inst: SchedulingInstance,
     colorer: Callable[[SignedVectorSequence], list[int]],
@@ -549,16 +497,13 @@ def full_round_maxflow(
     fa = FractionalAssignment(x=fa.x, T=t_quant)
     records: list[LevelRecord] = []
     running_T = t_quant
-    leftover = None  # (loads, bound) the previous leftover check passed
     for h in range(level, 0, -1):
         split = split_to_pair_instance(inst, fa, h)
         pml = split.p_max_level
-        check = leftover is None or not _repeats_leftover(split, leftover)
         asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer,
-                                                          split.fixed_load, pml, check_input=check)
+                                                          split.fixed_load, pml)
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))
         running_T = running_T + 2 * achieved * pml
-        leftover = split.loads(asg_split), running_T
         fa = split.merge_assignment(asg_split)
         fa = FractionalAssignment(x=fa.x, T=running_T)
     assign = []

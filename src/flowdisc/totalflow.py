@@ -302,6 +302,25 @@ def canonical_order(inst: SchedulingInstance) -> list[int]:
     return sorted(range(inst.n), key=lambda j: (inst.jobs[j].release, j))
 
 
+def _pour(entries: dict, machine: int, supply: list, demands: list) -> None:
+    """Northwest-corner fill: the ``(job, need)`` demands in order, each from
+    the earliest volume left in the time-ordered ``(slot, volume)`` supply,
+    adding to ``entries[(machine, job, slot)]``."""
+    pos, room = -1, 0
+    for j, need in demands:
+        while need > 0:
+            if room == 0:
+                pos += 1
+                if pos == len(supply):
+                    raise InternalCheckError(f"machine {machine}: volume supply ran out")
+                t, room = supply[pos]
+            take = min(need, room)
+            key = (machine, j, t)
+            entries[key] = entries.get(key, 0) + take
+            need -= take
+            room -= take
+
+
 def normalize_consistent_order(
     inst: SchedulingInstance, y: TimeIndexedSolution, classes=None,
 ) -> TimeIndexedSolution:
@@ -327,23 +346,8 @@ def normalize_consistent_order(
         for j, t, v in items:
             slot_vol[t] = slot_vol.get(t, Fraction(0)) + v
             job_vol[j] = job_vol.get(j, Fraction(0)) + v
-        slots = sorted(slot_vol)
-        jobs = sorted(job_vol, key=lambda j: rank[j])
-        si = 0
-        room = slot_vol[slots[0]] if slots else Fraction(0)
-        for j in jobs:
-            need = job_vol[j]
-            while need > 0:
-                if room == 0:
-                    si += 1
-                    if si >= len(slots):
-                        raise InternalCheckError("group refill ran out of slot volume")
-                    room = slot_vol[slots[si]]
-                take = min(need, room)
-                key = (i, j, slots[si])
-                entries[key] = entries.get(key, Fraction(0)) + take
-                need -= take
-                room -= take
+        _pour(entries, i, [(t, slot_vol[t]) for t in sorted(slot_vol)],
+              [(j, job_vol[j]) for j in sorted(job_vol, key=lambda j: rank[j])])
     out = TimeIndexedSolution(horizon=y.horizon, entries=entries)
     for (i, j, t) in out.entries:
         if Fraction(t) < inst.jobs[j].release:
@@ -624,24 +628,8 @@ def _split_solution(
             holders.setdefault(i1, []).append(piece)
             holders.setdefault(i2, []).append(piece)
         for i, piece_list in sorted(holders.items()):
-            p = inst.jobs[j].proc[i]
-            chunk = p / scale
-            stream = streams[(i, j)]
-            pos = 0
-            t, avail = stream[0]
-            for piece in piece_list:
-                need = chunk
-                while need > 0:
-                    if avail == 0:
-                        pos += 1
-                        if pos >= len(stream):
-                            raise InternalCheckError("volume stream exhausted mid-slice")
-                        t, avail = stream[pos]
-                    take = min(need, avail)
-                    key = (i, piece, t)
-                    entries[key] = entries.get(key, Fraction(0)) + take
-                    need -= take
-                    avail -= take
+            chunk = inst.jobs[j].proc[i] / scale
+            _pour(entries, i, streams[(i, j)], [(piece, chunk) for piece in piece_list])
     return TimeIndexedSolution(horizon=y.horizon, entries=entries)
 
 
@@ -807,10 +795,11 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     expected = list(range(level, 0, -1))
     if hs != expected:
         return [f"malformed result file: levels h = {hs}, expected {expected}"]
+    for h, d, *_ in levels:
+        if d < 0:
+            return [f"malformed result file: level {h}: negative D {d}"]
     prev_after = None
     for h, d, before, after, bound in levels:
-        if d < 0:
-            problems.append(f"level {h}: negative discrepancy {d}")
         if bound != slack_bound(h, d):
             problems.append(f"level {h}: recorded bound {bound} != (4D + 4)/2^(h-1) = {slack_bound(h, d)}")
         if prev_after is not None and before != prev_after:

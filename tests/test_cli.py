@@ -301,6 +301,22 @@ def test_check_rejects_negative_maxflow_discrepancy(tmp_path, capsys):
     assert out == [f"malformed result file: level {data['levels'][0]['h']}: negative D -5"]
 
 
+def test_check_rejects_negative_totalflow_discrepancy(tmp_path, capsys):
+    # a negative recorded D printed its own line plus a derived bound mismatch
+    inst_path = str(tmp_path / "i.json")
+    res_path = str(tmp_path / "r.json")
+    assert run(["gen", "instance", "--n", "4", "--m", "2", "--seed", "4", "--out", inst_path]) == 0
+    assert run(["totalflow", "--instance", inst_path, "--out", res_path]) == 0
+    data = json.loads(open(res_path).read())
+    data["alpha_levels"][0]["D"] = "-5/1"
+    with open(res_path, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    assert run(["check", "--instance", inst_path, "--result", res_path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"malformed result file: level {data['alpha_levels'][0]['h']}: negative D -5"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--mode", "choose-r", "--delta", "abc"],
     ["--mode", "choose-r", "--delta", "1/0"],

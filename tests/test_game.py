@@ -131,6 +131,31 @@ def test_exhaustive_rejects_bad_maker_moves_like_the_engine(maker, message):
     assert str(engine.value) == str(exhaustive.value) == message
 
 
+class _FixedMove:
+    def __init__(self, move):
+        self.fixed = move
+
+    def move(self, state):
+        return self.fixed
+
+
+@pytest.mark.parametrize("move, message", [
+    (("color", 0), "strategy returned malformed move ('color', 0)"),
+    (("color", 0.5, 1), "strategy colored an unavailable index 0.5"),
+    (("color", True, 1), "strategy colored an unavailable index True"),
+    (("color", 0, True), "strategy produced sign True"),
+], ids=["short", "float-index", "bool-index", "bool-sign"])
+def test_malformed_color_move_is_a_validation_error(move, message):
+    # each once ended in a ValueError or a TypeError, or was played as an int
+    for player, starter in ((MAKER, MAKER), (BREAKER, BREAKER)):
+        with pytest.raises(ValidationError) as engine:
+            play_game([1, 1], _FixedMove(move), _FixedMove(move), starter=starter)
+        assert str(engine.value) == f"{player} {message}"
+    with pytest.raises(ValidationError) as exhaustive:
+        exhaustive_breaker_value([1, 1], _FixedMove(move), starter=MAKER)
+    assert str(exhaustive.value) == f"maker {message}"
+
+
 def test_pairing_bound_certified_small():
     for n in range(1, 8):
         for starter in (MAKER, BREAKER):

@@ -719,24 +719,18 @@ def test_rounding_vectors_match_fraction_reference():
 
 
 def _levels_of(monkeypatch, inst):
-    """Run full_round_maxflow; return per level after the first its input
-    (fa, h), its split and the (loads, bound) the previous leftover check passed."""
-    splits, leftovers = [], []
-    real_split, real_repeats = maxflow.split_to_pair_instance, maxflow._repeats_leftover
+    """Run full_round_maxflow; return every level's input (fa, h) and split."""
+    splits = []
+    real_split = maxflow.split_to_pair_instance
 
     def split(inst, fa, level):
         splits.append((fa, level, real_split(inst, fa, level)))
         return splits[-1][2]
 
-    def repeats(split, leftover):
-        leftovers.append(leftover)
-        return real_repeats(split, leftover)
-
     monkeypatch.setattr(maxflow, "split_to_pair_instance", split)
-    monkeypatch.setattr(maxflow, "_repeats_leftover", repeats)
     full_round_maxflow(inst, color_greedy)
     monkeypatch.undo()
-    return [(fa, h, sp, leftover) for (fa, h, sp), leftover in zip(splits[1:], leftovers)]
+    return splits
 
 
 def _tampered_merges(inst, fa, h, sp, rng):
@@ -754,9 +748,11 @@ def _tampered_merges(inst, fa, h, sp, rng):
             yield split_to_pair_instance(inst, FractionalAssignment(x=x, T=fa.T), h)
     pieces = [(j, i) for j, row in enumerate(sp.integral_counts) for i, c in enumerate(row) if c]
     for j, i in rng.sample(pieces, min(len(pieces), 2)):
-        counts = [row[:] for row in sp.integral_counts]
-        counts[j][i] += rng.randint(1, 2 ** (h - 1))
-        yield dataclasses.replace(sp, integral_counts=counts)
+        # as if job j had more integral pieces on machine i
+        fixed = [dict(loads) for loads in sp.fixed_load]
+        r = inst.jobs[j].release
+        fixed[i][r] += rng.randint(1, 2 ** (h - 1)) * inst.jobs[j].proc[i] / 2 ** (h - 1)
+        yield dataclasses.replace(sp, fixed_load=fixed)
     ref_inst, ref_fa, _, _ = _reference_split(inst, fa, h)
     # the worst window's excess: at it the windows pass, just below it they fail
     tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
@@ -765,29 +761,53 @@ def _tampered_merges(inst, fa, h, sp, rng):
             yield split_to_pair_instance(inst, FractionalAssignment(x=fa.x, T=T), h)
 
 
+def _trial_instance(rng, trial):
+    if trial % 2:
+        return gen_random_instance(rng.randint(5, 9), rng.randint(2, 3), (1, 5), (0, 10),
+                                   0.2, seed=1500 + trial)
+    return _fractional_instance(rng, m=3, max_jobs=7)
+
+
 def test_level_check_rejects_exactly_what_the_full_scan_rejects(monkeypatch):
-    # after the first level the loop replaces the full input check by
-    # _repeats_leftover and runs the full scan only when that fails
+    # every level's rounding call runs the full input scan, so it refuses a
+    # split exactly when that scan reports a line
     rng = random.Random(75)
-    seen = {"repeats": 0, "tampered": 0, "rejected": 0}
+    seen = {"levels": 0, "tampered": 0, "rejected": 0}
     for trial in range(24):
-        if trial % 2:
-            inst = gen_random_instance(rng.randint(5, 9), rng.randint(2, 3), (1, 5), (0, 10),
-                                       0.2, seed=1500 + trial)
-        else:
-            inst = _fractional_instance(rng, m=3, max_jobs=7)
-        for fa, h, sp, leftover in _levels_of(monkeypatch, inst):
-            full = fractional_assignment_violations(sp.instance, sp.assignment, sp.fixed_load)
-            assert maxflow._repeats_leftover(sp, leftover) and full == []
-            seen["repeats"] += 1
-            for bad in _tampered_merges(inst, fa, h, sp, rng):
+        inst = _trial_instance(rng, trial)
+        for fa, h, sp in _levels_of(monkeypatch, inst):
+            splits = [sp] + list(_tampered_merges(inst, fa, h, sp, rng))
+            for k, bad in enumerate(splits):
+                args = bad.instance, bad.assignment, color_greedy, bad.fixed_load, bad.p_max_level
                 full = fractional_assignment_violations(bad.instance, bad.assignment, bad.fixed_load)
-                repeats = maxflow._repeats_leftover(bad, leftover)
-                assert ([] if repeats else full) == full
-                assert not repeats  # every tamper changes a load or the bound
-                seen["tampered"] += 1
+                if full:
+                    with pytest.raises(ValidationError, match="input assignment infeasible"):
+                        round_half_integral_maxflow(*args)
+                else:
+                    round_half_integral_maxflow(*args)
+                assert k or not full  # the real level passes
+                seen["tampered" if k else "levels"] += 1
                 seen["rejected"] += bool(full)
     assert seen["tampered"] > seen["rejected"] > 20, seen
+
+
+def test_full_round_checks_every_level_twice(monkeypatch):
+    # one input and one leftover check per level, none skipped
+    rng = random.Random(77)
+    for trial in range(12):
+        inst = _trial_instance(rng, trial)
+        calls = []
+        real = maxflow.fractional_assignment_violations
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(maxflow, "fractional_assignment_violations", counted)
+        _, trace = full_round_maxflow(inst, color_greedy)
+        monkeypatch.undo()
+        assert len(trace.levels) >= 1
+        assert len(calls) == 2 * len(trace.levels)
 
 
 def _lp_key(lp):

@@ -12,9 +12,12 @@ from flowdisc.core import (
     gen_random_instance,
     make_instance,
 )
+from flowdisc import totalflow
 from flowdisc.totalflow import (
     TimeIndexedSolution,
+    _pour,
     _require_integral,
+    _split_solution,
     _slot_program,
     aux_cost,
     build_auxiliary_lp,
@@ -39,7 +42,7 @@ from flowdisc.totalflow import (
     ti_cost,
     yvar,
 )
-from flowdisc.util import ValidationError
+from flowdisc.util import InternalCheckError, ValidationError
 
 
 def brute(seq):
@@ -466,6 +469,144 @@ def test_normalize_preserves_everything_random():
             items.sort()
             ranks = [r for _, r in items]
             assert ranks == sorted(ranks)
+
+
+def _reference_normalize(inst, y):
+    """normalize_consistent_order with its own refill loop (reference)."""
+    order = sorted(range(inst.n), key=lambda j: (inst.jobs[j].release, j))
+    rank = {j: pos for pos, j in enumerate(order)}
+    groups = {}
+    for (i, j, t), v in y.entries.items():
+        groups.setdefault((i, class_index(inst.jobs[j].proc[i])), []).append((j, t, v))
+    entries = {}
+    for (i, k), items in sorted(groups.items()):
+        slot_vol, job_vol = {}, {}
+        for j, t, v in items:
+            slot_vol[t] = slot_vol.get(t, F(0)) + v
+            job_vol[j] = job_vol.get(j, F(0)) + v
+        slots = sorted(slot_vol)
+        jobs = sorted(job_vol, key=lambda j: rank[j])
+        si = 0
+        room = slot_vol[slots[0]] if slots else F(0)
+        for j in jobs:
+            need = job_vol[j]
+            while need > 0:
+                if room == 0:
+                    si += 1
+                    if si >= len(slots):
+                        raise InternalCheckError("group refill ran out of slot volume")
+                    room = slot_vol[slots[si]]
+                take = min(need, room)
+                key = (i, j, slots[si])
+                entries[key] = entries.get(key, F(0)) + take
+                need -= take
+                room -= take
+    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+
+
+def _reference_split_solution(inst, origin, y, level):
+    """_split_solution with its own slicing loop (reference)."""
+    scale = 2 ** level
+    streams = y.streams()
+    pieces_of = {}
+    for piece, j in enumerate(origin):
+        pieces_of.setdefault(j, []).append(piece)
+    entries = {}
+    for j in range(inst.n):
+        slots = []
+        for i in range(inst.m):
+            p = inst.jobs[j].proc[i]
+            if p is not None:
+                tot = sum((v for _, v in streams.get((i, j), [])), F(0))
+                slots.extend([i] * int(tot / (p / scale)))
+        pieces = pieces_of[j]
+        holders = {}
+        for q in range(scale // 2):
+            holders.setdefault(slots[q], []).append(pieces[q])
+            holders.setdefault(slots[scale - 1 - q], []).append(pieces[q])
+        for i, piece_list in sorted(holders.items()):
+            chunk = inst.jobs[j].proc[i] / scale
+            stream = streams[(i, j)]
+            pos = 0
+            t, avail = stream[0]
+            for piece in piece_list:
+                need = chunk
+                while need > 0:
+                    if avail == 0:
+                        pos += 1
+                        if pos >= len(stream):
+                            raise InternalCheckError("volume stream exhausted mid-slice")
+                        t, avail = stream[pos]
+                    take = min(need, avail)
+                    key = (i, piece, t)
+                    entries[key] = entries.get(key, F(0)) + take
+                    need -= take
+                    avail -= take
+    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+
+
+def _random_dyadic_solution(inst, rng, level):
+    """Per (machine, job) a multiple of p/2^level, spread over up to three
+    slots in random fractional parts."""
+    H = default_horizon(inst) + 2
+    entries = {}
+    for j, job in enumerate(inst.jobs):
+        finite = [i for i in range(inst.m) if job.proc[i] is not None]
+        counts = dict.fromkeys(finite, 0)
+        for _ in range(2 ** level):
+            counts[rng.choice(finite)] += 1
+        for i, c in counts.items():
+            parts = [F(rng.randint(1, 5)) for _ in range(rng.randint(1, 3))] if c else []
+            for w in parts:
+                key = (i, j, rng.randint(int(job.release), H - 1))
+                entries[key] = entries.get(key, F(0)) + w / sum(parts) * c * job.proc[i] / 2 ** level
+    return TimeIndexedSolution(horizon=H, entries=entries)
+
+
+def test_normalize_matches_reference_refill():
+    rng = random.Random(41)
+    fractional = 0
+    for trial in range(60):
+        inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
+                                   (1, 9), (0, 6), 0.2, seed=900 + trial)
+        y = _random_solution(inst, rng)
+        fractional += any(v.denominator > 1 for v in y.entries.values())
+        got, want = normalize_consistent_order(inst, y), _reference_normalize(inst, y)
+        assert list(got.entries.items()) == list(want.entries.items())
+    assert fractional > 30
+
+
+def test_split_solution_matches_reference_slicing(monkeypatch):
+    rng = random.Random(43)
+    cases = []
+    for trial in range(60):
+        inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
+                                   (1, 9), (0, 6), 0.2, seed=1000 + trial)
+        level = rng.randint(1, 3)
+        origin = [j for j in range(inst.n) for _ in range(2 ** (level - 1))]
+        cases.append((inst, origin, _random_dyadic_solution(inst, rng, level), level))
+    # and the pipeline's own level inputs
+    real = totalflow._split_solution
+    monkeypatch.setattr(totalflow, "_split_solution",
+                        lambda *args: cases.append(args) or real(*args))
+    for trial in range(6):
+        full_round_totalflow(gen_random_instance(5, 2, (1, 6), (0, 8), 0.2, seed=1100 + trial),
+                             color_greedy)
+    monkeypatch.undo()
+    assert len(cases) > 60 and any(v.denominator > 1 for *_, y, _ in cases for v in y.entries.values())
+    for inst, origin, y, level in cases:
+        got, want = _split_solution(inst, origin, y, level), _reference_split_solution(inst, origin, y, level)
+        assert list(got.entries.items()) == list(want.entries.items())
+
+
+def test_pour_fills_in_order_and_rejects_a_short_supply():
+    entries = {}
+    _pour(entries, 1, [(0, F(1, 2)), (3, F(2))], [(7, F(1)), (4, F(1, 3))])
+    assert entries == {(1, 7, 0): F(1, 2), (1, 7, 3): F(1, 2), (1, 4, 3): F(1, 3)}
+    with pytest.raises(InternalCheckError, match="machine 1: volume supply ran out"):
+        _pour({}, 1, [(0, F(1, 2)), (3, F(2))], [(7, F(1)), (4, F(5, 3))])
+    with pytest.raises(InternalCheckError):
+        _pour({}, 0, [], [(0, F(1, 4))])
 
 
 def test_split_jobs_identity_level():
