@@ -23,9 +23,12 @@ invariant check after each of its few build moves is a full scan:
 - The state keeps an exact integer segment tree (`PrefixTree`) over the values
   scaled to their common denominator, for the max |prefix| and any prefix sum,
   and a sorted ``open`` list of the uncolored indices (a bisect and one list
-  deletion per move).  `RandomBreaker` draws from that list, so its rng draws
-  are those of a rebuilt list; `GreedyMaker` takes ``open[0]`` and compares
-  its two trial peaks as scaled integers.
+  deletion per move).  A tree update pulls the nodes on the leaf's path to
+  the root in one inline loop.  `RandomBreaker` draws from the open list, so
+  its rng draws are those of a rebuilt list; `GreedyMaker` takes ``open[0]``
+  and reads both of its trial peaks, as scaled integers, from one read-only
+  walk (`PrefixTree.peaks_if`) that composes the summaries around the leaf,
+  with no trial coloring to undo.
 - `play_game` builds one `Fraction` per distinct peak value of the game, so
   the trace still holds Fractions.
 - Strategies read the state instead of keeping copies of it.  `PairingMaker`
@@ -80,7 +83,9 @@ class PrefixTree:
     The values are scaled to integers over their common denominator.  A padded
     power-of-two segment tree stores per node the sum of its colored scaled
     values and its largest and smallest prefix sum, the empty prefix included,
-    so the root reads the peak of every prefix of the whole sequence.
+    so the root reads the peak of every prefix of the whole sequence.  Both
+    the build and a point update pull the inner nodes inline, with no call per
+    level.
     """
 
     def __init__(self, values, colors):
@@ -90,37 +95,69 @@ class PrefixTree:
         while size < len(values):
             size *= 2
         self.size = size
-        self.sum = [0] * (2 * size)
-        self.hi = [0] * (2 * size)
-        self.lo = [0] * (2 * size)
-        for i, (w, c) in enumerate(zip(self.scaled, colors)):
-            self._set_leaf(size + i, c * w)
+        pad = [0] * (size + size - len(values))
+        leaves = [c * w for w, c in zip(self.scaled, colors)]
+        self.sum = s = pad[:size] + leaves + pad[size:]
+        self.hi = hi = pad[:size] + [x if x > 0 else 0 for x in leaves] + pad[size:]
+        self.lo = lo = pad[:size] + [x if x < 0 else 0 for x in leaves] + pad[size:]
         for p in range(size - 1, 0, -1):
-            self._pull(p)
-
-    def _set_leaf(self, p: int, x: int) -> None:
-        self.sum[p] = x
-        self.hi[p] = x if x > 0 else 0
-        self.lo[p] = x if x < 0 else 0
-
-    def _pull(self, p: int) -> None:
-        s, hi, lo = self.sum, self.hi, self.lo
-        left, right = 2 * p, 2 * p + 1
-        sl = s[left]
-        s[p] = sl + s[right]
-        a, b = hi[left], sl + hi[right]
-        hi[p] = a if a > b else b
-        a, b = lo[left], sl + lo[right]
-        lo[p] = a if a < b else b
+            left = p + p
+            sl = s[left]
+            s[p] = sl + s[left + 1]
+            a, b = hi[left], sl + hi[left + 1]
+            hi[p] = a if a > b else b
+            a, b = lo[left], sl + lo[left + 1]
+            lo[p] = a if a < b else b
 
     def set(self, i: int, sign: int) -> None:
         """Color position i with sign (0 uncolors it); O(log n)."""
+        s, hi, lo = self.sum, self.hi, self.lo
         p = self.size + i
-        self._set_leaf(p, sign * self.scaled[i])
+        x = sign * self.scaled[i]
+        s[p] = x
+        hi[p] = x if x > 0 else 0
+        lo[p] = x if x < 0 else 0
         p >>= 1
         while p:
-            self._pull(p)
+            left = p + p
+            sl = s[left]
+            s[p] = sl + s[left + 1]
+            a, b = hi[left], sl + hi[left + 1]
+            hi[p] = a if a > b else b
+            a, b = lo[left], sl + lo[left + 1]
+            lo[p] = a if a < b else b
             p >>= 1
+
+    def peaks_if(self, i: int) -> tuple[int, int]:
+        """Scaled max |prefix| were position i colored +1, and were it colored
+        -1, whatever its color now; nothing is changed.
+
+        One walk from the leaf to the root composes the (sum, max prefix, min
+        prefix) summaries of the positions before i and after i.
+        """
+        s, hi, lo = self.sum, self.hi, self.lo
+        sl = hl = ll = sr = hr = lr = 0
+        p = self.size + i
+        while p > 1:
+            q = p ^ 1
+            if p & 1:  # the sibling q lies before i: prepend it to the left part
+                a = s[q] + hl
+                hl = hi[q] if hi[q] > a else a
+                a = s[q] + ll
+                ll = lo[q] if lo[q] < a else a
+                sl += s[q]
+            else:  # q lies after i: append it to the right part
+                a = sr + hi[q]
+                if a > hr:
+                    hr = a
+                a = sr + lo[q]
+                if a < lr:
+                    lr = a
+                sr += s[q]
+            p >>= 1
+        w = self.scaled[i]
+        return (max(hl, sl + w + hr, -ll, -(sl + w + lr)),
+                max(hl, sl - w + hr, -ll, -(sl - w + lr)))
 
     def prefix_scaled(self, m: int) -> int:
         """Scaled sum of the colored values at positions < m; O(log n)."""
@@ -172,13 +209,6 @@ class GameState:
         self.tree.set(idx, sign)
         del self.open[bisect_left(self.open, idx)]
 
-    def peak_scaled_if(self, idx: int, sign: int) -> int:
-        """Scaled max |prefix| were idx colored sign; the state is left unchanged."""
-        self.tree.set(idx, sign)
-        peak = self.tree.peak_scaled()
-        self.tree.set(idx, self.colors[idx])
-        return peak
-
 
 def _max_abs_prefix(values, colors) -> Fraction:
     """Max |prefix| by one full scan, as integers over the values' own lcm."""
@@ -193,10 +223,13 @@ def _max_abs_prefix(values, colors) -> Fraction:
     return Fraction(peak, den)
 
 
-def _checked_color(player: str, move: tuple, colors) -> tuple[int, int]:
-    """(index, sign) of a ``("color", index, sign)`` move, which must color an
-    uncolored element with the int +-1; a bool is not an int here."""
-    if len(move) != 3:
+def _checked_move(player: str, move, colors) -> Optional[tuple[int, int]]:
+    """None for the tuple ``("wait",)``; (index, sign) for a tuple
+    ``("color", index, sign)``, which must color an uncolored element with the
+    int +-1 (a bool is not an int here).  Anything else is malformed."""
+    if type(move) is not tuple or len(move) != 3 or move[0] != "color":
+        if type(move) is tuple and move == WAIT:
+            return None
         raise ValidationError(f"{player} strategy returned malformed move {move!r}")
     _, idx, sign = move
     if type(idx) is not int or not 0 <= idx < len(colors) or colors[idx] != 0:
@@ -210,7 +243,8 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     """Run a full game; returns (final GameState, per-move max |prefix| trace).
 
     Strategies are objects with ``move(state) -> move`` where a move is either
-    ``("color", index, sign)`` or ``("wait",)``.  Waiting twice in a row while
+    the tuple ``("color", index, sign)`` or ``("wait",)``; anything else is a
+    `ValidationError` naming the player.  Waiting twice in a row while
     elements remain re-queries the current player with ``must_color`` set.
     """
     values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
@@ -235,22 +269,20 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     while state.open:
         player = state.to_move
         state.must_color = False
-        move = players[player].move(state)
-        if move[0] == "wait" and (prev_wait or not state.wait_allowed[player]):
+        move = _checked_move(player, players[player].move(state), state.colors)
+        if move is None and (prev_wait or not state.wait_allowed[player]):
             state.must_color = True
-            move = players[player].move(state)
-            if move[0] == "wait":
+            move = _checked_move(player, players[player].move(state), state.colors)
+            if move is None:
                 raise ValidationError(f"{player} strategy waited when forced to color")
-        if move[0] == "wait":
+        if move is None:
             state.history.append((player, None, None))
             prev_wait = True
-        elif move[0] == "color":
-            idx, sign = _checked_color(player, move, state.colors)
+        else:
+            idx, sign = move
             state.color(idx, sign)
             state.history.append((player, idx, sign))
             prev_wait = False
-        else:
-            raise ValidationError(f"{player} strategy returned malformed move {move!r}")
         scaled = tree.peak_scaled()
         peak = peaks.get(scaled)
         if peak is None:
@@ -309,9 +341,9 @@ class PairingMaker:
         if state.values is not self._values:
             if not self.allow_fractional:
                 for v in state.values:
-                    if v not in (-1, 1):
+                    if v.denominator != 1 or v.numerator not in (-1, 1):
                         raise ValidationError(f"pairing maker requires +-1 values, got {v}")
-            self._sgn = [1 if v >= 0 else -1 for v in state.values]
+            self._sgn = [1 if v.numerator >= 0 else -1 for v in state.values]
             self._values = state.values
             self._state = None
         self._sync(state)
@@ -354,8 +386,7 @@ class GreedyMaker:
         if not state.open:
             return WAIT
         i = state.open[0]
-        plus = state.peak_scaled_if(i, 1)
-        minus = state.peak_scaled_if(i, -1)
+        plus, minus = state.tree.peaks_if(i)
         return color_move(i, -1 if minus < plus else 1)
 
 
@@ -438,6 +469,8 @@ def color_two_permutation(values, sigma) -> list[int]:
     colored +1 and do not participate).
     """
     values = [Fraction(v) for v in values]
+    if any(type(s) is not int for s in sigma):  # 0.0 and True are not indices here
+        raise ValidationError("sigma entries must be ints")
     if sorted(sigma) != list(range(len(values))):
         raise ValidationError("sigma is not a permutation of range(n)")
     colors = [0 if v else 1 for v in values]
@@ -497,10 +530,10 @@ def exhaustive_breaker_value(values, maker, starter=BREAKER, allow_wait=True, li
             memo[key] = here
             return here
         if to_move == MAKER:
-            move = maker.move(state_for(colors, MAKER))
-            if move[0] != "color":
+            move = _checked_move(MAKER, maker.move(state_for(colors, MAKER)), colors)
+            if move is None:
                 raise ValidationError("maker strategy must color while elements remain")
-            idx, sign = _checked_color(MAKER, move, colors)
+            idx, sign = move
             nxt = list(colors)
             nxt[idx] = sign
             val = max(here, visit(tuple(nxt), BREAKER))

@@ -144,9 +144,18 @@ class _FixedMove:
     (("color", 0.5, 1), "strategy colored an unavailable index 0.5"),
     (("color", True, 1), "strategy colored an unavailable index True"),
     (("color", 0, True), "strategy produced sign True"),
-], ids=["short", "float-index", "bool-index", "bool-sign"])
+    (None, "strategy returned malformed move None"),
+    (5, "strategy returned malformed move 5"),
+    ((), "strategy returned malformed move ()"),
+    (("wait", 3), "strategy returned malformed move ('wait', 3)"),
+    (["wait"], "strategy returned malformed move ['wait']"),
+    (["color", 0, 1], "strategy returned malformed move ['color', 0, 1]"),
+    (("colour", 0, 1), "strategy returned malformed move ('colour', 0, 1)"),
+], ids=["short", "float-index", "bool-index", "bool-sign", "none", "int", "empty",
+        "long-wait", "list-wait", "list-color", "unknown-kind"])
 def test_malformed_color_move_is_a_validation_error(move, message):
-    # each once ended in a ValueError or a TypeError, or was played as an int
+    # each once ended in a ValueError, a TypeError or an IndexError, or was
+    # played as an int; ("wait", 3) was taken as a wait
     for player, starter in ((MAKER, MAKER), (BREAKER, BREAKER)):
         with pytest.raises(ValidationError) as engine:
             play_game([1, 1], _FixedMove(move), _FixedMove(move), starter=starter)
@@ -369,6 +378,14 @@ def test_two_permutation_zeros():
     assert cols == [1] * 5
     a, b = permutation_prefix_peaks([0] * 5, [4, 3, 2, 1, 0], cols)
     assert a == 0 and b == 0
+
+
+@pytest.mark.parametrize("sigma", [[0.0], [True, False], [F(0), 1]])
+def test_two_permutation_rejects_sigma_entries_that_are_not_ints(sigma):
+    # [0.0] once passed the permutation test and ended in a TypeError, and
+    # [True, False] was taken as a permutation
+    with pytest.raises(ValidationError, match="sigma entries must be ints"):
+        color_two_permutation([1] * len(sigma), sigma)
 
 
 def test_two_permutation_random_signed():
@@ -627,6 +644,44 @@ def test_prefix_tree_queries_match_direct_sums():
         assert F(tree.peak_scaled(), tree.den) == tree.peak() == _fraction_peak(values, colors)
 
 
+def _tree_arrays(tree):
+    return tree.sum, tree.hi, tree.lo
+
+
+def test_prefix_tree_peaks_if_matches_coloring_and_restoring():
+    rng = random.Random("peaks-if")
+    for n in range(1, 34):
+        for _ in range(6):
+            values = _mixed_values(rng, n)
+            colors = [rng.choice((-1, 1)) if rng.random() < 0.5 else 0 for _ in values]
+            tree = PrefixTree(values, colors)
+            before = [list(a) for a in _tree_arrays(tree)]
+            for i in range(n):
+                # the old way: color the leaf in a copy, read the peak, restore
+                expected = []
+                for sign in (1, -1):
+                    trial = PrefixTree(values, colors)
+                    trial.set(i, sign)
+                    expected.append(trial.peak_scaled())
+                    trial.set(i, colors[i])
+                    assert _tree_arrays(trial) == _tree_arrays(tree)
+                assert tree.peaks_if(i) == tuple(expected), (n, i, colors[i])
+            assert [list(a) for a in _tree_arrays(tree)] == before
+
+
+def test_prefix_tree_updates_match_a_fresh_build():
+    rng = random.Random("tree-set")
+    for n in range(1, 34):
+        values = _mixed_values(rng, n)
+        colors = [rng.choice((-1, 0, 1)) for _ in values]
+        tree = PrefixTree(values, colors)
+        for _ in range(3 * n):
+            i, sign = rng.randrange(n), rng.choice((-1, 0, 1))
+            tree.set(i, sign)
+            colors[i] = sign
+            assert _tree_arrays(tree) == _tree_arrays(PrefixTree(values, colors)), (n, i)
+
+
 @pytest.mark.parametrize("kind", ["unit", "mixed"])
 @pytest.mark.parametrize("maker_name", ["pairing", "greedy"])
 @pytest.mark.parametrize("starter", [MAKER, BREAKER])
@@ -847,3 +902,15 @@ def test_two_system_colorers_keep_their_bounds_at_n_2000():
     seq = SignedVectorSequence(m, rows)
     signs = color_two_sparse_paired(seq)
     assert discrepancy(seq.with_signs(signs), PREFIX).value <= 8
+
+
+@pytest.mark.slow
+def test_k8_hard_games_keep_their_payoffs():
+    # criterion 9's k=8 point; each game takes seconds, so it runs only with -m slow
+    values = breaker_hard_instance(8)
+    assert len(values) == 266305
+    for make_maker, payoff in ((GreedyMaker, F(12307, 8)),
+                               (lambda: PairingMaker(allow_fractional=True), F(4165, 8))):
+        state, trace = play_game(values, make_maker(), TreeBreaker(8), starter=BREAKER)
+        assert all(state.colors)
+        assert max(trace) == payoff
