@@ -77,6 +77,12 @@ def color_move(index: int, sign: int) -> tuple:
     return ("color", index, sign)
 
 
+def _common_scale(values) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and each value times it."""
+    den = lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 class PrefixTree:
     """Exact max |prefix| of a partially colored sequence under point updates.
 
@@ -89,8 +95,7 @@ class PrefixTree:
     """
 
     def __init__(self, values, colors):
-        self.den = lcm(*{v.denominator for v in values})
-        self.scaled = [v.numerator * (self.den // v.denominator) for v in values]
+        self.den, self.scaled = _common_scale(values)
         size = 1
         while size < len(values):
             size *= 2
@@ -704,6 +709,7 @@ class TreeBreaker:
     def __init__(self, k: int):
         self.tree = build_hard_tree(k)
         self.values = [self.tree.value(i) for i in range(len(self.tree.layer))]
+        self._scale = _common_scale(self.values)  # compared with a state's tree on binding
         self.structure: Optional[BreakerStructure] = None
         self.phase = "open"
         self.claim: Optional[tuple[int, int]] = None  # (i_0, i_{l+1}) frozen at endgame
@@ -766,7 +772,7 @@ class TreeBreaker:
     # -- main move --------------------------------------------------------
     def move(self, state: GameState) -> tuple:
         if state.values is not self._bound_values:
-            if list(state.values) != self.values:
+            if (state.tree.den, state.tree.scaled) != self._scale:
                 raise ValidationError("tree breaker bound to a different hard instance")
             self._bound_values = state.values
         if self.phase == "maintain":

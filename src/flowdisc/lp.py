@@ -1,7 +1,8 @@
 """Exact-rational linear programming via two-phase primal simplex.
 
 Everything is computed over exact rationals; there are no tolerances anywhere.
-Coefficients, right-hand sides and bounds are ints or `Fraction`s.  Each
+LPs come in standard form: every variable is nonnegative, with no other
+bound.  Coefficients and right-hand sides are ints or `Fraction`s.  Each
 tableau row is a sparse ``{column: int}`` dict that stores only its nonzero
 entries, built straight from its constraint with one lcm of the row's
 denominators.  A pivot updates only the rows that hold the entering column,
@@ -40,16 +41,11 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A minimization LP over named variables.
-
-    ``bounds`` maps a variable to ``(lower, upper)``; missing variables default
-    to ``(0, None)``.  A lower bound of ``None`` means the variable is free.
-    """
+    """A minimization LP over named variables, each of them ``>= 0``."""
 
     variables: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)
 
     def add_constraint(self, coeffs: dict, relation: str, rhs) -> None:
         if relation not in _RELATIONS:
@@ -96,9 +92,6 @@ def _validate(lp: LinearProgram) -> None:
         for name in con.coeffs:
             if name not in declared:
                 raise ValidationError(f"constraint {pos} references undeclared variable {name!r}")
-    for name in lp.bounds:
-        if name not in declared:
-            raise ValidationError(f"bound on undeclared variable {name!r}")
 
 
 def _gcd_reduce(row: dict) -> None:
@@ -213,41 +206,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Deterministic: identical inputs produce the identical basis and values.
     """
     _validate(lp)
-
-    # Columns: a variable with lower bound lo gets one column holding x - lo;
-    # a free variable gets the pair (x+, x-) at columns (col, col + 1).  Upper
-    # bounds become extra <= rows after the constraints.
-    place: dict = {}  # var -> (col, lo), lo None for a free variable
-    upper: list = []  # (var, hi)
-    ncols = 0
-    for var in lp.variables:
-        lo, hi = lp.bounds.get(var, (0, None))
-        place[var] = (ncols, lo)
-        ncols += 1 if lo is not None else 2
-        if hi is not None:
-            if lo is not None and hi < lo:
-                return LpSolution(INFEASIBLE, {}, None)
-            upper.append((var, hi))
+    col = {var: j for j, var in enumerate(lp.variables)}  # column j holds variable j
+    ncols = len(col)
 
     def int_row(coeffs: dict, rhs):
-        """`coeffs` over the columns and `rhs` less the lower-bound shifts, as
-        integers over one lcm `den` of their denominators: (row, rhs, den)."""
-        terms = [(place[var], c) for var, c in coeffs.items() if c]
-        for (_, lo), c in terms:
-            if lo:
-                rhs -= c * lo
+        """`coeffs` over the columns and `rhs` as integers over one lcm `den`
+        of their denominators: (row, rhs, den)."""
+        terms = [(col[var], c) for var, c in coeffs.items() if c]
         den = math.lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        row = {}
-        for (col, lo), c in terms:
-            row[col] = x = c.numerator * (den // c.denominator)
-            if lo is None:
-                row[col + 1] = -x
+        row = {j: c.numerator * (den // c.denominator) for j, c in terms}
         return row, rhs.numerator * (den // rhs.denominator), den
 
     specs = []  # (row, rhs >= 0, den, relation)
-    rows_in = [(con.coeffs, con.rhs, con.relation) for con in lp.constraints]
-    for coeffs, rhs, rel in rows_in + [({var: 1}, hi, LE) for var, hi in upper]:
-        row, rhs, den = int_row(coeffs, rhs)
+    for con in lp.constraints:
+        row, rhs, den = int_row(con.coeffs, con.rhs)
+        rel = con.relation
         if rhs < 0:
             row, rhs, rel = {j: -v for j, v in row.items()}, -rhs, _FLIP[rel]
         specs.append((row, rhs, den, rel))
@@ -309,13 +282,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     col_values = {b: Fraction(row.get(ncols, 0), row[b]) for row, b in zip(tab.rows, tab.basis)}
     zero = Fraction(0)
-    values = {}
-    for var in lp.variables:
-        col, lo = place[var]
-        if lo is None:
-            values[var] = col_values.get(col, zero) - col_values.get(col + 1, zero)
-        else:
-            values[var] = col_values.get(col, zero) + lo
+    values = {var: col_values.get(j, zero) for var, j in col.items()}
     obj_val = sum((c * values[v] for v, c in lp.objective.items()), zero)
     return LpSolution(OPTIMAL, values, obj_val)
 
@@ -340,25 +307,7 @@ def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
         elif con.relation == EQ and lhs != rhs:
             out.append(Violation("constraint", pos, EQ, lhs, rhs, rhs - lhs))
     for var in lp.variables:
-        lo, hi = lp.bounds.get(var, (Fraction(0), None))
         x = Fraction(values[var])
-        if lo is not None and x < lo:
-            out.append(Violation("bound", var, GE, x, Fraction(lo), x - Fraction(lo)))
-        if hi is not None and x > hi:
-            out.append(Violation("bound", var, LE, x, Fraction(hi), Fraction(hi) - x))
+        if x < 0:
+            out.append(Violation("bound", var, GE, x, Fraction(0), x))
     return out
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Human-readable equation dump (debugging aid, not a stable format)."""
-    def term(c, v):
-        return f"{c}*{v}"
-
-    lines = ["min " + (" + ".join(term(c, v) for v, c in sorted(lp.objective.items())) or "0")]
-    for con in lp.constraints:
-        lhs = " + ".join(term(c, v) for v, c in sorted(con.coeffs.items())) or "0"
-        lines.append(f"  {lhs} {con.relation} {con.rhs}")
-    for var in lp.variables:
-        lo, hi = lp.bounds.get(var, (Fraction(0), None))
-        lines.append(f"  {lo if lo is not None else '-inf'} <= {var} <= {hi if hi is not None else 'inf'}")
-    return "\n".join(lines)

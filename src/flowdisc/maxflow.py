@@ -87,8 +87,8 @@ def var_name(j: int, i: int) -> str:
     return f"x[{j},{i}]"
 
 
-def build_assignment_lp(inst: SchedulingInstance, T, minimize_t: bool = False,
-                        pattern_threshold=None) -> lpmod.LinearProgram:
+def build_assignment_lp(inst: SchedulingInstance, T,
+                        minimize_t: bool = False) -> lpmod.LinearProgram:
     """Assignment LP at flow bound T.
 
     Row sums fix every job to total assignment 1; on every machine the volume
@@ -100,30 +100,28 @@ def build_assignment_lp(inst: SchedulingInstance, T, minimize_t: bool = False,
     time above the bound are pruned entirely (after pruning the largest usable
     processing time is at most the bound by construction).
 
-    With ``minimize_t`` the bound becomes a variable T >= pattern_threshold
-    and the objective minimizes it; the pruning threshold is then
-    ``pattern_threshold``.
+    With ``minimize_t`` the bound becomes T + dT for a variable dT >= 0 (the
+    first column), and the objective minimizes dT; T stays the pruning
+    threshold.
     """
-    T = Fraction(T) if T is not None else None
-    threshold = Fraction(pattern_threshold) if pattern_threshold is not None else T
+    T = Fraction(T)
     lp = lpmod.LinearProgram()
     allowed: list[list[bool]] = []
     for j, job in enumerate(inst.jobs):
         row = []
         for i, p in enumerate(job.proc):
-            ok = p is not None and p <= threshold
+            ok = p is not None and p <= T
             row.append(ok)
             if ok:
                 lp.variables.append(var_name(j, i))
         allowed.append(row)
     if minimize_t:
-        lp.variables.insert(0, "T")
-        lp.bounds["T"] = (threshold, None)
-        lp.objective = {"T": Fraction(1)}
+        lp.variables.insert(0, "dT")
+        lp.objective = {"dT": Fraction(1)}
     for j in range(inst.n):
         coeffs = {var_name(j, i): Fraction(1) for i in range(inst.m) if allowed[j][i]}
         lp.add_constraint(coeffs, lpmod.EQ, 1)
-    cap_t, cap = ({"T": -1}, 0) if minimize_t else ({}, T)
+    cap_t = {"dT": -1} if minimize_t else {}
     for i in range(inst.m):
         loads: dict = {}
         for j, job in enumerate(inst.jobs):
@@ -132,7 +130,7 @@ def build_assignment_lp(inst: SchedulingInstance, T, minimize_t: bool = False,
         times = sorted(loads)
         carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
-            lp.add_constraint({**loads[t], **carry_in, **cap_t}, lpmod.LE, cap)
+            lp.add_constraint({**loads[t], **carry_in, **cap_t}, lpmod.LE, T)
     return lp
 
 
@@ -248,10 +246,9 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
         else:
             prev = breakpoints[first_feasible - 1]
             cap = breakpoints[first_feasible]
-        lp = build_assignment_lp(inst, None, minimize_t=True, pattern_threshold=prev)
-        sol = lpmod.solve_lp(lp)
-        if sol.status == lpmod.OPTIMAL and (cap is None or sol.values["T"] < cap):
-            t_star = sol.values["T"]
+        sol = lpmod.solve_lp(build_assignment_lp(inst, prev, minimize_t=True))
+        if sol.status == lpmod.OPTIMAL and (cap is None or prev + sol.values["dT"] < cap):
+            t_star = prev + sol.values["dT"]
             if t_star <= prev:
                 raise InternalCheckError("minimize-T refinement contradicts bracketing")
         else:

@@ -263,6 +263,20 @@ def test_tree_breaker_full_games_and_monotone_payoffs():
         assert series == sorted(series), (name, series)
 
 
+def _k6_with_one_value_changed():
+    values = breaker_hard_instance(6)
+    assert values[1] == F(5, 6)
+    values[1] = F(1, 6)  # the common denominator stays 6: only a scaled value differs
+    return values
+
+
+@pytest.mark.parametrize("values", [breaker_hard_instance(4), _k6_with_one_value_changed()],
+                         ids=["k4-values", "k6-one-value-changed"])
+def test_tree_breaker_rejects_other_values(values):
+    with pytest.raises(ValidationError, match="different hard instance"):
+        play_game(values, GreedyMaker(), TreeBreaker(6), starter=BREAKER)
+
+
 def _fraction_peak(values, colors):
     # the full rescan on Fractions, independent of any integer scaling
     run = F(0)

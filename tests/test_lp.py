@@ -42,15 +42,6 @@ def test_undeclared_variable_rejected():
         lp.solve_lp(p)
 
 
-def test_free_variable_and_upper_bound():
-    p = lp.LinearProgram(
-        variables=["x"], objective={"x": F(1)}, bounds={"x": (None, F(2))}
-    )
-    p.add_constraint({"x": 1}, lp.GE, F(-7, 3))
-    sol = lp.solve_lp(p)
-    assert sol.values["x"] == F(-7, 3)
-
-
 def test_exactness_resolve_check():
     rng = random.Random(2)
     for trial in range(15):
@@ -126,11 +117,12 @@ def test_check_point_missing_value():
         lp.check_point(p, {"x": F(0)})
 
 
-def test_dump_lp_mentions_everything():
-    p = lp.LinearProgram(variables=["x"], objective={"x": F(2)})
-    p.add_constraint({"x": 1}, lp.LE, 3)
-    text = lp.dump_lp(p)
-    assert "min" in text and "<=" in text and "x" in text
+def test_check_point_negative_value_is_one_bound_violation():
+    # every variable is >= 0, and that is the only bound
+    p = lp.LinearProgram(variables=["x", "y"])
+    p.add_constraint({"x": 1, "y": 1}, lp.LE, 3)
+    v = lp.check_point(p, {"x": F(-5, 2), "y": F(1)})
+    assert v == [lp.Violation("bound", "x", lp.GE, F(-5, 2), F(0), F(-5, 2))]
 
 
 # -- the dense tableau, kept as the reference for the sparse solver ----------
@@ -211,53 +203,19 @@ class _DenseTableau:
 def _dense_solve_lp(p):
     """Reference two-phase Bland simplex over a dense Fraction-built tableau."""
     lp._validate(p)
-    col_names, piece_map, extra_rows = [], {}, []
-    for var in p.variables:
-        lo, hi = p.bounds.get(var, (F(0), None))
-        lo = None if lo is None else F(lo)
-        hi = None if hi is None else F(hi)
-        if lo is None:
-            cp, cm = len(col_names), len(col_names) + 1
-            col_names += [var + "+", var + "-"]
-            piece_map[var] = ("split", cp, cm)
-            if hi is not None:
-                extra_rows.append(({cp: F(1), cm: F(-1)}, lp.LE, hi))
-        else:
-            c = len(col_names)
-            col_names.append(var)
-            piece_map[var] = ("shift", c, lo)
-            if hi is not None:
-                if hi < lo:
-                    return lp.LpSolution(lp.INFEASIBLE, {}, None)
-                extra_rows.append(({c: F(1)}, lp.LE, hi - lo))
+    col_of = {var: c for c, var in enumerate(p.variables)}
 
     def to_columns(coeffs):
-        cols, offset = {}, F(0)
-        for var, c in coeffs.items():
-            c = F(c)
-            if c == 0:
-                continue
-            piece = piece_map[var]
-            if piece[0] == "shift":
-                _, col, lo = piece
-                cols[col] = cols.get(col, F(0)) + c
-                offset += c * lo
-            else:
-                _, cp, cm = piece
-                cols[cp] = cols.get(cp, F(0)) + c
-                cols[cm] = cols.get(cm, F(0)) - c
-        return cols, offset
+        return {col_of[var]: F(c) for var, c in coeffs.items() if c}
 
     row_kinds = []
     for con in p.constraints:
-        cols, offset = to_columns(con.coeffs)
-        row_kinds.append((cols, con.relation, F(con.rhs) - offset))
-    row_kinds.extend(extra_rows)
-    for k, (cols, rel, rhs) in enumerate(row_kinds):
+        cols, rel, rhs = to_columns(con.coeffs), con.relation, F(con.rhs)
         if rhs < 0:
             flip = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[rel]
-            row_kinds[k] = ({c: -v for c, v in cols.items()}, flip, -rhs)
-    ncols = len(col_names)
+            cols, rel, rhs = {c: -v for c, v in cols.items()}, flip, -rhs
+        row_kinds.append((cols, rel, rhs))
+    ncols = len(col_of)
     slack_of, art_of = [], []
     for _, rel, _ in row_kinds:
         slack_of.append(None if rel == lp.EQ else ncols)
@@ -317,44 +275,24 @@ def _dense_solve_lp(p):
                     drop.append(i)
         for i in reversed(drop):
             del tab.rows[i], tab.dens[i], tab.basis[i]
-    obj_cols, _ = to_columns(p.objective)
+    obj_cols = to_columns(p.objective)
     if obj_cols:
         set_costs([obj_cols.get(j, F(0)) for j in range(ncols)])
         if tab.run([j not in art_cols for j in range(ncols)]) == lp.UNBOUNDED:
             return lp.LpSolution(lp.UNBOUNDED, {}, None)
     col_values = {b: F(tab.rows[i][ncols], tab.dens[i]) for i, b in enumerate(tab.basis)}
-    values = {}
-    for var in p.variables:
-        piece = piece_map[var]
-        if piece[0] == "shift":
-            values[var] = col_values.get(piece[1], F(0)) + piece[2]
-        else:
-            values[var] = col_values.get(piece[1], F(0)) - col_values.get(piece[2], F(0))
+    values = {var: col_values.get(c, F(0)) for var, c in col_of.items()}
     obj_val = sum((F(c) * values[v] for v, c in p.objective.items()), F(0))
     return lp.LpSolution(lp.OPTIMAL, values, obj_val)
 
 
 def _random_lp(rng):
-    """A small LP mixing every bound kind, relation, sign and degenerate row."""
+    """A small LP mixing every relation, sign and degenerate row."""
     names = [f"v{i}" for i in range(rng.randint(1, 4))]
-    bounds = {}
-    for v in names:
-        kind = rng.randrange(6)
-        lo = F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-        if kind == 1:
-            bounds[v] = (None, None)
-        elif kind == 2:
-            bounds[v] = (None, lo)
-        elif kind == 3:
-            bounds[v] = (lo, None)
-        elif kind == 4:
-            bounds[v] = (lo, lo + rng.randint(0, 3))
-        elif kind == 5 and rng.random() < 0.3:
-            bounds[v] = (lo, lo - 1)  # empty range
     objective = {}
     if rng.random() < 0.8:  # else identically zero
         objective = {v: F(rng.randint(-3, 3), rng.choice([1, 2])) for v in names}
-    p = lp.LinearProgram(variables=list(names), objective=objective, bounds=bounds)
+    p = lp.LinearProgram(variables=list(names), objective=objective)
     for _ in range(rng.randint(0, 4)):
         coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2, 5])) for v in names
                   if rng.random() < 0.7}

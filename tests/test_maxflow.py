@@ -812,8 +812,7 @@ def test_full_round_checks_every_level_twice(monkeypatch):
 
 def _lp_key(lp):
     return (tuple(lp.variables), tuple(sorted(lp.objective.items())),
-            tuple((tuple(c.coeffs.items()), c.relation, c.rhs) for c in lp.constraints),
-            tuple(sorted(lp.bounds.items(), key=repr)))
+            tuple((tuple(c.coeffs.items()), c.relation, c.rhs) for c in lp.constraints))
 
 
 def test_min_T_search_solves_no_lp_twice(monkeypatch):
@@ -833,3 +832,20 @@ def test_min_T_search_solves_no_lp_twice(monkeypatch):
         assert search.assignment == fresh
         cached += search.t_star in {p for _, _, p in inst.finite_procs()}
     assert cached  # some t_star was a breakpoint, so its witness came from the cache
+
+
+@pytest.mark.parametrize("seed,minimize_t,t_star,below", [
+    (0, False, 4, F(11, 3)),   # the first breakpoint is feasible
+    (3, True, 3, F(8, 3)),     # minimize-T ends below the cap
+    (12, True, 5, F(14, 3)),   # minimize-T reaches the cap, which is T*
+    (15, True, 8, F(23, 3)),   # infeasible at every breakpoint: no cap
+], ids=["first-breakpoint", "below-cap", "reaches-cap", "above-breakpoints"])
+def test_min_T_search_branches_keep_their_values(monkeypatch, seed, minimize_t, t_star, below):
+    inst = gen_random_instance(3, 2, (1, 6), (0, 6), 0.2, seed=seed)
+    solved = []
+    real = lpmod.solve_lp
+    monkeypatch.setattr(lpmod, "solve_lp", lambda lp: solved.append(lp.variables[:1]) or real(lp))
+    search = solve_min_T(inst)
+    assert (["dT"] in solved) == minimize_t
+    assert (search.t_star, search.certified_infeasible_below) == (t_star, below)
+    assert fractional_assignment_violations(inst, search.assignment) == []

@@ -3,6 +3,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowdisc"
 
+# the modules whose results are asserted exactly; cli, game and sdp may use
+# floats for option parsing, wait probabilities and Monte-Carlo estimates
+EXACT_MODULES = ("lp", "core", "coloring", "maxflow", "totalflow", "equivalence", "util")
+
 
 def test_no_assert_statements_in_the_library():
     # `python -O` strips assert statements; invariants raise InternalCheckError
@@ -12,3 +16,15 @@ def test_no_assert_statements_in_the_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert SRC.is_dir() and not found, found
+
+
+def test_no_floats_in_the_exact_modules():
+    found = []
+    for name in EXACT_MODULES:
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno}: name float")
+    assert not found, found
