@@ -152,7 +152,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_game(args) -> int:
-    if args.hard_k:
+    if args.hard_k is not None:
         values = game.breaker_hard_instance(args.hard_k)
     elif args.values:
         seq = coloring.seq_from_json(_read_json(args.values))
@@ -166,11 +166,11 @@ def cmd_game(args) -> int:
         "greedy": game.GreedyMaker,
     }
     breakers = {
-        "tree": lambda: game.TreeBreaker(args.hard_k) if args.hard_k else None,
+        "tree": lambda: game.TreeBreaker(args.hard_k),
         "random": lambda: game.RandomBreaker(substream_seed(args.seed, "tournament"),
                                              wait_prob=0.1),
     }
-    if args.breaker == "tree" and not args.hard_k:
+    if args.breaker == "tree" and args.hard_k is None:
         raise ValidationError("the tree breaker requires --hard-k")
     maker = makers[args.maker]()
     breaker = breakers[args.breaker]()
@@ -224,7 +224,7 @@ def cmd_sdp(args) -> int:
         print(f"r = {r}")
         return 0
     if args.mode == "mc":
-        r = args.r or sdp.choose_r(delta, args.n, args.m)
+        r = args.r if args.r is not None else sdp.choose_r(delta, args.n, args.m)
         rep = sdp.gaussian_measure_mc(r, delta, args.n, args.m,
                                       args.samples, substream_seed(args.seed, "mc"))
         print(f"r = {r}  fraction = {rep.fraction:.6f}  target = {rep.target:.6f}  "
@@ -233,7 +233,7 @@ def cmd_sdp(args) -> int:
     if args.vectors is None:
         raise ValidationError(f"sdp --mode {args.mode} needs --vectors")
     seq = coloring.seq_from_json(_read_json(args.vectors))
-    r = args.r or sdp.choose_r(delta, seq.n, seq.m)
+    r = args.r if args.r is not None else sdp.choose_r(delta, seq.n, seq.m)
     block = sdp.build_block_instance(seq, r)
     if args.mode == "build":
         out = {"r": r, "m": block.m, "n": block.n,

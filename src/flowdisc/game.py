@@ -566,28 +566,32 @@ def exhaustive_breaker_value(values, maker, starter=BREAKER, allow_wait=True, li
 
 @dataclass
 class TreeShape:
-    """Preorder layout of the complete k^2-ary tree of value layers."""
+    """Preorder layout of the complete k^2-ary tree of value layers.
+
+    Layers 0 .. k/2 - 1; a node's first child is the next index, and each
+    sibling starts one subtree of its layer after the one before.  Subtree
+    sizes (1 + k^2 times the next layer's) and values (1 - d/k) are per layer.
+    """
 
     k: int
     layer: list[int]
-    parent: list[Optional[int]]
-    children: list[list[int]]
-    subtree_size: list[int]
     child_rank: list[int]  # 1-based rank among siblings; root has rank 1
+    sizes: list[int]  # subtree size of a node, by layer
+    layer_values: list[Fraction]  # value of a node, by layer
+
+    def subtree_size(self, i: int) -> int:
+        return self.sizes[self.layer[i]]
 
     def next_sib(self, i: int) -> Optional[int]:
-        p = self.parent[i]
-        if p is None:
+        if i == 0 or self.child_rank[i] == self.k * self.k:
             return None
-        sibs = self.children[p]
-        r = self.child_rank[i]
-        return sibs[r] if r < len(sibs) else None
+        return i + self.sizes[self.layer[i]]
 
     def first_child(self, i: int) -> Optional[int]:
-        return self.children[i][0] if self.children[i] else None
+        return i + 1 if self.layer[i] < len(self.sizes) - 1 else None
 
     def value(self, i: int) -> Fraction:
-        return 1 - Fraction(self.layer[i], self.k)
+        return self.layer_values[self.layer[i]]
 
 
 def build_hard_tree(k: int) -> TreeShape:
@@ -596,38 +600,29 @@ def build_hard_tree(k: int) -> TreeShape:
     size = sum((k * k) ** d for d in range(k // 2))
     if size > 10 ** 6:
         raise ValidationError(f"hard instance for k = {k} has {size} elements; too large")
-    depth_max = k // 2 - 1  # nodes exist at layers 0..depth_max
-    layer: list[int] = []
-    parent: list[Optional[int]] = []
-    children: list[list[int]] = []
-    child_rank: list[int] = []
-
-    def emit(d: int, par: Optional[int], rank: int) -> int:
-        idx = len(layer)
-        layer.append(d)
-        parent.append(par)
-        children.append([])
-        child_rank.append(rank)
-        if par is not None:
-            children[par].append(idx)
-        if d < depth_max:
-            for q in range(k * k):
-                emit(d + 1, idx, q + 1)
-        return idx
-
-    emit(0, None, 1)
-    size = [1] * len(layer)
-    for i in range(len(layer) - 1, -1, -1):
-        for c in children[i]:
-            size[i] += size[c]
-    return TreeShape(k=k, layer=layer, parent=parent, children=children,
-                     subtree_size=size, child_rank=child_rank)
+    # from the bottom layer up: the preorder layers of a layer-d subtree, and
+    # the child ranks of its nodes after its root
+    sizes = [1]
+    layer: list[int] = [k // 2 - 1]
+    below: list[int] = []
+    for d in range(k // 2 - 2, -1, -1):
+        sizes.insert(0, 1 + k * k * sizes[0])
+        layer = [d] + layer * (k * k)
+        ranks: list[int] = []
+        for q in range(1, k * k + 1):
+            ranks.append(q)
+            ranks.extend(below)
+        below = ranks
+    return TreeShape(k=k, layer=layer, child_rank=[1] + below, sizes=sizes,
+                     layer_values=[1 - Fraction(d, k) for d in range(k // 2)])
 
 
 def breaker_hard_instance(k: int) -> list[Fraction]:
-    """Values of the layered hard instance: preorder walk, layer d worth 1 - d/k."""
+    """Values of the layered hard instance: preorder walk, layer d worth 1 - d/k.
+
+    Every element of a layer is the same `Fraction` object."""
     tree = build_hard_tree(k)
-    return [tree.value(i) for i in range(len(tree.layer))]
+    return [tree.layer_values[d] for d in tree.layer]
 
 
 @dataclass
@@ -672,12 +667,12 @@ def check_breaker_structure(tree: TreeShape, values, colors, structure: BreakerS
     # (4) the working subtrees are untouched
     last = idx[-2]
     base = last + 1
-    for e in range(base, last + tree.subtree_size[last]):
+    for e in range(base, last + tree.subtree_size(last)):
         if colors[e] != 0:
             raise InternalCheckError(f"subtree of i_l contains colored element {e}")
     s = tree.next_sib(last)
     while s is not None:
-        for e in range(s, s + tree.subtree_size[s]):
+        for e in range(s, s + tree.subtree_size(s)):
             if colors[e] != 0:
                 raise InternalCheckError(f"sibling subtree at {s} contains colored element {e}")
         s = tree.next_sib(s)
@@ -708,13 +703,11 @@ class TreeBreaker:
 
     def __init__(self, k: int):
         self.tree = build_hard_tree(k)
-        self.values = [self.tree.value(i) for i in range(len(self.tree.layer))]
-        self._scale = _common_scale(self.values)  # compared with a state's tree on binding
         self.structure: Optional[BreakerStructure] = None
         self.phase = "open"
         self.claim: Optional[tuple[int, int]] = None  # (i_0, i_{l+1}) frozen at endgame
         self.checked_moves = 0  # build-phase moves that passed the invariant check
-        self._bound_values = None  # the state values last found equal to self.values
+        self._bound_values = None  # the state values last found to be this instance
         self._layer_elems: list[list[int]] = [[] for _ in range(k // 2)]  # ascending
         for e, d in enumerate(self.tree.layer):
             self._layer_elems[d].append(e)
@@ -772,7 +765,8 @@ class TreeBreaker:
     # -- main move --------------------------------------------------------
     def move(self, state: GameState) -> tuple:
         if state.values is not self._bound_values:
-            if (state.tree.den, state.tree.scaled) != self._scale:
+            den, scaled = _common_scale(self.tree.layer_values)
+            if (state.tree.den, state.tree.scaled) != (den, [scaled[d] for d in self.tree.layer]):
                 raise ValidationError("tree breaker bound to a different hard instance")
             self._bound_values = state.values
         if self.phase == "maintain":
@@ -783,7 +777,6 @@ class TreeBreaker:
             i1 = self.tree.first_child(root)
             if i1 is None:  # k = 2: the instance is the lone root
                 self._enter_maintenance([0, 0, 1])
-                self.claim = (0, 1)
                 if state.colors[0] == 0:
                     return color_move(0, 1)
                 return self._maintenance_move(state)
@@ -832,5 +825,5 @@ class TreeBreaker:
         colors = list(state.colors)
         _, idx, sign = mv
         colors[idx] = sign
-        check_breaker_structure(self.tree, self.values, colors, self.structure)
+        check_breaker_structure(self.tree, state.values, colors, self.structure)
         self.checked_moves += 1

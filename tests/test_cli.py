@@ -190,6 +190,8 @@ def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command
     ["maxflow", "--instance", "{binary}"],                   # was UnicodeDecodeError
     ["gen", "vectors", "--n", "0", "--out", "{dir}/v.json"],  # wrote an empty sequence
     ["game", "--hard-k", "2", "--breaker", "tree", "--trace", "{dir}"],  # was IsADirectoryError
+    ["sdp", "--mode", "mc", "--r", "0"],                     # 0 was read as "not given"
+    ["game", "--hard-k", "0"],                               # 0 was read as "not given"
 ])
 def test_file_error_or_empty_request_is_one_error_line(tmp_path, capsys, argv):
     paths = {"dir": str(tmp_path), "file": str(tmp_path / "file.txt"),
@@ -202,6 +204,8 @@ def test_file_error_or_empty_request_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not os.path.exists(tmp_path / "v.json")
+    if argv == ["game", "--hard-k", "0"]:
+        assert "k must be even and >= 2, got 0" in err[0]
 
 
 @pytest.mark.parametrize("command, field, bad", [

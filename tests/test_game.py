@@ -205,9 +205,54 @@ def test_hard_instance_size_recursion():
         assert len(breaker_hard_instance(k)) == expected
 
 
+def _reference_tree(k):
+    # the parent-linked preorder builder: per node its layer, parent, children
+    # and subtree size, with the sizes summed children first
+    layer, parent, children, rank = [], [], [], []
+
+    def emit(d, par, r):
+        idx = len(layer)
+        layer.append(d)
+        parent.append(par)
+        children.append([])
+        rank.append(r)
+        if par is not None:
+            children[par].append(idx)
+        if d < k // 2 - 1:
+            for q in range(k * k):
+                emit(d + 1, idx, q + 1)
+
+    emit(0, None, 1)
+    size = [1] * len(layer)
+    for i in range(len(layer) - 1, -1, -1):
+        size[i] += sum(size[c] for c in children[i])
+    return layer, parent, children, rank, size
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_hard_tree_navigation_matches_the_parent_linked_tree(k):
+    layer, parent, children, rank, size = _reference_tree(k)
+    tree = build_hard_tree(k)
+    assert tree.layer == layer and tree.child_rank == rank
+    for i in range(len(layer)):
+        sibs = children[parent[i]] if parent[i] is not None else [i]
+        assert tree.next_sib(i) == (sibs[rank[i]] if rank[i] < len(sibs) else None), i
+        assert tree.first_child(i) == (children[i][0] if children[i] else None), i
+        assert tree.subtree_size(i) == size[i], i
+        assert tree.value(i) == 1 - F(layer[i], k), i
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_hard_instance_shares_one_value_per_layer(k):
+    values = breaker_hard_instance(k)
+    assert len({id(v) for v in values}) == k // 2
+    assert values == [1 - F(d, k) for d in build_hard_tree(k).layer]
+
+
 def test_tree_breaker_opening_colors_first_child():
     tb = TreeBreaker(6)
-    state = GameState(values=tuple(tb.values), colors=[0] * len(tb.values),
+    values = breaker_hard_instance(6)
+    state = GameState(values=tuple(values), colors=[0] * len(values),
                       to_move=BREAKER, wait_allowed={MAKER: True, BREAKER: True})
     move = tb.move(state)
     assert move == ("color", 1, 1)
@@ -789,12 +834,13 @@ def test_maintenance_move_matches_the_scan_on_random_states():
     # the lowest-layer-first pick is pinned here on random claims and colors
     rng = random.Random(9)
     tb = TreeBreaker(6)
-    n = len(tb.values)
+    values = tuple(breaker_hard_instance(6))
+    n = len(values)
     layers_seen = set()
     for case in range(25):
         density = rng.random()
         colors = [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
-        state = GameState(values=tuple(tb.values), colors=colors, to_move=BREAKER,
+        state = GameState(values=values, colors=colors, to_move=BREAKER,
                           wait_allowed={MAKER: True, BREAKER: True})
         lo = rng.randrange(n - 1)
         tb.phase, tb.claim = "maintain", (lo, rng.randrange(lo + 1, n))

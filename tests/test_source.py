@@ -3,9 +3,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowdisc"
 
-# the modules whose results are asserted exactly; cli, game and sdp may use
-# floats for option parsing, wait probabilities and Monte-Carlo estimates
-EXACT_MODULES = ("lp", "core", "coloring", "maxflow", "totalflow", "equivalence", "util")
+# the modules whose results are asserted exactly; cli and sdp may use floats
+# for option parsing and Monte-Carlo estimates, and game only inside the class
+# named here, for its wait probability
+EXACT_MODULES = ("lp", "core", "coloring", "maxflow", "totalflow", "equivalence", "util", "game")
+FLOAT_CLASSES = {"game": "RandomBreaker"}
 
 
 def test_no_assert_statements_in_the_library():
@@ -22,7 +24,12 @@ def test_no_floats_in_the_exact_modules():
     found = []
     for name in EXACT_MODULES:
         path = SRC / f"{name}.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                   and node.name == FLOAT_CLASSES.get(name)]
+        assert len(allowed) == (name in FLOAT_CLASSES), name
+        tree.body = [node for node in tree.body if node not in allowed]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and type(node.value) is float:
                 found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
             elif isinstance(node, ast.Name) and node.id == "float":
