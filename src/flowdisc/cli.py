@@ -152,6 +152,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.hard_k is not None and args.values:
+        raise ValidationError("--hard-k and --values are alternatives: give one of them")
     if args.hard_k is not None:
         values = game.breaker_hard_instance(args.hard_k)
     elif args.values:

@@ -237,44 +237,42 @@ def evaluate_total_flow_srpt(inst: SchedulingInstance, asg: MachineAssignment) -
         if p.denominator != 1:
             raise ValidationError(f"job {j}: SRPT simulation needs integer processing time, got {p}")
 
-    completion: dict[int, Fraction] = {}
-    segments: list[tuple[int, int, Fraction, Fraction]] = []
+    # every time is an int from here on; Fractions are made only for the result
+    release = [int(job.release) for job in inst.jobs]
+    completion: list[int] = release[:]  # zero-length jobs complete at their release
+    segments: list[list[int]] = []  # [machine, job, start, end]
     for i in range(inst.m):
         jobs_here = [j for j in range(inst.n) if asg.assign[j] == i]
         remaining = {j: int(inst.jobs[j].proc[i]) for j in jobs_here}
-        for j in jobs_here:
-            if remaining[j] == 0:
-                completion[j] = inst.jobs[j].release
         pending = {j for j in jobs_here if remaining[j] > 0}
         if not pending:
             continue
         slot_log: list[tuple[int, int]] = []  # (slot, job)
-        t = min(int(inst.jobs[j].release) for j in pending)
+        t = min(release[j] for j in pending)
         while pending:
-            avail = [j for j in pending if int(inst.jobs[j].release) <= t]
+            avail = [j for j in pending if release[j] <= t]
             if not avail:
-                t = min(int(inst.jobs[j].release) for j in pending)
+                t = min(release[j] for j in pending)
                 continue
             j = min(avail, key=lambda q: (remaining[q], q))
             slot_log.append((t, j))
             remaining[j] -= 1
             if remaining[j] == 0:
-                completion[j] = Fraction(t + 1)
+                completion[j] = t + 1
                 pending.remove(j)
             t += 1
         # merge consecutive slots of the same job into segments
         for t0, j in slot_log:
             if segments and segments[-1][1] == j and segments[-1][0] == i and segments[-1][3] == t0:
-                mi, mj, s0, _ = segments[-1]
-                segments[-1] = (mi, mj, s0, Fraction(t0 + 1))
+                segments[-1][3] = t0 + 1
             else:
-                segments.append((i, j, Fraction(t0), Fraction(t0 + 1)))
-    flows = tuple(completion[j] - inst.jobs[j].release for j in range(inst.n))
+                segments.append([i, j, t0, t0 + 1])
+    flows = tuple(Fraction(c - r) for c, r in zip(completion, release))
     return ScheduleMetrics(
         per_job_flow=flows,
         max_flow=max(flows),
-        total_flow=sum(flows, Fraction(0)),
-        segments=tuple(segments),
+        total_flow=Fraction(sum(c - r for c, r in zip(completion, release))),
+        segments=tuple((i, j, Fraction(s0), Fraction(s1)) for i, j, s0, s1 in segments),
     )
 
 

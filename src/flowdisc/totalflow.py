@@ -9,12 +9,27 @@ grouped per machine into size classes (class k holds processing times in
 volume so same-class volume can be exchanged between jobs at no cost.  The
 relaxation slack alpha of a solution is the worst window overload per class,
 measured exactly.
+
+A solution stores its volumes as ints over one common denominator ``den``
+(volume x/den), and the rounding loop works on those ints alone.  That is
+exact because every volume the loop makes lies on the grid 1/den:
+  - a sum, difference or ``min`` of volumes already on the grid (the refill
+    and the slicing in ``_pour``, the merge of split pieces);
+  - a chunk p/2^h of a split job: ``_split_solution`` first lifts ``den`` to a
+    multiple of 2^h times every processing time's denominator, so p*den/2^h
+    is an int;
+  - a whole p of a rounded job, where p*den is an int because the job's
+    volume on that machine was p or p/2 before.
+Fractions appear only at the edges: the LP's solution and the dyadic
+quantization come in as Fractions, and alpha, costs and the ``entries`` view
+go out as Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from . import lp as lpmod
@@ -35,7 +50,8 @@ from .util import InternalCheckError, ValidationError, int_from_json, rat_from_s
 
 def class_index(p) -> int:
     """Smallest k with p <= 2^k, i.e. the size class holding p (k=0 for p=1)."""
-    p = Fraction(p)
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
     if p <= 0:
         raise ValidationError(f"size class needs a positive processing time, got {p}")
     a, b = p.numerator, p.denominator
@@ -50,30 +66,54 @@ def pow2(k: int):
     return 1 << k if k >= 0 else Fraction(1, 1 << -k)
 
 
-@dataclass
 class TimeIndexedSolution:
-    """Sparse (machine, job, slot) -> volume map over an integer horizon."""
+    """Sparse (machine, job, slot) -> volume map over an integer horizon.
 
-    horizon: int
-    entries: dict = field(default_factory=dict)
+    ``vol`` maps each key to an int x, and the key's volume is x/``den``: one
+    common denominator for the whole solution.  Built from ``entries``, a map
+    to numbers, the solution takes ``den`` as the lcm of their denominators
+    and drops zero volumes; ``scaled`` builds one straight from nonzero ints
+    over a known ``den``.  ``entries`` is the read-only Fraction view, a new
+    dict on every read.
+    """
 
-    def __post_init__(self):
-        cleaned = {}
-        for (i, j, t), v in self.entries.items():
-            v = Fraction(v)
-            if v != 0:
-                cleaned[(int(i), int(j), int(t))] = v
-        self.entries = cleaned
+    __slots__ = ("horizon", "vol", "den")
+
+    def __init__(self, horizon: int, entries: Optional[dict] = None):
+        values = {(int(i), int(j), int(t)): Fraction(v) for (i, j, t), v in (entries or {}).items()}
+        den = lcm(*(v.denominator for v in values.values()))
+        self.horizon = horizon
+        self.den = den
+        self.vol = {key: v.numerator * (den // v.denominator) for key, v in values.items() if v}
+
+    @classmethod
+    def scaled(cls, horizon: int, vol: dict, den: int) -> TimeIndexedSolution:
+        """The solution with volume x/den at each key of ``vol``; takes ``vol``
+        as it is, so its ints must be nonzero."""
+        y = cls.__new__(cls)
+        y.horizon, y.vol, y.den = horizon, vol, den
+        return y
+
+    @property
+    def entries(self) -> dict:
+        den = self.den
+        return {key: Fraction(x, den) for key, x in self.vol.items()}
 
     def job_machine_total(self, i: int, j: int) -> Fraction:
-        return sum((v for (ii, jj, _), v in self.entries.items() if ii == i and jj == j), Fraction(0))
+        return Fraction(sum(x for (ii, jj, _), x in self.vol.items() if ii == i and jj == j), self.den)
+
+    def scaled_streams(self) -> dict:
+        """(machine, job) -> that pair's slot-ordered [(slot, x), ...], volume x/den."""
+        out: dict = {}
+        for (i, j, t), x in sorted(self.vol.items()):
+            out.setdefault((i, j), []).append((t, x))
+        return out
 
     def streams(self) -> dict:
         """(machine, job) -> that pair's slot-ordered [(slot, volume), ...]."""
-        out: dict = {}
-        for (i, j, t), v in sorted(self.entries.items()):
-            out.setdefault((i, j), []).append((t, v))
-        return out
+        den = self.den
+        return {pair: [(t, Fraction(x, den)) for t, x in stream]
+                for pair, stream in self.scaled_streams().items()}
 
 
 def solution_violations(inst: SchedulingInstance, y: TimeIndexedSolution) -> list[str]:
@@ -247,10 +287,27 @@ def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
 
 
 def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
+    """Grouped objective: slot_rate(job, t, 2^k) times volume, summed over y.
+
+    Sums x*(t - r) per class in ints, with the releases over the lcm of their
+    denominators, and makes one Fraction at the end.
+    """
     if classes is None:
         classes = class_table(inst)
-    return sum((slot_rate(inst.jobs[j], t, pow2(classes[i, j])) * v
-                for (i, j, t), v in y.entries.items()), Fraction(0))
+    rscale = lcm(*(job.release.denominator for job in inst.jobs))
+    release = [job.release.numerator * (rscale // job.release.denominator) for job in inst.jobs]
+    late: dict = {}  # class -> sum of x * (t - r) * rscale
+    total = 0
+    for (i, j, t), x in y.vol.items():
+        k = classes[i, j]
+        late[k] = late.get(k, 0) + x * (t * rscale - release[j])
+        total += x
+    # cost = (sum over classes k of late_k / 2^k + total * rscale / 2) / (rscale * den)
+    top = max([1, *late])
+    num = total * rscale << (top - 1)
+    for k, v in late.items():
+        num += v << (top - k)
+    return Fraction(num, rscale * y.den << top)
 
 
 @dataclass(frozen=True)
@@ -280,22 +337,26 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None
     The maximum is attained with both window endpoints on support slots, so
     one worst_window scan per (machine, class) is exact.  Slot t covers
     [t, t+1): its closed window [t1, t2] is the half-open [t1, t2 + 1).
+    The scan runs on times and volumes both scaled by ``den``, which keeps
+    every comparison it makes, and a candidate (excess - den)/2^k is kept as
+    its int numerator and k, compared by shifting both sides.
     """
     if classes is None:
         classes = class_table(inst)
+    den = y.den
     by_machine: dict[int, list] = {}
-    for (i, j, t), v in y.entries.items():
-        by_machine.setdefault(i, []).append((classes[i, j], t, v))
-    best = Fraction(0)
-    best_wit = None
+    for (i, j, t), x in y.vol.items():
+        by_machine.setdefault(i, []).append((classes[i, j], t * den, x))
+    best, best_k, best_wit = 0, 0, None  # slack best / (den * 2^best_k)
     for i, items in sorted(by_machine.items()):
         for k in sorted({kk for kk, _, _ in items}):
-            excess, t1, t2 = worst_window((t, v) for kk, t, v in items if kk <= k)
-            cand = (excess - 1) / pow2(k)
-            if cand > best:
-                best = cand
-                best_wit = (i, k, t1, t2 + 1)
-    return AlphaReport(alpha=best, witness=best_wit)
+            excess, t1, t2 = worst_window((t, x) for kk, t, x in items if kk <= k)
+            cand = excess - den
+            low = min(k, best_k)
+            if cand << (best_k - low) > best << (k - low):
+                best, best_k, best_wit = cand, k, (i, k, t1 // den, t2 // den + 1)
+    return AlphaReport(alpha=Fraction(best << max(-best_k, 0), den << max(best_k, 0)),
+                       witness=best_wit)
 
 
 def canonical_order(inst: SchedulingInstance) -> list[int]:
@@ -337,22 +398,21 @@ def normalize_consistent_order(
         classes = class_table(inst)
     rank = {j: pos for pos, j in enumerate(order)}
     groups: dict[tuple[int, int], list] = {}
-    for (i, j, t), v in y.entries.items():
-        groups.setdefault((i, classes[i, j]), []).append((j, t, v))
-    entries: dict = {}
+    for (i, j, t), x in y.vol.items():
+        groups.setdefault((i, classes[i, j]), []).append((j, t, x))
+    vol: dict = {}
     for (i, k), items in sorted(groups.items()):
-        slot_vol: dict[int, Fraction] = {}
-        job_vol: dict[int, Fraction] = {}
-        for j, t, v in items:
-            slot_vol[t] = slot_vol.get(t, Fraction(0)) + v
-            job_vol[j] = job_vol.get(j, Fraction(0)) + v
-        _pour(entries, i, [(t, slot_vol[t]) for t in sorted(slot_vol)],
+        slot_vol: dict[int, int] = {}
+        job_vol: dict[int, int] = {}
+        for j, t, x in items:
+            slot_vol[t] = slot_vol.get(t, 0) + x
+            job_vol[j] = job_vol.get(j, 0) + x
+        _pour(vol, i, [(t, slot_vol[t]) for t in sorted(slot_vol)],
               [(j, job_vol[j]) for j in sorted(job_vol, key=lambda j: rank[j])])
-    out = TimeIndexedSolution(horizon=y.horizon, entries=entries)
-    for (i, j, t) in out.entries:
-        if Fraction(t) < inst.jobs[j].release:
+    for (i, j, t) in vol:
+        if t < inst.jobs[j].release:
             raise InternalCheckError("consistent-order refill placed volume before a release")
-    return out
+    return TimeIndexedSolution.scaled(y.horizon, vol, y.den)
 
 
 def split_jobs_instance(inst: SchedulingInstance, level: int) -> tuple:
@@ -479,24 +539,27 @@ def round_half_integral_totalflow(
     """
     classes = class_table(inst)
     ybar = normalize_consistent_order(inst, y, classes=classes)
-    streams = ybar.streams()
+    den = ybar.den
+    streams = ybar.scaled_streams()
     order = canonical_order(inst)
     full: dict[int, int] = {}
     half_of: dict[int, tuple[int, int, int]] = {}  # job -> (job, i1, i2), i1 < i2
+
+    def is_part(q, x: int, halves: int) -> bool:
+        """Whether the volume x/den is halves/2 of the processing time q."""
+        return q is not None and 2 * x * q.denominator == halves * q.numerator * den
+
     for j in range(inst.n):
-        tot = [(i, sum((v for _, v in streams.get((i, j), [])), Fraction(0))) for i in range(inst.m)]
-        support = [(i, v) for i, v in tot if v != 0]
+        tot = [(i, sum(x for _, x in streams.get((i, j), []))) for i in range(inst.m)]
+        support = [(i, x) for i, x in tot if x != 0]
         p = inst.jobs[j].proc
-        if len(support) == 1 and support[0][1] == p[support[0][0]]:
+        if len(support) == 1 and is_part(p[support[0][0]], support[0][1], 2):
             full[j] = support[0][0]
-        elif (
-            len(support) == 2
-            and support[0][1] * 2 == p[support[0][0]]
-            and support[1][1] * 2 == p[support[1][0]]
-        ):
+        elif len(support) == 2 and all(is_part(p[i], x, 1) for i, x in support):
             half_of[j] = (j, support[0][0], support[1][0])
         else:
-            raise ValidationError(f"job {j}: totals {support} are not machine-half-integral")
+            shown = [(i, Fraction(x, den)) for i, x in support]
+            raise ValidationError(f"job {j}: totals {shown} are not machine-half-integral")
 
     split_jobs = [j for j in order if j in half_of]
     dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of, classes)
@@ -508,15 +571,20 @@ def round_half_integral_totalflow(
         signs = []
         achieved = Fraction(0)
 
+    def place(vol: dict, i: int, j: int) -> None:
+        """Job j's whole p, as p * den (an int: the job held p or p/2 on i),
+        at the earliest slot it used on machine i."""
+        q = inst.jobs[j].proc[i]
+        vol[(i, j, streams[(i, j)][0][0])] = q.numerator * den // q.denominator
+
     def build(flip: int) -> TimeIndexedSolution:
-        entries = {}
+        vol: dict = {}
         for j, i in full.items():
-            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
+            place(vol, i, j)
         for pos, j in enumerate(split_jobs):
             plus_i, minus_i = pos_side[pos]
-            i = plus_i if signs[pos] * flip == 1 else minus_i
-            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
-        return TimeIndexedSolution(horizon=ybar.horizon, entries=entries)
+            place(vol, plus_i if signs[pos] * flip == 1 else minus_i, j)
+        return TimeIndexedSolution.scaled(ybar.horizon, vol, den)
 
     y_pos = build(1)
     y_neg = build(-1)
@@ -536,8 +604,9 @@ def integral_assignment(inst: SchedulingInstance, y: TimeIndexedSolution) -> Opt
     """The machine of each job when y is integral (every job's whole volume
     p_ij in one entry), else None."""
     assign = [None] * inst.n
-    for (i, j, _t), v in y.entries.items():
-        if v != inst.jobs[j].proc[i] or assign[j] is not None:
+    for (i, j, _t), x in y.vol.items():
+        p = inst.jobs[j].proc[i]
+        if p is None or x * p.denominator != p.numerator * y.den or assign[j] is not None:
             return None
         assign[j] = i
     if None in assign:
@@ -600,24 +669,31 @@ def _split_solution(
     each machine is sliced into the corresponding chunks.
     """
     scale = 2 ** level
-    streams = y.streams()
+    # lift den so that every chunk p/2^level is an int over it
+    den = lcm(y.den, *(p.denominator << level for _, _, p in inst.finite_procs()))
+    lift = den // y.den
+    streams = y.scaled_streams()
+    if lift != 1:
+        streams = {pair: [(t, x * lift) for t, x in stream] for pair, stream in streams.items()}
     pieces_of: dict[int, list[int]] = {}
     for piece, j in enumerate(origin):
         pieces_of.setdefault(j, []).append(piece)
-    entries: dict = {}
+    vol: dict = {}
     for j in range(inst.n):
         slots: list[int] = []
+        chunk: dict[int, int] = {}
         for i in range(inst.m):
             p = inst.jobs[j].proc[i]
             if p is None:
                 continue
-            tot = sum((v for _, v in streams.get((i, j), [])), Fraction(0))
-            cnt = tot / (p / scale)
-            if cnt.denominator != 1:
+            tot = sum(x for _, x in streams.get((i, j), []))
+            chunk[i] = p.numerator * den // (p.denominator * scale)
+            cnt, rest = divmod(tot, chunk[i])
+            if rest:
                 raise ValidationError(
-                    f"total on ({i},{j}) = {tot} is not a multiple of p/2^{level}"
+                    f"total on ({i},{j}) = {Fraction(tot, den)} is not a multiple of p/2^{level}"
                 )
-            slots.extend([i] * int(cnt))
+            slots.extend([i] * cnt)
         if len(slots) != scale:
             raise InternalCheckError(f"job {j}: half-unit count {len(slots)} != {scale}")
         pieces = pieces_of[j]
@@ -628,17 +704,16 @@ def _split_solution(
             holders.setdefault(i1, []).append(piece)
             holders.setdefault(i2, []).append(piece)
         for i, piece_list in sorted(holders.items()):
-            chunk = inst.jobs[j].proc[i] / scale
-            _pour(entries, i, streams[(i, j)], [(piece, chunk) for piece in piece_list])
-    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+            _pour(vol, i, streams[(i, j)], [(piece, chunk[i]) for piece in piece_list])
+    return TimeIndexedSolution.scaled(y.horizon, vol, den)
 
 
 def _merge_split_solution(origin: list[int], y_split: TimeIndexedSolution) -> TimeIndexedSolution:
-    entries: dict = {}
-    for (i, piece, t), v in y_split.entries.items():
+    vol: dict = {}
+    for (i, piece, t), x in y_split.vol.items():
         key = (i, origin[piece], t)
-        entries[key] = entries.get(key, Fraction(0)) + v
-    return TimeIndexedSolution(horizon=y_split.horizon, entries=entries)
+        vol[key] = vol.get(key, 0) + x
+    return TimeIndexedSolution.scaled(y_split.horizon, vol, y_split.den)
 
 
 def full_round_totalflow(

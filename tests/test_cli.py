@@ -192,20 +192,25 @@ def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command
     ["game", "--hard-k", "2", "--breaker", "tree", "--trace", "{dir}"],  # was IsADirectoryError
     ["sdp", "--mode", "mc", "--r", "0"],                     # 0 was read as "not given"
     ["game", "--hard-k", "0"],                               # 0 was read as "not given"
+    ["game", "--hard-k", "4", "--values", "{values}"],       # --values was ignored
 ])
 def test_file_error_or_empty_request_is_one_error_line(tmp_path, capsys, argv):
     paths = {"dir": str(tmp_path), "file": str(tmp_path / "file.txt"),
-             "binary": str(tmp_path / "binary.json")}
+             "binary": str(tmp_path / "binary.json"), "values": str(tmp_path / "values.json")}
     with open(paths["file"], "w") as fh:
         fh.write("not a directory\n")
     with open(paths["binary"], "wb") as fh:
         fh.write(b"\xff\xfe\x00\x81")
+    with open(paths["values"], "w") as fh:
+        json.dump({"m": 1, "vectors": [["1/2"], ["-1/3"], ["1/4"]]}, fh)
     assert run([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not os.path.exists(tmp_path / "v.json")
     if argv == ["game", "--hard-k", "0"]:
         assert "k must be even and >= 2, got 0" in err[0]
+    if "--values" in argv:
+        assert "--hard-k" in err[0] and "--values" in err[0]
 
 
 @pytest.mark.parametrize("command, field, bad", [

@@ -7,6 +7,7 @@ import pytest
 from flowdisc.core import (
     Job,
     MachineAssignment,
+    ScheduleMetrics,
     SchedulingInstance,
     evaluate_max_flow,
     evaluate_total_flow_srpt,
@@ -81,6 +82,66 @@ def test_srpt_two_unit_jobs():
     inst = make_instance(1, [(0, [1]), (0, [1])])
     met = evaluate_total_flow_srpt(inst, MachineAssignment((0, 0)))
     assert met.total_flow == 3
+
+
+def _reference_srpt(inst, asg):
+    """evaluate_total_flow_srpt on Fraction releases, read on every slot (reference)."""
+    completion, segments = {}, []
+    for i in range(inst.m):
+        jobs_here = [j for j in range(inst.n) if asg.assign[j] == i]
+        remaining = {j: int(inst.jobs[j].proc[i]) for j in jobs_here}
+        for j in jobs_here:
+            if remaining[j] == 0:
+                completion[j] = inst.jobs[j].release
+        pending = {j for j in jobs_here if remaining[j] > 0}
+        if not pending:
+            continue
+        slot_log = []
+        t = min(int(inst.jobs[j].release) for j in pending)
+        while pending:
+            avail = [j for j in pending if int(inst.jobs[j].release) <= t]
+            if not avail:
+                t = min(int(inst.jobs[j].release) for j in pending)
+                continue
+            j = min(avail, key=lambda q: (remaining[q], q))
+            slot_log.append((t, j))
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                completion[j] = F(t + 1)
+                pending.remove(j)
+            t += 1
+        for t0, j in slot_log:
+            if segments and segments[-1][1] == j and segments[-1][0] == i and segments[-1][3] == t0:
+                mi, mj, s0, _ = segments[-1]
+                segments[-1] = (mi, mj, s0, F(t0 + 1))
+            else:
+                segments.append((i, j, F(t0), F(t0 + 1)))
+    flows = tuple(completion[j] - inst.jobs[j].release for j in range(inst.n))
+    return ScheduleMetrics(per_job_flow=flows, max_flow=max(flows),
+                           total_flow=sum(flows, F(0)), segments=tuple(segments))
+
+
+def test_srpt_matches_reference_with_idle_gaps_and_zero_length_jobs():
+    rng = random.Random(61)
+    gaps = zero = 0
+    for trial in range(200):
+        m = rng.randint(1, 3)
+        jobs = []
+        for _ in range(rng.randint(1, 8)):
+            proc = [rng.choice([0, 1, 2, 3, 5, None]) for _ in range(m)]
+            if all(p is None for p in proc):
+                proc[rng.randrange(m)] = rng.randint(0, 3)
+            jobs.append((rng.randint(0, 24), proc))
+        inst = make_instance(m, jobs)
+        asg = MachineAssignment(tuple(rng.choice([i for i, p in enumerate(proc) if p is not None])
+                                      for _, proc in jobs))
+        met = evaluate_total_flow_srpt(inst, asg)
+        assert met == _reference_srpt(inst, asg)
+        assert all(type(x) is F for x in met.per_job_flow + (met.max_flow, met.total_flow))
+        assert all(type(s0) is F and type(s1) is F for _, _, s0, s1 in met.segments)
+        gaps += any(_idle_gaps(met.segments, i) for i in range(m))
+        zero += any(jobs[j][1][i] == 0 for j, i in enumerate(asg.assign))
+    assert gaps > 50 and zero > 50
 
 
 def _idle_gaps(segments, machine):

@@ -1,20 +1,31 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from flowdisc import lp as lpmod
-from flowdisc.coloring import PREFIX, color_brute_force, color_greedy
+from flowdisc.coloring import (
+    COLORERS,
+    PREFIX,
+    SignedVectorSequence,
+    color_brute_force,
+    color_greedy,
+    discrepancy,
+)
 from flowdisc.core import (
     MachineAssignment,
     add_carry_rows,
     evaluate_total_flow_srpt,
     gen_random_instance,
     make_instance,
+    worst_window,
 )
 from flowdisc import totalflow
 from flowdisc.totalflow import (
     TimeIndexedSolution,
+    _merge_split_solution,
     _pour,
     _require_integral,
     _split_solution,
@@ -518,7 +529,12 @@ def _reference_split_solution(inst, origin, y, level):
             p = inst.jobs[j].proc[i]
             if p is not None:
                 tot = sum((v for _, v in streams.get((i, j), [])), F(0))
-                slots.extend([i] * int(tot / (p / scale)))
+                cnt = tot / (p / scale)
+                if cnt.denominator != 1:
+                    raise ValidationError(f"total on ({i},{j}) = {tot} is not a multiple of p/2^{level}")
+                slots.extend([i] * int(cnt))
+        if len(slots) != scale:
+            raise InternalCheckError(f"job {j}: half-unit count {len(slots)} != {scale}")
         pieces = pieces_of[j]
         holders = {}
         for q in range(scale // 2):
@@ -563,12 +579,53 @@ def _random_dyadic_solution(inst, rng, level):
     return TimeIndexedSolution(horizon=H, entries=entries)
 
 
+def _fractional_instance(rng):
+    """Processing times a/b with b in {1, 2, 3, 4, 8}, so size classes go down
+    to -3, and releases that are sometimes fractional."""
+    m = rng.randint(1, 3)
+    jobs = []
+    for _ in range(rng.randint(1, 6)):
+        proc = [F(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 8])) if rng.random() < 0.8 else None
+                for _ in range(m)]
+        if all(p is None for p in proc):
+            proc[rng.randrange(m)] = F(1, 2)
+        jobs.append((F(rng.randint(0, 12), rng.choice([1, 1, 2, 3])), proc))
+    return make_instance(m, jobs)
+
+
+def _outcome(fn, *args):
+    """fn's solution as its entries in order, or its error class and text."""
+    try:
+        out = fn(*args)
+    except (ValidationError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):  # round_half_integral_totalflow: (solution, D)
+        return list(out[0].entries.items()), out[1]
+    return list(out.entries.items())
+
+
+def _pipeline_calls(monkeypatch, name, instances, colorer=color_greedy):
+    """The arguments of every call to totalflow.<name> while the pipeline
+    runs on ``instances``."""
+    calls = []
+    real = getattr(totalflow, name)
+    monkeypatch.setattr(totalflow, name, lambda *args: calls.append(args) or real(*args))
+    for inst in instances:
+        full_round_totalflow(inst, colorer)
+    monkeypatch.undo()
+    return calls
+
+
 def test_normalize_matches_reference_refill():
     rng = random.Random(41)
     fractional = 0
-    for trial in range(60):
-        inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
-                                   (1, 9), (0, 6), 0.2, seed=900 + trial)
+    for trial in range(90):
+        if trial < 60:
+            inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
+                                       (1, 9), (0, 6), 0.2, seed=900 + trial)
+        else:  # negative size classes
+            inst = _fractional_instance(rng)
+            inst = make_instance(inst.m, [(int(job.release), job.proc) for job in inst.jobs])
         y = _random_solution(inst, rng)
         fractional += any(v.denominator > 1 for v in y.entries.values())
         got, want = normalize_consistent_order(inst, y), _reference_normalize(inst, y)
@@ -579,24 +636,161 @@ def test_normalize_matches_reference_refill():
 def test_split_solution_matches_reference_slicing(monkeypatch):
     rng = random.Random(43)
     cases = []
-    for trial in range(60):
-        inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
-                                   (1, 9), (0, 6), 0.2, seed=1000 + trial)
+    for trial in range(120):
+        # fractional processing times from trial 60 on, so den lacks their denominators
+        inst = (gen_random_instance(rng.randint(1, 6), rng.randint(1, 3), (1, 9), (0, 6), 0.2,
+                                    seed=1000 + trial) if trial < 60 else _fractional_instance(rng))
         level = rng.randint(1, 3)
+        y = _random_dyadic_solution(inst, rng, level)
+        if trial % 3 == 1:  # split finer than the grid of y, so den lacks 2^level
+            level += rng.randint(1, 2)
+        elif trial % 3 == 2 and y.entries:  # one volume off its grid
+            key = rng.choice(sorted(y.entries))
+            y = TimeIndexedSolution(y.horizon, {**y.entries, key: y.entries[key] + F(1, 7)})
         origin = [j for j in range(inst.n) for _ in range(2 ** (level - 1))]
-        cases.append((inst, origin, _random_dyadic_solution(inst, rng, level), level))
+        cases.append((inst, origin, y, level))
     # and the pipeline's own level inputs
-    real = totalflow._split_solution
-    monkeypatch.setattr(totalflow, "_split_solution",
-                        lambda *args: cases.append(args) or real(*args))
-    for trial in range(6):
-        full_round_totalflow(gen_random_instance(5, 2, (1, 6), (0, 8), 0.2, seed=1100 + trial),
-                             color_greedy)
-    monkeypatch.undo()
-    assert len(cases) > 60 and any(v.denominator > 1 for *_, y, _ in cases for v in y.entries.values())
+    cases += _pipeline_calls(monkeypatch, "_split_solution",
+                             [gen_random_instance(5, 2, (1, 6), (0, 8), 0.2, seed=1100 + trial)
+                              for trial in range(6)])
+    assert len(cases) > 120 and any(v.denominator > 1 for *_, y, _ in cases for v in y.entries.values())
+    lifted = errors = 0
     for inst, origin, y, level in cases:
-        got, want = _split_solution(inst, origin, y, level), _reference_split_solution(inst, origin, y, level)
-        assert list(got.entries.items()) == list(want.entries.items())
+        got = _outcome(_split_solution, inst, origin, y, level)
+        assert got == _outcome(_reference_split_solution, inst, origin, y, level)
+        if isinstance(got, list):
+            y_split = _split_solution(inst, origin, y, level)
+            lifted += y_split.den != y.den
+            assert _outcome(_merge_split_solution, origin, y_split) == \
+                _outcome(_reference_merge, origin, y_split)
+        else:
+            errors += 1
+    assert lifted > 30 and errors > 20
+
+
+def _reference_merge(origin, y_split):
+    """_merge_split_solution on Fraction volumes (reference)."""
+    entries = {}
+    for (i, piece, t), v in y_split.entries.items():
+        key = (i, origin[piece], t)
+        entries[key] = entries.get(key, F(0)) + v
+    return TimeIndexedSolution(horizon=y_split.horizon, entries=entries)
+
+
+def _reference_measure_alpha(inst, y):
+    """measure_alpha on Fraction volumes, as (alpha, witness) (reference)."""
+    by_machine = {}
+    for (i, j, t), v in y.entries.items():
+        by_machine.setdefault(i, []).append((class_index(inst.jobs[j].proc[i]), t, v))
+    best, best_wit = F(0), None
+    for i, items in sorted(by_machine.items()):
+        for k in sorted({kk for kk, _, _ in items}):
+            excess, t1, t2 = worst_window((t, v) for kk, t, v in items if kk <= k)
+            cand = (excess - 1) / F(2) ** k
+            if cand > best:
+                best, best_wit = cand, (i, k, t1, t2 + 1)
+    return best, best_wit
+
+
+def _reference_aux_cost(inst, y):
+    """aux_cost on Fraction volumes, one term per entry (reference)."""
+    return sum((((t - inst.jobs[j].release) / F(2) ** class_index(inst.jobs[j].proc[i]) + F(1, 2)) * v
+                for (i, j, t), v in y.entries.items()), F(0))
+
+
+def test_alpha_and_cost_match_fraction_references(monkeypatch):
+    rng = random.Random(67)
+    cases = []
+    for trial in range(150):
+        inst = (_fractional_instance(rng) if trial % 2 else
+                gen_random_instance(rng.randint(1, 6), rng.randint(1, 3), (1, 9), (0, 6), 0.2,
+                                    seed=1200 + trial))
+        y = _random_solution(inst, rng, horizon=rng.randint(13, 20))
+        scale = rng.choice([F(1), F(1, 4), F(2, 3), F(5)])  # some solutions within every window
+        if trial % 4 == 1:  # every class below 0, with as much volume as before
+            inst = make_instance(inst.m, [(job.release, [p and p / 16 for p in job.proc])
+                                          for job in inst.jobs])
+        cases.append((inst, TimeIndexedSolution(y.horizon, {key: v * scale for key, v in y.entries.items()})))
+    cases.append((make_instance(1, [(0, [1])]), TimeIndexedSolution(horizon=3)))
+    cases += _pipeline_calls(monkeypatch, "measure_alpha",
+                             [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1300 + n)
+                              for n in range(2, 9)])
+    negative = positive = 0
+    for inst, y, *_ in cases:
+        rep = measure_alpha(inst, y)
+        assert (rep.alpha, rep.witness) == _reference_measure_alpha(inst, y)
+        assert type(rep.alpha) is F
+        cost = aux_cost(inst, y)
+        assert cost == _reference_aux_cost(inst, y) and type(cost) is F
+        negative += rep.witness is not None and rep.witness[1] < 0
+        positive += rep.alpha > 0
+    assert negative > 10 and positive > 30 and len(cases) - positive > 20
+
+
+def _reference_round_half(inst, y, colorer):
+    """round_half_integral_totalflow on Fraction volumes (reference)."""
+    ybar = _reference_normalize(inst, y)
+    streams = {}
+    for (i, j, t), v in sorted(ybar.entries.items()):
+        streams.setdefault((i, j), []).append((t, v))
+    order = sorted(range(inst.n), key=lambda j: (inst.jobs[j].release, j))
+    full, half_of = {}, {}
+    for j in range(inst.n):
+        tot = [(i, sum((v for _, v in streams.get((i, j), [])), F(0))) for i in range(inst.m)]
+        support = [(i, v) for i, v in tot if v != 0]
+        p = inst.jobs[j].proc
+        if len(support) == 1 and support[0][1] == p[support[0][0]]:
+            full[j] = support[0][0]
+        elif len(support) == 2 and all(v * 2 == p[i] for i, v in support):
+            half_of[j] = (j, support[0][0], support[1][0])
+        else:
+            raise ValidationError(f"job {j}: totals {support} are not machine-half-integral")
+    split_jobs = [j for j in order if j in half_of]
+    dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of)
+    signs, achieved = [], F(0)
+    if vectors:
+        seq = SignedVectorSequence(m=dim, vectors=vectors)
+        signs = colorer(seq)
+        achieved = discrepancy(seq.with_signs(signs), PREFIX).value
+
+    def build(flip):
+        entries = {}
+        for j, i in full.items():
+            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
+        for pos, j in enumerate(split_jobs):
+            i = pos_side[pos][0] if signs[pos] * flip == 1 else pos_side[pos][1]
+            entries[(i, j, streams[(i, j)][0][0])] = inst.jobs[j].proc[i]
+        return TimeIndexedSolution(horizon=ybar.horizon, entries=entries)
+
+    y_pos, y_neg = build(1), build(-1)
+    chosen = y_pos if _reference_aux_cost(inst, y_pos) <= _reference_aux_cost(inst, y_neg) else y_neg
+    alpha_in = _reference_measure_alpha(inst, ybar)[0]
+    alpha_out = _reference_measure_alpha(inst, chosen)[0]
+    if alpha_out > alpha_in + 4 * achieved + 4:
+        raise InternalCheckError(f"rounded slack {alpha_out} exceeds {alpha_in} + 4*{achieved} + 4")
+    return chosen, achieved
+
+
+def test_round_half_integral_matches_fraction_reference(monkeypatch):
+    rng = random.Random(71)
+    cases = []
+    for trial in range(120):
+        inst = (gen_random_instance(rng.randint(1, 6), rng.randint(1, 3), (1, 8), (0, 5), 0.2,
+                                    seed=1400 + trial) if trial % 2 else _fractional_instance(rng))
+        inst = make_instance(inst.m, [(int(job.release), job.proc) for job in inst.jobs])
+        y = (_random_solution(inst, rng) if trial % 4 == 0 else
+             _random_half_integral_solution(inst, rng))
+        cases.append((inst, y, brute if trial % 3 else color_greedy))
+    cases += [args for args in _pipeline_calls(
+        monkeypatch, "round_half_integral_totalflow",
+        [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1500 + n) for n in range(2, 10)])]
+    errors = split = 0
+    for inst, y, colorer in cases:
+        got = _outcome(round_half_integral_totalflow, inst, y, colorer)
+        assert got == _outcome(_reference_round_half, inst, y, colorer)
+        errors += isinstance(got[0], type)
+        split += not isinstance(got[0], type) and got[1] > 0
+    assert errors > 10 and split > 40
 
 
 def test_pour_fills_in_order_and_rejects_a_short_supply():
@@ -784,3 +978,33 @@ def test_schedule_from_integral_rejects_fractional():
     y = TimeIndexedSolution(horizon=4, entries={(0, 0, 0): F(1), (0, 0, 1): F(1)})
     with pytest.raises(ValidationError):
         schedule_from_integral(inst, y)
+
+
+def _result_digest(cases) -> str:
+    """SHA-256 over the pipeline's result files, or the error text a colorer
+    ends in (the paired colorer takes +-1 entries only)."""
+    digest = hashlib.sha256()
+    for inst, name in cases:
+        try:
+            _y, trace = full_round_totalflow(inst, COLORERS[name])
+            out = result_to_json(trace)
+        except ValidationError as exc:
+            out = {"error": str(exc)}
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# Digests of the results of the Fraction-volume rounding loop: the int
+# volumes must give the same LP costs, D values, slacks, flows and assignments.
+def test_pipeline_results_are_pinned():
+    cases = [(gen_random_instance(n, 2 + n % 2, (1, 4), (0, 2 * n), 0.2, seed=seed), name)
+             for n in range(2, 13) for seed in (n, 100 + n) for name in sorted(COLORERS)]
+    assert _result_digest(cases) == "d0106bc2d9e2f9a0b641b07fb94be949fd40b088c39e18d980039bc3f4fdf27c"
+
+
+@pytest.mark.slow
+def test_pipeline_result_is_pinned_at_n96():
+    # about 10 s, so it runs only with -m slow
+    inst = gen_random_instance(96, 2, (1, 4), (0, 192), 0.2, seed=7)
+    assert _result_digest([(inst, "greedy")]) == \
+        "c1f2d7d44aa4625eef432bffd122b5282b36f5bad66d600be2b8415fcf137379"
