@@ -1,8 +1,14 @@
 """Command-line driver: generators, pipelines, colorers, games, reductions,
 block experiments, and seeded benchmark batches.
 
-Exit codes: 0 success, 1 validation failure (bad input or file), 2 internal
-assertion (a guaranteed bound or invariant failed, which is a bug).
+Exit codes: 0 success, 1 validation failure (bad input or file, or a usage
+error such as a missing option or an unknown choice), 2 internal assertion (a
+guaranteed bound or invariant failed, which is a bug).  Every failure prints
+one line on stderr.
+
+The pipelines (maxflow, totalflow, bench) offer the colorers that can round
+their vectors: brute, greedy and floating.  The paired colorer takes only
++-1 entries, so it is offered by color alone.
 
 All randomness flows from one --seed through named substreams, and every
 artifact is serialized deterministically (sorted keys, rationals as
@@ -338,8 +344,19 @@ def cmd_check(args) -> int:
     return 0
 
 
+PIPELINE_COLORERS = ["brute", "greedy", "floating"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they end like any rejected input:
+    exit 1 and one stderr line.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flowdisc", description=__doc__)
+    parser = _Parser(prog="flowdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instances, vector sequences, or hard game values")
@@ -358,15 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxflow", help="run the max-flow rounding pipeline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--colorer", default="greedy",
-                   choices=list(coloring.COLORERS))
+    p.add_argument("--colorer", default="greedy", choices=PIPELINE_COLORERS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_maxflow)
 
     p = sub.add_parser("totalflow", help="run the total-flow rounding pipeline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--colorer", default="greedy",
-                   choices=list(coloring.COLORERS))
+    p.add_argument("--colorer", default="greedy", choices=PIPELINE_COLORERS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_totalflow)
 
@@ -411,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--colorer", default="greedy",
-                   choices=list(coloring.COLORERS))
+    p.add_argument("--colorer", default="greedy", choices=PIPELINE_COLORERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_bench)
@@ -426,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 All times are exact rationals (`fractions.Fraction`).  A processing time of
 ``None`` means the job cannot run on that machine.  Two evaluators are
 provided: non-preemptive first-come-first-served for the max-flow objective,
-and preemptive shortest-remaining-processing-time (SRPT) over unit slots for
-total flow.  Both emit explicit ``(machine, job, start, end)`` segments so
-work conservation is directly checkable.
+and preemptive shortest-remaining-processing-time (SRPT) for total flow, run
+event to event (equal to SRPT over unit slots on integral times).  Both emit
+explicit ``(machine, job, start, end)`` segments, so work conservation is
+directly checkable.
 
 Ties (equal releases, equal remaining work) always break by job index, so
 every evaluation is deterministic.
@@ -13,6 +14,7 @@ every evaluation is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,12 +224,14 @@ def evaluate_max_flow(inst: SchedulingInstance, asg: MachineAssignment) -> Sched
 
 
 def evaluate_total_flow_srpt(inst: SchedulingInstance, asg: MachineAssignment) -> ScheduleMetrics:
-    """Preemptive SRPT per machine over unit slots; requires integral times.
+    """Preemptive SRPT per machine, run event to event; requires integral times.
 
-    Every release and processing time must be a nonnegative integer.  At each
-    integer slot the assigned, released, incomplete job with the least
-    remaining work runs (ties by job index).  Zero-length jobs complete at
-    their release instant.
+    Every release and processing time must be a nonnegative integer.  The
+    assigned, released, incomplete job with the least remaining work runs (ties
+    by job index).  Its remaining work only shrinks, so it runs until it
+    completes or a job is released: per machine the released jobs sit in a
+    heap keyed by (remaining, index).  Every event is an integer, so this
+    equals SRPT over unit slots.  Zero-length jobs complete at their release.
     """
     _check_assignment(inst, asg)
     for j, job in enumerate(inst.jobs):
@@ -242,31 +246,29 @@ def evaluate_total_flow_srpt(inst: SchedulingInstance, asg: MachineAssignment) -
     completion: list[int] = release[:]  # zero-length jobs complete at their release
     segments: list[list[int]] = []  # [machine, job, start, end]
     for i in range(inst.m):
-        jobs_here = [j for j in range(inst.n) if asg.assign[j] == i]
-        remaining = {j: int(inst.jobs[j].proc[i]) for j in jobs_here}
-        pending = {j for j in jobs_here if remaining[j] > 0}
-        if not pending:
-            continue
-        slot_log: list[tuple[int, int]] = []  # (slot, job)
-        t = min(release[j] for j in pending)
-        while pending:
-            avail = [j for j in pending if release[j] <= t]
-            if not avail:
-                t = min(release[j] for j in pending)
-                continue
-            j = min(avail, key=lambda q: (remaining[q], q))
-            slot_log.append((t, j))
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                completion[j] = t + 1
-                pending.remove(j)
-            t += 1
-        # merge consecutive slots of the same job into segments
-        for t0, j in slot_log:
-            if segments and segments[-1][1] == j and segments[-1][0] == i and segments[-1][3] == t0:
-                segments[-1][3] = t0 + 1
+        arrivals = sorted((release[j], j) for j in range(inst.n)
+                          if asg.assign[j] == i and inst.jobs[j].proc[i] > 0)
+        heap: list[tuple[int, int]] = []  # (remaining, job) of the released, incomplete jobs
+        t = a = 0
+        while heap or a < len(arrivals):
+            if not heap:
+                t = arrivals[a][0]  # idle until the next release
+            while a < len(arrivals) and arrivals[a][0] <= t:
+                j = arrivals[a][1]
+                heapq.heappush(heap, (int(inst.jobs[j].proc[i]), j))
+                a += 1
+            rem, j = heap[0]
+            end = t + rem if a == len(arrivals) else min(t + rem, arrivals[a][0])
+            if segments and segments[-1][1] == j and segments[-1][3] == t:
+                segments[-1][3] = end  # the same job keeps running past a release
             else:
-                segments.append([i, j, t0, t0 + 1])
+                segments.append([i, j, t, end])
+            if end == t + rem:
+                heapq.heappop(heap)
+                completion[j] = end
+            else:
+                heap[0] = (rem - (end - t), j)  # a smaller top key keeps the heap order
+            t = end
     flows = tuple(Fraction(c - r) for c, r in zip(completion, release))
     return ScheduleMetrics(
         per_job_flow=flows,

@@ -117,16 +117,15 @@ def slot_identity_violations(
     vectors: list[TwoSparseVector], signs: list[int],
 ) -> list[str]:
     """Check the per-(machine, step) identity exactly; empty iff it holds."""
+    loads: dict = {}  # (release, machine) -> assigned volume, in one pass over the jobs
+    for job, i in zip(inst.jobs, asg.assign):
+        loads[job.release, i] = loads.get((job.release, i), 0) + job.proc[i]
     problems = []
     m = inst.m
     for step, vec in enumerate(vectors):
-        release = Fraction(step + 1)
         v = vec.to_vector(m)
         for i in range(m):
-            load = Fraction(0)
-            for j, job in enumerate(inst.jobs):
-                if job.release == release and asg.assign[j] == i:
-                    load += job.proc[i]
+            load = loads.get((step + 1, i), Fraction(0))
             if load - 1 != signs[step] * v[i]:
                 problems.append(
                     f"step {step + 1} machine {i}: load - 1 = {load - 1} != "

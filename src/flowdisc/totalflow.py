@@ -491,10 +491,10 @@ def quantize_dyadic_time(
 def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: dict, classes=None):
     """Balancing vectors over (machine, class) pairs for the split jobs.
 
-    Each split job carries +p/2^(k+1) on its lexicographically smaller
-    (machine, class) pair and the negated counterpart on the other; entries
-    never exceed 1/2, so l1 norms stay at most 1.  Returns (vectors,
-    positive/negative machine per job).
+    ``half_of[j]`` is ``(j, i1, i2)`` with machines i1 < i2.  Each split job
+    carries +p/2^(k+1) on the lower machine i1's (machine, class) pair and the
+    negated counterpart on i2's; entries never exceed 1/2, so l1 norms stay at
+    most 1.  Returns (dim, vectors, (i1, i2) per job).
     """
     if classes is None:
         classes = class_table(inst)
@@ -509,17 +509,12 @@ def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: d
     pos_side = []
     for j in split_jobs:
         _, i1, i2 = half_of[j]
-        p1, p2 = inst.jobs[j].proc[i1], inst.jobs[j].proc[i2]
         k1, k2 = classes[i1, j], classes[i2, j]
-        if (i1, k1) <= (i2, k2):
-            plus, minus = (i1, k1, p1), (i2, k2, p2)
-        else:
-            plus, minus = (i2, k2, p2), (i1, k1, p1)
         v = [Fraction(0)] * dim
-        v[coord(plus[0], plus[1])] = plus[2] / pow2(plus[1] + 1)
-        v[coord(minus[0], minus[1])] = -minus[2] / pow2(minus[1] + 1)
+        v[coord(i1, k1)] = inst.jobs[j].proc[i1] / pow2(k1 + 1)
+        v[coord(i2, k2)] = -inst.jobs[j].proc[i2] / pow2(k2 + 1)
         vectors.append(v)
-        pos_side.append((plus[0], minus[0]))
+        pos_side.append((i1, i2))
     return dim, vectors, pos_side
 
 
@@ -632,8 +627,8 @@ class TotalFlowTrace:
     levels: list
     alpha_final: Fraction
     bound_value: Fraction      # alpha_initial + 1 + sum of level bounds
-    total_flow_dilated: Fraction
-    total_flow: Fraction       # rescaled to original time units
+    total_flow_dilated: Fraction  # dilation * total_flow
+    total_flow: Fraction       # SRPT on the instance as given
     assignment: MachineAssignment
 
 
@@ -728,6 +723,7 @@ def full_round_totalflow(
     records the measured slack before and after every stage; the final slack
     satisfies, exactly,
     alpha_final <= alpha_initial + 1 + sum over levels of (4 D_h + 4)/2^(h-1).
+    The integral assignment is scheduled by SRPT on the instance as given.
     """
     problems = validate_instance(inst)
     if problems:
@@ -774,7 +770,7 @@ def full_round_totalflow(
     bound = alpha_initial + 1 + sum((r.level_bound for r in records), Fraction(0))
     if alpha_final > bound:
         raise InternalCheckError(f"final slack {alpha_final} exceeds telescoped bound {bound}")
-    metrics = evaluate_total_flow_srpt(dinst, asg)
+    metrics = evaluate_total_flow_srpt(inst, asg)  # SRPT scales with time
     trace = TotalFlowTrace(
         dilation=dilation,
         lp_cost=lp_cost,
@@ -783,8 +779,8 @@ def full_round_totalflow(
         levels=records,
         alpha_final=alpha_final,
         bound_value=bound,
-        total_flow_dilated=metrics.total_flow,
-        total_flow=metrics.total_flow / dilation,
+        total_flow_dilated=dilation * metrics.total_flow,
+        total_flow=metrics.total_flow,
         assignment=asg,
     )
     return y, trace
@@ -882,10 +878,7 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
         if after > before + bound:
             problems.append(f"level {h}: recorded slack violates its bound")
         prev_after = after
-    dilation = dilation_factor(level)
-    metrics = evaluate_total_flow_srpt(dilate_instance(inst, dilation), asg)
-    if metrics.total_flow / dilation != total_flow:
-        problems.append(
-            f"recorded total_flow {total_flow} != evaluated {metrics.total_flow / dilation}"
-        )
+    evaluated = evaluate_total_flow_srpt(inst, asg).total_flow
+    if evaluated != total_flow:
+        problems.append(f"recorded total_flow {total_flow} != evaluated {evaluated}")
     return problems

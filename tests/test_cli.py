@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowdisc import coloring, maxflow, totalflow
 from flowdisc.cli import main, summarize
-from flowdisc.core import instance_from_json
+from flowdisc.core import gen_random_instance, instance_from_json, instance_to_json
 from flowdisc.util import ValidationError
 
 
@@ -211,6 +212,49 @@ def test_file_error_or_empty_request_is_one_error_line(tmp_path, capsys, argv):
         assert "k must be even and >= 2, got 0" in err[0]
     if "--values" in argv:
         assert "--hard-k" in err[0] and "--values" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxflow"],                                                # missing required option
+    ["maxflow", "--instance", "inst.json", "--colorer", "foo"],  # bad choice
+    ["gen", "instance", "--n", "six"],                           # bad int value
+    ["solve", "--instance", "inst.json"],                        # unknown subcommand
+    [],                                                          # missing subcommand
+], ids=["missing-option", "bad-choice", "bad-int", "unknown-subcommand", "no-subcommand"])
+def test_usage_error_is_one_error_line(capsys, argv):
+    # exit 2 is kept for a failed internal check
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["totalflow", "--help"])
+    assert exc.value.code == 0
+    assert "--colorer" in capsys.readouterr().out
+
+
+def test_pipelines_offer_the_colorers_that_round_split_jobs(tmp_path, capsys):
+    inst = gen_random_instance(4, 2, (1, 4), (0, 8), 0.2, seed=4)
+    for pipeline in (maxflow.full_round_maxflow, totalflow.full_round_totalflow):
+        with pytest.raises(ValidationError, match="outside {-1, 0, \\+1}"):  # a split job
+            pipeline(inst, coloring.COLORERS["paired"])
+    path = str(tmp_path / "inst.json")
+    with open(path, "w") as fh:
+        json.dump(instance_to_json(inst), fh)
+    for command in ("maxflow", "totalflow"):
+        for name in ("brute", "greedy", "floating"):
+            assert run([command, "--instance", path, "--colorer", name,
+                        "--out", str(tmp_path / f"{command}-{name}.json")]) == 0
+        capsys.readouterr()
+        assert run([command, "--instance", path, "--colorer", "paired"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid choice: 'paired'" in err[0]
+    assert run(["bench", "--colorer", "paired", "--outdir", str(tmp_path / "bench")]) == 1
+    assert run(["color", "--vectors", "missing.json", "--colorer", "paired"]) == 1
+    assert "no such file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, field, bad", [

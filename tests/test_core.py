@@ -20,6 +20,7 @@ from flowdisc.core import (
     snap_pairs,
     validate_instance,
 )
+from flowdisc.totalflow import dilate_instance
 from flowdisc.util import InternalCheckError, ValidationError
 
 
@@ -142,6 +143,51 @@ def test_srpt_matches_reference_with_idle_gaps_and_zero_length_jobs():
         gaps += any(_idle_gaps(met.segments, i) for i in range(m))
         zero += any(jobs[j][1][i] == 0 for j, i in enumerate(asg.assign))
     assert gaps > 50 and zero > 50
+
+
+def test_srpt_matches_reference_on_long_jobs_and_dense_releases():
+    rng = random.Random(71)
+    preempted = 0
+    for trial in range(150):
+        m = rng.randint(1, 3)
+        jobs = []
+        for _ in range(rng.randint(2, 10)):
+            proc = [rng.choice([rng.randint(0, 12), rng.randint(1, 12), None]) for _ in range(m)]
+            if all(p is None for p in proc):
+                proc[rng.randrange(m)] = rng.randint(1, 12)
+            jobs.append((rng.randint(0, 6), proc))
+        inst = make_instance(m, jobs)
+        asg = MachineAssignment(tuple(rng.choice([i for i, p in enumerate(proc) if p is not None])
+                                      for _, proc in jobs))
+        met = evaluate_total_flow_srpt(inst, asg)
+        assert met == _reference_srpt(inst, asg)
+        preempted += len({j for _, j, _, _ in met.segments}) < len(met.segments)
+    assert preempted > 50
+
+
+def test_srpt_scales_with_time_dilation():
+    rng = random.Random(73)
+    for trial in range(40):
+        inst = gen_random_instance(rng.randint(1, 8), rng.randint(1, 3), (1, 6), (0, 8), 0.2,
+                                   seed=300 + trial)
+        asg = MachineAssignment(tuple(
+            rng.choice([i for i, p in enumerate(job.proc) if p is not None]) for job in inst.jobs))
+        met = evaluate_total_flow_srpt(inst, asg)
+        for d in (2, 4, 8):
+            dilated = evaluate_total_flow_srpt(dilate_instance(inst, d), asg)
+            assert dilated.per_job_flow == tuple(d * f for f in met.per_job_flow)
+            assert (dilated.max_flow, dilated.total_flow) == (d * met.max_flow, d * met.total_flow)
+            assert dilated.segments == tuple((i, j, d * s0, d * s1) for i, j, s0, s1 in met.segments)
+
+
+def test_srpt_work_does_not_grow_with_the_time_scale():
+    # one event per release and completion: a unit-slot loop would take 10^12 steps
+    big = 10 ** 12
+    inst = make_instance(1, [(0, [big]), (5, [1]), (2 * big, [3])])
+    met = evaluate_total_flow_srpt(inst, MachineAssignment((0, 0, 0)))
+    assert met.per_job_flow == (F(big + 1), F(1), F(3))
+    assert met.segments == ((0, 0, F(0), F(5)), (0, 1, F(5), F(6)), (0, 0, F(6), F(big + 1)),
+                            (0, 2, F(2 * big), F(2 * big + 3)))
 
 
 def _idle_gaps(segments, machine):

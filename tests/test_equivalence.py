@@ -95,6 +95,21 @@ def test_sign_extraction_and_identity():
     assert slot_identity_violations(inst, asg, vecs, signs) == []
 
 
+def test_slot_identity_reports_each_machine_a_wrong_sign_breaks():
+    vecs = [two_sparse(0, 1, F(1, 4), F(1, 2)), two_sparse(2, 0, F(1, 2), F(1, 8)),
+            two_sparse(1, 2, F(3, 8), F(0))]
+    inst = vectors_to_maxflow_instance(vecs, 3)
+    asg, _opt = solve_constructed_integrally(inst, vecs)
+    signs = signs_from_assignment(inst, asg, vecs)
+    assert signs == [1, -1, 1]
+    signs[1] = 1  # step 2's special job sits on machine 0, its negative side
+    # machine 1 is 0 in step 2's vector, so either sign holds there
+    assert slot_identity_violations(inst, asg, vecs, signs) == [
+        "step 2 machine 0: load - 1 = 1/8 != -1/8",
+        "step 2 machine 2: load - 1 = -1/2 != 1/2",
+    ]
+
+
 def test_sign_extraction_all_positive_side():
     vecs = [two_sparse(0, 1, F(1, 8), F(1, 8))] * 2
     inst = vectors_to_maxflow_instance(vecs, 2)

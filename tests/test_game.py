@@ -40,6 +40,36 @@ class Scripted:
         return self.moves.pop(0)
 
 
+class _Waiter:
+    """Waits whenever the query does not force a color; records each query's
+    ``must_color``.  Colors the first open element when forced, if ``comply``."""
+
+    def __init__(self, comply=True):
+        self.comply = comply
+        self.forced = []
+
+    def move(self, state):
+        self.forced.append(state.must_color)
+        assert len(self.forced) < 10, "the engine never forced a color"
+        if state.must_color and self.comply:
+            return color_move(state.open[0], 1)
+        return ("wait",)
+
+
+def test_second_wait_in_a_row_is_requeried_as_forced():
+    maker, breaker = _Waiter(), _Waiter()
+    state, _trace = play_game([1, 1], maker, breaker, starter=BREAKER)
+    assert state.history == [(BREAKER, None, None), (MAKER, 0, 1),
+                             (BREAKER, None, None), (MAKER, 1, 1)]
+    assert maker.forced == [False, True, False, True]
+    assert breaker.forced == [False, False]
+
+
+def test_waiting_when_forced_is_a_validation_error():
+    with pytest.raises(ValidationError, match="^maker strategy waited when forced to color$"):
+        play_game([1, 1], _Waiter(comply=False), _Waiter(), starter=BREAKER)
+
+
 def test_pairing_responds_opposite():
     state, trace = play_game([1, 1], PairingMaker(), Scripted([color_move(0, 1)]),
                              starter=BREAKER)

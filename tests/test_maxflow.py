@@ -36,7 +36,7 @@ from flowdisc.maxflow import (
     split_to_pair_instance,
     var_name,
 )
-from flowdisc.util import InternalCheckError, ValidationError
+from flowdisc.util import InternalCheckError, ValidationError, rat_to_str, substream_seed
 
 
 def brute(seq):
@@ -569,6 +569,19 @@ def test_full_round_bound_and_result_roundtrip():
         assert trace.final_value <= bound
         data = result_to_json(trace, asg)
         assert check_result(inst, data) == []
+
+
+def test_check_result_rejects_an_assignment_above_the_telescoped_bound():
+    # the instance of `flowdisc gen instance --n 6 --m 2 --seed 0` and its worst
+    # assignment, with that assignment's own max_flow and the pipeline's real D values
+    inst = gen_random_instance(6, 2, (1, 4), (0, 10), 0.2, substream_seed(0, "instance-gen"))
+    asg, trace = full_round_maxflow(inst, color_greedy)
+    data = result_to_json(trace, asg)
+    options = [[i for i, p in enumerate(job.proc) if p is not None] for job in inst.jobs]
+    worst, assign = max((evaluate_max_flow(inst, MachineAssignment(a)).max_flow, a)
+                        for a in itertools.product(*options))
+    data.update(assignment=list(assign), max_flow=rat_to_str(worst))
+    assert check_result(inst, data) == ["max_flow 9 violates bound 6"]
 
 
 def test_full_round_integral_optimum_zero_error():

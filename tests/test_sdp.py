@@ -141,6 +141,12 @@ def test_body_membership_matches_folded_value():
         assert folded.value_sq == worst / r
 
 
+def test_search_block_coloring_backtracks_out_of_the_body():
+    # +1, +1 leaves K (2^2 > (1 + 1/2)^2), so the search undoes the second +1
+    block = build_block_instance(SignedVectorSequence(1, [[F(1)], [F(1)]]), 1)
+    assert search_block_coloring(block, F(1, 2)) == [1, -1]
+
+
 def test_search_block_coloring_certifies_bound():
     rng = random.Random(17)
     found = 0

@@ -53,7 +53,7 @@ from flowdisc.totalflow import (
     ti_cost,
     yvar,
 )
-from flowdisc.util import InternalCheckError, ValidationError
+from flowdisc.util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
 
 
 def brute(seq):
@@ -947,6 +947,32 @@ def test_full_round_trace_bound_exact():
     assert measure_alpha(dinst, y).alpha == trace.alpha_final
     data = result_to_json(trace)
     assert check_result(inst, data) == []
+
+
+def _pipeline_result(n=5, seed=11):
+    inst = gen_random_instance(n, 2, (1, 4), (0, 2 * n), 0.2, seed=seed)
+    _y, trace = full_round_totalflow(inst, color_greedy)
+    return inst, trace, result_to_json(trace)
+
+
+def test_check_result_rejects_a_recorded_slack_above_its_bound():
+    inst, _trace, data = _pipeline_result()
+    last = data["alpha_levels"][-1]  # h = 1: no later level reads its alpha_after
+    over = rat_from_str(last["alpha_before"]) + rat_from_str(last["bound"]) + 1
+    last["alpha_after"] = rat_to_str(over)
+    assert check_result(inst, data) == ["level 1: recorded slack violates its bound"]
+
+
+def test_check_result_evaluates_the_instance_as_given():
+    inst, trace, data = _pipeline_result()
+    assert trace.dilation == 4
+    assert trace.total_flow == evaluate_total_flow_srpt(inst, trace.assignment).total_flow
+    assert trace.total_flow_dilated == trace.dilation * trace.total_flow
+    assert check_result(inst, data) == []
+    # the dilated copy's total is not the instance's
+    data["total_flow"] = rat_to_str(trace.total_flow_dilated)
+    assert check_result(inst, data) == [
+        f"recorded total_flow {trace.total_flow_dilated} != evaluated {trace.total_flow}"]
 
 
 def test_full_round_single_job():
