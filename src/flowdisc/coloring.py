@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
 
 PREFIX = "prefix"
 INTERVAL = "interval"
@@ -396,8 +396,9 @@ def seq_to_json(seq: SignedVectorSequence) -> dict:
 def seq_from_json(data: dict) -> SignedVectorSequence:
     try:
         m = int_from_json(data["m"])
-        vectors = [[rat_from_str(x) for x in row] for row in data["vectors"]]
-        signs = [int_from_json(s) for s in data.get("signs", [])]
+        vectors = [[rat_from_str(x) for x in list_from_json(row, f"vector file: vector {k}")]
+                   for k, row in enumerate(list_from_json(data["vectors"], "vector file: vectors"))]
+        signs = [int_from_json(s) for s in list_from_json(data.get("signs", []), "vector file: signs")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"vector file malformed: {exc}") from None
     return SignedVectorSequence(m=m, vectors=vectors, signs=signs)

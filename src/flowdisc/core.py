@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp import LE
-from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -350,13 +350,12 @@ def instance_from_json(data: dict) -> SchedulingInstance:
         raw_jobs = data["jobs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance file missing field: {exc}") from None
-    if not isinstance(raw_jobs, list):
-        raise ValidationError(f"instance file: jobs must be a list, got {type(raw_jobs).__name__}")
     jobs = []
-    for idx, row in enumerate(raw_jobs):
+    for idx, row in enumerate(list_from_json(raw_jobs, "instance file: jobs")):
         try:
             release = rat_from_str(row["r"])
-            proc = tuple(None if p is None else rat_from_str(p) for p in row["p"])
+            proc = tuple(None if p is None else rat_from_str(p)
+                         for p in list_from_json(row["p"], f"instance file: job {idx}: p"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"instance file: job {idx} malformed: {exc}") from None
         jobs.append(Job(release=release, proc=proc))

@@ -12,6 +12,9 @@ with no per-entry `Fraction` normalization.
 Pivoting uses Bland's rule for both the entering and the leaving choice (the
 smallest column with a negative reduced cost enters; ratio-test ties leave by
 the smallest basic column), so solves are deterministic and cannot cycle.
+
+An infeasible solve returns a Farkas ray, one multiplier per constraint, which
+`farkas_violations` checks exactly from the LP alone, with no tableau code.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class LpSolution:
     status: str
     values: dict
     objective_value: Optional[Fraction]
+    ray: Optional[list] = None  # Infeasible only: one Farkas multiplier per constraint
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if rhs:
             row[ncols] = rhs
         rows.append(row)  # already in lowest terms: one lcm of reduced denominators
+    own = basis[:]  # each row's slack (<=) or artificial column
     tab = _Tableau(rows, basis, ncols)
 
     # Phase 1: minimize the sum of artificials (skipped when there are none).
@@ -254,7 +259,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if status != OPTIMAL:
             raise InternalCheckError(f"phase 1 ended {status}, though it is bounded below by 0")
         if tab.z.get(ncols):
-            return LpSolution(INFEASIBLE, {}, None)
+            # z is f > 0 times the reduced costs d, and z[rhs] is -f times the
+            # phase-1 optimum.  Row i's Farkas multiplier is d of its slack or
+            # d - 1 of its artificial, negated back if the row was flipped.
+            f = Fraction(-tab.z[ncols]) / sum(Fraction(row.get(ncols, 0), row[b])
+                                              for row, b in zip(tab.rows, tab.basis) if b >= first_art)
+            ray = [tab.z.get(c, 0) / f - (c >= first_art) for c in own]
+            ray = [-w if con.rhs < 0 else w for w, con in zip(ray, lp.constraints)]
+            return LpSolution(INFEASIBLE, {}, None, ray)
         # drive leftover artificials out of the basis (or drop redundant rows)
         keep = []
         for i in range(len(tab.rows)):
@@ -285,6 +297,32 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     values = {var: col_values.get(j, zero) for var, j in col.items()}
     obj_val = sum((c * values[v] for v, c in lp.objective.items()), zero)
     return LpSolution(OPTIMAL, values, obj_val)
+
+
+def farkas_violations(lp: LinearProgram, ray) -> list[str]:
+    """Exactly check that `ray`, one multiplier w per constraint, proves `lp`
+    infeasible; list what fails.
+
+    Empty iff w >= 0 on every ``<=`` row, w <= 0 on every ``>=`` row,
+    w.A >= 0 on every column and w.b < 0: then any x >= 0 meeting the rows
+    would give 0 <= w.A x <= w.b < 0.
+    """
+    _validate(lp)
+    if len(ray) != len(lp.constraints):
+        return [f"ray has {len(ray)} multipliers for {len(lp.constraints)} constraints"]
+    out = []
+    wa = dict.fromkeys(lp.variables, 0)
+    wb = 0
+    for pos, (con, w) in enumerate(zip(lp.constraints, ray)):
+        if (con.relation == LE and w < 0) or (con.relation == GE and w > 0):
+            out.append(f"constraint {pos} ({con.relation}): multiplier {w} has the wrong sign")
+        for var, c in con.coeffs.items():
+            wa[var] += w * c
+        wb += w * con.rhs
+    out += [f"column {var!r}: w.A = {v} < 0" for var, v in wa.items() if v < 0]
+    if wb >= 0:
+        out.append(f"w.b = {wb} >= 0")
+    return out
 
 
 def check_point(lp: LinearProgram, values: dict) -> list[Violation]:

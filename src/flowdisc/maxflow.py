@@ -75,20 +75,18 @@ class RoundingTrace:
 
 @dataclass
 class MinTSearch:
-    """Result of the minimal-feasible-bound search with its certificates."""
+    """Result of the minimal-feasible-bound search with its certificate."""
 
     t_star: Fraction
     assignment: FractionalAssignment
-    certified_infeasible_below: Optional[Fraction]  # T value proven infeasible
-    resolution: Fraction
+    ray: Optional[tuple]  # (T, w): a checked Farkas ray at bound T whose root is >= t_star
 
 
 def var_name(j: int, i: int) -> str:
     return f"x[{j},{i}]"
 
 
-def build_assignment_lp(inst: SchedulingInstance, T,
-                        minimize_t: bool = False) -> lpmod.LinearProgram:
+def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     """Assignment LP at flow bound T.
 
     Row sums fix every job to total assignment 1; on every machine the volume
@@ -98,11 +96,8 @@ def build_assignment_lp(inst: SchedulingInstance, T,
     ending at t_b, and one row per release caps it by T: at most 2R - 1 rows
     per machine, not one per pair of release times.  Variables with processing
     time above the bound are pruned entirely (after pruning the largest usable
-    processing time is at most the bound by construction).
-
-    With ``minimize_t`` the bound becomes T + dT for a variable dT >= 0 (the
-    first column), and the objective minimizes dT; T stays the pruning
-    threshold.
+    processing time is at most the bound by construction).  The caps are the
+    ``<=`` rows with no negative coefficient (a carry row has its carry-out at -1).
     """
     T = Fraction(T)
     lp = lpmod.LinearProgram()
@@ -115,13 +110,9 @@ def build_assignment_lp(inst: SchedulingInstance, T,
             if ok:
                 lp.variables.append(var_name(j, i))
         allowed.append(row)
-    if minimize_t:
-        lp.variables.insert(0, "dT")
-        lp.objective = {"dT": Fraction(1)}
     for j in range(inst.n):
         coeffs = {var_name(j, i): Fraction(1) for i in range(inst.m) if allowed[j][i]}
         lp.add_constraint(coeffs, lpmod.EQ, 1)
-    cap_t = {"dT": -1} if minimize_t else {}
     for i in range(inst.m):
         loads: dict = {}
         for j, job in enumerate(inst.jobs):
@@ -130,7 +121,7 @@ def build_assignment_lp(inst: SchedulingInstance, T,
         times = sorted(loads)
         carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
-            lp.add_constraint({**loads[t], **carry_in, **cap_t}, lpmod.LE, T)
+            lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
     return lp
 
 
@@ -195,36 +186,33 @@ def _scaled(v, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-def _feasible_at(inst: SchedulingInstance, T) -> Optional[lpmod.LpSolution]:
-    lp = build_assignment_lp(inst, T)
-    sol = lpmod.solve_lp(lp)
-    return sol if sol.status == lpmod.OPTIMAL else None
-
-
 def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
-    """Exact minimal feasible flow bound of the assignment LP.
+    """Exact minimal feasible flow bound of the assignment LP, from feasibility solves alone.
 
     Feasibility is monotone in the bound, and the variable-pruning pattern
     only changes at the distinct processing-time values.  A binary search over
-    those breakpoints brackets the answer; an exact minimize-T LP on the
-    bracketed pattern pins it down.  The returned certificate pair is
-    (feasible at t_star, infeasible at t_star - resolution).
+    those breakpoints brackets the answer.  Inside the bracket only the caps'
+    right-hand side T moves, so a Farkas ray w at an infeasible T rules out
+    every bound below its root T - w.b(T) / (w summed over the caps).  Newton
+    steps (Dinkelbach; Radzik) move T to that root, or to the bracket's
+    feasible end if the root reaches it, until T is feasible: that is t_star.
+    Each ray passes `lp.farkas_violations` before its root is used, and the
+    last one rules out every T < t_star.  There is no ray (None) when t_star is
+    the first breakpoint, below which some job has no machine.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValidationError("; ".join(problems))
     t_floor = max(min(p for p in job.proc if p is not None) for job in inst.jobs)
     breakpoints = sorted({p for _, _, p in inst.finite_procs() if p >= t_floor})
-    denoms = [job.release.denominator for job in inst.jobs]
-    denoms += [p.denominator for _, _, p in inst.finite_procs()]
-    resolution = Fraction(1, inst.n * lcm(*denoms))
 
-    feas_cache: dict[Fraction, Optional[lpmod.LpSolution]] = {}
+    solved: dict = {}  # T -> (its LP, the LP's solution)
 
     def feasible(T) -> bool:
-        if T not in feas_cache:
-            feas_cache[T] = _feasible_at(inst, T)
-        return feas_cache[T] is not None
+        if T not in solved:
+            lp = build_assignment_lp(inst, T)
+            solved[T] = lp, lpmod.solve_lp(lp)
+        return solved[T][1].status == lpmod.OPTIMAL
 
     lo_idx, hi_idx = 0, len(breakpoints) - 1
     first_feasible: Optional[int] = None
@@ -237,39 +225,30 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
             else:
                 lo_idx = mid + 1
 
+    ray = None
     if first_feasible == 0:
         t_star = breakpoints[0]  # the bound can never go below the per-job minima
     else:
-        if first_feasible is None:
-            prev = breakpoints[-1]
-            cap = None
-        else:
-            prev = breakpoints[first_feasible - 1]
-            cap = breakpoints[first_feasible]
-        sol = lpmod.solve_lp(build_assignment_lp(inst, prev, minimize_t=True))
-        if sol.status == lpmod.OPTIMAL and (cap is None or prev + sol.values["dT"] < cap):
-            t_star = prev + sol.values["dT"]
-            if t_star <= prev:
-                raise InternalCheckError("minimize-T refinement contradicts bracketing")
-        else:
-            if cap is None:
-                raise InternalCheckError("assignment LP infeasible even at the loosest pattern")
-            t_star = cap
+        cap = None if first_feasible is None else breakpoints[first_feasible]
+        t_star = breakpoints[-1 if first_feasible is None else first_feasible - 1]
+        while not feasible(t_star):
+            lp, sol = solved[t_star]
+            bad = lpmod.farkas_violations(lp, sol.ray)
+            if bad:
+                raise InternalCheckError(f"Farkas ray at bound {t_star}: " + "; ".join(bad))
+            ray = t_star, sol.ray
+            slope = sum(w for w, con in zip(sol.ray, lp.constraints)
+                        if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0)
+            deficit = -sum(w * con.rhs for w, con in zip(sol.ray, lp.constraints))  # > 0
+            if cap is not None and deficit >= (cap - t_star) * slope:  # the root reaches cap
+                t_star = cap
+            elif slope:
+                t_star += deficit / slope
+            else:
+                raise InternalCheckError("assignment LP infeasible at every bound")
 
-    feasible(t_star)  # a breakpoint's solve is cached: the same LP, the same solver
-    witness = feas_cache[t_star]
-    if witness is None:
-        raise InternalCheckError(f"certified bound {t_star} did not re-verify feasible")
-    below = t_star - resolution
-    if below >= 0 and _feasible_at(inst, below) is not None:
-        raise InternalCheckError(f"bound {t_star} not minimal: feasible at {below}")
-    fa = assignment_from_solution(inst, t_star, witness)
-    return MinTSearch(
-        t_star=t_star,
-        assignment=fa,
-        certified_infeasible_below=below if below >= 0 else None,
-        resolution=resolution,
-    )
+    fa = assignment_from_solution(inst, t_star, solved[t_star][1])
+    return MinTSearch(t_star=t_star, assignment=fa, ray=ray)
 
 
 def quantize_dyadic(fa: FractionalAssignment, level: int) -> FractionalAssignment:

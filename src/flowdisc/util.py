@@ -46,6 +46,13 @@ def int_from_json(v) -> int:
     raise ValidationError(f"expected integer, got {type(v).__name__} {v!r}")
 
 
+def list_from_json(v, what: str) -> list:
+    """`v` if it is a JSON list: a string or an object is not iterated."""
+    if not isinstance(v, list):
+        raise ValidationError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
 def substream_seed(seed: int, name: str) -> int:
     """Derive a stable 63-bit seed for a named random substream.
 

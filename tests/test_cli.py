@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ def test_gen_and_maxflow_roundtrip(tmp_path):
                 "--out", inst_path]) == 0
     assert run(["maxflow", "--instance", inst_path, "--colorer", "greedy",
                 "--out", out_path]) == 0
-    data = json.loads(open(out_path).read())
+    data = json.loads(Path(out_path).read_text())
     assert set(data) == {"T_star", "assignment", "levels", "max_flow"}
     assert run(["check", "--instance", inst_path, "--result", out_path]) == 0
 
@@ -37,7 +38,7 @@ def test_totalflow_result_schema(tmp_path):
                 "--out", inst_path]) == 0
     assert run(["totalflow", "--instance", inst_path, "--colorer", "greedy",
                 "--out", out_path]) == 0
-    data = json.loads(open(out_path).read())
+    data = json.loads(Path(out_path).read_text())
     assert set(data) == {"lp_cost", "alpha_levels", "total_flow", "assignment"}
     assert run(["check", "--instance", inst_path, "--result", out_path]) == 0
 
@@ -47,11 +48,11 @@ def test_byte_identical_reruns(tmp_path):
     for path in (a, b):
         assert run(["gen", "instance", "--n", "5", "--m", "2", "--seed", "11",
                     "--out", path]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     ra, rb = str(tmp_path / "ra.json"), str(tmp_path / "rb.json")
     assert run(["maxflow", "--instance", a, "--colorer", "greedy", "--out", ra]) == 0
     assert run(["maxflow", "--instance", b, "--colorer", "greedy", "--out", rb]) == 0
-    assert open(ra, "rb").read() == open(rb, "rb").read()
+    assert Path(ra).read_bytes() == Path(rb).read_bytes()
 
 
 def test_color_subcommand(tmp_path):
@@ -61,7 +62,7 @@ def test_color_subcommand(tmp_path):
                 "--out", v_path]) == 0
     assert run(["color", "--vectors", v_path, "--colorer", "brute",
                 "--mode", "one-sided", "--out", c_path]) == 0
-    data = json.loads(open(c_path).read())
+    data = json.loads(Path(c_path).read_text())
     assert "signs" in data and "discrepancy" in data
     assert all(s in (-1, 1) for s in data["signs"])
 
@@ -70,7 +71,7 @@ def test_game_trace_dimensions(tmp_path):
     trace_path = str(tmp_path / "t.csv")
     assert run(["game", "--hard-k", "4", "--maker", "pairing", "--breaker", "tree",
                 "--trace", trace_path]) == 0
-    rows = open(trace_path).read().strip().splitlines()
+    rows = Path(trace_path).read_text().strip().splitlines()
     assert rows[0] == "turn,player,index_or_wait,sign,max_prefix_after"
     assert len(rows) - 1 == 17  # one move per element of the k=4 instance
 
@@ -82,11 +83,11 @@ def test_reduce_roundtrip(tmp_path):
         json.dump(seq, fh)
     out = str(tmp_path / "r.json")
     assert run(["reduce", "--vectors", v_path, "--mode", "roundtrip", "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert set(data) >= {"opt_value", "extracted_value", "brute_value"}
     inst_out = str(tmp_path / "ri.json")
     assert run(["reduce", "--vectors", v_path, "--mode", "instance", "--out", inst_out]) == 0
-    inst = instance_from_json(json.loads(open(inst_out).read()))
+    inst = instance_from_json(json.loads(Path(inst_out).read_text()))
     assert inst.n == 2 * 3
 
 
@@ -107,7 +108,7 @@ def test_bench_summary(tmp_path):
     assert run(["bench", "--count", "2", "--n", "4", "--m", "2", "--seed", "5",
                 "--outdir", outdir]) == 0
     assert os.path.exists(os.path.join(outdir, "summary.csv"))
-    lines = open(os.path.join(outdir, "summary.csv")).read().strip().splitlines()
+    lines = (Path(outdir) / "summary.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + one row per run
 
 
@@ -115,7 +116,7 @@ def test_summarize_rejects_mixed_kinds(tmp_path):
     inst_path = str(tmp_path / "i.json")
     assert run(["gen", "instance", "--n", "3", "--m", "2", "--seed", "1",
                 "--out", inst_path]) == 0
-    inst = instance_from_json(json.loads(open(inst_path).read()))
+    inst = instance_from_json(json.loads(Path(inst_path).read_text()))
     fake_max = {"T_star": "1/1", "assignment": [0] * inst.n, "levels": [],
                 "max_flow": "1/1"}
     fake_tot = {"lp_cost": "1/1", "alpha_levels": [], "total_flow": "1/1",
@@ -136,8 +137,8 @@ def test_summarize_flags_violated_bound(tmp_path):
                 "--out", inst_path]) == 0
     assert run(["maxflow", "--instance", inst_path, "--colorer", "greedy",
                 "--out", res_path]) == 0
-    inst = instance_from_json(json.loads(open(inst_path).read()))
-    data = json.loads(open(res_path).read())
+    inst = instance_from_json(json.loads(Path(inst_path).read_text()))
+    data = json.loads(Path(res_path).read_text())
     data["max_flow"] = "1000/1"  # doctored: no longer matches the evaluation
     csv_text, pretty, ok = summarize([(inst, data)])
     assert not ok
@@ -172,6 +173,13 @@ def test_exit_code_malformed_file(tmp_path, capsys):
     ("game", "--values", {"m": 1, "vectors": []}),
     ("reduce", "--vectors", {"m": 2, "vectors": []}),
     ("color", "--vectors", {"m": 2, "vectors": []}),   # was a witness naming prefix -1
+    # a string or an object where a list is due was iterated
+    ("maxflow", "--instance", {"m": 2, "jobs": [{"r": "0", "p": "12"}]}),  # was p = (1, 2)
+    ("maxflow", "--instance", {"m": 2, "jobs": [{"r": "0", "p": {"1": 0, "2": 0}}]}),
+    ("color", "--vectors", {"m": 2, "vectors": ["12", "34"]}),  # was (1, 2) and (3, 4)
+    ("color", "--vectors", {"m": 2, "vectors": {"12": 0, "34": 0}}),
+    ("color", "--vectors", {"m": 2, "vectors": [{"1": 0, "2": 0}]}),
+    ("color", "--vectors", {"m": 1, "vectors": [["1/2"]], "signs": {}}),  # was no signs
 ])
 def test_rejected_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, flag, payload):
     monkeypatch.setenv("FLOWDISC_OUTDIR", str(tmp_path))
@@ -271,7 +279,7 @@ def test_check_rejects_malformed_result_field(tmp_path, capsys, command, field, 
     assert run(["gen", "instance", "--n", "3", "--m", "2", "--seed", "4",
                 "--out", inst_path]) == 0
     assert run([command, "--instance", inst_path, "--out", res_path]) == 0
-    data = json.loads(open(res_path).read())
+    data = json.loads(Path(res_path).read_text())
     if field == "assignment":
         data["assignment"][0] += bad
     else:
@@ -329,7 +337,7 @@ def test_check_rejects_inconsistent_levels(tmp_path, capsys, command, n, edit):
         assert run(["gen", "instance", "--n", str(n), "--m", "2", "--seed", "4",
                     "--out", inst_path]) == 0
     assert run([command, "--instance", inst_path, "--out", res_path]) == 0
-    data = json.loads(open(res_path).read())
+    data = json.loads(Path(res_path).read_text())
     edit(data)
     with open(res_path, "w") as fh:
         json.dump(data, fh)
@@ -344,7 +352,7 @@ def test_check_rejects_negative_maxflow_discrepancy(tmp_path, capsys):
     res_path = str(tmp_path / "r.json")
     assert run(["gen", "instance", "--n", "4", "--m", "2", "--seed", "4", "--out", inst_path]) == 0
     assert run(["maxflow", "--instance", inst_path, "--out", res_path]) == 0
-    data = json.loads(open(res_path).read())
+    data = json.loads(Path(res_path).read_text())
     data["levels"][0]["D"] = "-5/1"
     with open(res_path, "w") as fh:
         json.dump(data, fh)
@@ -360,7 +368,7 @@ def test_check_rejects_negative_totalflow_discrepancy(tmp_path, capsys):
     res_path = str(tmp_path / "r.json")
     assert run(["gen", "instance", "--n", "4", "--m", "2", "--seed", "4", "--out", inst_path]) == 0
     assert run(["totalflow", "--instance", inst_path, "--out", res_path]) == 0
-    data = json.loads(open(res_path).read())
+    data = json.loads(Path(res_path).read_text())
     data["alpha_levels"][0]["D"] = "-5/1"
     with open(res_path, "w") as fh:
         json.dump(data, fh)

@@ -21,7 +21,10 @@ def test_infeasible_pair():
     p = lp.LinearProgram(variables=["x"])
     p.add_constraint({"x": 1}, lp.LE, 1)
     p.add_constraint({"x": 1}, lp.GE, 2)
-    assert lp.solve_lp(p).status == lp.INFEASIBLE
+    sol = lp.solve_lp(p)
+    assert sol.status == lp.INFEASIBLE
+    # (1, -1): x - x >= 0 on the column, 1 - 2 < 0 on the right-hand side
+    assert sol.ray == [1, -1] and lp.farkas_violations(p, sol.ray) == []
 
 
 def test_default_bound_floor():
@@ -96,6 +99,27 @@ def test_strong_duality_spot_check():
         dsol = lp.solve_lp(_dual_of(c, A, b))
         assert psol.status == lp.OPTIMAL and dsol.status == lp.OPTIMAL
         assert psol.objective_value == -dsol.objective_value
+
+
+@pytest.mark.parametrize("rows,ray,report", [
+    # x <= 1, x == 3, -x <= 0: the last multiplier must be >= 0
+    ([({"x": 1}, lp.LE, 1), ({"x": 1}, lp.EQ, 3), ({"x": -1}, lp.LE, 0)], [0, -1, -1],
+     ["constraint 2 (<=): multiplier -1 has the wrong sign"]),
+    # -x >= 0, x == -1: the first multiplier must be <= 0
+    ([({"x": -1}, lp.GE, 0), ({"x": 1}, lp.EQ, -1)], [1, 1],
+     ["constraint 0 (>=): multiplier 1 has the wrong sign"]),
+    # x + y <= 1, x + 2y == 3: (1, -1) gives y the column sum -1
+    ([({"x": 1, "y": 1}, lp.LE, 1), ({"x": 1, "y": 2}, lp.EQ, 3)], [1, -1],
+     ["column 'y': w.A = -1 < 0"]),
+    # x <= 1, x == 1 is feasible: (1, -1) gives w.b = 0
+    ([({"x": 1}, lp.LE, 1), ({"x": 1}, lp.EQ, 1)], [1, -1], ["w.b = 0 >= 0"]),
+    ([({"x": 1}, lp.LE, 1)], [1, -1], ["ray has 2 multipliers for 1 constraints"]),
+], ids=["le-negative", "ge-positive", "column", "rhs", "length"])
+def test_farkas_violations_reports_each_failure(rows, ray, report):
+    p = lp.LinearProgram(variables=["x", "y"])
+    for coeffs, rel, rhs in rows:
+        p.add_constraint(coeffs, rel, rhs)
+    assert lp.farkas_violations(p, ray) == report
 
 
 def test_check_point_slack_example():
@@ -333,6 +357,8 @@ def test_sparse_solver_matches_dense_reference():
         statuses[sol.status] += 1
         if sol.status == lp.OPTIMAL:
             assert lp.check_point(p, sol.values) == []
+        elif sol.status == lp.INFEASIBLE:
+            assert lp.farkas_violations(p, sol.ray) == []
     assert min(statuses.values()) >= 200, statuses
 
 

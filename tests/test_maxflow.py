@@ -1,15 +1,19 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
 from flowdisc import lp as lpmod
 from flowdisc import maxflow
-from flowdisc.coloring import PREFIX, color_brute_force, color_greedy
+from flowdisc.cli import main
+from flowdisc.coloring import COLORERS, PREFIX, color_brute_force, color_greedy
 from flowdisc.core import (
     Job,
     MachineAssignment,
@@ -17,6 +21,7 @@ from flowdisc.core import (
     evaluate_max_flow,
     gen_periodic_instance,
     gen_random_instance,
+    instance_to_json,
     make_instance,
     p_max,
     worst_window,
@@ -69,14 +74,37 @@ def test_solve_min_t_single_job():
     assert fractional_assignment_violations(inst, search.assignment) == []
 
 
+def _just_below(inst, t_star):
+    """t_star - 1/(n L), L the lcm of the time denominators."""
+    denoms = [job.release.denominator for job in inst.jobs]
+    denoms += [p.denominator for _, _, p in inst.finite_procs()]
+    return t_star - F(1, inst.n * lcm(*denoms))
+
+
+def _ray_root(inst, search):
+    """Check the search's ray on the LP rebuilt at its T; return its root,
+    the bound below which the ray proves that LP infeasible."""
+    T, w = search.ray
+    lp = build_assignment_lp(inst, T)
+    assert lpmod.farkas_violations(lp, w) == []
+    # the cap rows: right-hand side T and no carry-out coefficient -1
+    slope = sum(wk for wk, con in zip(w, lp.constraints)
+                if con.relation == lpmod.LE and con.rhs == T and -1 not in con.coeffs.values())
+    wb = sum(wk * con.rhs for wk, con in zip(w, lp.constraints))
+    return T - wb / slope
+
+
 def test_solve_min_t_three_unit_jobs():
     inst = make_instance(2, [(0, [1, 1])] * 3)
     search = solve_min_T(inst)
     assert search.t_star == F(3, 2)
-    # certificate: infeasible just below
-    below = search.certified_infeasible_below
-    assert below is not None and below < search.t_star
-    assert lpmod.solve_lp(build_assignment_lp(inst, below)).status == lpmod.INFEASIBLE
+    # certificate: a checked ray whose root is t_star, and infeasible just below
+    assert _ray_root(inst, search) == search.t_star
+    below = _just_below(inst, search.t_star)
+    assert search.ray[0] <= below < search.t_star
+    lp = build_assignment_lp(inst, below)
+    assert lpmod.solve_lp(lp).status == lpmod.INFEASIBLE
+    assert lpmod.farkas_violations(lp, search.ray[1]) == []
 
 
 def test_feasibility_monotone_in_bound():
@@ -514,7 +542,7 @@ def test_carry_rows_match_quadratic_windows(complete_carries):
         inst = make_instance(3, jobs)
         releases = len({job.release for job in inst.jobs})
         search = solve_min_T(inst)
-        for T in (search.t_star, search.t_star - search.resolution,
+        for T in (search.t_star, _just_below(inst, search.t_star),
                   search.t_star + F(1, 3), search.t_star + 2):
             lp, ref_lp = build_assignment_lp(inst, T), _quadratic_assignment_lp(inst, T)
             assert sum(c.relation == lpmod.LE for c in lp.constraints) <= (2 * releases - 1) * inst.m
@@ -840,25 +868,69 @@ def test_min_T_search_solves_no_lp_twice(monkeypatch):
         search = solve_min_T(inst)
         monkeypatch.undo()
         assert len(solved) == len(set(solved))
-        fresh = maxflow.assignment_from_solution(inst, search.t_star,
-                                                 maxflow._feasible_at(inst, search.t_star))
-        assert search.assignment == fresh
+        assert all(objective == () for _, objective, _ in solved)  # feasibility LPs only
+        witness = lpmod.solve_lp(build_assignment_lp(inst, search.t_star))
+        assert search.assignment == maxflow.assignment_from_solution(inst, search.t_star, witness)
         cached += search.t_star in {p for _, _, p in inst.finite_procs()}
     assert cached  # some t_star was a breakpoint, so its witness came from the cache
 
 
-@pytest.mark.parametrize("seed,minimize_t,t_star,below", [
-    (0, False, 4, F(11, 3)),   # the first breakpoint is feasible
-    (3, True, 3, F(8, 3)),     # minimize-T ends below the cap
-    (12, True, 5, F(14, 3)),   # minimize-T reaches the cap, which is T*
-    (15, True, 8, F(23, 3)),   # infeasible at every breakpoint: no cap
+@pytest.mark.parametrize("branch,seed,t_star,below", [
+    ("first-breakpoint", 0, 4, F(11, 3)),    # the first breakpoint is feasible
+    ("below-cap", 3, 3, F(8, 3)),            # a Newton step lands below the cap
+    ("reaches-cap", 12, 5, F(14, 3)),        # the ray's root reaches the cap, which is T*
+    ("above-breakpoints", 15, 8, F(23, 3)),  # infeasible at every breakpoint: no cap
 ], ids=["first-breakpoint", "below-cap", "reaches-cap", "above-breakpoints"])
-def test_min_T_search_branches_keep_their_values(monkeypatch, seed, minimize_t, t_star, below):
+def test_min_T_search_branches_keep_their_values(branch, seed, t_star, below):
     inst = gen_random_instance(3, 2, (1, 6), (0, 6), 0.2, seed=seed)
-    solved = []
-    real = lpmod.solve_lp
-    monkeypatch.setattr(lpmod, "solve_lp", lambda lp: solved.append(lp.variables[:1]) or real(lp))
     search = solve_min_T(inst)
-    assert (["dT"] in solved) == minimize_t
-    assert (search.t_star, search.certified_infeasible_below) == (t_star, below)
+    assert search.t_star == t_star
+    assert _just_below(inst, t_star) == below
+    assert lpmod.solve_lp(build_assignment_lp(inst, below)).status == lpmod.INFEASIBLE
     assert fractional_assignment_violations(inst, search.assignment) == []
+    procs = sorted({p for _, _, p in inst.finite_procs()})
+    if branch == "first-breakpoint":
+        # some job has no machine below the largest per-job minimum
+        assert search.ray is None
+        assert t_star == max(min(p for p in job.proc if p is not None) for job in inst.jobs)
+        return
+    root = _ray_root(inst, search)
+    assert search.ray[0] < t_star <= root
+    if branch == "below-cap":
+        assert root == t_star and t_star not in procs and t_star < procs[-1]
+    elif branch == "reaches-cap":
+        assert t_star in procs
+    else:
+        assert t_star > procs[-1]
+
+
+def test_min_T_search_rejects_a_ray_that_fails_its_check(monkeypatch, tmp_path, capsys):
+    # a ray with its signs flipped must stop the search, not move T
+    inst = gen_random_instance(3, 2, (1, 6), (0, 6), 0.2, seed=3)
+    real = lpmod.solve_lp
+
+    def flipped(lp):
+        sol = real(lp)
+        return dataclasses.replace(sol, ray=[-w for w in sol.ray]) if sol.ray else sol
+
+    monkeypatch.setattr(lpmod, "solve_lp", flipped)
+    with pytest.raises(InternalCheckError, match="Farkas ray at bound 2: .* w.b = 1/2 >= 0"):
+        solve_min_T(inst)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    assert main(["maxflow", "--instance", str(path), "--out", str(tmp_path / "res.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Farkas ray at bound 2" in err[0]
+
+
+# Digests of the results with T* from the minimize-T LP: the search for T*
+# must give the same T*, assignments, D values and flows.
+def test_pipeline_results_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for seed in (n, 100 + n):
+            inst = gen_random_instance(n, 2 + n % 2, (1, 4), (0, 2 * n), 0.2, seed=seed)
+            for name in ("brute", "floating", "greedy"):
+                asg, trace = full_round_maxflow(inst, COLORERS[name])
+                digest.update(json.dumps(result_to_json(trace, asg), sort_keys=True).encode())
+    assert digest.hexdigest() == "c3cab976eff27336660f8385217338c6b935b3362b2d5e631cc5c6fa3d258eca"
