@@ -35,7 +35,7 @@ from .core import (
     validate_instance,
     worst_window,
 )
-from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
 
 
 @dataclass
@@ -527,10 +527,12 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
 
     problems = []
     try:
-        asg = MachineAssignment(assign=tuple(int_from_json(i) for i in data["assignment"]))
+        asg = MachineAssignment(assign=tuple(
+            int_from_json(i) for i in list_from_json(data["assignment"], "assignment")))
         t_star = rat_from_str(data["T_star"])
         max_flow = rat_from_str(data["max_flow"])
-        levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"])) for rec in data["levels"]]
+        levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"]))
+                  for rec in list_from_json(data["levels"], "levels")]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
     hs = [h for h, _ in levels]

@@ -6,9 +6,12 @@ per slot, while the auxiliary LP has one per event gap (releases and the
 horizon ends bound the gaps), so its solutions sit on gap starts.  Jobs are
 grouped per machine into size classes (class k holds processing times in
 (2^(k-1), 2^k]); the auxiliary objective charges (t - r)/2^k + 1/2 per unit
-volume so same-class volume can be exchanged between jobs at no cost.  The
-relaxation slack alpha of a solution is the worst window overload per class,
-measured exactly.
+volume so same-class volume can be exchanged between jobs at no cost.  Every
+price comes from ``slot_rate``, one Fraction built from ints.  The auxiliary
+LP bounds the class-<=k volume of each window: at slack 0, the one the
+pipeline solves, by one row per (machine, class, gap), and at a positive
+slack by Lindley carry rows.  The relaxation slack alpha of a solution is the
+worst window overload per class, measured exactly.
 
 A solution stores its volumes as ints over one common denominator ``den``
 (volume x/den), and the rounding loop works on those ints alone.  That is
@@ -45,16 +48,16 @@ from .core import (
     validate_instance,
     worst_window,
 )
-from .util import InternalCheckError, ValidationError, int_from_json, rat_from_str, rat_to_str
+from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
 
 
 def class_index(p) -> int:
     """Smallest k with p <= 2^k, i.e. the size class holding p (k=0 for p=1)."""
-    if not isinstance(p, Fraction):
+    if type(p) is not Fraction and type(p) is not int:
         p = Fraction(p)
-    if p <= 0:
+    a, b = p.numerator, p.denominator  # b > 0, so p has the sign of a
+    if a <= 0:
         raise ValidationError(f"size class needs a positive processing time, got {p}")
-    a, b = p.numerator, p.denominator
     # 2^(k-1) < a/b < 2^(k+1), so the class is k or k + 1
     k = a.bit_length() - b.bit_length()
     fits = a <= b << k if k >= 0 else a << -k <= b
@@ -159,8 +162,15 @@ def yvar(i: int, j: int, t: int) -> str:
 
 
 def slot_rate(job: Job, t: int, scale) -> Fraction:
-    """Cost of one unit of the job's volume in slot t: (t - r)/scale + 1/2."""
-    return (t - job.release) / scale + Fraction(1, 2)
+    """Cost of one unit of the job's volume in slot t: (t - r)/scale + 1/2.
+
+    Every LP objective and every cost rate reads its price here.  With
+    r = a/b and scale = c/d (an int or a Fraction), the price is
+    (2(tb - a)d + bc) / (2bc), made as one Fraction from ints.
+    """
+    a, b = job.release.numerator, job.release.denominator
+    c, d = scale.numerator, scale.denominator
+    return Fraction(2 * (t * b - a) * d + b * c, 2 * b * c)
 
 
 def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> lpmod.LinearProgram:
@@ -175,12 +185,12 @@ def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> lpmod.Lin
         for i, p in enumerate(job.proc):
             if p is None:
                 continue
-            per = scale(p)
+            per, inv = scale(p), 1 / p
             for t in mine:
                 name = yvar(i, j, t)
                 lp.variables.append(name)
                 lp.objective[name] = slot_rate(job, t, per)
-                coeffs[name] = 1 / p
+                coeffs[name] = inv
         lp.add_constraint(coeffs, lpmod.EQ, 1)
     return lp
 
@@ -246,7 +256,15 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     Windows start and end on events.  Per (machine, class) group, carry rows
     (add_carry_rows) over the class-<=k volume of each gap give the worst
     window ending at each event, and each carry is capped by alpha * 2^k: one
-    step per event gap instead of one row per pair of events.  Returns
+    step per event gap instead of one row per pair of events.
+
+    At alpha = 0 the caps pin every carry to 0, and carry row b then reads
+    "the class-<=k volume of gap b is at most its width".  So the LP has just
+    those rows, one per (machine, class, gap holding a usable job) in the
+    carry rows' order, and no carry columns or caps.  The feasible y set is
+    the same, and so are the status and the optimum: a window's load is the
+    sum of its gaps' loads, so gaps within their widths keep every window
+    within its own (the interval-indexed LP's capacities).  Returns
     (LinearProgram, horizon).
     """
     _require_integral(inst)
@@ -257,17 +275,22 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     events = _event_slots(inst, H)
     lp = _slot_program(inst, class_scale, events[:-1])
     classes = class_table(inst)
+    release = [int(job.release) for job in inst.jobs]
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
         for k in ks:
             group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
             steps = []
             for t1, t2 in zip(events, events[1:]):
-                coeffs = {yvar(i, j, t1): 1 for j in group if inst.jobs[j].release <= t1}
+                coeffs = {yvar(i, j, t1): 1 for j in group if release[j] <= t1}
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
-            for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
-                lp.add_constraint({carry: 1}, lpmod.LE, alpha * pow2(k))
+            if alpha == 0:  # every carry is capped at 0: each step's load fits its gap
+                for coeffs, width in steps:
+                    lp.add_constraint(coeffs, lpmod.LE, width)
+            else:
+                for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+                    lp.add_constraint({carry: 1}, lpmod.LE, alpha * pow2(k))
     return lp, H
 
 
@@ -360,7 +383,11 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None
 
 
 def canonical_order(inst: SchedulingInstance) -> list[int]:
-    return sorted(range(inst.n), key=lambda j: (inst.jobs[j].release, j))
+    """Jobs by release; the sort is stable, so ties go by index.  The keys
+    are the releases as ints over the lcm of their denominators."""
+    den = lcm(*(job.release.denominator for job in inst.jobs))
+    keys = [job.release.numerator * (den // job.release.denominator) for job in inst.jobs]
+    return sorted(range(inst.n), key=keys.__getitem__)
 
 
 def _pour(entries: dict, machine: int, supply: list, demands: list) -> None:
@@ -522,6 +549,7 @@ def round_half_integral_totalflow(
     inst: SchedulingInstance,
     y: TimeIndexedSolution,
     colorer: Callable[[SignedVectorSequence], list[int]],
+    classes=None,
 ) -> tuple[TimeIndexedSolution, Fraction]:
     """Round machine-half-integral volumes to an integral solution.
 
@@ -532,7 +560,8 @@ def round_half_integral_totalflow(
     coloring and its global flip the cheaper solution (grouped objective) is
     returned together with the achieved prefix discrepancy.
     """
-    classes = class_table(inst)
+    if classes is None:
+        classes = class_table(inst)
     ybar = normalize_consistent_order(inst, y, classes=classes)
     den = ybar.den
     streams = ybar.scaled_streams()
@@ -751,8 +780,12 @@ def full_round_totalflow(
     for h in range(level, 0, -1):
         split_inst, origin = split_jobs_instance(dinst, h)
         y_split = _split_solution(dinst, origin, y, h)
+        # a piece of p/2^(h-1) sits h - 1 classes below its job
+        split_classes = {(i, piece): classes[i, j] - (h - 1) for piece, j in enumerate(origin)
+                         for i in range(dinst.m) if (i, j) in classes}
         alpha_before = alpha_after
-        y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer)
+        y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer,
+                                                            split_classes)
         y = _merge_split_solution(origin, y_rounded)
         alpha_after = measure_alpha(dinst, y, classes).alpha
         level_bound = slack_bound(h, achieved)
@@ -854,11 +887,13 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     """Re-validate a total-flow result file against its instance."""
     problems = []
     try:
-        asg = MachineAssignment(assign=tuple(int_from_json(i) for i in data["assignment"]))
+        asg = MachineAssignment(assign=tuple(
+            int_from_json(i) for i in list_from_json(data["assignment"], "assignment")))
+        rat_from_str(data["lp_cost"])  # its value is still taken on trust
         total_flow = rat_from_str(data["total_flow"])
         levels = [(int_from_json(rec["h"]), rat_from_str(rec["D"]), rat_from_str(rec["alpha_before"]),
                    rat_from_str(rec["alpha_after"]), rat_from_str(rec["bound"]))
-                  for rec in data["alpha_levels"]]
+                  for rec in list_from_json(data["alpha_levels"], "alpha_levels")]
     except (KeyError, TypeError, ValueError) as exc:
         return [f"malformed result file: {exc}"]
     level = rounding_level(inst.n)

@@ -346,6 +346,47 @@ def test_check_rejects_inconsistent_levels(tmp_path, capsys, command, n, edit):
     assert "ok" not in capsys.readouterr().out.splitlines()
 
 
+ONE_JOB = {"m": 1, "jobs": [{"r": "0", "p": ["1"]}]}
+
+
+@pytest.mark.parametrize("result", [
+    {"alpha_levels": [], "total_flow": "1/1", "assignment": [0]},  # no lp_cost
+    {"lp_cost": "x", "alpha_levels": [], "total_flow": "1/1", "assignment": [0]},
+    {"lp_cost": 1.5, "alpha_levels": [], "total_flow": "1/1", "assignment": [0]},
+    {"lp_cost": "1/2", "alpha_levels": {}, "total_flow": "1/1", "assignment": [0]},
+    {"lp_cost": "1/2", "alpha_levels": [], "total_flow": "1/1", "assignment": {"0": 0}},
+    {"T_star": "1/1", "assignment": [0], "levels": {}, "max_flow": "1/1"},
+    {"T_star": "1/1", "assignment": [0], "levels": "", "max_flow": "1/1"},
+    {"T_star": "1/1", "assignment": {"0": 0}, "levels": [], "max_flow": "1/1"},
+], ids=["totalflow-no-lp-cost", "totalflow-lp-cost-text", "totalflow-lp-cost-float",
+        "totalflow-levels-object", "totalflow-assignment-object", "maxflow-levels-object",
+        "maxflow-levels-string", "maxflow-assignment-object"])
+def test_check_rejects_a_missing_or_mistyped_field(tmp_path, capsys, result):
+    # each of these files printed ok on the one-job instance, which has no levels
+    inst_path = str(tmp_path / "i.json")
+    res_path = str(tmp_path / "r.json")
+    with open(inst_path, "w") as fh:
+        json.dump(ONE_JOB, fh)
+    with open(res_path, "w") as fh:
+        json.dump(result, fh)
+    assert run(["check", "--instance", inst_path, "--result", res_path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("malformed result file:")
+
+
+def test_check_accepts_the_one_job_results(tmp_path, capsys):
+    # the untouched files of the cases above pass
+    inst_path = str(tmp_path / "i.json")
+    with open(inst_path, "w") as fh:
+        json.dump(ONE_JOB, fh)
+    for command in ("maxflow", "totalflow"):
+        res_path = str(tmp_path / f"{command}.json")
+        assert run([command, "--instance", inst_path, "--out", res_path]) == 0
+        capsys.readouterr()
+        assert run(["check", "--instance", inst_path, "--result", res_path]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ok"]
+
+
 def test_check_rejects_negative_maxflow_discrepancy(tmp_path, capsys):
     # a negative recorded D printed a bound below T* instead of a malformed file
     inst_path = str(tmp_path / "i.json")

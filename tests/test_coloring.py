@@ -398,7 +398,7 @@ def test_sequence_keeps_fractions_and_converts_the_rest():
     lambda: SignedVectorSequence(1, [[1], [1]]).with_signs([1, 0, -1]),
     lambda: SignedVectorSequence(1, [[1], [1]]).with_signs([1, 3]),
     lambda: SignedVectorSequence(1, [[1]]).with_signs(["+"]),
-])
+], ids=[f"<lambda>{k}" for k in range(7)])  # unique ids in pytest's own form, as strict mode needs
 def test_sequence_checks_still_fire(build):
     with pytest.raises(ValidationError):
         build()

@@ -36,6 +36,7 @@ from flowdisc.totalflow import (
     check_result,
     class_index,
     class_scale,
+    class_table,
     default_horizon,
     dilate_instance,
     full_round_totalflow,
@@ -90,6 +91,16 @@ def test_class_scale_and_aux_cost_are_exact():
         cost = aux_cost(inst, y)
         assert type(cost) is F, (p, cost)
         assert cost == (F(1) / scale + F(1, 2)) * p
+
+
+def test_slot_rate_is_one_exact_fraction():
+    # releases and scales with denominators, scales as ints and as Fractions
+    for r in (0, 3, F(1, 3), F(7, 2)):
+        for scale in (1, 4, F(3), F(1, 4), F(5, 6), class_scale(F(3, 8))):
+            job = make_instance(1, [(r, [1])]).jobs[0]
+            for t in range(6):
+                rate = totalflow.slot_rate(job, t, scale)
+                assert type(rate) is F and rate == (t - F(r)) / scale + F(1, 2), (r, scale, t)
 
 
 def test_integral_assignment_reads_only_integral_solutions():
@@ -321,6 +332,59 @@ def test_event_slot_lp_matches_slot_lp(complete_carries):
             same_y += 1
     assert set(statuses) == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
     assert same_y == statuses.count(lpmod.OPTIMAL) > 300
+
+
+def _carry_auxiliary_lp(inst, alpha, H):
+    """Reference auxiliary LP in carry form at every alpha: event-gap columns,
+    Lindley carry rows per (machine, class) and a cap alpha * 2^k per carry."""
+    events = sorted({0, H} | {int(job.release) for job in inst.jobs if job.release < H})
+    lp = _slot_program(inst, class_scale, events[:-1])
+    classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
+    for i, k in sorted(set((i, k) for (i, _), k in classes.items())):
+        steps = []
+        for t1, t2 in zip(events, events[1:]):
+            coeffs = {yvar(i, j, t1): 1 for (ii, j), kk in classes.items()
+                      if ii == i and kk <= k and inst.jobs[j].release <= t1}
+            if coeffs or steps:
+                steps.append((coeffs, t2 - t1))
+        for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+            lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
+    return lp
+
+
+def _rows(lp):
+    return [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+
+
+def test_aux_lp_at_alpha_zero_has_no_carries():
+    # at alpha = 0 each carry row, with its carries pinned to 0 by the caps,
+    # is the load of one (machine, class, gap) against the gap's width; at
+    # alpha > 0 the carry form stays as it was
+    rng = random.Random(83)
+    for trial in range(40):
+        m = rng.randint(1, 3)
+        inst = gen_random_instance(rng.randint(1, 6), m, (1, 8), (0, 8), 0.3, seed=2100 + trial)
+        H = rng.choice([default_horizon(inst), max(int(job.release) for job in inst.jobs) + 2])
+        for alpha in (F(1, 4), F(1)):
+            lp, _ = build_auxiliary_lp(inst, alpha, horizon=H)
+            ref = _carry_auxiliary_lp(inst, alpha, H)
+            assert lp.variables == ref.variables and lp.objective == ref.objective
+            assert _rows(lp) == _rows(ref)
+        lp, _ = build_auxiliary_lp(inst, 0, horizon=H)
+        ref = _carry_auxiliary_lp(inst, 0, H)
+        assert not any(v.startswith("C[") for v in lp.variables)
+        assert lp.variables == [v for v in ref.variables if v.startswith("y[")]
+        assert lp.objective == ref.objective
+        pinned = [({v: c for v, c in coeffs.items() if not v.startswith("C[")}, rel, rhs)
+                  for coeffs, rel, rhs in _rows(ref)]
+        assert _rows(lp) == [row for row in pinned if row[0]]  # the caps read 0 <= 0
+        # n completion rows, then one row per (machine, class, gap holding a usable job)
+        starts = sorted({0} | {int(job.release) for job in inst.jobs if job.release < H})
+        usable = {(i, class_index(p), t) for j, i, p in inst.finite_procs()
+                  for t in starts if inst.jobs[j].release <= t}
+        groups = {(i, k) for i, k, _ in usable}
+        gaps = {(i, k, t) for i, k in groups for ii, kk, t in usable if ii == i and kk <= k}
+        assert [rel for _, rel, _ in _rows(lp)] == [lpmod.EQ] * inst.n + [lpmod.LE] * len(gaps)
 
 
 def test_aux_lp_size_does_not_grow_with_the_horizon():
@@ -785,12 +849,24 @@ def test_round_half_integral_matches_fraction_reference(monkeypatch):
         monkeypatch, "round_half_integral_totalflow",
         [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1500 + n) for n in range(2, 10)])]
     errors = split = 0
-    for inst, y, colorer in cases:
-        got = _outcome(round_half_integral_totalflow, inst, y, colorer)
+    for inst, y, colorer, *classes in cases:  # the pipeline's calls pass its class table
+        got = _outcome(round_half_integral_totalflow, inst, y, colorer, *classes)
         assert got == _outcome(_reference_round_half, inst, y, colorer)
         errors += isinstance(got[0], type)
         split += not isinstance(got[0], type) and got[1] > 0
     assert errors > 10 and split > 40
+
+
+def test_pipeline_hands_each_level_the_split_class_table(monkeypatch):
+    # a piece of p/2^(h-1) is h - 1 classes below its job, so the pipeline
+    # shifts the dilated instance's table in place of building one per level
+    rng = random.Random(89)
+    instances = [gen_random_instance(rng.randint(2, 12), rng.randint(1, 3), (1, rng.randint(1, 8)),
+                                     (0, 12), 0.3, seed=2200 + trial) for trial in range(40)]
+    calls = _pipeline_calls(monkeypatch, "round_half_integral_totalflow", instances)
+    for split_inst, _y, _colorer, classes in calls:
+        assert classes == class_table(split_inst)
+    assert len(calls) > 2 * len(instances)  # most instances round on more than one level
 
 
 def test_pour_fills_in_order_and_rejects_a_short_supply():
