@@ -217,10 +217,20 @@ def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> 
     each node carries O(m) integer state that one appended sign updates in
     O(m).  Pruning is exact: every measure is a max over windows of the
     signed prefix, and appending vectors adds windows without changing the
-    old ones, so a node's value bounds every pattern below it from below.  A
-    node whose value is not strictly below the best value found so far holds
-    no pattern the strict update would take, and is cut.  The patterns taken
-    are therefore the ones a full enumeration takes, in the same order.
+    old ones, so a node's value bounds every pattern below it from below.
+
+    Before the search, one walk over the sequence keeps at each index the
+    sign whose step value is smaller (+1 on ties).  Its final value U is the
+    value of a real pattern, so the optimum V* is at most U (for prefix and
+    interval a walk that starts with -1 flips to a pattern of the same
+    value).  Until the first pattern is taken, a node is cut only when its
+    value is > U; after that, when it is not strictly below the best value
+    found so far.  The lexicographically least optimum P* is still the one
+    returned: every prefix of P* has value <= V* <= U and is not cut, and
+    every pattern taken before P* in product order has value > V*, or it
+    would be an earlier optimum.  Every cut node has value > U >= V* or
+    value >= best >= V*, so it holds no pattern the strict update would
+    take in place of P*.
     """
     if mode not in _MODES:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -236,16 +246,23 @@ def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> 
         step, root, root_value = _interval_step, ((0, 0, 0),) * m, 0
     else:
         step, root, root_value = _one_sided_step, ((0, 0),) * m, None
+    # One walk keeping, at each index, the sign with the smaller step value:
+    # its final value U is a real pattern's, so U + 1 is a strict bound that
+    # every optimum meets.  Values are ints over the common scale.
+    state, value = root, root_value
+    for vec in vecs:
+        plus, minus = step(state, vec, 1, value), step(state, vec, -1, value)
+        state, value = minus if minus[1] < plus[1] else plus
     first_signs = (-1, 1) if mode == ONE_SIDED else (1,)
     signs = [0] * n
-    best_val = best_signs = None
+    best_val, best_signs = value + 1, None
     # Pending nodes as (index, sign, parent state, parent value), +1 pushed
     # below -1 so that pops follow product order; no recursion, so any n fits.
     stack = [(0, s, root, root_value) for s in reversed(first_signs)]
     while stack:
         k, s, state, value = stack.pop()
         state, value = step(state, vecs[k], s, value)
-        if best_val is None or value < best_val:
+        if value < best_val:
             signs[k] = s
             if k + 1 == n:
                 best_val, best_signs = value, list(signs)

@@ -306,22 +306,34 @@ def farkas_violations(lp: LinearProgram, ray) -> list[str]:
     Empty iff w >= 0 on every ``<=`` row, w <= 0 on every ``>=`` row,
     w.A >= 0 on every column and w.b < 0: then any x >= 0 meeting the rows
     would give 0 <= w.A x <= w.b < 0.
+
+    The sums run on ints: the ray is scaled by the lcm of its denominators,
+    every row by the lcm of the LP's coefficient and rhs denominators.  Both
+    scales are positive, so the signs are those of the rational sums, which
+    are rebuilt only for a report line.
     """
     _validate(lp)
     if len(ray) != len(lp.constraints):
         return [f"ray has {len(ray)} multipliers for {len(lp.constraints)} constraints"]
+    ray_scale = math.lcm(*(w.denominator for w in ray))
+    lp_scale = math.lcm(*(x.denominator for con in lp.constraints
+                          for x in (con.rhs, *con.coeffs.values())))
     out = []
     wa = dict.fromkeys(lp.variables, 0)
     wb = 0
     for pos, (con, w) in enumerate(zip(lp.constraints, ray)):
         if (con.relation == LE and w < 0) or (con.relation == GE and w > 0):
             out.append(f"constraint {pos} ({con.relation}): multiplier {w} has the wrong sign")
+        if not w:
+            continue
+        wi = w.numerator * (ray_scale // w.denominator)
         for var, c in con.coeffs.items():
-            wa[var] += w * c
-        wb += w * con.rhs
-    out += [f"column {var!r}: w.A = {v} < 0" for var, v in wa.items() if v < 0]
+            wa[var] += wi * c.numerator * (lp_scale // c.denominator)
+        wb += wi * con.rhs.numerator * (lp_scale // con.rhs.denominator)
+    scale = ray_scale * lp_scale
+    out += [f"column {var!r}: w.A = {Fraction(v, scale)} < 0" for var, v in wa.items() if v < 0]
     if wb >= 0:
-        out.append(f"w.b = {wb} >= 0")
+        out.append(f"w.b = {Fraction(wb, scale)} >= 0")
     return out
 
 

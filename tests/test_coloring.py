@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdisc import coloring
 from flowdisc.coloring import (
     COLORERS,
     INTERVAL,
@@ -228,6 +229,93 @@ def test_brute_force_signs_match_product_enumeration():
             negative_optima += mode == ONE_SIDED and val < 0
             cases += 1
     assert cases == 3600 and negative_optima > 100
+
+
+def _unseeded_brute_force(seq, mode):
+    """The exhaustive colorer with no walk bound: the same depth-first search,
+    which takes its first leaf with no incumbent (the reference for the
+    walk-bounded search).  The step functions are read from the module at
+    call time, so a test can count their calls."""
+    vecs, _ = coloring._integer_vectors(seq)
+    n, m = seq.n, seq.m
+    if mode == PREFIX:
+        step, root, root_value = coloring._prefix_step, (0,) * m, 0
+    elif mode == INTERVAL:
+        step, root, root_value = coloring._interval_step, ((0, 0, 0),) * m, 0
+    else:
+        step, root, root_value = coloring._one_sided_step, ((0, 0),) * m, None
+    first_signs = (-1, 1) if mode == ONE_SIDED else (1,)
+    signs = [0] * n
+    best_val = best_signs = None
+    stack = [(0, s, root, root_value) for s in reversed(first_signs)]
+    while stack:
+        k, s, state, value = stack.pop()
+        state, value = step(state, vecs[k], s, value)
+        if best_val is None or value < best_val:
+            signs[k] = s
+            if k + 1 == n:
+                best_val, best_signs = value, list(signs)
+            else:
+                stack += ((k + 1, 1, state, value), (k + 1, -1, state, value))
+    return best_signs
+
+
+def _two_sparse_eighths(rng, n, m):
+    """2-sparse vectors on the 1/8 grid with l1 norm at most 1."""
+    out = []
+    for _ in range(n):
+        a = rng.randint(-8, 8)
+        b = rng.randint(abs(a) - 8, 8 - abs(a))
+        v = [F(0)] * m
+        for i, x in zip(rng.sample(range(m), 2), (a, b)):
+            v[i] = F(x, 8)
+        out.append(v)
+    return out
+
+
+def _long_vectors(rng, kind, n, m):
+    if kind == "two_sparse":
+        return _two_sparse_eighths(rng, n, m)
+    if kind == "repeats":
+        pool = [[F(rng.randint(-4, 4), 4) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        return [rng.choice(pool) for _ in range(n)]
+    return _seeded_vectors(rng, kind, n, m)  # "ties" or "negative"
+
+
+def test_walk_bounded_search_matches_unseeded_reference_past_n10():
+    rng = random.Random(22)
+    negative_optima = 0
+    cases = 0
+    for kind in ("two_sparse", "ties", "repeats", "negative"):
+        for n in range(11, 41):
+            m = rng.randint(2, 3) if kind == "two_sparse" else rng.randint(1, 3)
+            s = SignedVectorSequence(m, _long_vectors(rng, kind, n, m))
+            for mode in (PREFIX, INTERVAL, ONE_SIDED):
+                want = _unseeded_brute_force(s, mode)
+                assert color_brute_force(s, mode, limit=n) == want, (kind, mode, s.vectors)
+                if mode == ONE_SIDED:
+                    negative_optima += discrepancy(s.with_signs(want), mode).value < 0
+                cases += 1
+    assert cases == 360 and negative_optima > 10
+
+
+def test_walk_bound_cuts_step_calls(monkeypatch):
+    calls = [0]
+    for name in ("_prefix_step", "_interval_step", "_one_sided_step"):
+        def counted(*args, step=getattr(coloring, name)):
+            calls[0] += 1
+            return step(*args)
+        monkeypatch.setattr(coloring, name, counted)
+    seeded = reference = 0
+    for draw in range(5):
+        s = SignedVectorSequence(3, _two_sparse_eighths(random.Random(640 + draw), 64, 3))
+        calls[0] = 0
+        want = _unseeded_brute_force(s, PREFIX)
+        reference += calls[0]
+        calls[0] = 0
+        assert color_brute_force(s, PREFIX, limit=64) == want
+        seeded += calls[0]  # the walk's 2n calls included
+    assert seeded <= 0.6 * reference, (seeded, reference)
 
 
 def test_brute_force_limit():

@@ -114,7 +114,19 @@ def test_strong_duality_spot_check():
     # x <= 1, x == 1 is feasible: (1, -1) gives w.b = 0
     ([({"x": 1}, lp.LE, 1), ({"x": 1}, lp.EQ, 1)], [1, -1], ["w.b = 0 >= 0"]),
     ([({"x": 1}, lp.LE, 1)], [1, -1], ["ray has 2 multipliers for 1 constraints"]),
-], ids=["le-negative", "ge-positive", "column", "rhs", "length"])
+    # x/2 + y/3 <= 1/4, 2x/3 + y/2 == 5/6: y gets 1/3 - 3/8
+    ([({"x": F(1, 2), "y": F(1, 3)}, lp.LE, F(1, 4)), ({"x": F(2, 3), "y": F(1, 2)}, lp.EQ, F(5, 6))],
+     [1, F(-3, 4)], ["column 'y': w.A = -1/24 < 0"]),
+    # 3x/4 <= 5/6, 2x >= 1/3 is feasible: w.b = 1/3 - 1/21
+    ([({"x": F(3, 4)}, lp.LE, F(5, 6)), ({"x": 2}, lp.GE, F(1, 3))], [F(2, 5), F(-1, 7)],
+     ["w.b = 2/7 >= 0"]),
+    # x/2 - y == -1/3, 3y/2 <= 7/3 under an int and a Fraction multiplier
+    ([({"x": F(1, 2), "y": -1}, lp.EQ, F(-1, 3)), ({"y": F(3, 2)}, lp.LE, F(7, 3))], [3, F(1, 2)],
+     ["column 'y': w.A = -9/4 < 0", "w.b = 1/6 >= 0"]),
+    # x/2 >= 3/4, x/3 <= 1/6 is infeasible, and (-2/3, 1) proves it
+    ([({"x": F(1, 2)}, lp.GE, F(3, 4)), ({"x": F(1, 3)}, lp.LE, F(1, 6))], [F(-2, 3), 1], []),
+], ids=["le-negative", "ge-positive", "column", "rhs", "length",
+        "fraction-column", "fraction-rhs", "mixed-ray", "fraction-ray-holds"])
 def test_farkas_violations_reports_each_failure(rows, ray, report):
     p = lp.LinearProgram(variables=["x", "y"])
     for coeffs, rel, rhs in rows:
