@@ -1,8 +1,10 @@
 """Scheduling instances on unrelated machines, exact schedule evaluation, generators.
 
 All times are exact rationals (`fractions.Fraction`).  A processing time of
-``None`` means the job cannot run on that machine.  Two evaluators are
-provided: non-preemptive first-come-first-served for the max-flow objective,
+``None`` means the job cannot run on that machine.  `integer_times` gives the
+same times as ints over one common scale, for code that compares and adds
+many of them.  Two evaluators are provided: non-preemptive
+first-come-first-served for the max-flow objective, run on that integer view,
 and preemptive shortest-remaining-processing-time (SRPT) for total flow, run
 event to event (equal to SRPT over unit slots on integral times).  Both emit
 explicit ``(machine, job, start, end)`` segments, so work conservation is
@@ -15,13 +17,22 @@ every evaluation is deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp import LE
-from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
+from .util import (
+    InternalCheckError,
+    ValidationError,
+    exact_fraction,
+    int_from_json,
+    list_from_json,
+    rat_from_str,
+    rat_to_str,
+)
 
 
 @dataclass(frozen=True)
@@ -73,13 +84,30 @@ class ScheduleMetrics:
 def make_instance(m: int, jobs: Sequence[tuple]) -> SchedulingInstance:
     """Convenience constructor: jobs given as ``(release, [p0, p1, ...])`` tuples.
 
-    Processing entries may be int/str/Fraction or None for "cannot run here".
+    Releases and processing entries may be int (not bool), `Fraction` or str,
+    and a processing entry may be None for "cannot run here"; any other value
+    is a ValidationError (see `util.exact`).
     """
     built = []
     for release, procs in jobs:
-        row = tuple(None if p is None else Fraction(p) for p in procs)
-        built.append(Job(release=Fraction(release), proc=row))
+        row = tuple(None if p is None else exact_fraction(p) for p in procs)
+        built.append(Job(release=exact_fraction(release), proc=row))
     return SchedulingInstance(m=m, jobs=tuple(built))
+
+
+def integer_times(inst: SchedulingInstance) -> tuple[int, list[int], list[list[Optional[int]]]]:
+    """The instance's times as ints over one scale: (scale, releases, procs).
+
+    ``scale`` is the lcm of every release's and every finite processing time's
+    denominator; ``releases[j]`` and ``procs[j][i]`` are those times times
+    ``scale``, and a forbidden entry stays None.  Computed afresh on each call.
+    """
+    scale = math.lcm(*(job.release.denominator for job in inst.jobs),
+                     *(p.denominator for job in inst.jobs for p in job.proc if p is not None))
+    releases = [job.release.numerator * (scale // job.release.denominator) for job in inst.jobs]
+    procs = [[None if p is None else p.numerator * (scale // p.denominator) for p in job.proc]
+             for job in inst.jobs]
+    return scale, releases, procs
 
 
 def validate_instance(inst: SchedulingInstance) -> list[str]:
@@ -193,32 +221,38 @@ def _check_assignment(inst: SchedulingInstance, asg: MachineAssignment) -> None:
             raise ValidationError(f"job {j} assigned to machine {i} with infinite processing time")
 
 
+_ZERO = Fraction(0)
+
+
 def evaluate_max_flow(inst: SchedulingInstance, asg: MachineAssignment) -> ScheduleMetrics:
     """Run each machine non-preemptively in release order and report flow times.
 
     Jobs start at max(own release, previous completion); ties in release break
-    by job index.
+    by job index.  The run adds and compares ints over `integer_times`' scale;
+    a `Fraction` is made once per flow and per segment end (a segment that
+    starts where the previous one ended shares its `Fraction`).
     """
     _check_assignment(inst, asg)
-    completion: dict[int, Fraction] = {}
+    scale, release, proc = integer_times(inst)
+    flows: list = [0] * inst.n  # ints over scale
     segments: list[tuple[int, int, Fraction, Fraction]] = []
     for i in range(inst.m):
-        queue = sorted(
-            (j for j in range(inst.n) if asg.assign[j] == i),
-            key=lambda j: (inst.jobs[j].release, j),
-        )
-        clock = Fraction(0)
-        for j in queue:
-            start = max(inst.jobs[j].release, clock)
-            end = start + inst.jobs[j].proc[i]
-            completion[j] = end
-            segments.append((i, j, start, end))
-            clock = end
-    flows = tuple(completion[j] - inst.jobs[j].release for j in range(inst.n))
+        clock, at = 0, _ZERO  # the machine's free time, as an int and a Fraction
+        for _, j in sorted((release[j], j) for j, machine in enumerate(asg.assign) if machine == i):
+            start = release[j] if release[j] > clock else clock
+            if start != clock:
+                at = Fraction(start, scale)
+            clock = start + proc[j][i]
+            end = Fraction(clock, scale)
+            flows[j] = clock - release[j]
+            segments.append((i, j, at, end))
+            at = end
+    worst = max(flows)
+    per_job = tuple(Fraction(f, scale) for f in flows)
     return ScheduleMetrics(
-        per_job_flow=flows,
-        max_flow=max(flows),
-        total_flow=sum(flows, Fraction(0)),
+        per_job_flow=per_job,
+        max_flow=per_job[flows.index(worst)],
+        total_flow=Fraction(sum(flows), scale),
         segments=tuple(segments),
     )
 

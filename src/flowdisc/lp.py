@@ -2,12 +2,14 @@
 
 Everything is computed over exact rationals; there are no tolerances anywhere.
 LPs come in standard form: every variable is nonnegative, with no other
-bound.  Coefficients and right-hand sides are ints or `Fraction`s.  Each
-tableau row is a sparse ``{column: int}`` dict that stores only its nonzero
-entries, built straight from its constraint with one lcm of the row's
-denominators.  A pivot updates only the rows that hold the entering column,
-with one gcd pass per updated row, so the hot loop stays in bignum arithmetic
-with no per-entry `Fraction` normalization.
+bound.  Coefficients and right-hand sides are ints or `Fraction`s (a str is
+read as the `Fraction` it spells; anything else is refused), and an int is
+taken as it is.  Each tableau row is a sparse ``{column: int}`` dict that
+stores only its nonzero entries, built straight from its constraint with one
+lcm of the denominators of its `Fraction` entries.  A pivot updates only the
+rows that hold the entering column, with one gcd pass per updated row, so the
+hot loop stays in bignum arithmetic with no per-entry `Fraction`
+normalization.
 
 Pivoting uses Bland's rule for both the entering and the leaving choice (the
 smallest column with a negative reduced cost enters; ratio-test ties leave by
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError
+from .util import InternalCheckError, ValidationError, exact
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -54,13 +56,8 @@ class LinearProgram:
         if relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {relation!r}")
         self.constraints.append(
-            Constraint({v: _exact(c) for v, c in coeffs.items()}, relation, _exact(rhs))
+            Constraint({v: exact(c) for v, c in coeffs.items()}, relation, exact(rhs))
         )
-
-
-def _exact(x):
-    """`x` itself if it is an int or a `Fraction`, else `Fraction(x)`."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,15 @@ def _validate(lp: LinearProgram) -> None:
     declared = set(lp.variables)
     if len(declared) != len(lp.variables):
         raise ValidationError("duplicate variable names")
-    for name in lp.objective:
-        if name not in declared:
-            raise ValidationError(f"objective references undeclared variable {name!r}")
+    if not declared.issuperset(lp.objective):
+        name = next(name for name in lp.objective if name not in declared)
+        raise ValidationError(f"objective references undeclared variable {name!r}")
     for pos, con in enumerate(lp.constraints):
         if con.relation not in _RELATIONS:
             raise ValidationError(f"constraint {pos}: unknown relation {con.relation!r}")
-        for name in con.coeffs:
-            if name not in declared:
-                raise ValidationError(f"constraint {pos} references undeclared variable {name!r}")
+        if not declared.issuperset(con.coeffs):
+            name = next(name for name in con.coeffs if name not in declared)
+            raise ValidationError(f"constraint {pos} references undeclared variable {name!r}")
 
 
 def _gcd_reduce(row: dict) -> None:
@@ -114,8 +111,8 @@ def _eliminate(row: dict, prow: dict, s: int) -> None:
     """
     piv, a = prow[s], row[s]
     if piv != 1:
-        for j in row:
-            row[j] *= piv
+        for j, v in row.items():
+            row[j] = v * piv
     for j, v in prow.items():
         x = row.get(j, 0) - a * v
         if x:
@@ -181,8 +178,11 @@ class _Tableau:
         """Bland-rule simplex until optimal or unbounded; columns below `nenter` may enter."""
         rhs = self.ncols
         while True:
-            enter = min((j for j, v in self.z.items() if v < 0 and j < nenter), default=-1)
-            if enter < 0:
+            enter = nenter
+            for j, v in self.z.items():
+                if v < 0 and j < enter:
+                    enter = j
+            if enter == nenter:
                 return OPTIMAL
             holders = self.holders(enter)
             leave = -1
@@ -215,11 +215,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     def int_row(coeffs: dict, rhs):
         """`coeffs` over the columns and `rhs` as integers over one lcm `den`
-        of their denominators: (row, rhs, den)."""
+        of the denominators of their `Fraction` entries: (row, rhs, den)."""
         terms = [(col[var], c) for var, c in coeffs.items() if c]
-        den = math.lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        row = {j: c.numerator * (den // c.denominator) for j, c in terms}
-        return row, rhs.numerator * (den // rhs.denominator), den
+        den = math.lcm(*(c.denominator for _, c in terms if type(c) is Fraction),
+                       rhs.denominator if type(rhs) is Fraction else 1)
+        row = {j: c * den if type(c) is int else c.numerator * (den // c.denominator) for j, c in terms}
+        return row, rhs * den if type(rhs) is int else rhs.numerator * (den // rhs.denominator), den
 
     specs = []  # (row, rhs >= 0, den, relation)
     for con in lp.constraints:
@@ -260,12 +261,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             raise InternalCheckError(f"phase 1 ended {status}, though it is bounded below by 0")
         if tab.z.get(ncols):
             # z is f > 0 times the reduced costs d, and z[rhs] is -f times the
-            # phase-1 optimum.  Row i's Farkas multiplier is d of its slack or
-            # d - 1 of its artificial, negated back if the row was flipped.
-            f = Fraction(-tab.z[ncols]) / sum(Fraction(row.get(ncols, 0), row[b])
-                                              for row, b in zip(tab.rows, tab.basis) if b >= first_art)
-            ray = [tab.z.get(c, 0) / f - (c >= first_art) for c in own]
-            ray = [-w if con.rhs < 0 else w for w, con in zip(ray, lp.constraints)]
+            # phase-1 optimum, the sum of the basic artificials' values
+            # rhs_i / den_i, which is num / lden over their lcm lden: so
+            # f = -z[rhs] lden / num.  Row i's Farkas multiplier is d of its
+            # slack or d - 1 of its artificial, negated back if the row was
+            # flipped: an int ratio over fden = -z[rhs] lden, one Fraction each.
+            arts = [(row.get(ncols, 0), row[b]) for row, b in zip(tab.rows, tab.basis) if b >= first_art]
+            lden = math.lcm(*(den for _, den in arts))
+            num = sum(v * (lden // den) for v, den in arts)
+            fden = -tab.z[ncols] * lden
+            ray = []
+            for c, con in zip(own, lp.constraints):
+                w = tab.z.get(c, 0) * num - (fden if c >= first_art else 0)
+                ray.append(Fraction(-w if con.rhs < 0 else w, fden))
             return LpSolution(INFEASIBLE, {}, None, ray)
         # drive leftover artificials out of the basis (or drop redundant rows)
         keep = []

@@ -29,13 +29,22 @@ from .core import (
     MachineAssignment,
     SchedulingInstance,
     add_carry_rows,
+    integer_times,
     p_max,
     rounding_level,
     snap_pairs,
     validate_instance,
     worst_window,
 )
-from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
+from .util import (
+    InternalCheckError,
+    ValidationError,
+    exact_fraction,
+    int_from_json,
+    list_from_json,
+    rat_from_str,
+    rat_to_str,
+)
 
 
 @dataclass
@@ -46,13 +55,8 @@ class FractionalAssignment:
     T: Fraction
 
     def __post_init__(self):
-        self.x = [[_fraction(v) for v in row] for row in self.x]
-        self.T = _fraction(self.T)
-
-
-def _fraction(v) -> Fraction:
-    """`v` itself if it is a `Fraction`, else `Fraction(v)`."""
-    return v if type(v) is Fraction else Fraction(v)
+        self.x = [[exact_fraction(v) for v in row] for row in self.x]
+        self.T = exact_fraction(self.T)
 
 
 @dataclass(frozen=True)
@@ -98,30 +102,36 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     time above the bound are pruned entirely (after pruning the largest usable
     processing time is at most the bound by construction).  The caps are the
     ``<=`` rows with no negative coefficient (a carry row has its carry-out at -1).
+
+    The build reads `integer_times`: it prunes, groups and sorts on ints over
+    one scale.  A coefficient or width is an int when that scale is 1 and a
+    `Fraction` otherwise; a cap's right-hand side is an int when T is.
     """
-    T = Fraction(T)
+    T = exact_fraction(T)
+    scale, release, proc = integer_times(inst)
+
+    def number(v: int):
+        """The time ``v / scale`` as an LP coefficient or width."""
+        return v if scale == 1 else Fraction(v, scale)
+
+    limit, tden = T.numerator * scale, T.denominator  # p / scale <= T iff p * tden <= limit
+    usable = [[(i, var_name(j, i)) for i, p in enumerate(row) if p is not None and p * tden <= limit]
+              for j, row in enumerate(proc)]
     lp = lpmod.LinearProgram()
-    allowed: list[list[bool]] = []
-    for j, job in enumerate(inst.jobs):
-        row = []
-        for i, p in enumerate(job.proc):
-            ok = p is not None and p <= T
-            row.append(ok)
-            if ok:
-                lp.variables.append(var_name(j, i))
-        allowed.append(row)
-    for j in range(inst.n):
-        coeffs = {var_name(j, i): Fraction(1) for i in range(inst.m) if allowed[j][i]}
-        lp.add_constraint(coeffs, lpmod.EQ, 1)
-    for i in range(inst.m):
-        loads: dict = {}
-        for j, job in enumerate(inst.jobs):
-            if allowed[j][i]:
-                loads.setdefault(job.release, {})[var_name(j, i)] = job.proc[i]
-        times = sorted(loads)
-        carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
+    lp.variables = [name for row in usable for _, name in row]
+    for row in usable:
+        lp.add_constraint({name: 1 for _, name in row}, lpmod.EQ, 1)
+    loads: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: {variable: p}}
+    for j, row in enumerate(usable):
+        for i, name in row:
+            loads[i].setdefault(release[j], {})[name] = number(proc[j][i])
+    cap = T.numerator if tden == 1 else T
+    for i, by_time in enumerate(loads):
+        times = sorted(by_time)
+        steps = [(by_time[t], number(u - t)) for t, u in zip(times, times[1:])]
+        carries = add_carry_rows(lp, f"C[{i}]", steps)
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
-            lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
+            lp.add_constraint({**by_time[t], **carry_in}, lpmod.LE, cap)
     return lp
 
 
@@ -132,7 +142,7 @@ def assignment_from_solution(inst: SchedulingInstance, T, sol: lpmod.LpSolution)
             name = var_name(j, i)
             if name in sol.values:
                 x[j][i] = sol.values[name]
-    return FractionalAssignment(x=x, T=Fraction(T))
+    return FractionalAssignment(x=x, T=T)
 
 
 def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment,
@@ -198,7 +208,9 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
     feasible end if the root reaches it, until T is feasible: that is t_star.
     Each ray passes `lp.farkas_violations` before its root is used, and the
     last one rules out every T < t_star.  There is no ray (None) when t_star is
-    the first breakpoint, below which some job has no machine.
+    the first breakpoint, below which some job has no machine.  A root is
+    found from int sums over the ray's lcm and made one `Fraction`, never by
+    dividing ints.
     """
     problems = validate_instance(inst)
     if problems:
@@ -237,13 +249,24 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
             if bad:
                 raise InternalCheckError(f"Farkas ray at bound {t_star}: " + "; ".join(bad))
             ray = t_star, sol.ray
-            slope = sum(w for w, con in zip(sol.ray, lp.constraints)
-                        if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0)
-            deficit = -sum(w * con.rhs for w, con in zip(sol.ray, lp.constraints))  # > 0
-            if cap is not None and deficit >= (cap - t_star) * slope:  # the root reaches cap
+            # ints over the lcm L of the ray's denominators: the multipliers
+            # summed over the caps, and w.b over the other rows; every cap's
+            # right-hand side is t_star = tn / td
+            lcm_w = lcm(*(w.denominator for w in sol.ray))
+            slope = rest = 0
+            for w, con in zip(sol.ray, lp.constraints):
+                if w:
+                    wi = w.numerator * (lcm_w // w.denominator)
+                    if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0:
+                        slope += wi
+                    else:
+                        rest += wi * con.rhs
+            tn, td = t_star.numerator, t_star.denominator
+            deficit = -(slope * tn + rest * td)  # -w.b times L * td, > 0
+            if cap is not None and deficit >= (cap * td - tn) * slope:  # the root reaches cap
                 t_star = cap
             elif slope:
-                t_star += deficit / slope
+                t_star = Fraction(tn * slope + deficit, td * slope)
             else:
                 raise InternalCheckError("assignment LP infeasible at every bound")
 

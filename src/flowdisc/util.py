@@ -39,6 +39,26 @@ def rat_from_str(s) -> Fraction:
         raise ValidationError(f"bad rational literal {s!r}: {exc}") from None
 
 
+def exact(x):
+    """`x` itself if it is an int or a `Fraction`, or the `Fraction` a str spells.
+
+    Anything else, a bool or a binary floating-point number among them, is a
+    ValidationError that names the value: converting it would silently store
+    its rounding error as an exact number.
+    """
+    kind = type(x)
+    if kind is int or kind is Fraction:
+        return x
+    if kind is str:
+        return rat_from_str(x)
+    raise ValidationError(f"expected an int, a Fraction or a str, got {kind.__name__} {x!r}")
+
+
+def exact_fraction(x) -> Fraction:
+    """:func:`exact`, as a `Fraction`."""
+    return x if type(x) is Fraction else Fraction(exact(x))
+
+
 def int_from_json(v) -> int:
     """Parse a JSON integer (bools, floats and strings are rejected)."""
     if isinstance(v, int) and not isinstance(v, bool):

@@ -47,3 +47,27 @@ def complete_carries():
                 out[carry] = max(Fraction(0), rest - con.rhs)
         return out
     return complete
+
+
+@pytest.fixture
+def times_instance():
+    """A seeded instance builder: fractional releases and processing times on
+    ``denominators`` (all integral with ``(1,)``), repeated releases, forbidden
+    entries and p = 0; every job keeps a finite machine."""
+    from flowdisc.core import make_instance
+
+    def build(rng, m, denominators=(1, 1, 2, 3, 4)):
+        jobs = []
+        for _ in range(rng.randint(1, 9)):
+            if jobs and rng.random() < 0.3:
+                release = jobs[-1][0]
+            else:
+                release = Fraction(rng.randint(0, 12), rng.choice(denominators))
+            proc = [None if rng.random() < 0.2 else
+                    Fraction(rng.choice([0, 1, 2, 3, 4, 5, 6]), rng.choice(denominators))
+                    for _ in range(m)]
+            if all(p is None for p in proc):
+                proc[rng.randrange(m)] = Fraction(rng.randint(1, 6))
+            jobs.append((release, proc))
+        return make_instance(m, jobs)
+    return build

@@ -13,6 +13,7 @@ from flowdisc.core import (
     evaluate_total_flow_srpt,
     gen_periodic_instance,
     gen_random_instance,
+    integer_times,
     instance_from_json,
     instance_to_json,
     make_instance,
@@ -64,6 +65,65 @@ def test_max_flow_rejects_infinite_assignment():
     inst = make_instance(2, [(0, [1, None])])
     with pytest.raises(ValidationError):
         evaluate_max_flow(inst, MachineAssignment((1,)))
+
+
+def _fraction_max_flow(inst, asg):
+    """evaluate_max_flow on Fraction times (reference)."""
+    completion = {}
+    segments = []
+    for i in range(inst.m):
+        clock = F(0)
+        for j in sorted((j for j in range(inst.n) if asg.assign[j] == i),
+                        key=lambda j: (inst.jobs[j].release, j)):
+            start = max(inst.jobs[j].release, clock)
+            end = start + inst.jobs[j].proc[i]
+            completion[j] = end
+            segments.append((i, j, start, end))
+            clock = end
+    flows = tuple(completion[j] - inst.jobs[j].release for j in range(inst.n))
+    return flows, max(flows), sum(flows, F(0)), tuple(segments)
+
+
+def test_max_flow_matches_fraction_reference(times_instance):
+    rng = random.Random(2301)
+    scaled = idle = 0
+    for trial in range(400):
+        inst = times_instance(rng, rng.randint(1, 3), (1,) if trial % 4 == 0 else (1, 1, 2, 3, 4))
+        asg = MachineAssignment(tuple(rng.choice([i for i, p in enumerate(job.proc) if p is not None])
+                                      for job in inst.jobs))
+        met = evaluate_max_flow(inst, asg)
+        flows, worst, total, segments = _fraction_max_flow(inst, asg)
+        assert met.per_job_flow == flows
+        assert met.max_flow == worst and met.total_flow == total
+        assert met.segments == segments
+        values = [*met.per_job_flow, met.max_flow, met.total_flow,
+                  *(t for seg in met.segments for t in seg[2:])]
+        assert all(type(v) is F for v in values)
+        scaled += integer_times(inst)[0] > 1
+        idle += any(a[0] == b[0] and a[3] < b[2] for a, b in zip(segments, segments[1:]))
+    assert scaled > 100 and idle > 100
+
+
+def test_integer_times_scale_round_trip_and_none():
+    inst = make_instance(3, [(F(1, 3), [F(7, 2), None, 1]), (2, [None, F(5, 4), 0])])
+    scale, releases, procs = integer_times(inst)
+    assert scale == 12
+    assert releases == [4, 24] and procs == [[42, None, 12], [None, 15, 0]]
+    assert all(type(v) is int for v in releases + [p for row in procs for p in row if p is not None])
+    assert [F(r, scale) for r in releases] == [job.release for job in inst.jobs]
+    assert [[None if p is None else F(p, scale) for p in row] for row in procs] == \
+        [list(job.proc) for job in inst.jobs]
+    integral = make_instance(2, [(3, [2, None]), (0, [None, 5])])
+    assert integer_times(integral) == (1, [3, 0], [[2, None], [None, 5]])
+
+
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_make_instance_rejects_inexact_times(value):
+    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
+        make_instance(1, [(value, [1])])
+    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
+        make_instance(2, [(0, [1, value])])
+    assert make_instance(1, [("1/3", ["0.1"])]).jobs[0] == make_instance(1, [(F(1, 3), [F(1, 10)])]).jobs[0]
 
 
 def test_srpt_example():

@@ -374,6 +374,45 @@ def test_sparse_solver_matches_dense_reference():
     assert min(statuses.values()) >= 200, statuses
 
 
+def _retyped(p, kind):
+    """A copy of `p` with every integral coefficient, rhs and cost as `kind`
+    (int or Fraction); the other values stay Fractions."""
+    def cast(v):
+        return kind(v) if F(v).denominator == 1 else v
+    q = lp.LinearProgram(variables=list(p.variables),
+                         objective={v: cast(c) for v, c in p.objective.items()})
+    for con in p.constraints:
+        q.add_constraint({v: cast(c) for v, c in con.coeffs.items()}, con.relation, cast(con.rhs))
+    return q
+
+
+def test_int_coefficients_solve_like_fractions():
+    rng = random.Random(2302)
+    statuses = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    for k in range(1500):
+        p = _random_lp(rng) if k % 2 else _degenerate_lp(rng)
+        ints, fractions = _retyped(p, int), _retyped(p, F)
+        sol, int_sol = lp.solve_lp(fractions), lp.solve_lp(ints)
+        assert int_sol == sol and lp.solve_lp(p) == sol
+        assert all(type(v) is F for v in [*int_sol.values.values(), *(int_sol.ray or [])])
+        statuses[sol.status] += 1
+        if sol.status == lp.INFEASIBLE:
+            assert lp.farkas_violations(ints, sol.ray) == []
+    assert min(statuses.values()) >= 100, statuses
+
+
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_add_constraint_rejects_inexact_numbers(value):
+    p = lp.LinearProgram(variables=["x"])
+    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
+        p.add_constraint({"x": value}, lp.LE, 1)
+    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
+        p.add_constraint({"x": 1}, lp.LE, value)
+    assert p.constraints == []
+    p.add_constraint({"x": "0.1"}, lp.LE, "1/3")
+    assert p.constraints == [lp.Constraint({"x": F(1, 10)}, lp.LE, F(1, 3))]
+
+
 def test_drive_out_negates_the_row():
     # Phase 1 ends at once on -x - y == 0 with its artificial basic at level
     # 0: the row holds x with coefficient -1, so it is negated and x pivots in.

@@ -18,10 +18,12 @@ from flowdisc.core import (
     Job,
     MachineAssignment,
     SchedulingInstance,
+    add_carry_rows,
     evaluate_max_flow,
     gen_periodic_instance,
     gen_random_instance,
     instance_to_json,
+    integer_times,
     make_instance,
     p_max,
     worst_window,
@@ -934,3 +936,91 @@ def test_pipeline_results_are_pinned():
                 asg, trace = full_round_maxflow(inst, COLORERS[name])
                 digest.update(json.dumps(result_to_json(trace, asg), sort_keys=True).encode())
     assert digest.hexdigest() == "c3cab976eff27336660f8385217338c6b935b3362b2d5e631cc5c6fa3d258eca"
+
+
+def _fraction_build_assignment_lp(inst, T):
+    """build_assignment_lp on Fraction times (reference)."""
+    T = F(T)
+    lp = lpmod.LinearProgram()
+    allowed = []
+    for j, job in enumerate(inst.jobs):
+        allowed.append([p is not None and p <= T for p in job.proc])
+        lp.variables += [var_name(j, i) for i in range(inst.m) if allowed[j][i]]
+    for j in range(inst.n):
+        lp.add_constraint({var_name(j, i): F(1) for i in range(inst.m) if allowed[j][i]}, lpmod.EQ, 1)
+    for i in range(inst.m):
+        loads = {}
+        for j, job in enumerate(inst.jobs):
+            if allowed[j][i]:
+                loads.setdefault(job.release, {})[var_name(j, i)] = job.proc[i]
+        times = sorted(loads)
+        carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
+        for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
+            lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
+    return lp
+
+
+def test_assignment_lp_matches_fraction_reference(times_instance):
+    rng = random.Random(2303)
+    seen = {"scaled": 0, "int": 0, "pruned": 0}
+    for trial in range(150):
+        inst = times_instance(rng, rng.randint(1, 3), (1,) if trial % 3 == 0 else (1, 1, 2, 3, 4))
+        scale = integer_times(inst)[0]
+        points = sorted({p for _, _, p in inst.finite_procs()})
+        bounds = {*points, *((a + b) / 2 for a, b in zip(points, points[1:])),
+                  points[-1] + 1, points[-1] + F(1, 7), F(7, 3)}
+        for T in sorted(bounds):
+            lp, ref = build_assignment_lp(inst, T), _fraction_build_assignment_lp(inst, T)
+            # the same variables, and rows with equal coefficients in the same
+            # order, relations and right-hand sides
+            assert _lp_key(lp) == _lp_key(ref)
+            values = [v for c in lp.constraints for v in (c.rhs, *c.coeffs.values())]
+            if scale == 1 and T.denominator == 1:
+                assert all(type(v) is int for v in values)  # the simplex takes them as they are
+                seen["int"] += 1
+            seen["scaled"] += scale > 1
+            seen["pruned"] += len(lp.variables) < sum(1 for _ in inst.finite_procs())
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+def test_bounds_and_assignments_reject_inexact_numbers(value):
+    inst = make_instance(2, [(0, [1, 2])])
+    match = f"got {type(value).__name__} {value!r}"
+    with pytest.raises(ValidationError, match=match):
+        build_assignment_lp(inst, value)
+    with pytest.raises(ValidationError, match=match):
+        FractionalAssignment(x=[[value, 0]], T=2)
+    with pytest.raises(ValidationError, match=match):
+        FractionalAssignment(x=[[1, 0]], T=value)
+    sol = lpmod.solve_lp(build_assignment_lp(inst, 2))
+    with pytest.raises(ValidationError, match=match):
+        maxflow.assignment_from_solution(inst, value, sol)
+    assert maxflow.assignment_from_solution(inst, "2", sol) == FractionalAssignment(x=[[1, 0]], T=2)
+
+
+def _scaled_down(inst, k):
+    return SchedulingInstance(m=inst.m, jobs=tuple(
+        Job(release=job.release / k, proc=tuple(None if p is None else p / k for p in job.proc))
+        for job in inst.jobs))
+
+
+# Digests recorded with the Fraction LP builder, FIFO evaluator and simplex
+# rows: the integer view must give the same T*, assignments, D values and
+# flows past the sizes the other pins reach, and at a time scale of 3 with a
+# Newton step to a fractional T*.
+@pytest.mark.parametrize("inst,digest", [
+    (gen_random_instance(96, 2, (1, 4), (0, 192), 0.2, seed=7),
+     "547b69cb95143643bbfa67091cabc3a8518ae0a59d04f2e51b48f779f1038a1f"),
+    (gen_random_instance(200, 2, (1, 4), (0, 400), 0.2, seed=7),
+     "647256f581f58dc2a863155032df15943e4ea20223e51b4103679feace16be73"),
+    (_scaled_down(gen_random_instance(24, 3, (1, 6), (0, 48), 0.2, seed=57), 3),
+     "761e2b3a0f6cefc4a2829d2a06e2c3554c02cd833583866a14d610e232a9afbd"),
+], ids=["n96", "n200", "n24-thirds"])
+def test_larger_results_are_pinned(inst, digest):
+    asg, trace = full_round_maxflow(inst, COLORERS["greedy"])
+    out = json.dumps(result_to_json(trace, asg), sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if inst.n == 24:
+        assert integer_times(inst)[0] == 3 and trace.t_star == F(7, 3)
+        assert trace.t_star not in {p for _, _, p in inst.finite_procs()}
