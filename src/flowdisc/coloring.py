@@ -3,7 +3,7 @@
 A `SignedVectorSequence` is an ordered list of rational vectors together with
 a (possibly partial) coloring in {-1, 0, +1}.  The exhaustive and greedy
 colorers and `discrepancy` work on the vectors as ints over one common scale:
-given at construction (``scale=``) or derived once per sequence.  Three
+given at construction (``scale=``) or derived there.  Three
 discrepancy measures are supported:
 
 - ``prefix``: max over prefixes k of the infinity norm of the signed sum,
@@ -21,10 +21,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
+from .util import (InternalCheckError, ValidationError, common_scale, exact_fraction, int_from_json,
+                   list_from_json, rat_from_str, rat_to_str, scaled)
 
 PREFIX = "prefix"
 INTERVAL = "interval"
@@ -38,16 +38,18 @@ class SignedVectorSequence:
     vectors: list  # list of tuples of Fractions, each of length m
     signs: list = field(default_factory=list)  # entries in {-1, 0, +1}; 0 = uncolored
     # If given, ``vectors`` arrive as int tuples that stand for vectors / scale;
-    # otherwise the colorers derive that integer form once, on first use.
+    # otherwise __post_init__ derives that scale.  Either way ``_ints[j]`` is
+    # vector j times ``scale`` (with_signs copies share it), so values compare
+    # as plain ints.
     scale: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.m}")
         if self.scale is None:
-            self._ints = None
-            self.vectors = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-                            for v in self.vectors]
+            self.vectors = [tuple(map(exact_fraction, v)) for v in self.vectors]
+            self.scale = scale = common_scale(x for v in self.vectors for x in v)
+            self._ints = [tuple(scaled(x, scale) for x in v) for v in self.vectors]
         else:
             self._ints = [tuple(v) for v in self.vectors]
             if not all(type(x) is int for v in self._ints for x in v) or self.scale < 1:
@@ -106,17 +108,6 @@ def _require_fully_signed(seq: SignedVectorSequence) -> None:
             raise ValidationError(f"vector {j} is uncolored")
 
 
-def _integer_vectors(seq: SignedVectorSequence) -> tuple[list[tuple[int, ...]], int]:
-    """The vectors as integer tuples over one common scale (exactness keeper):
-    vector j is ``ints[j] / scale``, so values compare as plain ints.  Derived
-    once per sequence (``with_signs`` copies share it), or given at construction."""
-    if seq._ints is None:
-        seq.scale = lcm(*(x.denominator for v in seq.vectors for x in v))
-        seq._ints = [tuple(x.numerator * (seq.scale // x.denominator) for x in v)
-                     for v in seq.vectors]
-    return seq._ints, seq.scale
-
-
 def discrepancy(seq: SignedVectorSequence, mode: str) -> DiscrepancyReport:
     """Evaluate a fully signed sequence under the requested measure, with witness."""
     if mode not in _MODES:
@@ -124,7 +115,7 @@ def discrepancy(seq: SignedVectorSequence, mode: str) -> DiscrepancyReport:
     _require_fully_signed(seq)
     if seq.n == 0:
         return DiscrepancyReport(mode, Fraction(0), (0, 0, -1))
-    vecs, scale = _integer_vectors(seq)
+    vecs, scale = seq._ints, seq.scale
     best_val: Optional[int] = None
     best_wit = None
     for i, col in enumerate(zip(*vecs)):
@@ -238,7 +229,7 @@ def color_brute_force(seq: SignedVectorSequence, mode: str, limit: int = 20) -> 
         raise ValidationError(f"n = {seq.n} exceeds brute-force limit {limit}")
     if seq.n == 0:
         return []
-    vecs, _ = _integer_vectors(seq)
+    vecs = seq._ints
     n, m = seq.n, seq.m
     if mode == PREFIX:
         step, root, root_value = _prefix_step, (0,) * m, 0
@@ -275,7 +266,7 @@ def color_greedy(seq: SignedVectorSequence) -> list[int]:
     """Process vectors in order, choosing the sign that minimizes the running
     prefix infinity norm; ties go to +1.  Runs on the integer vectors, whose
     common positive scale leaves every comparison as it is on the rationals."""
-    vecs, _ = _integer_vectors(seq)
+    vecs = seq._ints
     sums = [0] * seq.m
     signs = []
     for v in vecs:

@@ -17,7 +17,6 @@ every evaluation is deterministic.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +26,13 @@ from .lp import LE
 from .util import (
     InternalCheckError,
     ValidationError,
+    common_scale,
     exact_fraction,
     int_from_json,
     list_from_json,
     rat_from_str,
     rat_to_str,
+    scaled,
 )
 
 
@@ -102,11 +103,9 @@ def integer_times(inst: SchedulingInstance) -> tuple[int, list[int], list[list[O
     denominator; ``releases[j]`` and ``procs[j][i]`` are those times times
     ``scale``, and a forbidden entry stays None.  Computed afresh on each call.
     """
-    scale = math.lcm(*(job.release.denominator for job in inst.jobs),
-                     *(p.denominator for job in inst.jobs for p in job.proc if p is not None))
-    releases = [job.release.numerator * (scale // job.release.denominator) for job in inst.jobs]
-    procs = [[None if p is None else p.numerator * (scale // p.denominator) for p in job.proc]
-             for job in inst.jobs]
+    scale = common_scale([*(job.release for job in inst.jobs), *(p for _, _, p in inst.finite_procs())])
+    releases = [scaled(job.release, scale) for job in inst.jobs]
+    procs = [[None if p is None else scaled(p, scale) for p in job.proc] for job in inst.jobs]
     return scale, releases, procs
 
 
@@ -320,15 +319,12 @@ def gen_periodic_instance(base: SchedulingInstance, copies: int, period) -> Sche
     """
     if copies < 1:
         raise ValidationError(f"copy count must be >= 1, got {copies}")
-    period = Fraction(period)
+    period = exact_fraction(period)
     if period <= 0:
         raise ValidationError(f"period must be positive, got {period}")
     if any(job.release != 0 for job in base.jobs):
         raise ValidationError("base instance must release every job at time 0")
-    jobs = []
-    for c in range(1, copies + 1):
-        for job in base.jobs:
-            jobs.append(Job(release=c * period, proc=job.proc))
+    jobs = (Job(release=c * period, proc=job.proc) for c in range(1, copies + 1) for job in base.jobs)
     return SchedulingInstance(m=base.m, jobs=tuple(jobs))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coloring import ONE_SIDED, SignedVectorSequence, color_brute_force, discrepancy
 from .core import Job, MachineAssignment, SchedulingInstance, evaluate_max_flow
-from .util import InternalCheckError, ValidationError
+from .util import InternalCheckError, ValidationError, exact_fraction
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class TwoSparseVector:
     p1: Fraction
     p2: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "p1", exact_fraction(self.p1))
+        object.__setattr__(self, "p2", exact_fraction(self.p2))
+
     def validate(self, m: int) -> None:
         if not (0 <= self.i1 < m and 0 <= self.i2 < m):
             raise ValidationError(f"coordinates ({self.i1}, {self.i2}) outside [0, {m})")
@@ -39,13 +43,13 @@ class TwoSparseVector:
 
     def to_vector(self, m: int) -> list:
         v = [Fraction(0)] * m
-        v[self.i1] = Fraction(self.p1)
-        v[self.i2] = -Fraction(self.p2)
+        v[self.i1] = self.p1
+        v[self.i2] = -self.p2
         return v
 
 
 def two_sparse(i1: int, i2: int, p1, p2) -> TwoSparseVector:
-    return TwoSparseVector(i1=i1, i2=i2, p1=Fraction(p1), p2=Fraction(p2))
+    return TwoSparseVector(i1=i1, i2=i2, p1=p1, p2=p2)
 
 
 def vectors_to_maxflow_instance(vectors: list[TwoSparseVector], m: int) -> SchedulingInstance:

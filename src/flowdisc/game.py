@@ -62,10 +62,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError
+from .util import InternalCheckError, ValidationError, common_scale, exact_fraction, scaled
 
 MAKER = "maker"
 BREAKER = "breaker"
@@ -75,12 +74,6 @@ WAIT = ("wait",)
 
 def color_move(index: int, sign: int) -> tuple:
     return ("color", index, sign)
-
-
-def _common_scale(values) -> tuple[int, list[int]]:
-    """The lcm of the values' denominators, and each value times it."""
-    den = lcm(*{v.denominator for v in values})
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class PrefixTree:
@@ -95,7 +88,8 @@ class PrefixTree:
     """
 
     def __init__(self, values, colors):
-        self.den, self.scaled = _common_scale(values)
+        self.den = den = common_scale(values)
+        self.scaled = [scaled(v, den) for v in values]
         size = 1
         while size < len(values):
             size *= 2
@@ -217,11 +211,11 @@ class GameState:
 
 def _max_abs_prefix(values, colors) -> Fraction:
     """Max |prefix| by one full scan, as integers over the values' own lcm."""
-    den = lcm(*{v.denominator for v in values})
+    den = common_scale(values)
     run = peak = 0
     for v, c in zip(values, colors):
         if c:
-            run += c * v.numerator * (den // v.denominator)
+            run += c * scaled(v, den)
             a = -run if run < 0 else run
             if a > peak:
                 peak = a
@@ -252,7 +246,7 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     `ValidationError` naming the player.  Waiting twice in a row while
     elements remain re-queries the current player with ``must_color`` set.
     """
-    values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    values = tuple(map(exact_fraction, values))
     if not values:
         raise ValidationError("the game needs at least one value")
     for v in values:
@@ -288,10 +282,10 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
             state.color(idx, sign)
             state.history.append((player, idx, sign))
             prev_wait = False
-        scaled = tree.peak_scaled()
-        peak = peaks.get(scaled)
+        top = tree.peak_scaled()
+        peak = peaks.get(top)
         if peak is None:
-            peak = peaks[scaled] = Fraction(scaled, tree.den)
+            peak = peaks[top] = Fraction(top, tree.den)
         trace.append(peak)
         state.to_move = MAKER if player == BREAKER else BREAKER
     if tree.peak() != _max_abs_prefix(state.values, state.colors):
@@ -473,7 +467,7 @@ def color_two_permutation(values, sigma) -> list[int]:
     On values in {-1, 0, +1} both prefix systems are bounded by 4 (zeros are
     colored +1 and do not participate).
     """
-    values = [Fraction(v) for v in values]
+    values = [exact_fraction(v) for v in values]
     if any(type(s) is not int for s in sigma):  # 0.0 and True are not indices here
         raise ValidationError("sigma entries must be ints")
     if sorted(sigma) != list(range(len(values))):
@@ -489,7 +483,7 @@ def color_two_permutation(values, sigma) -> list[int]:
 
 def permutation_prefix_peaks(values, sigma, colors) -> tuple[Fraction, Fraction]:
     """Max |prefix| of the identity system and of the sigma system."""
-    values = [Fraction(v) for v in values]
+    values = [exact_fraction(v) for v in values]
 
     def peak(order):
         return _max_abs_prefix([values[i] for i in order], [colors[i] for i in order])
@@ -509,14 +503,11 @@ def exhaustive_breaker_value(values, maker, starter=BREAKER, allow_wait=True, li
     (values, colors).  Payoff counts every intermediate position, so the value
     of a state is its own discrepancy joined with the best continuation.
     """
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(map(exact_fraction, values))
     n = len(values)
     if n > limit:
         raise ValidationError(f"n = {n} exceeds exhaustive search limit {limit}")
     memo: dict = {}
-
-    def disc_of(colors) -> Fraction:
-        return _max_abs_prefix(values, colors)
 
     def state_for(colors, to_move) -> GameState:
         return GameState(
@@ -530,7 +521,7 @@ def exhaustive_breaker_value(values, maker, starter=BREAKER, allow_wait=True, li
         key = (colors, to_move)
         if key in memo:
             return memo[key]
-        here = disc_of(colors)
+        here = _max_abs_prefix(values, colors)
         if all(colors):
             memo[key] = here
             return here
@@ -765,8 +756,9 @@ class TreeBreaker:
     # -- main move --------------------------------------------------------
     def move(self, state: GameState) -> tuple:
         if state.values is not self._bound_values:
-            den, scaled = _common_scale(self.tree.layer_values)
-            if (state.tree.den, state.tree.scaled) != (den, [scaled[d] for d in self.tree.layer]):
+            den = common_scale(self.tree.layer_values)
+            ints = [scaled(v, den) for v in self.tree.layer_values]
+            if (state.tree.den, state.tree.scaled) != (den, [ints[d] for d in self.tree.layer]):
                 raise ValidationError("tree breaker bound to a different hard instance")
             self._bound_values = state.values
         if self.phase == "maintain":

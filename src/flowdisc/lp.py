@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError, exact
+from .util import InternalCheckError, ValidationError, common_scale, exact, exact_fraction, scaled
 
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -217,10 +217,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         """`coeffs` over the columns and `rhs` as integers over one lcm `den`
         of the denominators of their `Fraction` entries: (row, rhs, den)."""
         terms = [(col[var], c) for var, c in coeffs.items() if c]
-        den = math.lcm(*(c.denominator for _, c in terms if type(c) is Fraction),
-                       rhs.denominator if type(rhs) is Fraction else 1)
-        row = {j: c * den if type(c) is int else c.numerator * (den // c.denominator) for j, c in terms}
-        return row, rhs * den if type(rhs) is int else rhs.numerator * (den // rhs.denominator), den
+        den = common_scale([rhs, *(c for _, c in terms)])
+        row = {j: c * den if type(c) is int else scaled(c, den) for j, c in terms}
+        return row, rhs * den if type(rhs) is int else scaled(rhs, den), den
 
     specs = []  # (row, rhs >= 0, den, relation)
     for con in lp.constraints:
@@ -323,9 +322,8 @@ def farkas_violations(lp: LinearProgram, ray) -> list[str]:
     _validate(lp)
     if len(ray) != len(lp.constraints):
         return [f"ray has {len(ray)} multipliers for {len(lp.constraints)} constraints"]
-    ray_scale = math.lcm(*(w.denominator for w in ray))
-    lp_scale = math.lcm(*(x.denominator for con in lp.constraints
-                          for x in (con.rhs, *con.coeffs.values())))
+    ray_scale = common_scale(ray)
+    lp_scale = common_scale(x for con in lp.constraints for x in (con.rhs, *con.coeffs.values()))
     out = []
     wa = dict.fromkeys(lp.variables, 0)
     wb = 0
@@ -334,10 +332,10 @@ def farkas_violations(lp: LinearProgram, ray) -> list[str]:
             out.append(f"constraint {pos} ({con.relation}): multiplier {w} has the wrong sign")
         if not w:
             continue
-        wi = w.numerator * (ray_scale // w.denominator)
+        wi = scaled(w, ray_scale)
         for var, c in con.coeffs.items():
-            wa[var] += wi * c.numerator * (lp_scale // c.denominator)
-        wb += wi * con.rhs.numerator * (lp_scale // con.rhs.denominator)
+            wa[var] += wi * scaled(c, lp_scale)
+        wb += wi * scaled(con.rhs, lp_scale)
     scale = ray_scale * lp_scale
     out += [f"column {var!r}: w.A = {Fraction(v, scale)} < 0" for var, v in wa.items() if v < 0]
     if wb >= 0:
@@ -351,12 +349,14 @@ def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
     Empty result iff the point is feasible.  Raises if a variable is missing.
     """
     _validate(lp)
+    point = {}
     for var in lp.variables:
         if var not in values:
             raise ValidationError(f"no value supplied for variable {var!r}")
+        point[var] = exact_fraction(values[var])
     out: list[Violation] = []
     for pos, con in enumerate(lp.constraints):
-        lhs = sum((c * Fraction(values[v]) for v, c in con.coeffs.items()), Fraction(0))
+        lhs = sum((c * point[v] for v, c in con.coeffs.items()), Fraction(0))
         rhs = Fraction(con.rhs)
         if con.relation == LE and lhs > rhs:
             out.append(Violation("constraint", pos, LE, lhs, rhs, rhs - lhs))
@@ -364,8 +364,7 @@ def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
             out.append(Violation("constraint", pos, GE, lhs, rhs, lhs - rhs))
         elif con.relation == EQ and lhs != rhs:
             out.append(Violation("constraint", pos, EQ, lhs, rhs, rhs - lhs))
-    for var in lp.variables:
-        x = Fraction(values[var])
+    for var, x in point.items():
         if x < 0:
             out.append(Violation("bound", var, GE, x, Fraction(0), x))
     return out

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional
 
 from . import lp as lpmod
@@ -39,11 +38,13 @@ from .core import (
 from .util import (
     InternalCheckError,
     ValidationError,
+    common_scale,
     exact_fraction,
     int_from_json,
     list_from_json,
     rat_from_str,
     rat_to_str,
+    scaled,
 )
 
 
@@ -161,22 +162,21 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
     """
     problems = []
     fixed = fixed_load if fixed_load is not None else [{}] * inst.m
-    lx = lcm(*(v.denominator for row in fa.x for v in row))
-    lt = lcm(*(job.release.denominator for job in inst.jobs),
-             *(p.denominator for _, _, p in inst.finite_procs()),
-             *(v.denominator for loads in fixed for item in loads.items() for v in item))
+    lx = common_scale(v for row in fa.x for v in row)
+    lt = common_scale([*(job.release for job in inst.jobs), *(p for _, _, p in inst.finite_procs()),
+                       *(v for loads in fixed for item in loads.items() for v in item)])
     scale = lx * lt
     t_num, t_den = fa.T.numerator, fa.T.denominator
-    pairs = [[(_scaled(t, scale), _scaled(load, scale)) for t, load in f.items()] for f in fixed]
+    pairs = [[(scaled(t, scale), scaled(load, scale)) for t, load in f.items()] for f in fixed]
     for j, job in enumerate(inst.jobs):
-        xs = [_scaled(v, lx) for v in fa.x[j]]
+        xs = [scaled(v, lx) for v in fa.x[j]]
         if sum(xs) != lx:
             problems.append(f"job {j}: row sum {Fraction(sum(xs), lx)} != 1")
-        r = _scaled(job.release, scale)
+        r = scaled(job.release, scale)
         for i, p in enumerate(job.proc):
             if xs[i] < 0:
                 problems.append(f"x[{j},{i}] = {fa.x[j][i]} negative")
-            p = None if p is None else _scaled(p, lt)
+            p = None if p is None else scaled(p, lt)
             if xs[i] > 0 and (p is None or p * t_den > t_num * lt):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
             if p is not None:
@@ -189,11 +189,6 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
                 f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + fa.T}"
             )
     return problems
-
-
-def _scaled(v, scale: int) -> int:
-    """The rational ``v`` times ``scale``, which its denominator divides."""
-    return v.numerator * (scale // v.denominator)
 
 
 def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
@@ -252,11 +247,11 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
             # ints over the lcm L of the ray's denominators: the multipliers
             # summed over the caps, and w.b over the other rows; every cap's
             # right-hand side is t_star = tn / td
-            lcm_w = lcm(*(w.denominator for w in sol.ray))
+            lcm_w = common_scale(sol.ray)
             slope = rest = 0
             for w, con in zip(sol.ray, lp.constraints):
                 if w:
-                    wi = w.numerator * (lcm_w // w.denominator)
+                    wi = scaled(w, lcm_w)
                     if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0:
                         slope += wi
                     else:
@@ -338,7 +333,7 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
         raise ValidationError("level must be >= 1")
     scale = 2 ** level
     half = scale // 2
-    d = lcm(*(p.denominator for _, _, p in inst.finite_procs()))
+    d = common_scale(p for _, _, p in inst.finite_procs())
     jobs: list[Job] = []
     origin: list[int] = []
     pairs: list[tuple[int, int]] = []
@@ -350,11 +345,11 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
         for i, v in enumerate(fa.x[j]):
             if scale % v.denominator:
                 raise ValidationError(f"x[{j},{i}] = {v} is not a multiple of 1/{scale}")
-            cnt = _scaled(v, scale)
+            cnt = scaled(v, scale)
             if cnt:
                 if job.proc[i] is None:
                     raise ValidationError(f"x[{j},{i}] = {v} positive on a forbidden machine")
-                top = max(top, _scaled(job.proc[i], d))
+                top = max(top, scaled(job.proc[i], d))
             slots.extend([i] * cnt)
         if len(slots) != scale:
             raise ValidationError(f"job {j}: assignment row does not sum to 1")
@@ -374,7 +369,7 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
         if q < half:
             i = slots[q]
             integral_counts[j][i] = half - q
-            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * _scaled(job.proc[i], d)
+            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * scaled(job.proc[i], d)
     x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
     return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
                      assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,
@@ -419,16 +414,16 @@ def _rounding_sequence(inst: SchedulingInstance, halves, pmax):
     """``halves`` in release order (ties by index) and their vectors as one
     sequence of ints over 2 p_max d, d the lcm of the denominators involved."""
     jobs = inst.jobs
-    r = lcm(*(jobs[j].release.denominator for j, _, _ in halves))
-    halves = sorted(halves, key=lambda h: (_scaled(jobs[h[0]].release, r), h[0]))
-    d = lcm(pmax.denominator, *(jobs[j].proc[i].denominator for j, i1, i2 in halves for i in (i1, i2)))
+    r = common_scale(jobs[j].release for j, _, _ in halves)
+    halves = sorted(halves, key=lambda h: (scaled(jobs[h[0]].release, r), h[0]))
+    d = common_scale([pmax, *(jobs[j].proc[i] for j, i1, i2 in halves for i in (i1, i2))])
     ints = []
     for j, i1, i2 in halves:
         v = [0] * inst.m
-        v[i1], v[i2] = _scaled(jobs[j].proc[i1], d), -_scaled(jobs[j].proc[i2], d)
+        v[i1], v[i2] = scaled(jobs[j].proc[i1], d), -scaled(jobs[j].proc[i2], d)
         ints.append(v)
     # p_max = 0 leaves only zero entries, whatever the scale
-    return halves, SignedVectorSequence(m=inst.m, vectors=ints, scale=2 * _scaled(pmax, d) or 1)
+    return halves, SignedVectorSequence(m=inst.m, vectors=ints, scale=2 * scaled(pmax, d) or 1)
 
 
 def round_half_integral_maxflow(

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .coloring import SignedVectorSequence
-from .util import ValidationError
+from .util import ValidationError, exact_fraction
 
 
 @dataclass
@@ -60,6 +60,9 @@ class BlockInstance:
         return v
 
     def vectors(self) -> list:
+        """Every block vector, written out: refused past 10^6 entries in all."""
+        if self.count * self.dim > 10 ** 6:
+            raise ValidationError(f"{self.count} block vectors of dimension {self.dim}: too large")
         return [self.vector(j, slot) for j in range(self.n) for slot in range(self.r)]
 
 
@@ -74,18 +77,35 @@ def choose_r(delta, n: int, m: int) -> int:
 
     With x = ln(2 n r m), a chi-square with r degrees of freedom exceeds
     r + 2 sqrt(r x) + 2 x with probability at most e^(-x) = 1/(2 n r m); the
-    block size must push that threshold below (1+delta)^2 r.  Each r is
-    decided exactly (see _tail_fits), with no float.
+    block size must push that threshold below c r, c = (1+delta)^2.  Each r
+    is decided exactly (see _tail_fits), with no float.
+
+    For r >= 2, 2 n r m >= 4 > e, so x >= 1, and the r that fit are closed
+    upward: f(r) = (c-1) r - 2 sqrt(r x) - 2 x, with dx/dr = 1/r, has
+    f' - f/r = (x - 1) (1/sqrt(r x) + 2/r) >= 0, so f' >= 0 wherever f >= 0.
+    So r = 1 is tried, then r doubles until it fits, and a bisection between
+    the last miss and that r finds the smallest fit in O(log r) tests.
     """
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     if delta <= 0:
         raise ValidationError(f"delta must be positive, got {delta}")
     if n < 1 or m < 1:
         raise ValidationError(f"need n >= 1 and m >= 1, got n = {n}, m = {m}")
-    r = 1
-    while not _tail_fits(r, 2 * n * r * m, (1 + delta) ** 2):
-        r += 1
-    return r
+    c = (1 + delta) ** 2
+
+    def fits(r: int) -> bool:
+        return _tail_fits(r, 2 * n * r * m, c)
+
+    miss, hit = 0, 1  # no miss yet: 0 stands below every r
+    while not fits(hit):
+        miss, hit = hit, 2 * hit
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        if fits(mid):
+            hit = mid
+        else:
+            miss = mid
+    return hit
 
 
 def _tail_fits(r: int, N: int, c: Fraction) -> bool:
@@ -124,18 +144,13 @@ def in_body_K(point: list, r: int, delta) -> tuple[bool, list]:
     K caps each block's squared coordinate sum at (1+delta)^2 r; the body is
     closed, convex and symmetric under negation.
     """
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     if len(point) % r != 0:
         raise ValidationError(f"dimension {len(point)} is not a multiple of r = {r}")
     cap = (1 + delta) ** 2 * r
-    sums = []
-    inside = True
-    for base in range(0, len(point), r):
-        s = sum((Fraction(x) ** 2 for x in point[base:base + r]), Fraction(0))
-        sums.append(s)
-        if s > cap:
-            inside = False
-    return inside, sums
+    sums = [sum((exact_fraction(x) ** 2 for x in point[base:base + r]), Fraction(0))
+            for base in range(0, len(point), r)]
+    return all(s <= cap for s in sums), sums
 
 
 @dataclass
@@ -231,18 +246,10 @@ def search_block_coloring(block: BlockInstance, delta, limit: int = 4096) -> Opt
     total = block.count
     if 2 ** total > limit * 2 ** 12:
         raise ValidationError(f"search space 2^{total} too large")
-    delta = Fraction(delta)
-    cap = (1 + delta) ** 2 * block.r
+    delta = exact_fraction(delta)
     flat = block.vectors()
     acc = [Fraction(0)] * block.dim
     signs: list[int] = []
-
-    def block_sums_ok() -> bool:
-        for base in range(0, block.dim, block.r):
-            s = sum((acc[c] ** 2 for c in range(base, base + block.r)), Fraction(0))
-            if s > cap:
-                return False
-        return True
 
     def dfs(pos: int) -> bool:
         if pos == total:
@@ -253,7 +260,7 @@ def search_block_coloring(block: BlockInstance, delta, limit: int = 4096) -> Opt
                 if v[c]:
                     acc[c] += s * v[c]
             signs.append(s)
-            if block_sums_ok() and dfs(pos + 1):
+            if in_body_K(acc, block.r, delta)[0] and dfs(pos + 1):
                 return True
             signs.pop()
             for c in range(block.dim):
@@ -282,7 +289,9 @@ class McTailReport:
 def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) -> McTailReport:
     """Monte-Carlo estimate of one block's tail: P[chi^2_r > (1+delta)^2 r].
 
-    Deterministic in the seed.  Reports the observed fraction next to the
+    Deterministic in the seed, and independent of the chunking: the generator
+    fills the rows of one draw in order, so draws of a few rows at a time give
+    the normals one draw of every row would.  Reports the observed fraction next to the
     1/(2 n r m) requirement plus three binomial standard deviations of slack.
     """
     if samples < 10 ** 4:
@@ -292,7 +301,7 @@ def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) 
     threshold = (1.0 + float(delta)) ** 2 * r
     rng = np.random.default_rng(seed)
     exceed = 0
-    chunk = 20000
+    chunk = max(1, 2 ** 20 // r)  # rows per draw: at most 2^20 normals, 8 MB, per array
     done = 0
     while done < samples:
         take = min(chunk, samples - done)

@@ -48,13 +48,13 @@ from .core import (
     validate_instance,
     worst_window,
 )
-from .util import InternalCheckError, ValidationError, int_from_json, list_from_json, rat_from_str, rat_to_str
+from .util import (InternalCheckError, ValidationError, common_scale, exact, exact_fraction, int_from_json,
+                   list_from_json, rat_from_str, rat_to_str, scaled)
 
 
 def class_index(p) -> int:
     """Smallest k with p <= 2^k, i.e. the size class holding p (k=0 for p=1)."""
-    if type(p) is not Fraction and type(p) is not int:
-        p = Fraction(p)
+    p = exact(p)
     a, b = p.numerator, p.denominator  # b > 0, so p has the sign of a
     if a <= 0:
         raise ValidationError(f"size class needs a positive processing time, got {p}")
@@ -83,11 +83,10 @@ class TimeIndexedSolution:
     __slots__ = ("horizon", "vol", "den")
 
     def __init__(self, horizon: int, entries: Optional[dict] = None):
-        values = {(int(i), int(j), int(t)): Fraction(v) for (i, j, t), v in (entries or {}).items()}
-        den = lcm(*(v.denominator for v in values.values()))
+        values = {(int(i), int(j), int(t)): exact_fraction(v) for (i, j, t), v in (entries or {}).items()}
         self.horizon = horizon
-        self.den = den
-        self.vol = {key: v.numerator * (den // v.denominator) for key, v in values.items() if v}
+        self.den = den = common_scale(values.values())
+        self.vol = {key: scaled(v, den) for key, v in values.items() if v}
 
     @classmethod
     def scaled(cls, horizon: int, vol: dict, den: int) -> TimeIndexedSolution:
@@ -268,7 +267,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     (LinearProgram, horizon).
     """
     _require_integral(inst)
-    alpha = Fraction(alpha)
+    alpha = exact_fraction(alpha)
     if alpha < 0:
         raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
@@ -317,8 +316,8 @@ def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> 
     """
     if classes is None:
         classes = class_table(inst)
-    rscale = lcm(*(job.release.denominator for job in inst.jobs))
-    release = [job.release.numerator * (rscale // job.release.denominator) for job in inst.jobs]
+    rscale = common_scale(job.release for job in inst.jobs)
+    release = [scaled(job.release, rscale) for job in inst.jobs]
     late: dict = {}  # class -> sum of x * (t - r) * rscale
     total = 0
     for (i, j, t), x in y.vol.items():
@@ -385,8 +384,8 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None
 def canonical_order(inst: SchedulingInstance) -> list[int]:
     """Jobs by release; the sort is stable, so ties go by index.  The keys
     are the releases as ints over the lcm of their denominators."""
-    den = lcm(*(job.release.denominator for job in inst.jobs))
-    keys = [job.release.numerator * (den // job.release.denominator) for job in inst.jobs]
+    den = common_scale(job.release for job in inst.jobs)
+    keys = [scaled(job.release, den) for job in inst.jobs]
     return sorted(range(inst.n), key=keys.__getitem__)
 
 

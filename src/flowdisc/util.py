@@ -1,9 +1,11 @@
-"""Shared plumbing: error types, exact-rational serialization, seeded substreams."""
+"""Shared plumbing: error types, the exactness gate for every number a caller
+passes (`exact`), rationals as ints over one scale, serialization, seeded substreams."""
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 
 class ValidationError(ValueError):
@@ -20,7 +22,7 @@ class InternalCheckError(AssertionError):
 
 def rat_to_str(x) -> str:
     """Serialize an exact rational as ``"num/den"`` (always with denominator)."""
-    f = Fraction(x)
+    f = exact_fraction(x)
     try:
         return f"{f.numerator}/{f.denominator}"
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
@@ -29,14 +31,9 @@ def rat_to_str(x) -> str:
 
 def rat_from_str(s) -> Fraction:
     """Parse a rational serialized by :func:`rat_to_str` (ints accepted, bools not)."""
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    if not isinstance(s, str):
+    if type(s) is not str and type(s) is not int:
         raise ValidationError(f"expected rational string, got {type(s).__name__}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational literal {s!r}: {exc}") from None
+    return exact_fraction(s)
 
 
 def exact(x):
@@ -50,13 +47,26 @@ def exact(x):
     if kind is int or kind is Fraction:
         return x
     if kind is str:
-        return rat_from_str(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
     raise ValidationError(f"expected an int, a Fraction or a str, got {kind.__name__} {x!r}")
 
 
 def exact_fraction(x) -> Fraction:
     """:func:`exact`, as a `Fraction`."""
     return x if type(x) is Fraction else Fraction(exact(x))
+
+
+def common_scale(values) -> int:
+    """The lcm of the rationals' (or ints') denominators, 1 for none."""
+    return lcm(*{v.denominator for v in values})
+
+
+def scaled(v, scale: int) -> int:
+    """The rational ``v`` times ``scale``, which its denominator divides."""
+    return v.numerator * (scale // v.denominator)
 
 
 def int_from_json(v) -> int:

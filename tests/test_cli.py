@@ -103,6 +103,16 @@ def test_sdp_subcommands(tmp_path):
                 "--samples", "20000", "--seed", "1"]) == 0
 
 
+def test_sdp_build_refuses_more_than_a_million_entries(tmp_path, capsys):
+    v_path = str(tmp_path / "v.json")
+    with open(v_path, "w") as fh:
+        json.dump({"m": 1, "vectors": [["1/2"]] * 6}, fh)
+    out = str(tmp_path / "block.json")
+    assert run(["sdp", "--mode", "build", "--vectors", v_path, "--r", "10000", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "too large" in err[0] and not os.path.exists(out)
+
+
 def test_bench_summary(tmp_path):
     outdir = str(tmp_path / "bench")
     assert run(["bench", "--count", "2", "--n", "4", "--m", "2", "--seed", "5",

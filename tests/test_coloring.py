@@ -236,7 +236,7 @@ def _unseeded_brute_force(seq, mode):
     which takes its first leaf with no incumbent (the reference for the
     walk-bounded search).  The step functions are read from the module at
     call time, so a test can count their calls."""
-    vecs, _ = coloring._integer_vectors(seq)
+    vecs = seq._ints
     n, m = seq.n, seq.m
     if mode == PREFIX:
         step, root, root_value = coloring._prefix_step, (0,) * m, 0

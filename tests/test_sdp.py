@@ -1,12 +1,16 @@
+import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from flowdisc import sdp
 from flowdisc.coloring import SignedVectorSequence
 from flowdisc.sdp import (
+    McTailReport,
     build_block_instance,
     choose_r,
     gaussian_measure_mc,
@@ -190,6 +194,27 @@ def test_mc_deterministic_and_converging():
     assert abs(big.fraction - truth.fraction) <= abs(a.fraction - truth.fraction) + 0.01
 
 
+@pytest.mark.parametrize("r", [1, 7, 64])
+def test_mc_chunks_give_the_report_of_one_draw(r):
+    samples = 2 * (2 ** 20 // r) + 12345  # two full chunks and a part
+    for seed in (0, 5):
+        g = np.random.default_rng(seed).standard_normal((samples, r))
+        threshold = (1.0 + float(F(1, 4))) ** 2 * r
+        exceed = int(((g * g).sum(axis=1) > threshold).sum())
+        q = exceed / samples
+        want = McTailReport(r=r, threshold=threshold, samples=samples, exceed=exceed, fraction=q,
+                            target=1.0 / (2 * 3 * r * 2),
+                            slack=3.0 * math.sqrt(max(q * (1.0 - q), 1.0 / samples) / samples))
+        assert gaussian_measure_mc(r, F(1, 4), 3, 2, samples, seed) == want
+
+
+def test_block_vectors_are_refused_past_a_million_entries():
+    block = build_block_instance(SignedVectorSequence(2, [[1, 0]] * 5), 100)  # 500 * 200 entries
+    assert len(block.vectors()) == 500
+    with pytest.raises(ValidationError, match="too large"):
+        build_block_instance(SignedVectorSequence(2, [[1, 0]] * 6), 300).vectors()  # 1800 * 600
+
+
 def test_mc_requires_enough_samples():
     with pytest.raises(ValidationError):
         gaussian_measure_mc(8, F(1, 4), 4, 2, 100, seed=0)
@@ -219,6 +244,28 @@ def test_choose_r_matches_decimal_reference_on_a_grid():
                 r, gap = _decimal_choose_r(delta, n, m)
                 assert gap > F(1, 10 ** 40)  # far above the decimal rounding error
                 assert choose_r(delta, n, m) == r, (delta, n, m)
+
+
+def test_choose_r_equals_the_linear_scan():
+    for delta in (F(1, 2), F(1, 3), F(1, 5), F(1, 10), F(1, 20)):
+        c = (1 + delta) ** 2
+        scans = {}  # the scan reads n and m only through 2 n r m
+        for n in (1, 2, 4):
+            for m in (1, 2, 4):
+                if n * m not in scans:
+                    r = 1
+                    while not sdp._tail_fits(r, 2 * n * r * m, c):
+                        r += 1
+                    scans[n * m] = r
+                assert choose_r(delta, n, m) == scans[n * m], (delta, n, m)
+
+
+def test_choose_r_small_delta_is_fast_and_least():
+    start = time.process_time()
+    r = choose_r(F(1, 1000), 4, 2)
+    assert time.process_time() - start < 5
+    c = F(1001, 1000) ** 2
+    assert sdp._tail_fits(r, 16 * r, c) and not sdp._tail_fits(r - 1, 16 * (r - 1), c)
 
 
 def test_choose_r_decides_near_the_threshold():

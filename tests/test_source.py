@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowdisc"
@@ -35,3 +36,10 @@ def test_no_floats_in_the_exact_modules():
             elif isinstance(node, ast.Name) and node.id == "float":
                 found.append(f"{path.name}:{node.lineno}: name float")
     assert not found, found
+
+
+def test_readme_table_names_every_module():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    rows = set(re.findall(r"^\| `flowdisc\.(\w+)` \|", readme, flags=re.MULTILINE))
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert modules and modules <= rows, sorted(modules - rows)
