@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp import LE
+from .lp import LE, Constraint
 from .util import (
     InternalCheckError,
     ValidationError,
@@ -32,7 +32,7 @@ from .util import (
     list_from_json,
     rat_from_str,
     rat_to_str,
-    scaled,
+    scaled_list,
 )
 
 
@@ -104,8 +104,8 @@ def integer_times(inst: SchedulingInstance) -> tuple[int, list[int], list[list[O
     ``scale``, and a forbidden entry stays None.  Computed afresh on each call.
     """
     scale = common_scale([*(job.release for job in inst.jobs), *(p for _, _, p in inst.finite_procs())])
-    releases = [scaled(job.release, scale) for job in inst.jobs]
-    procs = [[None if p is None else scaled(p, scale) for p in job.proc] for job in inst.jobs]
+    releases = scaled_list([job.release for job in inst.jobs], scale)
+    procs = [scaled_list(job.proc, scale) for job in inst.jobs]
     return scale, releases, procs
 
 
@@ -162,20 +162,19 @@ def worst_window(pairs):
     return best
 
 
-def add_carry_rows(lp, tag: str, steps) -> list[str]:
+def add_carry_rows(lp, tag: tuple, steps) -> list[int]:
     """Lindley's recursion as LP rows, for ``(load coeffs, width)`` steps in
-    time order: step b adds C_b = ``tag[b]`` >= 0 and the row
-    C_{b-1} + load_b - C_b <= width_b.  Feasible carries are at least the queue
-    carry max(0, max_a sum_{a..b} (load - width)), which is feasible itself,
-    so capping C_b caps every window that ends with step b.
+    time order: step b adds a column C_b >= 0 labelled ``(*tag, b)``, which it
+    returns, and the row C_{b-1} + load_b - C_b <= width_b.  Feasible carries
+    are at least the queue carry max(0, max_a sum_{a..b} (load - width)), which
+    is feasible itself, so capping C_b caps every window that ends with step b.
     """
-    names: list[str] = []
+    cols: list[int] = []
     for b, (coeffs, width) in enumerate(steps):
-        carry_in = {names[-1]: 1} if names else {}
-        names.append(f"{tag}[{b}]")
-        lp.variables.append(names[-1])
-        lp.add_constraint({**coeffs, **carry_in, names[-1]: -1}, LE, width)
-    return names
+        carry_in = {cols[-1]: 1} if cols else {}
+        cols.append(lp.add_variable((*tag, b)))
+        lp.constraints.append(Constraint({**coeffs, **carry_in, cols[-1]: -1}, LE, width))
+    return cols
 
 
 def snap_pairs(values: dict, unit, shift_rate=None) -> dict:

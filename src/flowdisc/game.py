@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError, common_scale, exact_fraction, scaled
+from .util import InternalCheckError, ValidationError, common_scale, exact_fraction, scaled_list
 
 MAKER = "maker"
 BREAKER = "breaker"
@@ -89,7 +89,7 @@ class PrefixTree:
 
     def __init__(self, values, colors):
         self.den = den = common_scale(values)
-        self.scaled = [scaled(v, den) for v in values]
+        self.scaled = scaled_list(values, den)
         size = 1
         while size < len(values):
             size *= 2
@@ -213,9 +213,9 @@ def _max_abs_prefix(values, colors) -> Fraction:
     """Max |prefix| by one full scan, as integers over the values' own lcm."""
     den = common_scale(values)
     run = peak = 0
-    for v, c in zip(values, colors):
+    for w, c in zip(scaled_list(values, den), colors):
         if c:
-            run += c * scaled(v, den)
+            run += c * w
             a = -run if run < 0 else run
             if a > peak:
                 peak = a
@@ -757,7 +757,7 @@ class TreeBreaker:
     def move(self, state: GameState) -> tuple:
         if state.values is not self._bound_values:
             den = common_scale(self.tree.layer_values)
-            ints = [scaled(v, den) for v in self.tree.layer_values]
+            ints = scaled_list(self.tree.layer_values, den)
             if (state.tree.den, state.tree.scaled) != (den, [ints[d] for d in self.tree.layer]):
                 raise ValidationError("tree breaker bound to a different hard instance")
             self._bound_values = state.values

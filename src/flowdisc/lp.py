@@ -1,15 +1,13 @@
 """Exact-rational linear programming via two-phase primal simplex.
 
 Everything is computed over exact rationals; there are no tolerances anywhere.
-LPs come in standard form: every variable is nonnegative, with no other
-bound.  Coefficients and right-hand sides are ints or `Fraction`s (a str is
-read as the `Fraction` it spells; anything else is refused), and an int is
-taken as it is.  Each tableau row is a sparse ``{column: int}`` dict that
-stores only its nonzero entries, built straight from its constraint with one
-lcm of the denominators of its `Fraction` entries.  A pivot updates only the
+LPs come in standard form over columns 0, 1, ..., each a nonnegative variable
+with no other bound; the objective and every row map columns to ints or
+`Fraction`s.  A tableau row is a sparse ``{column: int}`` dict of its nonzero
+entries: a row of ints becomes one with one dict copy, and a row that holds a
+`Fraction` is scaled by the lcm of its denominators.  A pivot updates only the
 rows that hold the entering column, with one gcd pass per updated row, so the
-hot loop stays in bignum arithmetic with no per-entry `Fraction`
-normalization.
+hot loop stays in bignum arithmetic with no per-entry `Fraction` normalization.
 
 Pivoting uses Bland's rule for both the entering and the leaving choice (the
 smallest column with a negative reduced cost enters; ratio-test ties leave by
@@ -24,46 +22,54 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
-from .util import InternalCheckError, ValidationError, common_scale, exact, exact_fraction, scaled
+from .util import (InternalCheckError, ValidationError, common_scale, exact, exact_fraction, scaled,
+                   scaled_list)
 
 LE, EQ, GE = "<=", "==", ">="
-_RELATIONS = (LE, EQ, GE)
+_RELATIONS = frozenset((LE, EQ, GE))
 _FLIP = {LE: GE, GE: LE, EQ: EQ}
+_EXACT, _INT = frozenset((int, Fraction)), frozenset((int,))
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict
+class Constraint(NamedTuple):
+    coeffs: dict  # column -> int or Fraction
     relation: str
-    rhs: Fraction  # or int, as given
+    rhs: object  # int or Fraction
 
 
 @dataclass
 class LinearProgram:
-    """A minimization LP over named variables, each of them ``>= 0``."""
+    """A minimization LP: column j is a variable ``>= 0``, and its label
+    ``variables[j]``, which the solver never reads, names it for the builder."""
 
     variables: list = field(default_factory=list)
-    objective: dict = field(default_factory=dict)
+    objective: dict = field(default_factory=dict)  # column -> cost
     constraints: list = field(default_factory=list)
 
+    def add_variable(self, label) -> int:
+        """Append a column labelled `label`; return its index."""
+        self.variables.append(label)
+        return len(self.variables) - 1
+
     def add_constraint(self, coeffs: dict, relation: str, rhs) -> None:
+        """Append ``coeffs . x relation rhs``, numbers through `util.exact`."""
         if relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {relation!r}")
-        self.constraints.append(
-            Constraint({v: exact(c) for v, c in coeffs.items()}, relation, exact(rhs))
-        )
+        self.constraints.append(Constraint({j: exact(c) for j, c in coeffs.items()}, relation, exact(rhs)))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str
-    values: dict
+    values: dict  # column -> value, every column (Optimal only)
     objective_value: Optional[Fraction]
     ray: Optional[list] = None  # Infeasible only: one Farkas multiplier per constraint
 
@@ -73,26 +79,46 @@ class Violation:
     """One violated constraint or bound, with its exact slack."""
 
     kind: str  # "constraint" or "bound"
-    index: object  # constraint position or variable name
+    index: int  # constraint position or column
     relation: str
     lhs: Fraction
     rhs: Fraction
     slack: Fraction
 
 
-def _validate(lp: LinearProgram) -> None:
-    declared = set(lp.variables)
-    if len(declared) != len(lp.variables):
-        raise ValidationError("duplicate variable names")
-    if not declared.issuperset(lp.objective):
-        name = next(name for name in lp.objective if name not in declared)
-        raise ValidationError(f"objective references undeclared variable {name!r}")
-    for pos, con in enumerate(lp.constraints):
-        if con.relation not in _RELATIONS:
-            raise ValidationError(f"constraint {pos}: unknown relation {con.relation!r}")
-        if not declared.issuperset(con.coeffs):
-            name = next(name for name in con.coeffs if name not in declared)
-            raise ValidationError(f"constraint {pos} references undeclared variable {name!r}")
+def _int_rows(lp: LinearProgram) -> list[tuple]:
+    """Each constraint, then the objective, as (row, rhs, den): its numbers as
+    ints over the lcm `den` of the denominators of its `Fraction` entries, with
+    no zero entry, so a row of ints is one dict copy.  Refuses a row, also one
+    appended straight to `constraints`, with a number that is not an int or a
+    `Fraction` (a bool is not) or a column that is not an int in range; the LP
+    is checked as a whole, and row by row only to name what is wrong."""
+    rows = [*lp.constraints, Constraint(lp.objective, EQ, 0)]
+    coeffs, rhss = list(map(itemgetter(0), rows)), list(map(itemgetter(2), rows))
+    keys = list(chain.from_iterable(coeffs))
+    values = list(chain.from_iterable(map(dict.values, coeffs)))
+    kinds, n = {*map(type, values), *map(type, rhss)}, len(lp.variables)
+    checked = (_RELATIONS.issuperset(map(itemgetter(1), rows)) and _EXACT.issuperset(kinds)
+               and _INT.issuperset(map(type, keys)) and (not keys or min(keys) >= 0 and max(keys) < n))
+    if checked and kinds == _INT and 0 not in values:
+        return list(zip(map(dict, coeffs), rhss, [1] * len(rows)))
+    out = []
+    for pos, (row, relation, rhs) in enumerate(rows):
+        if not checked:
+            bad = [f"unknown relation {relation!r}"] if relation not in _RELATIONS else []
+            bad += [f"expected an int or a Fraction, got {type(v).__name__} {v!r}"
+                    for v in (*row.values(), rhs) if type(v) not in _EXACT]
+            bad += [f"no column {j!r} among {n}" for j in row if type(j) is not int or not 0 <= j < n]
+            if bad:
+                where = f"constraint {pos}" if pos < len(lp.constraints) else "objective"
+                raise ValidationError(f"{where}: {bad[0]}")
+        if type(rhs) is int and _INT.issuperset(map(type, row.values())):
+            out.append(({j: c for j, c in row.items() if c}, rhs, 1))
+        else:
+            den = common_scale([rhs, *row.values()])
+            scaled_row = {j: c for j, c in zip(row, scaled_list(row.values(), den)) if c}
+            out.append((scaled_row, scaled(rhs, den), den))
+    return out
 
 
 def _gcd_reduce(row: dict) -> None:
@@ -209,34 +235,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Deterministic: identical inputs produce the identical basis and values.
     """
-    _validate(lp)
-    col = {var: j for j, var in enumerate(lp.variables)}  # column j holds variable j
-    ncols = len(col)
-
-    def int_row(coeffs: dict, rhs):
-        """`coeffs` over the columns and `rhs` as integers over one lcm `den`
-        of the denominators of their `Fraction` entries: (row, rhs, den)."""
-        terms = [(col[var], c) for var, c in coeffs.items() if c]
-        den = common_scale([rhs, *(c for _, c in terms)])
-        row = {j: c * den if type(c) is int else scaled(c, den) for j, c in terms}
-        return row, rhs * den if type(rhs) is int else scaled(rhs, den), den
-
-    specs = []  # (row, rhs >= 0, den, relation)
-    for con in lp.constraints:
-        row, rhs, den = int_row(con.coeffs, con.rhs)
-        rel = con.relation
-        if rhs < 0:
-            row, rhs, rel = {j: -v for j, v in row.items()}, -rhs, _FLIP[rel]
-        specs.append((row, rhs, den, rel))
-
+    *specs, (cost, _, _) = _int_rows(lp)
+    relations = list(map(itemgetter(1), lp.constraints))
     # Slack/surplus columns for the <= and >= rows, then artificial columns
-    # for the >= and == rows; a row's initial basis is its slack or artificial.
-    slack = ncols
-    first_art = art = ncols + sum(rel != EQ for *_, rel in specs)
-    ncols = first_art + sum(rel != LE for *_, rel in specs)
-    rows: list = []
-    basis: list = []
-    for row, rhs, den, rel in specs:
+    # for the >= and == rows (a row with rhs < 0 is negated first, which swaps
+    # <= and >=); a row's initial basis is its slack or artificial.
+    nvars = slack = len(lp.variables)
+    first_art = art = nvars + len(relations) - relations.count(EQ)
+    rows, basis, rhss = [], [], []
+    for (row, rhs, den), rel in zip(specs, relations):
+        if rhs < 0:
+            for j in row:
+                row[j] = -row[j]
+            rhs, rel = -rhs, _FLIP[rel]
         if rel != EQ:
             row[slack] = den if rel == LE else -den
             slack += 1
@@ -246,9 +257,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             row[art] = den
             basis.append(art)
             art += 1
+        rows.append(row)  # already in lowest terms: one lcm of reduced denominators
+        rhss.append(rhs)
+    ncols = art
+    for row, rhs in zip(rows, rhss):
         if rhs:
             row[ncols] = rhs
-        rows.append(row)  # already in lowest terms: one lcm of reduced denominators
     own = basis[:]  # each row's slack (<=) or artificial column
     tab = _Tableau(rows, basis, ncols)
 
@@ -293,16 +307,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # Phase 2 with the real objective (identically zero objectives skip it:
     # any feasible basic point is optimal).
-    cost, _, _ = int_row(lp.objective, 0)
     if cost:
         tab.set_costs(cost)
         if tab.run(first_art) == UNBOUNDED:
             return LpSolution(UNBOUNDED, {}, None)
 
-    col_values = {b: Fraction(row.get(ncols, 0), row[b]) for row, b in zip(tab.rows, tab.basis)}
-    zero = Fraction(0)
-    values = {var: col_values.get(j, zero) for var, j in col.items()}
-    obj_val = sum((c * values[v] for v, c in lp.objective.items()), zero)
+    basic = [(b, Fraction(row.get(ncols, 0), row[b])) for row, b in zip(tab.rows, tab.basis) if b < nvars]
+    values = dict.fromkeys(range(nvars), Fraction(0))
+    values.update(basic)
+    obj_val = sum((lp.objective[b] * x for b, x in basic if b in lp.objective), Fraction(0))
     return LpSolution(OPTIMAL, values, obj_val)
 
 
@@ -315,48 +328,47 @@ def farkas_violations(lp: LinearProgram, ray) -> list[str]:
     would give 0 <= w.A x <= w.b < 0.
 
     The sums run on ints: the ray is scaled by the lcm of its denominators,
-    every row by the lcm of the LP's coefficient and rhs denominators.  Both
-    scales are positive, so the signs are those of the rational sums, which
-    are rebuilt only for a report line.
+    and every row, as the ints that the simplex takes, by the lcm of their
+    denominators.  Both scales are positive, so the signs are those of the
+    rational sums, which are rebuilt only for a report line.
     """
-    _validate(lp)
+    *rows, _ = _int_rows(lp)
     if len(ray) != len(lp.constraints):
         return [f"ray has {len(ray)} multipliers for {len(lp.constraints)} constraints"]
     ray_scale = common_scale(ray)
-    lp_scale = common_scale(x for con in lp.constraints for x in (con.rhs, *con.coeffs.values()))
-    out = []
-    wa = dict.fromkeys(lp.variables, 0)
-    wb = 0
-    for pos, (con, w) in enumerate(zip(lp.constraints, ray)):
+    lp_scale = math.lcm(*(den for _, _, den in rows))
+    out, wa, wb = [], [0] * len(lp.variables), 0
+    for pos, (con, (row, rhs, den), w, wi) in enumerate(zip(lp.constraints, rows, ray,
+                                                            scaled_list(ray, ray_scale))):
         if (con.relation == LE and w < 0) or (con.relation == GE and w > 0):
             out.append(f"constraint {pos} ({con.relation}): multiplier {w} has the wrong sign")
-        if not w:
+        if not wi:
             continue
-        wi = scaled(w, ray_scale)
-        for var, c in con.coeffs.items():
-            wa[var] += wi * scaled(c, lp_scale)
-        wb += wi * scaled(con.rhs, lp_scale)
+        wi *= lp_scale // den
+        for j, c in row.items():
+            wa[j] += wi * c
+        wb += wi * rhs
     scale = ray_scale * lp_scale
-    out += [f"column {var!r}: w.A = {Fraction(v, scale)} < 0" for var, v in wa.items() if v < 0]
+    out += [f"column {lp.variables[j]!r}: w.A = {Fraction(v, scale)} < 0" for j, v in enumerate(wa) if v < 0]
     if wb >= 0:
         out.append(f"w.b = {Fraction(wb, scale)} >= 0")
     return out
 
 
 def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
-    """Exactly evaluate every constraint and bound at `values`; list violations.
+    """Exactly evaluate every constraint and bound at `values` ({column:
+    number}); list violations.
 
-    Empty result iff the point is feasible.  Raises if a variable is missing.
+    Empty result iff the point is feasible.  Raises if a column is missing.
     """
-    _validate(lp)
-    point = {}
-    for var in lp.variables:
-        if var not in values:
-            raise ValidationError(f"no value supplied for variable {var!r}")
-        point[var] = exact_fraction(values[var])
+    _int_rows(lp)
+    missing = [j for j in range(len(lp.variables)) if j not in values]
+    if missing:
+        raise ValidationError(f"no value supplied for column {missing[0]} ({lp.variables[missing[0]]!r})")
+    point = [exact_fraction(values[j]) for j in range(len(lp.variables))]
     out: list[Violation] = []
     for pos, con in enumerate(lp.constraints):
-        lhs = sum((c * point[v] for v, c in con.coeffs.items()), Fraction(0))
+        lhs = sum((c * point[j] for j, c in con.coeffs.items()), Fraction(0))
         rhs = Fraction(con.rhs)
         if con.relation == LE and lhs > rhs:
             out.append(Violation("constraint", pos, LE, lhs, rhs, rhs - lhs))
@@ -364,7 +376,7 @@ def check_point(lp: LinearProgram, values: dict) -> list[Violation]:
             out.append(Violation("constraint", pos, GE, lhs, rhs, lhs - rhs))
         elif con.relation == EQ and lhs != rhs:
             out.append(Violation("constraint", pos, EQ, lhs, rhs, rhs - lhs))
-    for var, x in point.items():
+    for j, x in enumerate(point):
         if x < 0:
-            out.append(Violation("bound", var, GE, x, Fraction(0), x))
+            out.append(Violation("bound", j, GE, x, Fraction(0), x))
     return out

@@ -45,6 +45,7 @@ from .util import (
     rat_from_str,
     rat_to_str,
     scaled,
+    scaled_list,
 )
 
 
@@ -87,10 +88,6 @@ class MinTSearch:
     ray: Optional[tuple]  # (T, w): a checked Farkas ray at bound T whose root is >= t_star
 
 
-def var_name(j: int, i: int) -> str:
-    return f"x[{j},{i}]"
-
-
 def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     """Assignment LP at flow bound T.
 
@@ -99,10 +96,10 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     L_b the volume released at its b-th usable release time t_b, carry rows
     (add_carry_rows, widths t_{b+1} - t_b) make L_b + C_{b-1} the worst window
     ending at t_b, and one row per release caps it by T: at most 2R - 1 rows
-    per machine, not one per pair of release times.  Variables with processing
-    time above the bound are pruned entirely (after pruning the largest usable
-    processing time is at most the bound by construction).  The caps are the
-    ``<=`` rows with no negative coefficient (a carry row has its carry-out at -1).
+    per machine, not one per pair of release times.  The caps are the ``<=``
+    rows with no negative coefficient (a carry row has its carry-out at -1).
+    Column x_ij, labelled (j, i), exists only if p_ij <= T; the carries are
+    labelled ("C", i, b), and they follow every x column.
 
     The build reads `integer_times`: it prunes, groups and sorts on ints over
     one scale.  A coefficient or width is an int when that scale is 1 and a
@@ -116,33 +113,35 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
         return v if scale == 1 else Fraction(v, scale)
 
     limit, tden = T.numerator * scale, T.denominator  # p / scale <= T iff p * tden <= limit
-    usable = [[(i, var_name(j, i)) for i, p in enumerate(row) if p is not None and p * tden <= limit]
-              for j, row in enumerate(proc)]
     lp = lpmod.LinearProgram()
-    lp.variables = [name for row in usable for _, name in row]
-    for row in usable:
-        lp.add_constraint({name: 1 for _, name in row}, lpmod.EQ, 1)
-    loads: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: {variable: p}}
-    for j, row in enumerate(usable):
-        for i, name in row:
-            loads[i].setdefault(release[j], {})[name] = number(proc[j][i])
+    rows = lp.constraints
+    loads: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: {column: p}}
+    for j, (r, row) in enumerate(zip(release, proc)):
+        job = {}  # the job's row: every usable column at 1
+        for i, p in enumerate(row):
+            if p is not None and p * tden <= limit:
+                col = lp.add_variable((j, i))
+                job[col] = 1
+                loads[i].setdefault(r, {})[col] = number(p)
+        rows.append(lpmod.Constraint(job, lpmod.EQ, 1))
     cap = T.numerator if tden == 1 else T
     for i, by_time in enumerate(loads):
         times = sorted(by_time)
         steps = [(by_time[t], number(u - t)) for t, u in zip(times, times[1:])]
-        carries = add_carry_rows(lp, f"C[{i}]", steps)
+        carries = add_carry_rows(lp, ("C", i), steps)
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
-            lp.add_constraint({**by_time[t], **carry_in}, lpmod.LE, cap)
+            rows.append(lpmod.Constraint({**by_time[t], **carry_in}, lpmod.LE, cap))
     return lp
 
 
-def assignment_from_solution(inst: SchedulingInstance, T, sol: lpmod.LpSolution) -> FractionalAssignment:
-    x = [[Fraction(0)] * inst.m for _ in range(inst.n)]
-    for j in range(inst.n):
-        for i in range(inst.m):
-            name = var_name(j, i)
-            if name in sol.values:
-                x[j][i] = sol.values[name]
+def assignment_from_solution(inst: SchedulingInstance, T, lp: lpmod.LinearProgram,
+                             sol: lpmod.LpSolution) -> FractionalAssignment:
+    """The x columns of `lp`'s solution, labelled ``(j, i)``, as an n x m matrix."""
+    x = [[_ZERO] * inst.m for _ in range(inst.n)]
+    for col, v in sol.values.items():
+        if lp.variables[col][0] != "C":  # not a carry ("C", i, b)
+            j, i = lp.variables[col]
+            x[j][i] = v
     return FractionalAssignment(x=x, T=T)
 
 
@@ -167,20 +166,19 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
                        *(v for loads in fixed for item in loads.items() for v in item)])
     scale = lx * lt
     t_num, t_den = fa.T.numerator, fa.T.denominator
-    pairs = [[(scaled(t, scale), scaled(load, scale)) for t, load in f.items()] for f in fixed]
-    for j, job in enumerate(inst.jobs):
-        xs = [scaled(v, lx) for v in fa.x[j]]
+    pairs = [list(zip(scaled_list(f, scale), scaled_list(f.values(), scale))) for f in fixed]
+    releases = scaled_list([job.release for job in inst.jobs], scale)
+    for j, (job, r, row) in enumerate(zip(inst.jobs, releases, fa.x)):
+        xs = scaled_list(row, lx)
         if sum(xs) != lx:
             problems.append(f"job {j}: row sum {Fraction(sum(xs), lx)} != 1")
-        r = scaled(job.release, scale)
-        for i, p in enumerate(job.proc):
-            if xs[i] < 0:
-                problems.append(f"x[{j},{i}] = {fa.x[j][i]} negative")
-            p = None if p is None else scaled(p, lt)
-            if xs[i] > 0 and (p is None or p * t_den > t_num * lt):
+        for i, (x, p) in enumerate(zip(xs, scaled_list(job.proc, lt))):
+            if x < 0:
+                problems.append(f"x[{j},{i}] = {row[i]} negative")
+            if x > 0 and (p is None or p * t_den > t_num * lt):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
             if p is not None:
-                pairs[i].append((r, xs[i] * p))
+                pairs[i].append((r, x * p))
     for i in range(inst.m):
         worst = worst_window(pairs[i])
         if worst is not None and worst[0] * t_den > t_num * scale:
@@ -247,11 +245,9 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
             # ints over the lcm L of the ray's denominators: the multipliers
             # summed over the caps, and w.b over the other rows; every cap's
             # right-hand side is t_star = tn / td
-            lcm_w = common_scale(sol.ray)
             slope = rest = 0
-            for w, con in zip(sol.ray, lp.constraints):
-                if w:
-                    wi = scaled(w, lcm_w)
+            for wi, con in zip(scaled_list(sol.ray, common_scale(sol.ray)), lp.constraints):
+                if wi:
                     if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0:
                         slope += wi
                     else:
@@ -265,7 +261,7 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
             else:
                 raise InternalCheckError("assignment LP infeasible at every bound")
 
-    fa = assignment_from_solution(inst, t_star, solved[t_star][1])
+    fa = assignment_from_solution(inst, t_star, *solved[t_star])
     return MinTSearch(t_star=t_star, assignment=fa, ray=ray)
 
 
@@ -342,14 +338,14 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
     top = 0
     for j, job in enumerate(inst.jobs):
         slots: list[int] = []
-        for i, v in enumerate(fa.x[j]):
+        ps = scaled_list(job.proc, d)
+        for i, (v, cnt) in enumerate(zip(fa.x[j], scaled_list(fa.x[j], scale))):
             if scale % v.denominator:
                 raise ValidationError(f"x[{j},{i}] = {v} is not a multiple of 1/{scale}")
-            cnt = scaled(v, scale)
             if cnt:
-                if job.proc[i] is None:
+                if ps[i] is None:
                     raise ValidationError(f"x[{j},{i}] = {v} positive on a forbidden machine")
-                top = max(top, scaled(job.proc[i], d))
+                top = max(top, ps[i])
             slots.extend([i] * cnt)
         if len(slots) != scale:
             raise ValidationError(f"job {j}: assignment row does not sum to 1")
@@ -369,7 +365,7 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
         if q < half:
             i = slots[q]
             integral_counts[j][i] = half - q
-            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * scaled(job.proc[i], d)
+            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * ps[i]
     x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
     return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
                      assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,

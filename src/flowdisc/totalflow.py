@@ -83,7 +83,8 @@ class TimeIndexedSolution:
     __slots__ = ("horizon", "vol", "den")
 
     def __init__(self, horizon: int, entries: Optional[dict] = None):
-        values = {(int(i), int(j), int(t)): exact_fraction(v) for (i, j, t), v in (entries or {}).items()}
+        values = {(int_from_json(i), int_from_json(j), int_from_json(t)): exact_fraction(v)
+                  for (i, j, t), v in (entries or {}).items()}
         self.horizon = horizon
         self.den = den = common_scale(values.values())
         self.vol = {key: scaled(v, den) for key, v in values.items() if v}
@@ -156,10 +157,6 @@ def _require_integral(inst: SchedulingInstance) -> None:
                 raise ValidationError(f"job {j}: positive integer processing times required")
 
 
-def yvar(i: int, j: int, t: int) -> str:
-    return f"y[{i},{j},{t}]"
-
-
 def slot_rate(job: Job, t: int, scale) -> Fraction:
     """Cost of one unit of the job's volume in slot t: (t - r)/scale + 1/2.
 
@@ -172,10 +169,11 @@ def slot_rate(job: Job, t: int, scale) -> Fraction:
     return Fraction(2 * (t * b - a) * d + b * c, 2 * b * c)
 
 
-def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> lpmod.LinearProgram:
-    """The y variables of every usable (machine, job, slot), where a job uses
-    the candidate ``slots`` at or after its release, one completion row per
-    job (sum y/p = 1) and the objective slot_rate(job, t, scale(p))."""
+def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> tuple:
+    """The y columns, labelled ``(i, j, t)``, of every usable (machine, job,
+    slot), where a job uses the candidate ``slots`` at or after its release,
+    one completion row per job (sum y/p = 1) and the objective
+    slot_rate(job, t, scale(p)).  Returns (LinearProgram, label -> column)."""
     lp = lpmod.LinearProgram()
     for j, job in enumerate(inst.jobs):
         coeffs = {}
@@ -186,12 +184,11 @@ def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> lpmod.Lin
                 continue
             per, inv = scale(p), 1 / p
             for t in mine:
-                name = yvar(i, j, t)
-                lp.variables.append(name)
-                lp.objective[name] = slot_rate(job, t, per)
-                coeffs[name] = inv
-        lp.add_constraint(coeffs, lpmod.EQ, 1)
-    return lp
+                col = lp.add_variable((i, j, t))
+                lp.objective[col] = slot_rate(job, t, per)
+                coeffs[col] = inv
+        lp.constraints.append(lpmod.Constraint(coeffs, lpmod.EQ, 1))
+    return lp, dict(zip(lp.variables, range(len(lp.variables))))
 
 
 def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = None) -> tuple:
@@ -202,25 +199,19 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
     """
     _require_integral(inst)
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = _slot_program(inst, lambda p: p, range(H))
+    lp, col = _slot_program(inst, lambda p: p, range(H))
     for i in range(inst.m):
         for t in range(H):
-            coeffs = {}
-            for j, job in enumerate(inst.jobs):
-                if job.proc[i] is not None and int(job.release) <= t:
-                    coeffs[yvar(i, j, t)] = Fraction(1)
+            coeffs = {col[i, j, t]: 1 for j, job in enumerate(inst.jobs)
+                      if job.proc[i] is not None and int(job.release) <= t}
             if coeffs:
-                lp.add_constraint(coeffs, lpmod.LE, 1)
+                lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, 1))
     return lp, H
 
 
 def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
     """0, the releases below H and H itself, sorted: the ends of the event gaps."""
-    slots = {0, H}
-    for job in inst.jobs:
-        if job.release < H:
-            slots.add(int(job.release))
-    return sorted(slots)
+    return sorted({0, H, *(int(job.release) for job in inst.jobs if job.release < H)})
 
 
 def class_scale(p):
@@ -240,7 +231,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
 
     The events are 0, the releases and the horizon H; consecutive events
     bound the event gaps.  There is one y column per (machine, job, event gap
-    [t1, t2) with r_j <= t1), named y[i,j,t1] after the gap's first slot, so
+    [t1, t2) with r_j <= t1), labelled (i, j, t1) after the gap's first slot, so
     the LP's size does not depend on H.  This is exact for the slot-indexed
     LP with one column per slot in [r_j, H): releases are events, so inside
     one gap all of a (machine, job)'s slot columns have the same completion
@@ -272,7 +263,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
         raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
     events = _event_slots(inst, H)
-    lp = _slot_program(inst, class_scale, events[:-1])
+    lp, col = _slot_program(inst, class_scale, events[:-1])
     classes = class_table(inst)
     release = [int(job.release) for job in inst.jobs]
     for i in range(inst.m):
@@ -281,26 +272,22 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
             group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
             steps = []
             for t1, t2 in zip(events, events[1:]):
-                coeffs = {yvar(i, j, t1): 1 for j in group if release[j] <= t1}
+                coeffs = {col[i, j, t1]: 1 for j in group if release[j] <= t1}
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
             if alpha == 0:  # every carry is capped at 0: each step's load fits its gap
-                for coeffs, width in steps:
-                    lp.add_constraint(coeffs, lpmod.LE, width)
+                lp.constraints += [lpmod.Constraint(coeffs, lpmod.LE, width) for coeffs, width in steps]
             else:
-                for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
-                    lp.add_constraint({carry: 1}, lpmod.LE, alpha * pow2(k))
+                for carry in add_carry_rows(lp, ("C", i, k), steps):
+                    lp.constraints.append(lpmod.Constraint({carry: 1}, lpmod.LE, alpha * pow2(k)))
     return lp, H
 
 
-def solution_from_lp(inst: SchedulingInstance, sol: lpmod.LpSolution, horizon: int) -> TimeIndexedSolution:
-    entries = {}
-    for name, v in sol.values.items():
-        if v == 0 or not name.startswith("y["):
-            continue
-        i, j, t = (int(part) for part in name[2:-1].split(","))
-        entries[(i, j, t)] = v
-    return TimeIndexedSolution(horizon=horizon, entries=entries)
+def solution_from_lp(inst: SchedulingInstance, lp: lpmod.LinearProgram, sol: lpmod.LpSolution,
+                     horizon: int) -> TimeIndexedSolution:
+    """The nonzero y columns of `lp`'s solution, labelled ``(i, j, t)``."""
+    return TimeIndexedSolution(horizon=horizon, entries={
+        lp.variables[col]: v for col, v in sol.values.items() if v and lp.variables[col][0] != "C"})
 
 
 def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
@@ -764,7 +751,7 @@ def full_round_totalflow(
     sol = lpmod.solve_lp(lp)
     if sol.status != lpmod.OPTIMAL:
         raise InternalCheckError(f"auxiliary LP unexpectedly {sol.status}")
-    y = solution_from_lp(dinst, sol, H)
+    y = solution_from_lp(dinst, lp, sol, H)
     lp_cost = sol.objective_value
     classes = class_table(dinst)
     alpha_initial = measure_alpha(dinst, y, classes).alpha

@@ -69,6 +69,12 @@ def scaled(v, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
+def scaled_list(values, scale: int) -> list:
+    """``[scaled(v, scale) for v in values]``, with no call per value; a None
+    (a forbidden machine's time) stays None."""
+    return [None if v is None else v.numerator * (scale // v.denominator) for v in values]
+
+
 def int_from_json(v) -> int:
     """Parse a JSON integer (bools, floats and strings are rejected)."""
     if isinstance(v, int) and not isinstance(v, bool):

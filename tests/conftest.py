@@ -50,6 +50,16 @@ def complete_carries():
 
 
 @pytest.fixture
+def relabel():
+    """Move a point over one LP's columns to the columns of another LP with
+    the same labels; a label that the other LP lacks is dropped."""
+    def move(src, values, dst):
+        col = {label: c for c, label in enumerate(dst.variables)}
+        return {col[src.variables[c]]: v for c, v in values.items() if src.variables[c] in col}
+    return move
+
+
+@pytest.fixture
 def times_instance():
     """A seeded instance builder: fractional releases and processing times on
     ``denominators`` (all integral with ``(1,)``), repeated releases, forbidden

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -5,22 +7,30 @@ from functools import reduce
 
 import pytest
 
-from flowdisc import lp
-from flowdisc.util import ValidationError
+from flowdisc import coloring, core, lp, maxflow, totalflow
+from flowdisc.util import ValidationError, rat_to_str, substream_seed
+
+X, Y, Z = 0, 1, 2  # the columns of LPs over variables ["x", "y", "z"]
 
 
 def test_textbook_min():
-    p = lp.LinearProgram(variables=["x"], objective={"x": F(-1)})
-    p.add_constraint({"x": 1}, lp.LE, 3)
+    p = lp.LinearProgram(variables=["x"], objective={X: F(-1)})
+    p.add_constraint({X: 1}, lp.LE, 3)
     sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
-    assert sol.values["x"] == 3 and sol.objective_value == -3
+    assert sol.values == {X: 3} and sol.objective_value == -3
+
+
+def test_add_variable_returns_the_next_column():
+    p = lp.LinearProgram()
+    assert [p.add_variable(label) for label in ("x", (0, 1), ("C", 0, 0))] == [0, 1, 2]
+    assert p.variables == ["x", (0, 1), ("C", 0, 0)]
 
 
 def test_infeasible_pair():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({"x": 1}, lp.LE, 1)
-    p.add_constraint({"x": 1}, lp.GE, 2)
+    p.add_constraint({X: 1}, lp.LE, 1)
+    p.add_constraint({X: 1}, lp.GE, 2)
     sol = lp.solve_lp(p)
     assert sol.status == lp.INFEASIBLE
     # (1, -1): x - x >= 0 on the column, 1 - 2 < 0 on the right-hand side
@@ -28,32 +38,57 @@ def test_infeasible_pair():
 
 
 def test_default_bound_floor():
-    p = lp.LinearProgram(variables=["x"], objective={"x": F(1)})
+    p = lp.LinearProgram(variables=["x"], objective={X: F(1)})
     sol = lp.solve_lp(p)
-    assert sol.values["x"] == 0 and sol.objective_value == 0
+    assert sol.values == {X: 0} and sol.objective_value == 0
 
 
 def test_unbounded():
-    p = lp.LinearProgram(variables=["x"], objective={"x": F(-1)})
+    p = lp.LinearProgram(variables=["x"], objective={X: F(-1)})
     assert lp.solve_lp(p).status == lp.UNBOUNDED
 
 
 def test_undeclared_variable_rejected():
-    p = lp.LinearProgram(variables=["x"])
-    p.constraints.append(lp.Constraint({"y": F(1)}, lp.LE, F(1)))
-    with pytest.raises(ValidationError):
-        lp.solve_lp(p)
+    for column in (Y, -1, "y"):
+        p = lp.LinearProgram(variables=["x"])
+        p.constraints.append(lp.Constraint({column: F(1)}, lp.LE, F(1)))
+        with pytest.raises(ValidationError, match=f"constraint 0: no column {column!r} among 1"):
+            lp.solve_lp(p)
+
+
+# A row appended straight to `constraints` skips add_constraint's gate, so
+# every solver entry point checks its numbers and columns itself.
+@pytest.mark.parametrize("constraint,objective,message", [
+    (lp.Constraint({X: 0.5}, lp.LE, 1), {}, "constraint 0: expected an int or a Fraction, got float 0.5"),
+    (lp.Constraint({X: True}, lp.LE, 1), {}, "constraint 0: expected an int or a Fraction, got bool True"),
+    (lp.Constraint({X: 1}, lp.LE, 0.5), {}, "constraint 0: expected an int or a Fraction, got float 0.5"),
+    (lp.Constraint({X: 1}, lp.GE, False), {}, "constraint 0: expected an int or a Fraction, got bool False"),
+    (lp.Constraint({X: "1"}, lp.LE, 1), {}, "constraint 0: expected an int or a Fraction, got str '1'"),
+    (lp.Constraint({X: 1}, lp.LE, 1), {X: 0.5}, "objective: expected an int or a Fraction, got float 0.5"),
+    (lp.Constraint({True: 1}, lp.LE, 1), {}, "constraint 0: no column True among 1"),
+    (lp.Constraint({0.0: 1}, lp.LE, 1), {}, "constraint 0: no column 0.0 among 1"),
+    (lp.Constraint({X: 1}, lp.LE, 1), {Y: 1}, "objective: no column 1 among 1"),
+    (lp.Constraint({X: 1}, "<", 1), {}, "constraint 0: unknown relation '<'"),
+], ids=["float-coeff", "bool-coeff", "float-rhs", "bool-rhs", "str-coeff", "float-cost",
+        "bool-column", "float-column", "cost-column", "relation"])
+def test_rows_appended_unchecked_are_refused(constraint, objective, message):
+    p = lp.LinearProgram(variables=["x"], objective=objective, constraints=[constraint])
+    for call in (lambda: lp.solve_lp(p), lambda: lp.farkas_violations(p, [1]),
+                 lambda: lp.check_point(p, {X: 0})):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_exactness_resolve_check():
     rng = random.Random(2)
     for trial in range(15):
         nvars = rng.randint(1, 4)
-        names = [f"v{i}" for i in range(nvars)]
-        p = lp.LinearProgram(variables=list(names),
-                             objective={v: F(rng.randint(1, 5)) for v in names})
+        cols = range(nvars)
+        p = lp.LinearProgram(variables=[f"v{i}" for i in cols],
+                             objective={v: F(rng.randint(1, 5)) for v in cols})
         for _ in range(rng.randint(1, 5)):
-            coeffs = {v: F(rng.randint(0, 4)) for v in names}
+            coeffs = {v: F(rng.randint(0, 4)) for v in cols}
             if all(c == 0 for c in coeffs.values()):
                 continue
             p.add_constraint(coeffs, lp.GE, F(rng.randint(0, 6)))
@@ -63,9 +98,9 @@ def test_exactness_resolve_check():
 
 
 def test_determinism():
-    p = lp.LinearProgram(variables=["a", "b", "c"], objective={"a": F(1), "b": F(2), "c": F(1)})
-    p.add_constraint({"a": 1, "b": 1, "c": 1}, lp.EQ, F(5, 2))
-    p.add_constraint({"a": 2, "c": 1}, lp.GE, 2)
+    p = lp.LinearProgram(variables=["a", "b", "c"], objective={0: F(1), 1: F(2), 2: F(1)})
+    p.add_constraint({0: 1, 1: 1, 2: 1}, lp.EQ, F(5, 2))
+    p.add_constraint({0: 2, 2: 1}, lp.GE, 2)
     s1 = lp.solve_lp(p)
     s2 = lp.solve_lp(p)
     assert s1 == s2
@@ -74,11 +109,10 @@ def test_determinism():
 def _dual_of(c, A, b):
     """Dual of min c.x s.t. A x >= b, x >= 0 as another min LP (negated max)."""
     m, n = len(A), len(c)
-    names = [f"y{i}" for i in range(m)]
-    dual = lp.LinearProgram(variables=list(names),
-                            objective={names[i]: -b[i] for i in range(m)})
+    dual = lp.LinearProgram(variables=[f"y{i}" for i in range(m)],
+                            objective={i: -b[i] for i in range(m)})
     for j in range(n):
-        dual.add_constraint({names[i]: A[i][j] for i in range(m)}, lp.LE, c[j])
+        dual.add_constraint({i: A[i][j] for i in range(m)}, lp.LE, c[j])
     return dual
 
 
@@ -92,9 +126,9 @@ def test_strong_duality_spot_check():
         if any(all(A[i][j] == 0 for j in range(n)) and b[i] > 0 for i in range(m)):
             continue  # trivially infeasible row
         primal = lp.LinearProgram(variables=[f"x{j}" for j in range(n)],
-                                  objective={f"x{j}": c[j] for j in range(n)})
+                                  objective={j: c[j] for j in range(n)})
         for i in range(m):
-            primal.add_constraint({f"x{j}": A[i][j] for j in range(n)}, lp.GE, b[i])
+            primal.add_constraint({j: A[i][j] for j in range(n)}, lp.GE, b[i])
         psol = lp.solve_lp(primal)
         dsol = lp.solve_lp(_dual_of(c, A, b))
         assert psol.status == lp.OPTIMAL and dsol.status == lp.OPTIMAL
@@ -103,30 +137,32 @@ def test_strong_duality_spot_check():
 
 @pytest.mark.parametrize("rows,ray,report", [
     # x <= 1, x == 3, -x <= 0: the last multiplier must be >= 0
-    ([({"x": 1}, lp.LE, 1), ({"x": 1}, lp.EQ, 3), ({"x": -1}, lp.LE, 0)], [0, -1, -1],
+    ([({X: 1}, lp.LE, 1), ({X: 1}, lp.EQ, 3), ({X: -1}, lp.LE, 0)], [0, -1, -1],
      ["constraint 2 (<=): multiplier -1 has the wrong sign"]),
     # -x >= 0, x == -1: the first multiplier must be <= 0
-    ([({"x": -1}, lp.GE, 0), ({"x": 1}, lp.EQ, -1)], [1, 1],
+    ([({X: -1}, lp.GE, 0), ({X: 1}, lp.EQ, -1)], [1, 1],
      ["constraint 0 (>=): multiplier 1 has the wrong sign"]),
     # x + y <= 1, x + 2y == 3: (1, -1) gives y the column sum -1
-    ([({"x": 1, "y": 1}, lp.LE, 1), ({"x": 1, "y": 2}, lp.EQ, 3)], [1, -1],
+    ([({X: 1, Y: 1}, lp.LE, 1), ({X: 1, Y: 2}, lp.EQ, 3)], [1, -1],
      ["column 'y': w.A = -1 < 0"]),
     # x <= 1, x == 1 is feasible: (1, -1) gives w.b = 0
-    ([({"x": 1}, lp.LE, 1), ({"x": 1}, lp.EQ, 1)], [1, -1], ["w.b = 0 >= 0"]),
-    ([({"x": 1}, lp.LE, 1)], [1, -1], ["ray has 2 multipliers for 1 constraints"]),
+    ([({X: 1}, lp.LE, 1), ({X: 1}, lp.EQ, 1)], [1, -1], ["w.b = 0 >= 0"]),
+    ([({X: 1}, lp.LE, 1)], [1, -1], ["ray has 2 multipliers for 1 constraints"]),
     # x/2 + y/3 <= 1/4, 2x/3 + y/2 == 5/6: y gets 1/3 - 3/8
-    ([({"x": F(1, 2), "y": F(1, 3)}, lp.LE, F(1, 4)), ({"x": F(2, 3), "y": F(1, 2)}, lp.EQ, F(5, 6))],
+    ([({X: F(1, 2), Y: F(1, 3)}, lp.LE, F(1, 4)), ({X: F(2, 3), Y: F(1, 2)}, lp.EQ, F(5, 6))],
      [1, F(-3, 4)], ["column 'y': w.A = -1/24 < 0"]),
     # 3x/4 <= 5/6, 2x >= 1/3 is feasible: w.b = 1/3 - 1/21
-    ([({"x": F(3, 4)}, lp.LE, F(5, 6)), ({"x": 2}, lp.GE, F(1, 3))], [F(2, 5), F(-1, 7)],
+    ([({X: F(3, 4)}, lp.LE, F(5, 6)), ({X: 2}, lp.GE, F(1, 3))], [F(2, 5), F(-1, 7)],
      ["w.b = 2/7 >= 0"]),
     # x/2 - y == -1/3, 3y/2 <= 7/3 under an int and a Fraction multiplier
-    ([({"x": F(1, 2), "y": -1}, lp.EQ, F(-1, 3)), ({"y": F(3, 2)}, lp.LE, F(7, 3))], [3, F(1, 2)],
+    ([({X: F(1, 2), Y: -1}, lp.EQ, F(-1, 3)), ({Y: F(3, 2)}, lp.LE, F(7, 3))], [3, F(1, 2)],
      ["column 'y': w.A = -9/4 < 0", "w.b = 1/6 >= 0"]),
     # x/2 >= 3/4, x/3 <= 1/6 is infeasible, and (-2/3, 1) proves it
-    ([({"x": F(1, 2)}, lp.GE, F(3, 4)), ({"x": F(1, 3)}, lp.LE, F(1, 6))], [F(-2, 3), 1], []),
+    ([({X: F(1, 2)}, lp.GE, F(3, 4)), ({X: F(1, 3)}, lp.LE, F(1, 6))], [F(-2, 3), 1], []),
+    # an int row next to a Fraction row: x + y <= 1, y/2 >= 1 is infeasible
+    ([({X: 1, Y: 1}, lp.LE, 1), ({Y: F(1, 2)}, lp.GE, 1)], [1, -2], []),
 ], ids=["le-negative", "ge-positive", "column", "rhs", "length",
-        "fraction-column", "fraction-rhs", "mixed-ray", "fraction-ray-holds"])
+        "fraction-column", "fraction-rhs", "mixed-ray", "fraction-ray-holds", "int-and-fraction-rows"])
 def test_farkas_violations_reports_each_failure(rows, ray, report):
     p = lp.LinearProgram(variables=["x", "y"])
     for coeffs, rel, rhs in rows:
@@ -136,29 +172,29 @@ def test_farkas_violations_reports_each_failure(rows, ray, report):
 
 def test_check_point_slack_example():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({"x": 1}, lp.LE, 3)
-    v = lp.check_point(p, {"x": F(5)})
+    p.add_constraint({X: 1}, lp.LE, 3)
+    v = lp.check_point(p, {X: F(5)})
     assert len(v) == 1 and v[0].slack == -2
 
 
 def test_check_point_equality_met():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({"x": 2}, lp.EQ, 3)
-    assert lp.check_point(p, {"x": F(3, 2)}) == []
+    p.add_constraint({X: 2}, lp.EQ, 3)
+    assert lp.check_point(p, {X: F(3, 2)}) == []
 
 
 def test_check_point_missing_value():
     p = lp.LinearProgram(variables=["x", "y"])
-    with pytest.raises(ValidationError):
-        lp.check_point(p, {"x": F(0)})
+    with pytest.raises(ValidationError, match=r"no value supplied for column 1 \('y'\)"):
+        lp.check_point(p, {X: F(0)})
 
 
 def test_check_point_negative_value_is_one_bound_violation():
     # every variable is >= 0, and that is the only bound
     p = lp.LinearProgram(variables=["x", "y"])
-    p.add_constraint({"x": 1, "y": 1}, lp.LE, 3)
-    v = lp.check_point(p, {"x": F(-5, 2), "y": F(1)})
-    assert v == [lp.Violation("bound", "x", lp.GE, F(-5, 2), F(0), F(-5, 2))]
+    p.add_constraint({X: 1, Y: 1}, lp.LE, 3)
+    v = lp.check_point(p, {X: F(-5, 2), Y: F(1)})
+    assert v == [lp.Violation("bound", X, lp.GE, F(-5, 2), F(0), F(-5, 2))]
 
 
 # -- the dense tableau, kept as the reference for the sparse solver ----------
@@ -238,11 +274,10 @@ class _DenseTableau:
 
 def _dense_solve_lp(p):
     """Reference two-phase Bland simplex over a dense Fraction-built tableau."""
-    lp._validate(p)
-    col_of = {var: c for c, var in enumerate(p.variables)}
+    lp._int_rows(p)  # the same refusals
 
     def to_columns(coeffs):
-        return {col_of[var]: F(c) for var, c in coeffs.items() if c}
+        return {col: F(c) for col, c in coeffs.items() if c}
 
     row_kinds = []
     for con in p.constraints:
@@ -251,7 +286,7 @@ def _dense_solve_lp(p):
             flip = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[rel]
             cols, rel, rhs = {c: -v for c, v in cols.items()}, flip, -rhs
         row_kinds.append((cols, rel, rhs))
-    ncols = len(col_of)
+    ncols = nvars = len(p.variables)
     slack_of, art_of = [], []
     for _, rel, _ in row_kinds:
         slack_of.append(None if rel == lp.EQ else ncols)
@@ -317,18 +352,18 @@ def _dense_solve_lp(p):
         if tab.run([j not in art_cols for j in range(ncols)]) == lp.UNBOUNDED:
             return lp.LpSolution(lp.UNBOUNDED, {}, None)
     col_values = {b: F(tab.rows[i][ncols], tab.dens[i]) for i, b in enumerate(tab.basis)}
-    values = {var: col_values.get(c, F(0)) for var, c in col_of.items()}
+    values = {c: col_values.get(c, F(0)) for c in range(nvars)}
     obj_val = sum((F(c) * values[v] for v, c in p.objective.items()), F(0))
     return lp.LpSolution(lp.OPTIMAL, values, obj_val)
 
 
 def _random_lp(rng):
     """A small LP mixing every relation, sign and degenerate row."""
-    names = [f"v{i}" for i in range(rng.randint(1, 4))]
+    names = range(rng.randint(1, 4))
     objective = {}
     if rng.random() < 0.8:  # else identically zero
         objective = {v: F(rng.randint(-3, 3), rng.choice([1, 2])) for v in names}
-    p = lp.LinearProgram(variables=list(names), objective=objective)
+    p = lp.LinearProgram(variables=[f"v{i}" for i in names], objective=objective)
     for _ in range(rng.randint(0, 4)):
         coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2, 5])) for v in names
                   if rng.random() < 0.7}
@@ -349,8 +384,8 @@ def _random_lp(rng):
 def _degenerate_lp(rng):
     """A small integer LP with ratio-test ties and alternative optima, where
     the leaving-row tie rule decides which optimal vertex is returned."""
-    names = [f"v{i}" for i in range(rng.randint(3, 5))]
-    p = lp.LinearProgram(variables=list(names),
+    names = range(rng.randint(3, 5))
+    p = lp.LinearProgram(variables=[f"v{i}" for i in names],
                          objective={v: F(rng.choice([0, -1, 1])) for v in names})
     for _ in range(rng.randint(4, 7)):
         p.add_constraint({v: rng.choice([-1, 0, 1, 1, 2]) for v in names},
@@ -405,31 +440,65 @@ def test_int_coefficients_solve_like_fractions():
 def test_add_constraint_rejects_inexact_numbers(value):
     p = lp.LinearProgram(variables=["x"])
     with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
-        p.add_constraint({"x": value}, lp.LE, 1)
+        p.add_constraint({X: value}, lp.LE, 1)
     with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
-        p.add_constraint({"x": 1}, lp.LE, value)
+        p.add_constraint({X: 1}, lp.LE, value)
     assert p.constraints == []
-    p.add_constraint({"x": "0.1"}, lp.LE, "1/3")
-    assert p.constraints == [lp.Constraint({"x": F(1, 10)}, lp.LE, F(1, 3))]
+    p.add_constraint({X: "0.1"}, lp.LE, "1/3")
+    assert p.constraints == [lp.Constraint({X: F(1, 10)}, lp.LE, F(1, 3))]
 
 
 def test_drive_out_negates_the_row():
     # Phase 1 ends at once on -x - y == 0 with its artificial basic at level
     # 0: the row holds x with coefficient -1, so it is negated and x pivots in.
-    p = lp.LinearProgram(variables=["x", "y", "z"], objective={"y": F(-1), "z": F(1)})
-    p.add_constraint({"x": -1, "y": -1}, lp.EQ, 0)
-    p.add_constraint({"x": 1, "z": 1}, lp.GE, 1)
+    p = lp.LinearProgram(variables=["x", "y", "z"], objective={Y: F(-1), Z: F(1)})
+    p.add_constraint({X: -1, Y: -1}, lp.EQ, 0)
+    p.add_constraint({X: 1, Z: 1}, lp.GE, 1)
     sol = lp.solve_lp(p)
     assert sol == _dense_solve_lp(p)
-    assert sol.values == {"x": 0, "y": 0, "z": 1} and sol.objective_value == 1
+    assert sol.values == {X: 0, Y: 0, Z: 1} and sol.objective_value == 1
 
 
 def test_redundant_equality_row_is_dropped():
     # The second row repeats the first: phase 1 leaves its artificial basic
     # with no structural entry, so the row is dropped before phase 2.
-    p = lp.LinearProgram(variables=["x", "y"], objective={"x": F(1), "y": F(2)})
-    p.add_constraint({"x": 1, "y": 1}, lp.EQ, 3)
-    p.add_constraint({"x": 2, "y": 2}, lp.EQ, 6)
+    p = lp.LinearProgram(variables=["x", "y"], objective={X: F(1), Y: F(2)})
+    p.add_constraint({X: 1, Y: 1}, lp.EQ, 3)
+    p.add_constraint({X: 2, Y: 2}, lp.EQ, 6)
     sol = lp.solve_lp(p)
     assert sol == _dense_solve_lp(p)
-    assert sol.values == {"x": 3, "y": 0} and sol.objective_value == 3
+    assert sol.values == {X: 3, Y: 0} and sol.objective_value == 3
+
+
+# Every LP that one seed-0 pass over the maxflow-windows and totalflow-lp
+# benchmark pools solves, as (status, each column's value in column order,
+# objective, Farkas ray), hashed per pipeline.  Recorded when LPs were keyed
+# by variable name: keying them by column must keep every pivot.
+def test_pipeline_lp_solves_are_pinned(monkeypatch):
+    def text(v):
+        return None if v is None else rat_to_str(v)
+
+    records = []
+    real = lp.solve_lp
+
+    def recording(p):
+        sol = real(p)
+        records.append([sol.status, [text(sol.values[c]) for c in range(len(p.variables))] if sol.values else [],
+                        text(sol.objective_value), None if sol.ray is None else [text(w) for w in sol.ray]])
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    digests = {}
+    for tag, sizes, pool, run in (("maxflow", (8, 10, 12), 24, maxflow.full_round_maxflow),
+                                  ("totalflow", (4, 5), 40, totalflow.full_round_totalflow)):
+        for q in range(pool):
+            for n in sizes:
+                inst = core.gen_random_instance(n, 2, (1, 4), (0, 2 * n), 0.2, substream_seed(0, f"{tag}:{n}:{q}"))
+                run(inst, coloring.color_greedy)
+        blob = json.dumps(records, separators=(",", ":")).encode()
+        digests[tag] = len(records), hashlib.sha256(blob).hexdigest()
+        records.clear()
+    assert digests == {
+        "maxflow": (131, "548b12cfe8d84820872352f2f73f7ff1f3909c44f222edbb92849395e4b12510"),
+        "totalflow": (80, "59c0341d012309ec30ff589422c52a3d310a2af1078b47a0636478a7021f9589"),
+    }

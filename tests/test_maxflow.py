@@ -41,7 +41,6 @@ from flowdisc.maxflow import (
     rounding_vectors,
     solve_min_T,
     split_to_pair_instance,
-    var_name,
 )
 from flowdisc.util import InternalCheckError, ValidationError, rat_to_str, substream_seed
 
@@ -510,21 +509,21 @@ def _quadratic_assignment_lp(inst, T):
     """Reference assignment LP at bound T: one window row per machine and pair of release times."""
     usable = [[p is not None and p <= T for p in job.proc] for job in inst.jobs]
     lp = lpmod.LinearProgram()
-    lp.variables = [var_name(j, i) for j in range(inst.n) for i in range(inst.m) if usable[j][i]]
+    col = {(j, i): lp.add_variable((j, i)) for j in range(inst.n) for i in range(inst.m) if usable[j][i]}
     for j in range(inst.n):
-        lp.add_constraint({var_name(j, i): 1 for i in range(inst.m) if usable[j][i]}, lpmod.EQ, 1)
+        lp.add_constraint({col[j, i]: 1 for i in range(inst.m) if usable[j][i]}, lpmod.EQ, 1)
     times = sorted({job.release for job in inst.jobs})
     for i in range(inst.m):
         for a, t1 in enumerate(times):
             for t2 in times[a:]:
-                coeffs = {var_name(j, i): job.proc[i] for j, job in enumerate(inst.jobs)
+                coeffs = {col[j, i]: job.proc[i] for j, job in enumerate(inst.jobs)
                           if t1 <= job.release <= t2 and usable[j][i]}
                 if coeffs:
                     lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + T)
     return lp
 
 
-def test_carry_rows_match_quadratic_windows(complete_carries):
+def test_carry_rows_match_quadratic_windows(complete_carries, relabel):
     # fractional releases and processing times, equal releases, forbidden
     # entries, and a third machine that no job can use
     rng = random.Random(43)
@@ -552,9 +551,9 @@ def test_carry_rows_match_quadratic_windows(complete_carries):
             assert sol.status == ref.status
             statuses.add(sol.status)
             if sol.status == lpmod.OPTIMAL:
-                x = {v: sol.values[v] for v in ref_lp.variables}
+                x = relabel(lp, sol.values, ref_lp)
                 assert lpmod.check_point(ref_lp, x) == []
-                assert lpmod.check_point(lp, complete_carries(lp, ref.values)) == []
+                assert lpmod.check_point(lp, complete_carries(lp, relabel(ref_lp, ref.values, lp))) == []
     assert statuses == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
 
 
@@ -871,8 +870,9 @@ def test_min_T_search_solves_no_lp_twice(monkeypatch):
         monkeypatch.undo()
         assert len(solved) == len(set(solved))
         assert all(objective == () for _, objective, _ in solved)  # feasibility LPs only
-        witness = lpmod.solve_lp(build_assignment_lp(inst, search.t_star))
-        assert search.assignment == maxflow.assignment_from_solution(inst, search.t_star, witness)
+        lp = build_assignment_lp(inst, search.t_star)
+        witness = lpmod.solve_lp(lp)
+        assert search.assignment == maxflow.assignment_from_solution(inst, search.t_star, lp, witness)
         cached += search.t_star in {p for _, _, p in inst.finite_procs()}
     assert cached  # some t_star was a breakpoint, so its witness came from the cache
 
@@ -942,19 +942,17 @@ def _fraction_build_assignment_lp(inst, T):
     """build_assignment_lp on Fraction times (reference)."""
     T = F(T)
     lp = lpmod.LinearProgram()
-    allowed = []
-    for j, job in enumerate(inst.jobs):
-        allowed.append([p is not None and p <= T for p in job.proc])
-        lp.variables += [var_name(j, i) for i in range(inst.m) if allowed[j][i]]
+    allowed = [[p is not None and p <= T for p in job.proc] for job in inst.jobs]
+    col = {(j, i): lp.add_variable((j, i)) for j in range(inst.n) for i in range(inst.m) if allowed[j][i]}
     for j in range(inst.n):
-        lp.add_constraint({var_name(j, i): F(1) for i in range(inst.m) if allowed[j][i]}, lpmod.EQ, 1)
+        lp.add_constraint({col[j, i]: F(1) for i in range(inst.m) if allowed[j][i]}, lpmod.EQ, 1)
     for i in range(inst.m):
         loads = {}
         for j, job in enumerate(inst.jobs):
             if allowed[j][i]:
-                loads.setdefault(job.release, {})[var_name(j, i)] = job.proc[i]
+                loads.setdefault(job.release, {})[col[j, i]] = job.proc[i]
         times = sorted(loads)
-        carries = add_carry_rows(lp, f"C[{i}]", [(loads[t], u - t) for t, u in zip(times, times[1:])])
+        carries = add_carry_rows(lp, ("C", i), [(loads[t], u - t) for t, u in zip(times, times[1:])])
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
             lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
     return lp
@@ -993,10 +991,11 @@ def test_bounds_and_assignments_reject_inexact_numbers(value):
         FractionalAssignment(x=[[value, 0]], T=2)
     with pytest.raises(ValidationError, match=match):
         FractionalAssignment(x=[[1, 0]], T=value)
-    sol = lpmod.solve_lp(build_assignment_lp(inst, 2))
+    lp = build_assignment_lp(inst, 2)
+    sol = lpmod.solve_lp(lp)
     with pytest.raises(ValidationError, match=match):
-        maxflow.assignment_from_solution(inst, value, sol)
-    assert maxflow.assignment_from_solution(inst, "2", sol) == FractionalAssignment(x=[[1, 0]], T=2)
+        maxflow.assignment_from_solution(inst, value, lp, sol)
+    assert maxflow.assignment_from_solution(inst, "2", lp, sol) == FractionalAssignment(x=[[1, 0]], T=2)
 
 
 def _scaled_down(inst, k):

@@ -52,7 +52,6 @@ from flowdisc.totalflow import (
     solution_violations,
     split_jobs_instance,
     ti_cost,
-    yvar,
 )
 from flowdisc.util import InternalCheckError, ValidationError, rat_from_str, rat_to_str
 
@@ -155,7 +154,7 @@ def test_aux_objective_between_half_and_full():
     inst = gen_random_instance(4, 2, (1, 6), (0, 4), 0.0, seed=9)
     lp, H = build_time_indexed_lp(inst)
     sol = lpmod.solve_lp(lp)
-    y = solution_from_lp(inst, sol, H)
+    y = solution_from_lp(inst, lp, sol, H)
     assert aux_cost(inst, y) <= ti_cost(inst, y)
     assert aux_cost(inst, y) >= ti_cost(inst, y) / 2
 
@@ -163,7 +162,7 @@ def test_aux_objective_between_half_and_full():
 def test_ti_feasible_solutions_fit_aux_at_alpha_zero():
     inst = gen_random_instance(4, 2, (1, 4), (0, 4), 0.0, seed=10)
     lp, H = build_time_indexed_lp(inst)
-    y = solution_from_lp(inst, lpmod.solve_lp(lp), H)
+    y = solution_from_lp(inst, lp, lpmod.solve_lp(lp), H)
     aux, _ = build_auxiliary_lp(inst, 0, horizon=H)
     # each volume moves to the first slot of its event gap
     starts = sorted({0} | {int(job.release) for job in inst.jobs})
@@ -172,11 +171,20 @@ def test_ti_feasible_solutions_fit_aux_at_alpha_zero():
         key = (i, j, max(s for s in starts if s <= t))
         moved[key] = moved.get(key, F(0)) + v
     moved = TimeIndexedSolution(horizon=H, entries=moved)
-    assert {yvar(*key) for key in moved.entries} <= set(aux.variables)
-    values = {v: F(0) for v in aux.variables}
-    values.update({yvar(*key): v for key, v in moved.entries.items()})
+    assert set(moved.entries) <= set(aux.variables)
+    values = {c: moved.entries.get(label, F(0)) for c, label in enumerate(aux.variables)}
     assert lpmod.check_point(aux, values) == []
     assert aux_cost(inst, moved) <= aux_cost(inst, y)
+
+
+@pytest.mark.parametrize("key,bad", [((0.7, 0, 2.9), 0.7), ((0, 0, 2.9), 2.9), ((True, 0, 0), True),
+                                     ((0, False, 0), False), ((0, 0, "1"), "1")],
+                         ids=["float-machine", "float-slot", "bool-machine", "bool-job", "str-slot"])
+def test_solution_keys_are_ints_only(key, bad):
+    # int() would move the volume: (0.7, 0, 2.9) to (0, 0, 2), (True, 0, 0) to (1, 0, 0)
+    with pytest.raises(ValidationError, match=f"got {type(bad).__name__} {bad!r}"):
+        TimeIndexedSolution(3, {key: 1})
+    assert TimeIndexedSolution(3, {(1, 0, 2): 1}).vol == {(1, 0, 2): 1}
 
 
 def test_measure_alpha_capacity_obeying_zero():
@@ -200,7 +208,7 @@ def test_measure_alpha_consistent_with_feasibility():
     alpha0 = F(1, 2)
     lp, H = build_auxiliary_lp(inst, alpha0)
     sol = lpmod.solve_lp(lp)
-    y = solution_from_lp(inst, sol, H)
+    y = solution_from_lp(inst, lp, sol, H)
     assert measure_alpha(inst, y).alpha <= alpha0
 
 
@@ -210,28 +218,28 @@ def _quadratic_auxiliary_lp(inst, alpha, H):
               for i in range(inst.m) if job.proc[i] is not None]
     slots = {(i, j): range(int(inst.jobs[j].release), H) for i, j, _ in usable}
     lp = lpmod.LinearProgram()
-    lp.variables = [yvar(i, j, t) for j in range(inst.n) for i in range(inst.m)
-                    if (i, j) in slots for t in slots[(i, j)]]
+    col = {(i, j, t): lp.add_variable((i, j, t)) for j in range(inst.n) for i in range(inst.m)
+           if (i, j) in slots for t in slots[(i, j)]}
     for j, job in enumerate(inst.jobs):
-        lp.add_constraint({yvar(i, j, t): 1 / job.proc[i] for i in range(inst.m)
+        lp.add_constraint({col[i, j, t]: 1 / job.proc[i] for i in range(inst.m)
                            if (i, j) in slots for t in slots[(i, j)]}, lpmod.EQ, 1)
         for i in range(inst.m):
             if (i, j) in slots:
                 k = class_index(job.proc[i])
                 for t in slots[(i, j)]:
-                    lp.objective[yvar(i, j, t)] = (t - job.release) / F(2) ** k + F(1, 2)
+                    lp.objective[col[i, j, t]] = (t - job.release) / F(2) ** k + F(1, 2)
     events = sorted({0, H} | {int(job.release) for job in inst.jobs})
     for i, k in sorted({(i, k) for i, _, k in usable}):
         for a, t1 in enumerate(events):
             for t2 in events[a + 1:]:
-                coeffs = {yvar(i, j, t): 1 for ii, j, kk in usable if ii == i and kk <= k
+                coeffs = {col[i, j, t]: 1 for ii, j, kk in usable if ii == i and kk <= k
                           for t in range(max(t1, int(inst.jobs[j].release)), t2)}
                 if coeffs:
                     lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + alpha * F(2) ** k)
     return lp
 
 
-def test_aux_carry_rows_match_quadratic_windows(complete_carries):
+def test_aux_carry_rows_match_quadratic_windows(complete_carries, relabel):
     # equal releases, forbidden entries, a third machine that no job can use,
     # and horizons too short for some instances
     from flowdisc.totalflow import default_horizon
@@ -256,11 +264,11 @@ def test_aux_carry_rows_match_quadratic_windows(complete_carries):
             statuses.add(sol.status)
             if sol.status == lpmod.OPTIMAL:
                 # the event-slot optimum, lifted to every slot: 0 off the gap starts
-                y = {v: x for v, x in sol.values.items() if v.startswith("y[")}
+                y = _y_part(lp, sol.values)
                 assert set(y) <= set(ref_lp.variables)
-                y = {v: y.get(v, F(0)) for v in ref_lp.variables}
+                y = {c: y.get(label, F(0)) for c, label in enumerate(ref_lp.variables)}
                 assert lpmod.check_point(ref_lp, y) == []
-                assert lpmod.check_point(lp, complete_carries(lp, ref.values)) == []
+                assert lpmod.check_point(lp, complete_carries(lp, relabel(ref_lp, ref.values, lp))) == []
     assert statuses == {lpmod.OPTIMAL, lpmod.INFEASIBLE}
     with pytest.raises(ValidationError):
         build_auxiliary_lp(inst, F(-1, 4))
@@ -273,7 +281,7 @@ def _slot_auxiliary_lp(inst, alpha, horizon=None):
     if alpha < 0:
         raise ValidationError(f"slack alpha must be nonnegative, got {alpha}")
     H = default_horizon(inst) if horizon is None else int(horizon)
-    lp = _slot_program(inst, class_scale, range(H))
+    lp, col = _slot_program(inst, class_scale, range(H))
     classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
     events = sorted({0, H} | {int(job.release) for job in inst.jobs})
     for i in range(inst.m):
@@ -282,17 +290,18 @@ def _slot_auxiliary_lp(inst, alpha, horizon=None):
             group = [j for j in range(inst.n) if (i, j) in classes and classes[(i, j)] <= k]
             steps = []
             for t1, t2 in zip(events, events[1:]):
-                coeffs = {yvar(i, j, t): 1 for j in group
+                coeffs = {col[i, j, t]: 1 for j in group
                           for t in range(max(t1, int(inst.jobs[j].release)), t2)}
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
-            for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+            for carry in add_carry_rows(lp, ("C", i, k), steps):
                 lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
     return lp, H
 
 
-def _y_part(values):
-    return {v: x for v, x in values.items() if v.startswith("y[") and x != 0}
+def _y_part(lp, values):
+    """The nonzero y values of a point over `lp`'s columns, by label (i, j, t)."""
+    return {lp.variables[c]: x for c, x in values.items() if lp.variables[c][0] != "C" and x != 0}
 
 
 def test_event_slot_lp_matches_slot_lp(complete_carries):
@@ -320,13 +329,13 @@ def test_event_slot_lp_matches_slot_lp(complete_carries):
             statuses.append(sol.status)
             if sol.status != lpmod.OPTIMAL:
                 continue
-            y, y_ref = _y_part(sol.values), _y_part(ref.values)
+            y, y_ref = _y_part(lp, sol.values), _y_part(ref_lp, ref.values)
             # the slot-LP optimum has no volume off the gap starts
-            assert all(int(v[2:-1].split(",")[2]) in starts for v in y_ref)
-            lifted = {v: y.get(v, F(0)) for v in ref_lp.variables if v.startswith("y[")}
-            assert set(y) <= set(lifted)
+            assert all(t in starts for _, _, t in y_ref)
+            lifted = {c: y.get(label, F(0)) for c, label in enumerate(ref_lp.variables) if label[0] != "C"}
+            assert set(y) <= {ref_lp.variables[c] for c in lifted}
             assert lpmod.check_point(ref_lp, complete_carries(ref_lp, lifted)) == []
-            lowered = {v: y_ref.get(v, F(0)) for v in lp.variables if v.startswith("y[")}
+            lowered = {c: y_ref.get(label, F(0)) for c, label in enumerate(lp.variables) if label[0] != "C"}
             assert lpmod.check_point(lp, complete_carries(lp, lowered)) == []
             assert y == y_ref
             same_y += 1
@@ -338,16 +347,16 @@ def _carry_auxiliary_lp(inst, alpha, H):
     """Reference auxiliary LP in carry form at every alpha: event-gap columns,
     Lindley carry rows per (machine, class) and a cap alpha * 2^k per carry."""
     events = sorted({0, H} | {int(job.release) for job in inst.jobs if job.release < H})
-    lp = _slot_program(inst, class_scale, events[:-1])
+    lp, col = _slot_program(inst, class_scale, events[:-1])
     classes = {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
     for i, k in sorted(set((i, k) for (i, _), k in classes.items())):
         steps = []
         for t1, t2 in zip(events, events[1:]):
-            coeffs = {yvar(i, j, t1): 1 for (ii, j), kk in classes.items()
+            coeffs = {col[i, j, t1]: 1 for (ii, j), kk in classes.items()
                       if ii == i and kk <= k and inst.jobs[j].release <= t1}
             if coeffs or steps:
                 steps.append((coeffs, t2 - t1))
-        for carry in add_carry_rows(lp, f"C[{i},{k}]", steps):
+        for carry in add_carry_rows(lp, ("C", i, k), steps):
             lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
     return lp
 
@@ -372,10 +381,10 @@ def test_aux_lp_at_alpha_zero_has_no_carries():
             assert _rows(lp) == _rows(ref)
         lp, _ = build_auxiliary_lp(inst, 0, horizon=H)
         ref = _carry_auxiliary_lp(inst, 0, H)
-        assert not any(v.startswith("C[") for v in lp.variables)
-        assert lp.variables == [v for v in ref.variables if v.startswith("y[")]
+        assert not any(v[0] == "C" for v in lp.variables)
+        assert lp.variables == [v for v in ref.variables if v[0] != "C"]
         assert lp.objective == ref.objective
-        pinned = [({v: c for v, c in coeffs.items() if not v.startswith("C[")}, rel, rhs)
+        pinned = [({c: x for c, x in coeffs.items() if ref.variables[c][0] != "C"}, rel, rhs)
                   for coeffs, rel, rhs in _rows(ref)]
         assert _rows(lp) == [row for row in pinned if row[0]]  # the caps read 0 <= 0
         # n completion rows, then one row per (machine, class, gap holding a usable job)
@@ -392,7 +401,7 @@ def test_aux_lp_size_does_not_grow_with_the_horizon():
     lp, H = build_auxiliary_lp(inst, 0)
     gaps = 2  # [0, 10^6) and [10^6, H)
     assert H > 10 ** 6
-    assert sum(v.startswith("y[") for v in lp.variables) <= inst.m * inst.n * gaps
+    assert sum(v[0] != "C" for v in lp.variables) <= inst.m * inst.n * gaps
     y, trace = full_round_totalflow(inst, brute)
     assert integral_assignment(inst, y) is not None
     assert check_result(inst, result_to_json(trace)) == []
@@ -402,7 +411,7 @@ def test_horizon_at_or_below_a_release_is_infeasible():
     inst = make_instance(1, [(0, [1]), (5, [1]), (7, [1])])
     for H in (5, 6):
         lp, _ = build_auxiliary_lp(inst, 1, horizon=H)
-        assert all(int(v[2:-1].split(",")[2]) < H for v in lp.variables if v.startswith("y["))
+        assert all(v[2] < H for v in lp.variables if v[0] != "C")
         assert lpmod.solve_lp(lp).status == lpmod.INFEASIBLE
         ti_lp, _ = build_time_indexed_lp(inst, horizon=H)
         assert lpmod.solve_lp(ti_lp).status == lpmod.INFEASIBLE
@@ -490,18 +499,19 @@ def test_slot_objective_and_completion_rows():
         gap_starts = sorted({0} | {int(job.release) for job in inst.jobs})
         for lp, scale, slots in [(ti_lp, lambda p: p, range(H)),
                                  (aux_lp, lambda p: 1 << (int(p) - 1).bit_length(), gap_starts)]:
-            expected = {}  # y name -> (job, objective, completion coefficient)
+            expected = {}  # y label -> (job, objective, completion coefficient)
             for j, job in enumerate(inst.jobs):
                 for i, p in enumerate(job.proc):
                     if p is None:
                         continue
                     for t in slots:
                         if job.release <= t < H:
-                            expected[yvar(i, j, t)] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
-            assert [name for name in lp.variables if name.startswith("y[")] == list(expected)
-            assert {name: cost for name, (_, cost, _) in expected.items()} == lp.objective
+                            expected[i, j, t] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
+            assert [label for label in lp.variables if label[0] != "C"] == list(expected)
+            assert {label: cost for label, (_, cost, _) in expected.items()} == {
+                lp.variables[c]: cost for c, cost in lp.objective.items()}
             completion = [con for con in lp.constraints if con.relation == lpmod.EQ]
-            assert [(con.coeffs, con.rhs) for con in completion] == [
+            assert [({lp.variables[c]: x for c, x in con.coeffs.items()}, con.rhs) for con in completion] == [
                 ({name: c for name, (jj, _, c) in expected.items() if jj == j}, 1) for j in range(inst.n)
             ]
 

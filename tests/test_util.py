@@ -6,14 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from flowdisc import coloring, core, equivalence, game, lp, sdp, totalflow, util
-from flowdisc.util import ValidationError, common_scale, exact, exact_fraction, scaled
+from flowdisc.util import ValidationError, common_scale, exact, exact_fraction, scaled, scaled_list
 
 
 def _check_point(x):
     prog = lp.LinearProgram()
-    prog.variables.append("x")
-    prog.add_constraint({"x": 1}, lp.LE, 1)
-    return lp.check_point(prog, {"x": x})
+    col = prog.add_variable("x")
+    prog.add_constraint({col: 1}, lp.LE, 1)
+    return lp.check_point(prog, {col: x})
 
 
 # Every entry point that takes a caller's number as exact, with that number in
@@ -76,3 +76,18 @@ def test_common_scale_and_scaled_match_fraction_products():
         for v in values:
             assert scaled(v, scale) == v * scale and type(scaled(v, scale)) is int
             assert scaled(v, 2 * scale) == 2 * v * scale
+
+
+def test_scaled_list_matches_scaled_per_value():
+    rng = random.Random(25)
+    assert scaled_list([], 6) == []
+    for _ in range(300):
+        values = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+        values += [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
+        scale = common_scale(values)
+        values += [None] * rng.randint(0, 2)  # a forbidden machine's time
+        rng.shuffle(values)
+        for s in (scale, 3 * scale):
+            ints = scaled_list(iter(values), s)  # any iterable
+            assert ints == [None if v is None else scaled(v, s) for v in values]
+            assert all(type(w) is int for w in ints if w is not None) and ints.count(None) == values.count(None)
