@@ -162,17 +162,20 @@ def worst_window(pairs):
     return best
 
 
+CARRY = "C"  # the first part of every carry column's label, and of no other
+
+
 def add_carry_rows(lp, tag: tuple, steps) -> list[int]:
     """Lindley's recursion as LP rows, for ``(load coeffs, width)`` steps in
-    time order: step b adds a column C_b >= 0 labelled ``(*tag, b)``, which it
-    returns, and the row C_{b-1} + load_b - C_b <= width_b.  Feasible carries
+    time order: step b adds a column C_b >= 0 labelled ``(CARRY, *tag, b)``,
+    which it returns, and the row C_{b-1} + load_b - C_b <= width_b.  Feasible carries
     are at least the queue carry max(0, max_a sum_{a..b} (load - width)), which
     is feasible itself, so capping C_b caps every window that ends with step b.
     """
     cols: list[int] = []
     for b, (coeffs, width) in enumerate(steps):
         carry_in = {cols[-1]: 1} if cols else {}
-        cols.append(lp.add_variable((*tag, b)))
+        cols.append(lp.add_variable((CARRY, *tag, b)))
         lp.constraints.append(Constraint({**coeffs, **carry_in, cols[-1]: -1}, LE, width))
     return cols
 

@@ -4,7 +4,7 @@ Everything is computed over exact rationals; there are no tolerances anywhere.
 LPs come in standard form over columns 0, 1, ..., each a nonnegative variable
 with no other bound; the objective and every row map columns to ints or
 `Fraction`s.  A tableau row is a sparse ``{column: int}`` dict of its nonzero
-entries: a row of ints becomes one with one dict copy, and a row that holds a
+entries: a row of ints is copied without its zeros, and a row that holds a
 `Fraction` is scaled by the lcm of its denominators.  A pivot updates only the
 rows that hold the entering column, with one gcd pass per updated row, so the
 hot loop stays in bignum arithmetic with no per-entry `Fraction` normalization.
@@ -63,7 +63,9 @@ class LinearProgram:
         """Append ``coeffs . x relation rhs``, numbers through `util.exact`."""
         if relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {relation!r}")
-        self.constraints.append(Constraint({j: exact(c) for j, c in coeffs.items()}, relation, exact(rhs)))
+        self.constraints.append(
+            Constraint({j: exact(c) for j, c in coeffs.items()}, relation, exact(rhs))
+        )
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,18 @@ class Violation:
 def _int_rows(lp: LinearProgram) -> list[tuple]:
     """Each constraint, then the objective, as (row, rhs, den): its numbers as
     ints over the lcm `den` of the denominators of its `Fraction` entries, with
-    no zero entry, so a row of ints is one dict copy.  Refuses a row, also one
-    appended straight to `constraints`, with a number that is not an int or a
-    `Fraction` (a bool is not) or a column that is not an int in range; the LP
-    is checked as a whole, and row by row only to name what is wrong."""
+    no zero entry.  Refuses a row, also one appended straight to
+    `constraints`, with a number that is not an int or a `Fraction` (a bool is
+    not) or a column that is not an int in range; the LP is checked as a
+    whole, and row by row only to name what is wrong."""
     rows = [*lp.constraints, Constraint(lp.objective, EQ, 0)]
-    coeffs, rhss = list(map(itemgetter(0), rows)), list(map(itemgetter(2), rows))
+    coeffs = list(map(itemgetter(0), rows))
     keys = list(chain.from_iterable(coeffs))
-    values = list(chain.from_iterable(map(dict.values, coeffs)))
-    kinds, n = {*map(type, values), *map(type, rhss)}, len(lp.variables)
-    checked = (_RELATIONS.issuperset(map(itemgetter(1), rows)) and _EXACT.issuperset(kinds)
-               and _INT.issuperset(map(type, keys)) and (not keys or min(keys) >= 0 and max(keys) < n))
-    if checked and kinds == _INT and 0 not in values:
-        return list(zip(map(dict, coeffs), rhss, [1] * len(rows)))
-    out = []
-    for pos, (row, relation, rhs) in enumerate(rows):
-        if not checked:
+    kinds = {*map(type, chain.from_iterable(map(dict.values, coeffs))), *map(type, map(itemgetter(2), rows))}
+    n = len(lp.variables)
+    if not (_RELATIONS.issuperset(map(itemgetter(1), rows)) and _EXACT.issuperset(kinds)
+            and _INT.issuperset(map(type, keys)) and (not keys or min(keys) >= 0 and max(keys) < n)):
+        for pos, (row, relation, rhs) in enumerate(rows):
             bad = [f"unknown relation {relation!r}"] if relation not in _RELATIONS else []
             bad += [f"expected an int or a Fraction, got {type(v).__name__} {v!r}"
                     for v in (*row.values(), rhs) if type(v) not in _EXACT]
@@ -112,7 +110,9 @@ def _int_rows(lp: LinearProgram) -> list[tuple]:
             if bad:
                 where = f"constraint {pos}" if pos < len(lp.constraints) else "objective"
                 raise ValidationError(f"{where}: {bad[0]}")
-        if type(rhs) is int and _INT.issuperset(map(type, row.values())):
+    out, ints = [], kinds == _INT  # an LP of ints has only int rows
+    for row, _, rhs in rows:
+        if ints or type(rhs) is int and _INT.issuperset(map(type, row.values())):
             out.append(({j: c for j, c in row.items() if c}, rhs, 1))
         else:
             den = common_scale([rhs, *row.values()])

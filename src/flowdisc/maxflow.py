@@ -24,6 +24,7 @@ from typing import Callable, Optional
 from . import lp as lpmod
 from .coloring import PREFIX, SignedVectorSequence, discrepancy
 from .core import (
+    CARRY,
     Job,
     MachineAssignment,
     SchedulingInstance,
@@ -99,7 +100,7 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     per machine, not one per pair of release times.  The caps are the ``<=``
     rows with no negative coefficient (a carry row has its carry-out at -1).
     Column x_ij, labelled (j, i), exists only if p_ij <= T; the carries are
-    labelled ("C", i, b), and they follow every x column.
+    labelled (CARRY, i, b), and they follow every x column.
 
     The build reads `integer_times`: it prunes, groups and sorts on ints over
     one scale.  A coefficient or width is an int when that scale is 1 and a
@@ -128,7 +129,7 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     for i, by_time in enumerate(loads):
         times = sorted(by_time)
         steps = [(by_time[t], number(u - t)) for t, u in zip(times, times[1:])]
-        carries = add_carry_rows(lp, ("C", i), steps)
+        carries = add_carry_rows(lp, (i,), steps)
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
             rows.append(lpmod.Constraint({**by_time[t], **carry_in}, lpmod.LE, cap))
     return lp
@@ -139,7 +140,7 @@ def assignment_from_solution(inst: SchedulingInstance, T, lp: lpmod.LinearProgra
     """The x columns of `lp`'s solution, labelled ``(j, i)``, as an n x m matrix."""
     x = [[_ZERO] * inst.m for _ in range(inst.n)]
     for col, v in sol.values.items():
-        if lp.variables[col][0] != "C":  # not a carry ("C", i, b)
+        if lp.variables[col][0] != CARRY:
             j, i = lp.variables[col]
             x[j][i] = v
     return FractionalAssignment(x=x, T=T)

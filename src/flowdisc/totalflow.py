@@ -38,6 +38,7 @@ from typing import Callable, Optional
 from . import lp as lpmod
 from .coloring import PREFIX, SignedVectorSequence, discrepancy
 from .core import (
+    CARRY,
     Job,
     MachineAssignment,
     SchedulingInstance,
@@ -202,8 +203,10 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
     lp, col = _slot_program(inst, lambda p: p, range(H))
     for i in range(inst.m):
         for t in range(H):
-            coeffs = {col[i, j, t]: 1 for j, job in enumerate(inst.jobs)
-                      if job.proc[i] is not None and int(job.release) <= t}
+            coeffs = {}
+            for j, job in enumerate(inst.jobs):
+                if job.proc[i] is not None and int(job.release) <= t:
+                    coeffs[col[i, j, t]] = 1
             if coeffs:
                 lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, 1))
     return lp, H
@@ -211,7 +214,11 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
 
 def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
     """0, the releases below H and H itself, sorted: the ends of the event gaps."""
-    return sorted({0, H, *(int(job.release) for job in inst.jobs if job.release < H)})
+    slots = {0, H}
+    for job in inst.jobs:
+        if job.release < H:
+            slots.add(int(job.release))
+    return sorted(slots)
 
 
 def class_scale(p):
@@ -276,9 +283,10 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
             if alpha == 0:  # every carry is capped at 0: each step's load fits its gap
-                lp.constraints += [lpmod.Constraint(coeffs, lpmod.LE, width) for coeffs, width in steps]
+                for coeffs, width in steps:
+                    lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, width))
             else:
-                for carry in add_carry_rows(lp, ("C", i, k), steps):
+                for carry in add_carry_rows(lp, (i, k), steps):
                     lp.constraints.append(lpmod.Constraint({carry: 1}, lpmod.LE, alpha * pow2(k)))
     return lp, H
 
@@ -287,7 +295,7 @@ def solution_from_lp(inst: SchedulingInstance, lp: lpmod.LinearProgram, sol: lpm
                      horizon: int) -> TimeIndexedSolution:
     """The nonzero y columns of `lp`'s solution, labelled ``(i, j, t)``."""
     return TimeIndexedSolution(horizon=horizon, entries={
-        lp.variables[col]: v for col, v in sol.values.items() if v and lp.variables[col][0] != "C"})
+        lp.variables[col]: v for col, v in sol.values.items() if v and lp.variables[col][0] != CARRY})
 
 
 def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:

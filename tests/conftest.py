@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flowdisc import lp as lpmod
+from flowdisc.core import CARRY
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -33,8 +34,9 @@ def record():
 def complete_carries():
     """Extend a point with the Lindley carries of an LP built by add_carry_rows.
 
-    Each carry appears first in its own row, with coefficient -1; it gets the
-    least value that row allows, max(0, rest of the row - rhs).
+    Each carry, labelled (CARRY, ...), appears first in its own row, with
+    coefficient -1; it gets the least value that row allows,
+    max(0, rest of the row - rhs).
     """
     def complete(lp, values):
         out = dict(values)
@@ -42,7 +44,7 @@ def complete_carries():
             unknown = [v for v in con.coeffs if v not in out]
             if unknown:
                 (carry,) = unknown
-                assert con.relation == lpmod.LE and con.coeffs[carry] == -1
+                assert con.relation == lpmod.LE and con.coeffs[carry] == -1 and lp.variables[carry][0] == CARRY
                 rest = sum(c * out[v] for v, c in con.coeffs.items() if v != carry)
                 out[carry] = max(Fraction(0), rest - con.rhs)
         return out

@@ -952,7 +952,7 @@ def _fraction_build_assignment_lp(inst, T):
             if allowed[j][i]:
                 loads.setdefault(job.release, {})[col[j, i]] = job.proc[i]
         times = sorted(loads)
-        carries = add_carry_rows(lp, ("C", i), [(loads[t], u - t) for t, u in zip(times, times[1:])])
+        carries = add_carry_rows(lp, (i,), [(loads[t], u - t) for t, u in zip(times, times[1:])])
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
             lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
     return lp

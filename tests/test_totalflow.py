@@ -15,6 +15,7 @@ from flowdisc.coloring import (
     discrepancy,
 )
 from flowdisc.core import (
+    CARRY,
     MachineAssignment,
     add_carry_rows,
     evaluate_total_flow_srpt,
@@ -294,14 +295,14 @@ def _slot_auxiliary_lp(inst, alpha, horizon=None):
                           for t in range(max(t1, int(inst.jobs[j].release)), t2)}
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
-            for carry in add_carry_rows(lp, ("C", i, k), steps):
+            for carry in add_carry_rows(lp, (i, k), steps):
                 lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
     return lp, H
 
 
 def _y_part(lp, values):
     """The nonzero y values of a point over `lp`'s columns, by label (i, j, t)."""
-    return {lp.variables[c]: x for c, x in values.items() if lp.variables[c][0] != "C" and x != 0}
+    return {lp.variables[c]: x for c, x in values.items() if lp.variables[c][0] != CARRY and x != 0}
 
 
 def test_event_slot_lp_matches_slot_lp(complete_carries):
@@ -332,10 +333,10 @@ def test_event_slot_lp_matches_slot_lp(complete_carries):
             y, y_ref = _y_part(lp, sol.values), _y_part(ref_lp, ref.values)
             # the slot-LP optimum has no volume off the gap starts
             assert all(t in starts for _, _, t in y_ref)
-            lifted = {c: y.get(label, F(0)) for c, label in enumerate(ref_lp.variables) if label[0] != "C"}
+            lifted = {c: y.get(label, F(0)) for c, label in enumerate(ref_lp.variables) if label[0] != CARRY}
             assert set(y) <= {ref_lp.variables[c] for c in lifted}
             assert lpmod.check_point(ref_lp, complete_carries(ref_lp, lifted)) == []
-            lowered = {c: y_ref.get(label, F(0)) for c, label in enumerate(lp.variables) if label[0] != "C"}
+            lowered = {c: y_ref.get(label, F(0)) for c, label in enumerate(lp.variables) if label[0] != CARRY}
             assert lpmod.check_point(lp, complete_carries(lp, lowered)) == []
             assert y == y_ref
             same_y += 1
@@ -356,7 +357,7 @@ def _carry_auxiliary_lp(inst, alpha, H):
                       if ii == i and kk <= k and inst.jobs[j].release <= t1}
             if coeffs or steps:
                 steps.append((coeffs, t2 - t1))
-        for carry in add_carry_rows(lp, ("C", i, k), steps):
+        for carry in add_carry_rows(lp, (i, k), steps):
             lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
     return lp
 
@@ -381,10 +382,10 @@ def test_aux_lp_at_alpha_zero_has_no_carries():
             assert _rows(lp) == _rows(ref)
         lp, _ = build_auxiliary_lp(inst, 0, horizon=H)
         ref = _carry_auxiliary_lp(inst, 0, H)
-        assert not any(v[0] == "C" for v in lp.variables)
-        assert lp.variables == [v for v in ref.variables if v[0] != "C"]
+        assert not any(v[0] == CARRY for v in lp.variables)
+        assert lp.variables == [v for v in ref.variables if v[0] != CARRY]
         assert lp.objective == ref.objective
-        pinned = [({c: x for c, x in coeffs.items() if ref.variables[c][0] != "C"}, rel, rhs)
+        pinned = [({c: x for c, x in coeffs.items() if ref.variables[c][0] != CARRY}, rel, rhs)
                   for coeffs, rel, rhs in _rows(ref)]
         assert _rows(lp) == [row for row in pinned if row[0]]  # the caps read 0 <= 0
         # n completion rows, then one row per (machine, class, gap holding a usable job)
@@ -401,7 +402,7 @@ def test_aux_lp_size_does_not_grow_with_the_horizon():
     lp, H = build_auxiliary_lp(inst, 0)
     gaps = 2  # [0, 10^6) and [10^6, H)
     assert H > 10 ** 6
-    assert sum(v[0] != "C" for v in lp.variables) <= inst.m * inst.n * gaps
+    assert sum(v[0] != CARRY for v in lp.variables) <= inst.m * inst.n * gaps
     y, trace = full_round_totalflow(inst, brute)
     assert integral_assignment(inst, y) is not None
     assert check_result(inst, result_to_json(trace)) == []
@@ -411,7 +412,7 @@ def test_horizon_at_or_below_a_release_is_infeasible():
     inst = make_instance(1, [(0, [1]), (5, [1]), (7, [1])])
     for H in (5, 6):
         lp, _ = build_auxiliary_lp(inst, 1, horizon=H)
-        assert all(v[2] < H for v in lp.variables if v[0] != "C")
+        assert all(v[2] < H for v in lp.variables if v[0] != CARRY)
         assert lpmod.solve_lp(lp).status == lpmod.INFEASIBLE
         ti_lp, _ = build_time_indexed_lp(inst, horizon=H)
         assert lpmod.solve_lp(ti_lp).status == lpmod.INFEASIBLE
@@ -507,7 +508,7 @@ def test_slot_objective_and_completion_rows():
                     for t in slots:
                         if job.release <= t < H:
                             expected[i, j, t] = (j, (t - job.release) / scale(p) + F(1, 2), 1 / p)
-            assert [label for label in lp.variables if label[0] != "C"] == list(expected)
+            assert [label for label in lp.variables if label[0] != CARRY] == list(expected)
             assert {label: cost for label, (_, cost, _) in expected.items()} == {
                 lp.variables[c]: cost for c, cost in lp.objective.items()}
             completion = [con for con in lp.constraints if con.relation == lpmod.EQ]
