@@ -59,14 +59,6 @@ class LinearProgram:
         self.variables.append(label)
         return len(self.variables) - 1
 
-    def add_constraint(self, coeffs: dict, relation: str, rhs) -> None:
-        """Append ``coeffs . x relation rhs``, numbers through `util.exact`."""
-        if relation not in _RELATIONS:
-            raise ValidationError(f"unknown relation {relation!r}")
-        self.constraints.append(
-            Constraint({j: exact(c) for j, c in coeffs.items()}, relation, exact(rhs))
-        )
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -330,9 +322,11 @@ def farkas_violations(lp: LinearProgram, ray) -> list[str]:
     The sums run on ints: the ray is scaled by the lcm of its denominators,
     and every row, as the ints that the simplex takes, by the lcm of their
     denominators.  Both scales are positive, so the signs are those of the
-    rational sums, which are rebuilt only for a report line.
+    rational sums, which are rebuilt only for a report line.  Each multiplier
+    passes `util.exact`, so a float, a bool or a non-number is refused.
     """
     *rows, _ = _int_rows(lp)
+    ray = [exact(w) for w in ray]
     if len(ray) != len(lp.constraints):
         return [f"ray has {len(ray)} multipliers for {len(lp.constraints)} constraints"]
     ray_scale = common_scale(ray)

@@ -10,9 +10,10 @@ records and the tests recheck with exact arithmetic.
 
 At level h every load is an integer over one scale (D * 2^h for D the lcm of
 the processing-time denominators in the split), so the split, the window
-checker, the rounding vectors and the colorer add ints; a `Fraction` is built
-only for a public field or a report line.  Every level runs both exact
-checks: its input check before the coloring and its leftover check after.
+checker, the rounding vectors and the colorer add ints, and levels hand each
+other integer slot counts (2^h x_ij); a `Fraction` is built only for a public
+field or a report line.  Every level runs both exact checks: its input check
+before the coloring and its leftover check after.
 """
 
 from __future__ import annotations
@@ -294,40 +295,41 @@ class PairSplit:
     assignment: FractionalAssignment  # 1/2 on each machine of every half-job
     origin: list[int]                 # half-job -> original job
     pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct
-    level: int
     fixed_load: list[dict]            # machine -> {release: load of its integral pieces}
     integral_counts: list[list[int]]  # [job][machine] -> integral pieces
     p_max_level: Fraction             # largest processing time over all pieces
 
-    def merge_assignment(self, asg: MachineAssignment) -> FractionalAssignment:
-        """Fold an integral half-job assignment back to level h-1 fractions."""
-        scale = 2 ** (self.level - 1)
+    def merge_assignment(self, asg: MachineAssignment) -> list[list[int]]:
+        """Fold an integral half-job assignment back to level h-1 slot counts:
+        each job's row of ints sums to 2^(h-1)."""
         counts = [row[:] for row in self.integral_counts]
         for jp, machine in enumerate(asg.assign):
             counts[self.origin[jp]][machine] += 1
-        x = [[Fraction(c, scale) for c in row] for row in counts]
-        return FractionalAssignment(x=x, T=self.assignment.T)
+        return counts
 
 
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
-def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, level: int) -> PairSplit:
+def split_to_pair_instance(inst: SchedulingInstance, counts: list, level: int, T) -> PairSplit:
     """Split every job into 2^(level-1) two-machine pieces at level `level`.
 
-    Machine slots (machine i repeated 2^level * x_ij times) are sorted and
-    paired first-with-last; each piece carries the original processing times
-    scaled down by 2^(level-1).  A piece whose two slots name different
-    machines becomes a half-job, infinite elsewhere; the rest all sit on the
-    one machine whose slots span the middle, so they are integral and only
-    their count and their load at the job's release are kept.  Half on each
-    member plus the fixed loads gives every window the load of x, so the split
-    is feasible at the same bound.  Slot counts and loads are integers, the
-    loads p * D over D * 2^(level-1) for D the lcm of the processing-time
-    denominators; each fixed load becomes one `Fraction` at the end.
+    Machine slots (machine i repeated ``counts[j][i]`` = 2^level x_ij times, a
+    row of nonnegative ints summing to 2^level, zero on a forbidden machine)
+    are sorted and paired first-with-last; each piece carries the original
+    processing times scaled down by 2^(level-1).  A piece whose two slots name
+    different machines becomes a half-job, infinite elsewhere; the rest all sit
+    on the one machine whose slots span the middle, so they are integral and
+    only their count and their load at the job's release are kept.  Half on
+    each member plus the fixed loads gives every window the load of x, so the
+    split is feasible at the same bound T.  Loads are integers, p * D over
+    D * 2^(level-1) for D the lcm of the processing-time denominators; each
+    fixed load becomes one `Fraction` at the end.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
+    if len(counts) != inst.n or any(len(row) != inst.m for row in counts):
+        raise ValidationError(f"counts must be {inst.n} rows of {inst.m}")
     scale = 2 ** level
     half = scale // 2
     d = common_scale(p for _, _, p in inst.finite_procs())
@@ -337,19 +339,17 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
     fixed: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: load * D * half}
     integral_counts = [[0] * inst.m for _ in range(inst.n)]
     top = 0
-    for j, job in enumerate(inst.jobs):
-        slots: list[int] = []
+    for j, (job, row) in enumerate(zip(inst.jobs, counts)):
         ps = scaled_list(job.proc, d)
-        for i, (v, cnt) in enumerate(zip(fa.x[j], scaled_list(fa.x[j], scale))):
-            if scale % v.denominator:
-                raise ValidationError(f"x[{j},{i}] = {v} is not a multiple of 1/{scale}")
-            if cnt:
-                if ps[i] is None:
-                    raise ValidationError(f"x[{j},{i}] = {v} positive on a forbidden machine")
-                top = max(top, ps[i])
-            slots.extend([i] * cnt)
-        if len(slots) != scale:
-            raise ValidationError(f"job {j}: assignment row does not sum to 1")
+        for i, (cnt, p) in enumerate(zip(row, ps)):
+            if type(cnt) is not int or cnt < 0:
+                raise ValidationError(f"count[{j}][{i}] = {cnt!r} is not a nonnegative int")
+            if cnt and p is None:
+                raise ValidationError(f"count[{j}][{i}] = {cnt} on a forbidden machine")
+        top = max([top, *(p for cnt, p in zip(row, ps) if cnt)])
+        if sum(row) != scale:
+            raise ValidationError(f"job {j}: counts sum to {sum(row)}, not 2^{level}")
+        slots = [i for i, cnt in enumerate(row) for _ in range(cnt)]
         q = 0
         pieces: dict = {}  # (i1, i2) -> its half-job, shared by equal pieces
         while q < half and slots[q] != slots[scale - 1 - q]:
@@ -369,8 +369,7 @@ def split_to_pair_instance(inst: SchedulingInstance, fa: FractionalAssignment, l
             fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * ps[i]
     x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
     return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
-                     assignment=FractionalAssignment(x=x_rows, T=fa.T), origin=origin,
-                     pairs=pairs, level=level,
+                     assignment=FractionalAssignment(x=x_rows, T=T), origin=origin, pairs=pairs,
                      fixed_load=[{r: Fraction(v, d * half) for r, v in f.items()} for f in fixed],
                      integral_counts=integral_counts, p_max_level=Fraction(top, d * half))
 
@@ -481,25 +480,22 @@ def full_round_maxflow(
 
     search = solve_min_T(inst)
     t_star = search.t_star
-    fa = search.assignment
     level = rounding_level(inst.n)
-    fa = quantize_dyadic(fa, level)
-    t_quant = quantized_bound(inst, search.assignment, level)
-    fa = FractionalAssignment(x=fa.x, T=t_quant)
+    # the snap puts every value on the 1/2^level grid: scaled, they are the slot counts
+    counts = [scaled_list(row, 2 ** level) for row in quantize_dyadic(search.assignment, level).x]
+    running_T = t_quant = quantized_bound(inst, search.assignment, level)
     records: list[LevelRecord] = []
-    running_T = t_quant
     for h in range(level, 0, -1):
-        split = split_to_pair_instance(inst, fa, h)
+        split = split_to_pair_instance(inst, counts, h, running_T)
         pml = split.p_max_level
         asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer,
                                                           split.fixed_load, pml)
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))
         running_T = running_T + 2 * achieved * pml
-        fa = split.merge_assignment(asg_split)
-        fa = FractionalAssignment(x=fa.x, T=running_T)
+        counts = split.merge_assignment(asg_split)
     assign = []
-    for j in range(inst.n):
-        winners = [i for i in range(inst.m) if fa.x[j][i] == 1]
+    for j, row in enumerate(counts):
+        winners = [i for i, cnt in enumerate(row) if cnt == 1]
         if len(winners) != 1:
             raise InternalCheckError(f"job {j} not integral after the final level")
         assign.append(winners[0])

@@ -293,12 +293,21 @@ def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) 
     fills the rows of one draw in order, so draws of a few rows at a time give
     the normals one draw of every row would.  Reports the observed fraction next to the
     1/(2 n r m) requirement plus three binomial standard deviations of slack.
+    The threshold is a float, so a delta that puts it past float range is refused.
     """
+    delta = exact_fraction(delta)
+    if delta < 0:
+        raise ValidationError(f"delta must be nonnegative, got {delta}")
     if samples < 10 ** 4:
         raise ValidationError(f"need at least 10^4 samples, got {samples}")
     if r < 1 or n < 1 or m < 1:
         raise ValidationError(f"need r, n, m >= 1, got r = {r}, n = {n}, m = {m}")
-    threshold = (1.0 + float(delta)) ** 2 * r
+    try:
+        threshold = (1.0 + float(delta)) ** 2 * r
+    except OverflowError:
+        threshold = math.inf
+    if math.isinf(threshold):
+        raise ValidationError("delta too large: the threshold (1 + delta)^2 r is past float range")
     rng = np.random.default_rng(seed)
     exceed = 0
     chunk = max(1, 2 ** 20 // r)  # rows per draw: at most 2^20 normals, 8 MB, per array

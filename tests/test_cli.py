@@ -435,6 +435,9 @@ def test_check_rejects_negative_totalflow_discrepancy(tmp_path, capsys):
     ["--mode", "choose-r", "--n", "0"],
     ["--mode", "choose-r", "--m", "0"],
     ["--mode", "mc", "--n", "0", "--r", "2", "--samples", "10000"],
+    ["--mode", "mc", "--delta", "1e200", "--samples", "10000"],   # was an OverflowError
+    ["--mode", "mc", "--delta", "1e400", "--samples", "10000"],   # was an OverflowError
+    ["--mode", "mc", "--delta=-1/2", "--r", "2", "--samples", "10000"],  # was not refused
     ["--mode", "verify"],
 ])
 def test_sdp_rejected_argument_is_one_error_line(capsys, argv):

@@ -15,7 +15,7 @@ X, Y, Z = 0, 1, 2  # the columns of LPs over variables ["x", "y", "z"]
 
 def test_textbook_min():
     p = lp.LinearProgram(variables=["x"], objective={X: F(-1)})
-    p.add_constraint({X: 1}, lp.LE, 3)
+    p.constraints.append(lp.Constraint({X: 1}, lp.LE, 3))
     sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
     assert sol.values == {X: 3} and sol.objective_value == -3
@@ -29,8 +29,8 @@ def test_add_variable_returns_the_next_column():
 
 def test_infeasible_pair():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({X: 1}, lp.LE, 1)
-    p.add_constraint({X: 1}, lp.GE, 2)
+    p.constraints.append(lp.Constraint({X: 1}, lp.LE, 1))
+    p.constraints.append(lp.Constraint({X: 1}, lp.GE, 2))
     sol = lp.solve_lp(p)
     assert sol.status == lp.INFEASIBLE
     # (1, -1): x - x >= 0 on the column, 1 - 2 < 0 on the right-hand side
@@ -56,8 +56,8 @@ def test_undeclared_variable_rejected():
             lp.solve_lp(p)
 
 
-# A row appended straight to `constraints` skips add_constraint's gate, so
-# every solver entry point checks its numbers and columns itself.
+# Rows are appended straight to `constraints`, with no gate, so every solver
+# entry point checks their numbers and columns itself.
 @pytest.mark.parametrize("constraint,objective,message", [
     (lp.Constraint({X: 0.5}, lp.LE, 1), {}, "constraint 0: expected an int or a Fraction, got float 0.5"),
     (lp.Constraint({X: True}, lp.LE, 1), {}, "constraint 0: expected an int or a Fraction, got bool True"),
@@ -91,7 +91,7 @@ def test_exactness_resolve_check():
             coeffs = {v: F(rng.randint(0, 4)) for v in cols}
             if all(c == 0 for c in coeffs.values()):
                 continue
-            p.add_constraint(coeffs, lp.GE, F(rng.randint(0, 6)))
+            p.constraints.append(lp.Constraint(coeffs, lp.GE, F(rng.randint(0, 6))))
         sol = lp.solve_lp(p)
         assert sol.status == lp.OPTIMAL
         assert lp.check_point(p, sol.values) == []
@@ -99,8 +99,8 @@ def test_exactness_resolve_check():
 
 def test_determinism():
     p = lp.LinearProgram(variables=["a", "b", "c"], objective={0: F(1), 1: F(2), 2: F(1)})
-    p.add_constraint({0: 1, 1: 1, 2: 1}, lp.EQ, F(5, 2))
-    p.add_constraint({0: 2, 2: 1}, lp.GE, 2)
+    p.constraints.append(lp.Constraint({0: 1, 1: 1, 2: 1}, lp.EQ, F(5, 2)))
+    p.constraints.append(lp.Constraint({0: 2, 2: 1}, lp.GE, 2))
     s1 = lp.solve_lp(p)
     s2 = lp.solve_lp(p)
     assert s1 == s2
@@ -112,7 +112,7 @@ def _dual_of(c, A, b):
     dual = lp.LinearProgram(variables=[f"y{i}" for i in range(m)],
                             objective={i: -b[i] for i in range(m)})
     for j in range(n):
-        dual.add_constraint({i: A[i][j] for i in range(m)}, lp.LE, c[j])
+        dual.constraints.append(lp.Constraint({i: A[i][j] for i in range(m)}, lp.LE, c[j]))
     return dual
 
 
@@ -128,7 +128,7 @@ def test_strong_duality_spot_check():
         primal = lp.LinearProgram(variables=[f"x{j}" for j in range(n)],
                                   objective={j: c[j] for j in range(n)})
         for i in range(m):
-            primal.add_constraint({j: A[i][j] for j in range(n)}, lp.GE, b[i])
+            primal.constraints.append(lp.Constraint({j: A[i][j] for j in range(n)}, lp.GE, b[i]))
         psol = lp.solve_lp(primal)
         dsol = lp.solve_lp(_dual_of(c, A, b))
         assert psol.status == lp.OPTIMAL and dsol.status == lp.OPTIMAL
@@ -166,20 +166,28 @@ def test_strong_duality_spot_check():
 def test_farkas_violations_reports_each_failure(rows, ray, report):
     p = lp.LinearProgram(variables=["x", "y"])
     for coeffs, rel, rhs in rows:
-        p.add_constraint(coeffs, rel, rhs)
+        p.constraints.append(lp.Constraint(coeffs, rel, rhs))
     assert lp.farkas_violations(p, ray) == report
+
+
+def test_farkas_ray_refuses_a_non_number():
+    # a float or a bool is refused as at every entry point (tests/test_util.py)
+    p = lp.LinearProgram(variables=["x"])
+    p.constraints.append(lp.Constraint({X: 1}, lp.LE, 1))
+    with pytest.raises(ValidationError, match="^bad rational literal 'a'"):  # was an AttributeError
+        lp.farkas_violations(p, ["a"])
 
 
 def test_check_point_slack_example():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({X: 1}, lp.LE, 3)
+    p.constraints.append(lp.Constraint({X: 1}, lp.LE, 3))
     v = lp.check_point(p, {X: F(5)})
     assert len(v) == 1 and v[0].slack == -2
 
 
 def test_check_point_equality_met():
     p = lp.LinearProgram(variables=["x"])
-    p.add_constraint({X: 2}, lp.EQ, 3)
+    p.constraints.append(lp.Constraint({X: 2}, lp.EQ, 3))
     assert lp.check_point(p, {X: F(3, 2)}) == []
 
 
@@ -192,7 +200,7 @@ def test_check_point_missing_value():
 def test_check_point_negative_value_is_one_bound_violation():
     # every variable is >= 0, and that is the only bound
     p = lp.LinearProgram(variables=["x", "y"])
-    p.add_constraint({X: 1, Y: 1}, lp.LE, 3)
+    p.constraints.append(lp.Constraint({X: 1, Y: 1}, lp.LE, 3))
     v = lp.check_point(p, {X: F(-5, 2), Y: F(1)})
     assert v == [lp.Violation("bound", X, lp.GE, F(-5, 2), F(0), F(-5, 2))]
 
@@ -368,7 +376,7 @@ def _random_lp(rng):
         coeffs = {v: F(rng.randint(-3, 3), rng.choice([1, 1, 2, 5])) for v in names
                   if rng.random() < 0.7}
         rhs = F(rng.choice([0, 0, rng.randint(-6, 6)]), rng.choice([1, 3]))
-        p.add_constraint(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), rhs)
+        p.constraints.append(lp.Constraint(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]), rhs))
     for _ in range(rng.choice([0, 0, 1, 2])):  # redundant equality rows
         eqs = [c for c in p.constraints if c.relation == lp.EQ]
         if not eqs:
@@ -377,7 +385,7 @@ def _random_lp(rng):
         k = F(rng.choice([-2, -1, 1, 3]))
         coeffs = {v: k * a.coeffs.get(v, 0) + b.coeffs.get(v, 0)
                   for v in set(a.coeffs) | set(b.coeffs)}
-        p.add_constraint(coeffs, lp.EQ, k * a.rhs + b.rhs)
+        p.constraints.append(lp.Constraint(coeffs, lp.EQ, k * a.rhs + b.rhs))
     return p
 
 
@@ -388,8 +396,8 @@ def _degenerate_lp(rng):
     p = lp.LinearProgram(variables=[f"v{i}" for i in names],
                          objective={v: F(rng.choice([0, -1, 1])) for v in names})
     for _ in range(rng.randint(4, 7)):
-        p.add_constraint({v: rng.choice([-1, 0, 1, 1, 2]) for v in names},
-                         rng.choice([lp.LE, lp.LE, lp.GE]), rng.choice([0, 1, 2]))
+        p.constraints.append(lp.Constraint({v: rng.choice([-1, 0, 1, 1, 2]) for v in names},
+                                           rng.choice([lp.LE, lp.LE, lp.GE]), rng.choice([0, 1, 2])))
     return p
 
 
@@ -417,7 +425,8 @@ def _retyped(p, kind):
     q = lp.LinearProgram(variables=list(p.variables),
                          objective={v: cast(c) for v, c in p.objective.items()})
     for con in p.constraints:
-        q.add_constraint({v: cast(c) for v, c in con.coeffs.items()}, con.relation, cast(con.rhs))
+        coeffs = {v: cast(c) for v, c in con.coeffs.items()}
+        q.constraints.append(lp.Constraint(coeffs, con.relation, cast(con.rhs)))
     return q
 
 
@@ -436,24 +445,12 @@ def test_int_coefficients_solve_like_fractions():
     assert min(statuses.values()) >= 100, statuses
 
 
-@pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
-def test_add_constraint_rejects_inexact_numbers(value):
-    p = lp.LinearProgram(variables=["x"])
-    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
-        p.add_constraint({X: value}, lp.LE, 1)
-    with pytest.raises(ValidationError, match=f"got {type(value).__name__} {value!r}"):
-        p.add_constraint({X: 1}, lp.LE, value)
-    assert p.constraints == []
-    p.add_constraint({X: "0.1"}, lp.LE, "1/3")
-    assert p.constraints == [lp.Constraint({X: F(1, 10)}, lp.LE, F(1, 3))]
-
-
 def test_drive_out_negates_the_row():
     # Phase 1 ends at once on -x - y == 0 with its artificial basic at level
     # 0: the row holds x with coefficient -1, so it is negated and x pivots in.
     p = lp.LinearProgram(variables=["x", "y", "z"], objective={Y: F(-1), Z: F(1)})
-    p.add_constraint({X: -1, Y: -1}, lp.EQ, 0)
-    p.add_constraint({X: 1, Z: 1}, lp.GE, 1)
+    p.constraints.append(lp.Constraint({X: -1, Y: -1}, lp.EQ, 0))
+    p.constraints.append(lp.Constraint({X: 1, Z: 1}, lp.GE, 1))
     sol = lp.solve_lp(p)
     assert sol == _dense_solve_lp(p)
     assert sol.values == {X: 0, Y: 0, Z: 1} and sol.objective_value == 1
@@ -463,8 +460,8 @@ def test_redundant_equality_row_is_dropped():
     # The second row repeats the first: phase 1 leaves its artificial basic
     # with no structural entry, so the row is dropped before phase 2.
     p = lp.LinearProgram(variables=["x", "y"], objective={X: F(1), Y: F(2)})
-    p.add_constraint({X: 1, Y: 1}, lp.EQ, 3)
-    p.add_constraint({X: 2, Y: 2}, lp.EQ, 6)
+    p.constraints.append(lp.Constraint({X: 1, Y: 1}, lp.EQ, 3))
+    p.constraints.append(lp.Constraint({X: 2, Y: 2}, lp.EQ, 6))
     sol = lp.solve_lp(p)
     assert sol == _dense_solve_lp(p)
     assert sol.values == {X: 3, Y: 0} and sol.objective_value == 3

@@ -160,18 +160,28 @@ def test_quantize_window_increase_bound():
         assert fractional_assignment_violations(inst, fa2) == []
 
 
+def _slot_counts(x, level):
+    """A matrix on the 1/2^level grid as its integer slot counts 2^level x_ij."""
+    counts = [[v * 2 ** level for v in row] for row in x]
+    assert all(c.denominator == 1 for row in counts for c in row)
+    return [[int(c) for c in row] for row in counts]
+
+
+def _fractions(counts, level):
+    """The matrix that a level's slot counts stand for."""
+    return [[F(c, 2 ** level) for c in row] for row in counts]
+
+
 def test_split_identity_level():
     inst = make_instance(2, [(0, [4, 6])])
-    fa = FractionalAssignment(x=[[F(1, 2), F(1, 2)]], T=F(6))
-    sp = split_to_pair_instance(inst, fa, 1)
+    sp = split_to_pair_instance(inst, [[1, 1]], 1, F(6))  # x = (1/2, 1/2)
     assert sp.pairs == [(0, 1)]
     assert sp.instance.jobs[0].proc == (F(4), F(6))  # p' = p at level 1
 
 
 def test_split_level_two_pairing():
     inst = make_instance(2, [(0, [4, 8])])
-    fa = FractionalAssignment(x=[[F(3, 4), F(1, 4)]], T=F(8))
-    sp = split_to_pair_instance(inst, fa, 2)
+    sp = split_to_pair_instance(inst, [[3, 1]], 2, F(8))  # x = (3/4, 1/4)
     # the pieces are (0, 1), a half-job, and (0, 0), an integral piece
     assert sp.pairs == [(0, 1)]
     assert sp.integral_counts == [[1, 0]]
@@ -181,8 +191,7 @@ def test_split_level_two_pairing():
 
 def test_split_integral_job_degenerate_pair():
     inst = make_instance(2, [(0, [4, 8])])
-    fa = FractionalAssignment(x=[[F(1), F(0)]], T=F(8))
-    sp = split_to_pair_instance(inst, fa, 1)
+    sp = split_to_pair_instance(inst, [[2, 0]], 1, F(8))  # x = (1, 0)
     # the one piece is the degenerate pair (0, 0), wholly on machine 0
     assert sp.pairs == [] and sp.instance.n == 0
     assert sp.integral_counts == [[1, 0]]
@@ -200,8 +209,7 @@ def test_split_backmap_reproduces_fractions():
             cuts = sorted(rng.sample(range(1, denom), 2)) if denom > 2 else [1]
             parts = [cuts[0], cuts[1] - cuts[0], denom - cuts[1]]
             x.append([F(parts[i], denom) if i < len(parts) else F(0) for i in range(inst.m)])
-        fa = FractionalAssignment(x=x, T=F(50))
-        sp = split_to_pair_instance(inst, fa, level)
+        sp = split_to_pair_instance(inst, _slot_counts(x, level), level, F(50))
         # folding the canonical half-assignment back, with each integral piece
         # as two slots on its machine, gives the original fractions
         counts = [[F(2 * c, 2 ** level) for c in row] for row in sp.integral_counts]
@@ -210,14 +218,26 @@ def test_split_backmap_reproduces_fractions():
             j = sp.origin[jp]
             counts[j][i1] += F(1, 2 ** level)
             counts[j][i2] += F(1, 2 ** level)
-        assert counts == fa.x
+        assert counts == x
 
 
-def test_split_rejects_non_dyadic():
-    inst = make_instance(2, [(0, [4, 8])])
-    fa = FractionalAssignment(x=[[F(1, 3), F(2, 3)]], T=F(8))
-    with pytest.raises(ValidationError):
-        split_to_pair_instance(inst, fa, 2)
+def test_split_rejects_bad_counts():
+    # job 1 cannot use machine 1; at level 2 every row must sum to 4
+    inst = make_instance(2, [(0, [4, 8]), (1, [2, None])])
+    for counts, message in [
+        ([[F(3, 2), F(5, 2)], [4, 0]], "count[0][0] = Fraction(3, 2) is not a nonnegative int"),
+        ([[3.0, 1], [4, 0]], "count[0][0] = 3.0 is not a nonnegative int"),
+        ([[True, 3], [4, 0]], "count[0][0] = True is not a nonnegative int"),
+        ([[5, -1], [4, 0]], "count[0][1] = -1 is not a nonnegative int"),
+        ([[3, 2], [4, 0]], "job 0: counts sum to 5, not 2^2"),
+        ([[3, 1], [3, 1]], "count[1][1] = 1 on a forbidden machine"),
+        ([[3, 1]], "counts must be 2 rows of 2"),
+        ([[3, 1, 0], [4, 0]], "counts must be 2 rows of 2"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            split_to_pair_instance(inst, counts, 2, F(8))
+        assert str(info.value) == message
+    assert split_to_pair_instance(inst, [[3, 1], [4, 0]], 2, F(8)).pairs == [(0, 1)]
 
 
 def _reference_split(inst, fa, level):
@@ -255,12 +275,12 @@ def _reference_split(inst, fa, level):
             origin, pairs)
 
 
-def _reference_merge(origin, level, asg, n, m):
-    """The merged level h-1 rows, counting every piece of the reference split."""
+def _reference_merge(origin, asg, n, m):
+    """The merged level h-1 slot counts, counting every piece of the reference split."""
     counts = [[0] * m for _ in range(n)]
     for jp, machine in enumerate(asg.assign):
         counts[origin[jp]][machine] += 1
-    return [[F(c, 2 ** (level - 1)) for c in row] for row in counts]
+    return counts
 
 
 def _random_dyadic(inst, level, rng):
@@ -299,7 +319,7 @@ def test_split_matches_reference_split():
         inst = make_instance(m, jobs)
         level = rng.randint(1, 5)
         fa = FractionalAssignment(x=_random_dyadic(inst, level, rng), T=F(0))
-        sp = split_to_pair_instance(inst, fa, level)
+        sp = split_to_pair_instance(inst, _slot_counts(fa.x, level), level, fa.T)
         ref_inst, ref_fa, ref_origin, ref_pairs = _reference_split(inst, fa, level)
 
         keep = [k for k, (i1, i2) in enumerate(ref_pairs) if i1 != i2]
@@ -346,7 +366,9 @@ def test_split_matches_reference_split():
                 assert d == ref_d
                 assert asg.assign == tuple(ref_asg.assign[k] for k in keep)
                 merged = sp.merge_assignment(asg)
-                assert merged.x == _reference_merge(ref_origin, level, ref_asg, inst.n, m)
+                assert merged == _reference_merge(ref_origin, ref_asg, inst.n, m)
+                assert all(type(c) is int for row in merged for c in row)
+                assert all(sum(row) == 2 ** (level - 1) for row in merged)
     assert all(seen.values()), seen
 
 
@@ -358,7 +380,7 @@ def test_leftover_check_sees_fixed_load(monkeypatch):
     # only sees that overload through the fixed load.
     inst = make_instance(2, [(0, [4, 4])])
     fa = FractionalAssignment(x=[[F(3, 4), F(1, 4)]], T=F(3))
-    sp = split_to_pair_instance(inst, fa, 2)
+    sp = split_to_pair_instance(inst, [[3, 1]], 2, fa.T)
     ref_inst, ref_fa, _, _ = _reference_split(inst, fa, 2)
     monkeypatch.setattr(maxflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
     to_first = lambda seq: [1] * len(seq.vectors)  # noqa: E731
@@ -373,9 +395,9 @@ def test_full_round_records_reference_levels(monkeypatch):
     calls = []
     real_split = maxflow.split_to_pair_instance
 
-    def spy(inst, fa, level):
-        calls.append((fa, level))
-        return real_split(inst, fa, level)
+    def spy(inst, counts, level, T):
+        calls.append((FractionalAssignment(x=_fractions(counts, level), T=T), level))
+        return real_split(inst, counts, level, T)
 
     monkeypatch.setattr(maxflow, "split_to_pair_instance", spy)
     narrower = 0
@@ -511,7 +533,8 @@ def _quadratic_assignment_lp(inst, T):
     lp = lpmod.LinearProgram()
     col = {(j, i): lp.add_variable((j, i)) for j in range(inst.n) for i in range(inst.m) if usable[j][i]}
     for j in range(inst.n):
-        lp.add_constraint({col[j, i]: 1 for i in range(inst.m) if usable[j][i]}, lpmod.EQ, 1)
+        lp.constraints.append(lpmod.Constraint({col[j, i]: 1 for i in range(inst.m) if usable[j][i]},
+                                               lpmod.EQ, 1))
     times = sorted({job.release for job in inst.jobs})
     for i in range(inst.m):
         for a, t1 in enumerate(times):
@@ -519,7 +542,7 @@ def _quadratic_assignment_lp(inst, T):
                 coeffs = {col[j, i]: job.proc[i] for j, job in enumerate(inst.jobs)
                           if t1 <= job.release <= t2 and usable[j][i]}
                 if coeffs:
-                    lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + T)
+                    lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, t2 - t1 + T))
     return lp
 
 
@@ -765,8 +788,9 @@ def _levels_of(monkeypatch, inst):
     splits = []
     real_split = maxflow.split_to_pair_instance
 
-    def split(inst, fa, level):
-        splits.append((fa, level, real_split(inst, fa, level)))
+    def split(inst, counts, level, T):
+        fa = FractionalAssignment(x=_fractions(counts, level), T=T)
+        splits.append((fa, level, real_split(inst, counts, level, T)))
         return splits[-1][2]
 
     monkeypatch.setattr(maxflow, "split_to_pair_instance", split)
@@ -787,7 +811,7 @@ def _tampered_merges(inst, fa, h, sp, rng):
             x = [row[:] for row in fa.x]
             x[j][a] -= unit
             x[j][b] += unit
-            yield split_to_pair_instance(inst, FractionalAssignment(x=x, T=fa.T), h)
+            yield split_to_pair_instance(inst, _slot_counts(x, h), h, fa.T)
     pieces = [(j, i) for j, row in enumerate(sp.integral_counts) for i, c in enumerate(row) if c]
     for j, i in rng.sample(pieces, min(len(pieces), 2)):
         # as if job j had more integral pieces on machine i
@@ -800,7 +824,7 @@ def _tampered_merges(inst, fa, h, sp, rng):
     tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
     for T in (fa.T - F(1, 2 ** h), tight, tight - F(1, 2 ** h)):
         if T < fa.T:
-            yield split_to_pair_instance(inst, FractionalAssignment(x=fa.x, T=T), h)
+            yield split_to_pair_instance(inst, _slot_counts(fa.x, h), h, T)
 
 
 def _trial_instance(rng, trial):
@@ -945,7 +969,8 @@ def _fraction_build_assignment_lp(inst, T):
     allowed = [[p is not None and p <= T for p in job.proc] for job in inst.jobs]
     col = {(j, i): lp.add_variable((j, i)) for j in range(inst.n) for i in range(inst.m) if allowed[j][i]}
     for j in range(inst.n):
-        lp.add_constraint({col[j, i]: F(1) for i in range(inst.m) if allowed[j][i]}, lpmod.EQ, 1)
+        lp.constraints.append(lpmod.Constraint({col[j, i]: F(1) for i in range(inst.m) if allowed[j][i]},
+                                               lpmod.EQ, 1))
     for i in range(inst.m):
         loads = {}
         for j, job in enumerate(inst.jobs):
@@ -954,7 +979,7 @@ def _fraction_build_assignment_lp(inst, T):
         times = sorted(loads)
         carries = add_carry_rows(lp, (i,), [(loads[t], u - t) for t, u in zip(times, times[1:])])
         for t, carry_in in zip(times, [{}] + [{c: 1} for c in carries]):
-            lp.add_constraint({**loads[t], **carry_in}, lpmod.LE, T)
+            lp.constraints.append(lpmod.Constraint({**loads[t], **carry_in}, lpmod.LE, T))
     return lp
 
 

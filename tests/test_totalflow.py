@@ -222,8 +222,8 @@ def _quadratic_auxiliary_lp(inst, alpha, H):
     col = {(i, j, t): lp.add_variable((i, j, t)) for j in range(inst.n) for i in range(inst.m)
            if (i, j) in slots for t in slots[(i, j)]}
     for j, job in enumerate(inst.jobs):
-        lp.add_constraint({col[i, j, t]: 1 / job.proc[i] for i in range(inst.m)
-                           if (i, j) in slots for t in slots[(i, j)]}, lpmod.EQ, 1)
+        lp.constraints.append(lpmod.Constraint({col[i, j, t]: 1 / job.proc[i] for i in range(inst.m)
+                                                if (i, j) in slots for t in slots[(i, j)]}, lpmod.EQ, 1))
         for i in range(inst.m):
             if (i, j) in slots:
                 k = class_index(job.proc[i])
@@ -236,7 +236,7 @@ def _quadratic_auxiliary_lp(inst, alpha, H):
                 coeffs = {col[i, j, t]: 1 for ii, j, kk in usable if ii == i and kk <= k
                           for t in range(max(t1, int(inst.jobs[j].release)), t2)}
                 if coeffs:
-                    lp.add_constraint(coeffs, lpmod.LE, t2 - t1 + alpha * F(2) ** k)
+                    lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, t2 - t1 + alpha * F(2) ** k))
     return lp
 
 
@@ -296,7 +296,7 @@ def _slot_auxiliary_lp(inst, alpha, horizon=None):
                 if coeffs or steps:  # gaps before the group's first release carry nothing
                     steps.append((coeffs, t2 - t1))
             for carry in add_carry_rows(lp, (i, k), steps):
-                lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
+                lp.constraints.append(lpmod.Constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k))
     return lp, H
 
 
@@ -358,7 +358,7 @@ def _carry_auxiliary_lp(inst, alpha, H):
             if coeffs or steps:
                 steps.append((coeffs, t2 - t1))
         for carry in add_carry_rows(lp, (i, k), steps):
-            lp.add_constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k)
+            lp.constraints.append(lpmod.Constraint({carry: 1}, lpmod.LE, alpha * F(2) ** k))
     return lp
 
 

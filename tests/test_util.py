@@ -9,11 +9,11 @@ from flowdisc import coloring, core, equivalence, game, lp, sdp, totalflow, util
 from flowdisc.util import ValidationError, common_scale, exact, exact_fraction, scaled, scaled_list
 
 
-def _check_point(x):
+def _one_row_lp():
+    """x <= 1 over one column x."""
     prog = lp.LinearProgram()
-    col = prog.add_variable("x")
-    prog.add_constraint({col: 1}, lp.LE, 1)
-    return lp.check_point(prog, {col: x})
+    prog.constraints.append(lp.Constraint({prog.add_variable("x"): 1}, lp.LE, 1))
+    return prog
 
 
 # Every entry point that takes a caller's number as exact, with that number in
@@ -37,7 +37,9 @@ ENTRY_POINTS = {
     "sdp.in_body_K-point": lambda x: sdp.in_body_K([x], 1, 1),
     "sdp.search_block_coloring": lambda x: sdp.search_block_coloring(
         sdp.build_block_instance(coloring.SignedVectorSequence(1, [[1]]), 1), x),
-    "lp.check_point": _check_point,
+    "sdp.gaussian_measure_mc": lambda x: sdp.gaussian_measure_mc(1, x, 1, 1, 10 ** 4, 0),
+    "lp.check_point": lambda x: lp.check_point(_one_row_lp(), {0: x}),
+    "lp.farkas_violations": lambda x: lp.farkas_violations(_one_row_lp(), [x]),
     "util.rat_to_str": util.rat_to_str,
 }
 
