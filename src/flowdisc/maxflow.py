@@ -8,12 +8,14 @@ h-1.  Every level's feasibility bound degrades by exactly twice the achieved
 prefix discrepancy times the level's largest processing time, which the trace
 records and the tests recheck with exact arithmetic.
 
-At level h every load is an integer over one scale (D * 2^h for D the lcm of
-the processing-time denominators in the split), so the split, the window
-checker, the rounding vectors and the colorer add ints, and levels hand each
-other integer slot counts (2^h x_ij); a `Fraction` is built only for a public
-field or a report line.  Every level runs both exact checks: its input check
-before the coloring and its leftover check after.
+At level h every time and load is an int over one scale, S * 2^h for S the
+scale of `core.integer_times`: a `PairSplit` stores each half-job's release,
+machines and loads, each machine's fixed loads and the level's p_max as such
+ints, and both window checks, the rounding vectors and the colorer add them.
+Levels hand each other integer slot counts (2^h x_ij); a `Fraction` is built
+only for the split's read-only views, the level's D and bound, or a report
+line.  Every level runs both exact checks: its input check before the
+coloring and its leftover check after.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .util import (
     list_from_json,
     rat_from_str,
     rat_to_str,
-    scaled,
     scaled_list,
 )
 
@@ -157,38 +158,43 @@ def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAss
     integral pieces) and joins that sum.  One worst_window scan per machine
     decides this in O(m (n + R log R)) for R distinct releases; each
     overloaded machine gets one line naming its worst window.  The scan runs
-    on integers over one scale, lx * lt for lx the lcm of the x denominators
-    and lt that of the times, processing times and fixed loads; a positive
-    scale keeps every comparison, and a report line converts back.
+    on integers over one scale, L^2 for L the lcm of the denominators of x,
+    the times, processing times and fixed loads, so a load x * p is an int; a
+    positive scale keeps every comparison, and a report line converts back.
     """
     problems = []
     fixed = fixed_load if fixed_load is not None else [{}] * inst.m
-    lx = common_scale(v for row in fa.x for v in row)
-    lt = common_scale([*(job.release for job in inst.jobs), *(p for _, _, p in inst.finite_procs()),
-                       *(v for loads in fixed for item in loads.items() for v in item)])
-    scale = lx * lt
+    unit = common_scale([*(v for row in fa.x for v in row), *(job.release for job in inst.jobs),
+                         *(p for _, _, p in inst.finite_procs()),
+                         *(v for loads in fixed for item in loads.items() for v in item)])
+    scale = unit * unit
     t_num, t_den = fa.T.numerator, fa.T.denominator
     pairs = [list(zip(scaled_list(f, scale), scaled_list(f.values(), scale))) for f in fixed]
     releases = scaled_list([job.release for job in inst.jobs], scale)
     for j, (job, r, row) in enumerate(zip(inst.jobs, releases, fa.x)):
-        xs = scaled_list(row, lx)
-        if sum(xs) != lx:
-            problems.append(f"job {j}: row sum {Fraction(sum(xs), lx)} != 1")
-        for i, (x, p) in enumerate(zip(xs, scaled_list(job.proc, lt))):
+        xs = scaled_list(row, unit)
+        if sum(xs) != unit:
+            problems.append(f"job {j}: row sum {Fraction(sum(xs), unit)} != 1")
+        for i, (x, p) in enumerate(zip(xs, scaled_list(job.proc, unit))):
             if x < 0:
                 problems.append(f"x[{j},{i}] = {row[i]} negative")
-            if x > 0 and (p is None or p * t_den > t_num * lt):
+            if x > 0 and (p is None or p * t_den > t_num * unit):
                 problems.append(f"x[{j},{i}] positive but processing time exceeds bound {fa.T}")
             if p is not None:
                 pairs[i].append((r, x * p))
-    for i in range(inst.m):
-        worst = worst_window(pairs[i])
-        if worst is not None and worst[0] * t_den > t_num * scale:
+    return problems + _window_lines(pairs, scale, fa.T)
+
+
+def _window_lines(pairs: list[list], scale: int, T: Fraction) -> list[str]:
+    """One report line per machine whose worst window, over its ``(time, load)``
+    ints at ``scale`` (`core.worst_window`), carries more than its width plus T."""
+    lines = []
+    for i, machine in enumerate(pairs):
+        worst = worst_window(machine)
+        if worst is not None and worst[0] * T.denominator > T.numerator * scale:
             excess, t1, t2 = (Fraction(v, scale) for v in worst)
-            problems.append(
-                f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + fa.T}"
-            )
-    return problems
+            lines.append(f"machine {i} window [{t1},{t2}]: load {excess + t2 - t1} > {t2 - t1 + T}")
+    return lines
 
 
 def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
@@ -288,16 +294,64 @@ def quantized_bound(inst: SchedulingInstance, fa: FractionalAssignment, level: i
 
 @dataclass
 class PairSplit:
-    """The half-jobs of a level's pair instance, its integral pieces folded
-    into fixed loads, and the map back to original jobs."""
+    """A level's half-jobs, its integral pieces folded into fixed loads, and
+    the map back to original jobs, stored as ints over ``scale`` = S * 2^level
+    for S the scale of `core.integer_times`; a half-job's load on a machine is
+    half a piece's processing time, its load at 1/2.  `instance`, `assignment`,
+    `fixed_load` and `p_max_level` are read-only `Fraction` views, built anew
+    on each read."""
 
-    instance: SchedulingInstance  # the half-jobs only
-    assignment: FractionalAssignment  # 1/2 on each machine of every half-job
+    m: int
+    T: Fraction
+    scale: int
+    releases: list[int]               # half-job -> its release
+    pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct and ascending
+    loads: list[tuple[int, int]]      # half-job -> its load on each machine of its pair
+    fixed: list[dict]                 # machine -> {release: load of its integral pieces}
+    top: int                          # largest processing time over all pieces
     origin: list[int]                 # half-job -> original job
-    pairs: list[tuple[int, int]]      # half-job -> (machine, machine), distinct
-    fixed_load: list[dict]            # machine -> {release: load of its integral pieces}
     integral_counts: list[list[int]]  # [job][machine] -> integral pieces
-    p_max_level: Fraction             # largest processing time over all pieces
+
+    @property
+    def instance(self) -> SchedulingInstance:
+        """The half-jobs only, each finite on its two machines."""
+        jobs = []
+        for r, pair, load in zip(self.releases, self.pairs, self.loads):
+            proc = [None] * self.m
+            for i, v in zip(pair, load):
+                proc[i] = Fraction(2 * v, self.scale)
+            jobs.append(Job(release=Fraction(r, self.scale), proc=tuple(proc)))
+        return SchedulingInstance(m=self.m, jobs=tuple(jobs))
+
+    @property
+    def assignment(self) -> FractionalAssignment:
+        """1/2 on each machine of every half-job, at bound T."""
+        return FractionalAssignment(x=[[_HALF if i in pair else _ZERO for i in range(self.m)]
+                                       for pair in self.pairs], T=self.T)
+
+    @property
+    def fixed_load(self) -> list[dict]:
+        return [{Fraction(r, self.scale): Fraction(v, self.scale) for r, v in f.items()}
+                for f in self.fixed]
+
+    @property
+    def p_max_level(self) -> Fraction:
+        return Fraction(self.top, self.scale)
+
+    def rounding_sequence(self, pmax) -> tuple[list[int], SignedVectorSequence]:
+        """The half-jobs in release order (ties by index), and their vectors:
+        p/(2 pmax) on the lower machine and -p/(2 pmax) on the other, as ints
+        over one scale (a load is p/2, so p/(2 pmax) is load * den / (scale * num))."""
+        order = sorted(range(len(self.pairs)), key=lambda k: (self.releases[k], k))
+        den = pmax.denominator
+        vectors = []
+        for k in order:
+            (i1, i2), (l1, l2) = self.pairs[k], self.loads[k]
+            v = [0] * self.m
+            v[i1], v[i2] = l1 * den, -l2 * den
+            vectors.append(v)
+        # p_max = 0 leaves only zero entries, whatever the scale
+        return order, SignedVectorSequence(m=self.m, vectors=vectors, scale=self.scale * pmax.numerator or 1)
 
     def merge_assignment(self, asg: MachineAssignment) -> list[list[int]]:
         """Fold an integral half-job assignment back to level h-1 slot counts:
@@ -308,7 +362,7 @@ class PairSplit:
         return counts
 
 
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 def split_to_pair_instance(inst: SchedulingInstance, counts: list, level: int, T) -> PairSplit:
@@ -322,56 +376,45 @@ def split_to_pair_instance(inst: SchedulingInstance, counts: list, level: int, T
     on the one machine whose slots span the middle, so they are integral and
     only their count and their load at the job's release are kept.  Half on
     each member plus the fixed loads gives every window the load of x, so the
-    split is feasible at the same bound T.  Loads are integers, p * D over
-    D * 2^(level-1) for D the lcm of the processing-time denominators; each
-    fixed load becomes one `Fraction` at the end.
+    split is feasible at the same bound T.  Over the split's scale S * 2^level
+    (S from `integer_times`), a half-job's load p / 2^level is the int p * S,
+    and a release r is r * S * 2^level.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
     if len(counts) != inst.n or any(len(row) != inst.m for row in counts):
         raise ValidationError(f"counts must be {inst.n} rows of {inst.m}")
-    scale = 2 ** level
-    half = scale // 2
-    d = common_scale(p for _, _, p in inst.finite_procs())
-    jobs: list[Job] = []
-    origin: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    fixed: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: load * D * half}
-    integral_counts = [[0] * inst.m for _ in range(inst.n)]
-    top = 0
-    for j, (job, row) in enumerate(zip(inst.jobs, counts)):
-        ps = scaled_list(job.proc, d)
+    slot_count = 2 ** level
+    half = slot_count // 2
+    scale, releases, procs = integer_times(inst)
+    split = PairSplit(m=inst.m, T=exact_fraction(T), scale=scale * slot_count, releases=[], pairs=[],
+                      loads=[], fixed=[{} for _ in range(inst.m)], top=0, origin=[],
+                      integral_counts=[[0] * inst.m for _ in range(inst.n)])
+    for j, (r, ps, row) in enumerate(zip(releases, procs, counts)):
         for i, (cnt, p) in enumerate(zip(row, ps)):
             if type(cnt) is not int or cnt < 0:
                 raise ValidationError(f"count[{j}][{i}] = {cnt!r} is not a nonnegative int")
             if cnt and p is None:
                 raise ValidationError(f"count[{j}][{i}] = {cnt} on a forbidden machine")
-        top = max([top, *(p for cnt, p in zip(row, ps) if cnt)])
-        if sum(row) != scale:
+            if cnt and 2 * p > split.top:
+                split.top = 2 * p
+        if sum(row) != slot_count:
             raise ValidationError(f"job {j}: counts sum to {sum(row)}, not 2^{level}")
+        r *= slot_count
         slots = [i for i, cnt in enumerate(row) for _ in range(cnt)]
         q = 0
-        pieces: dict = {}  # (i1, i2) -> its half-job, shared by equal pieces
-        while q < half and slots[q] != slots[scale - 1 - q]:
-            pair = slots[q], slots[scale - 1 - q]
-            if pair not in pieces:
-                proc = [None] * inst.m
-                for i in pair:
-                    proc[i] = job.proc[i] / half
-                pieces[pair] = Job(release=job.release, proc=tuple(proc))
-            jobs.append(pieces[pair])
-            origin.append(j)
-            pairs.append(pair)
+        while q < half and slots[q] != slots[slot_count - 1 - q]:
+            i1, i2 = slots[q], slots[slot_count - 1 - q]
+            split.releases.append(r)
+            split.pairs.append((i1, i2))
+            split.loads.append((ps[i1], ps[i2]))
+            split.origin.append(j)
             q += 1
         if q < half:
             i = slots[q]
-            integral_counts[j][i] = half - q
-            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * ps[i]
-    x_rows = [[_HALF if i in pair else _ZERO for i in range(inst.m)] for pair in pairs]
-    return PairSplit(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
-                     assignment=FractionalAssignment(x=x_rows, T=T), origin=origin, pairs=pairs,
-                     fixed_load=[{r: Fraction(v, d * half) for r, v in f.items()} for f in fixed],
-                     integral_counts=integral_counts, p_max_level=Fraction(top, d * half))
+            split.integral_counts[j][i] = half - q
+            split.fixed[i][r] = split.fixed[i].get(r, 0) + 2 * (half - q) * ps[i]
+    return split
 
 
 def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=None):
@@ -380,91 +423,60 @@ def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=No
     Vector entries are +p/(2 p_max) on the lower machine index and the
     negated counterpart on the higher; l1 norms never exceed 1 as long as
     ``pmax`` (default p_max(inst)) is at least every processing time in inst.
+    The vectors are those of the level-1 split of ``fa``'s slot counts 2x.
     Returns (ordered (job, i1, i2) triples, vectors).
     """
-    _, halves = _half_integral_rows(inst, fa)
-    halves, seq = _rounding_sequence(inst, halves, p_max(inst) if pmax is None else pmax)
-    return halves, seq.vectors
-
-
-def _half_integral_rows(inst: SchedulingInstance, fa: FractionalAssignment):
-    """(machine of each integral row or None, (job, i1, i2) of each half row);
-    any other row is a ValidationError."""
-    assign: list[Optional[int]] = [None] * inst.n
-    halves = []
-    for j in range(inst.n):
-        support = [(i, v) for i, v in enumerate(fa.x[j]) if v]
-        if len(support) == 1 and support[0][1] == 1:
-            assign[j] = support[0][0]
-        elif len(support) == 2 and support[0][1] == support[1][1] == _HALF:
-            i1, i2 = support[0][0], support[1][0]
-            if inst.jobs[j].proc[i1] is None or inst.jobs[j].proc[i2] is None:
-                raise ValidationError(f"job {j} half-assigned to a forbidden machine")
-            halves.append((j, i1, i2))
-        else:
-            raise ValidationError(f"job {j}: row {fa.x[j]} is not half-integral")
-    return assign, halves
-
-
-def _rounding_sequence(inst: SchedulingInstance, halves, pmax):
-    """``halves`` in release order (ties by index) and their vectors as one
-    sequence of ints over 2 p_max d, d the lcm of the denominators involved."""
-    jobs = inst.jobs
-    r = common_scale(jobs[j].release for j, _, _ in halves)
-    halves = sorted(halves, key=lambda h: (scaled(jobs[h[0]].release, r), h[0]))
-    d = common_scale([pmax, *(jobs[j].proc[i] for j, i1, i2 in halves for i in (i1, i2))])
-    ints = []
-    for j, i1, i2 in halves:
-        v = [0] * inst.m
-        v[i1], v[i2] = scaled(jobs[j].proc[i1], d), -scaled(jobs[j].proc[i2], d)
-        ints.append(v)
-    # p_max = 0 leaves only zero entries, whatever the scale
-    return halves, SignedVectorSequence(m=inst.m, vectors=ints, scale=2 * scaled(pmax, d) or 1)
+    if any(2 % common_scale(row) for row in fa.x):
+        raise ValidationError("assignment is not half-integral")
+    split = split_to_pair_instance(inst, [scaled_list(row, 2) for row in fa.x], 1, fa.T)
+    order, seq = split.rounding_sequence(p_max(inst) if pmax is None else pmax)
+    return [(split.origin[k], *split.pairs[k]) for k in order], seq.vectors
 
 
 def round_half_integral_maxflow(
-    inst: SchedulingInstance,
-    fa: FractionalAssignment,
+    split: PairSplit,
     colorer: Callable[[SignedVectorSequence], list[int]],
-    fixed_load=None,
-    pmax=None,
 ) -> tuple[MachineAssignment, Fraction]:
-    """Round a half-integral assignment by prefix coloring; returns (assignment, D).
+    """Round a level's half-jobs by prefix coloring; returns (their assignment, D).
 
-    Each half-split job contributes a two-entry vector with +p/(2 p_max) on
-    its lower machine index and -p/(2 p_max) on the other, ordered by release
-    (ties by index).  A +1 sign sends the job to the positive machine.  The
-    result satisfies every machine window at T + 2 * D * p_max where D is the
-    achieved prefix discrepancy of the coloring.  ``fixed_load`` (see
-    fractional_assignment_violations) joins both checks.  ``pmax`` defaults to
-    p_max(inst); a split passes its level's p_max over all pieces.
+    Each half-job contributes a two-entry vector with +p/(2 p_max) on its
+    lower machine index and -p/(2 p_max) on the other, ordered by release
+    (ties by index), for p_max the split's `p_max_level`.  A +1 sign sends it
+    to the positive machine.  With the fixed loads, the result satisfies every
+    machine window at T + 2 * D * p_max where D is the achieved prefix
+    discrepancy of the coloring.  Both checks run on the split's ints: the
+    input's (`fractional_assignment_violations` of the split's views) before
+    the coloring, the leftover's after.  A plain half-integral assignment x
+    is rounded as its level-1 split of 2x.
     """
-    bad_input = fractional_assignment_violations(inst, fa, fixed_load)
-    if bad_input:
-        raise ValidationError("input assignment infeasible: " + "; ".join(bad_input))
-    pmax = p_max(inst) if pmax is None else pmax
-    assign, halves = _half_integral_rows(inst, fa)
-    halves, seq = _rounding_sequence(inst, halves, pmax)
-    if halves:
+    scale, T = split.scale, split.T
+    bad = [f"x[{k},{i}] positive but processing time exceeds bound {T}"
+           for k, (pair, load) in enumerate(zip(split.pairs, split.loads))
+           for i, v in zip(pair, load) if 2 * v * T.denominator > T.numerator * scale]
+    windows = [list(f.items()) for f in split.fixed]
+    for r, pair, load in zip(split.releases, split.pairs, split.loads):
+        for i, v in zip(pair, load):
+            windows[i].append((r, v))
+    bad += _window_lines(windows, scale, T)
+    if bad:
+        raise ValidationError("input assignment infeasible: " + "; ".join(bad))
+    pmax = split.p_max_level
+    order, seq = split.rounding_sequence(pmax)
+    if order:
         signs = colorer(seq)
         achieved = discrepancy(seq.with_signs(signs), PREFIX).value
     else:
-        signs = []
-        achieved = Fraction(0)
-    for pos, (j, i1, i2) in enumerate(halves):
-        assign[j] = i1 if signs[pos] == 1 else i2
-    result = MachineAssignment(assign=tuple(assign))
-    bound = fa.T + 2 * achieved * pmax
-    leftover = fractional_assignment_violations(
-        inst, FractionalAssignment(x=[[_ONE if i == machine else _ZERO for i in range(inst.m)]
-                                      for machine in result.assign], T=bound),
-        fixed_load,
-    )
+        signs, achieved = [], _ZERO
+    assign = [0] * len(order)
+    windows = [list(f.items()) for f in split.fixed]
+    for k, sign in zip(order, signs):
+        side = 0 if sign == 1 else 1
+        assign[k] = i = split.pairs[k][side]
+        windows[i].append((split.releases[k], 2 * split.loads[k][side]))
+    leftover = _window_lines(windows, scale, T + 2 * achieved * pmax)
     if leftover:
-        raise InternalCheckError(
-            "rounded assignment violates its discrepancy bound: " + "; ".join(leftover)
-        )
-    return result, achieved
+        raise InternalCheckError("rounded assignment violates its discrepancy bound: " + "; ".join(leftover))
+    return MachineAssignment(assign=tuple(assign)), achieved
 
 
 def full_round_maxflow(
@@ -480,6 +492,9 @@ def full_round_maxflow(
 
     search = solve_min_T(inst)
     t_star = search.t_star
+    bad = fractional_assignment_violations(inst, search.assignment)
+    if bad:
+        raise InternalCheckError(f"LP assignment at T* = {t_star} infeasible: " + "; ".join(bad))
     level = rounding_level(inst.n)
     # the snap puts every value on the 1/2^level grid: scaled, they are the slot counts
     counts = [scaled_list(row, 2 ** level) for row in quantize_dyadic(search.assignment, level).x]
@@ -487,9 +502,8 @@ def full_round_maxflow(
     records: list[LevelRecord] = []
     for h in range(level, 0, -1):
         split = split_to_pair_instance(inst, counts, h, running_T)
+        asg_split, achieved = round_half_integral_maxflow(split, colorer)
         pml = split.p_max_level
-        asg_split, achieved = round_half_integral_maxflow(split.instance, split.assignment, colorer,
-                                                          split.fixed_load, pml)
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))
         running_T = running_T + 2 * achieved * pml
         counts = split.merge_assignment(asg_split)

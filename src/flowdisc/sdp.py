@@ -27,6 +27,8 @@ import numpy as np
 from .coloring import SignedVectorSequence
 from .util import ValidationError, exact_fraction
 
+MC_DRAW_NORMALS = 2 ** 20  # normals per generator draw at most: 8 MB of float64
+
 
 @dataclass
 class BlockInstance:
@@ -291,8 +293,12 @@ def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) 
 
     Deterministic in the seed, and independent of the chunking: the generator
     fills the rows of one draw in order, so draws of a few rows at a time give
-    the normals one draw of every row would.  Reports the observed fraction next to the
-    1/(2 n r m) requirement plus three binomial standard deviations of slack.
+    the normals one draw of every row would.  No draw holds more than
+    MC_DRAW_NORMALS normals: a longer row is drawn in column blocks of at most
+    that many, and its squares are summed across the blocks (which may round
+    the last bit of its sum differently).  Reports the observed fraction next
+    to the 1/(2 n r m) requirement plus three binomial standard deviations of
+    slack.
     The threshold is a float, so a delta that puts it past float range is refused.
     """
     delta = exact_fraction(delta)
@@ -310,12 +316,15 @@ def gaussian_measure_mc(r: int, delta, n: int, m: int, samples: int, seed: int) 
         raise ValidationError("delta too large: the threshold (1 + delta)^2 r is past float range")
     rng = np.random.default_rng(seed)
     exceed = 0
-    chunk = max(1, 2 ** 20 // r)  # rows per draw: at most 2^20 normals, 8 MB, per array
+    rows, cols = max(1, MC_DRAW_NORMALS // r), min(r, MC_DRAW_NORMALS)  # per draw
     done = 0
     while done < samples:
-        take = min(chunk, samples - done)
-        g = rng.standard_normal((take, r))
-        exceed += int(((g * g).sum(axis=1) > threshold).sum())
+        take = min(rows, samples - done)
+        squares = np.zeros(take)
+        for start in range(0, r, cols):
+            g = rng.standard_normal((take, min(cols, r - start)))
+            squares += (g * g).sum(axis=1)
+        exceed += int((squares > threshold).sum())
         done += take
     q = exceed / samples
     slack = 3.0 * math.sqrt(max(q * (1.0 - q), 1.0 / samples) / samples)

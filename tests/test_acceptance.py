@@ -55,6 +55,7 @@ from flowdisc.maxflow import (
     full_round_maxflow,
     round_half_integral_maxflow,
     solve_min_T,
+    split_to_pair_instance,
 )
 from flowdisc.sdp import (
     build_block_instance,
@@ -126,9 +127,12 @@ def test_criterion_1_half_integral_rounding_bound(record):
     for idx, inst in enumerate(_batch_instances()):
         fa = _half_integral_for(inst, seed=3000 + idx)
         assert fractional_assignment_violations(inst, fa) == []
-        asg, d = round_half_integral_maxflow(inst, fa, brute)
+        # rounded as its level-1 split of the slot counts 2x
+        sp = split_to_pair_instance(inst, [[int(2 * v) for v in row] for row in fa.x], 1, fa.T)
+        halves, d = round_half_integral_maxflow(sp, brute)
+        asg = MachineAssignment(tuple(row.index(1) for row in sp.merge_assignment(halves)))
         met = evaluate_max_flow(inst, asg)
-        assert met.max_flow <= fa.T + 2 * d * p_max(inst), (idx, met.max_flow)
+        assert met.max_flow <= fa.T + 2 * d * sp.p_max_level, (idx, met.max_flow)
         checked += 1
     record("1 (half-integral rounding bound)", True, f"{checked} instances, exact")
 

@@ -13,7 +13,7 @@ import pytest
 from flowdisc import lp as lpmod
 from flowdisc import maxflow
 from flowdisc.cli import main
-from flowdisc.coloring import COLORERS, PREFIX, color_brute_force, color_greedy
+from flowdisc.coloring import COLORERS, PREFIX, SignedVectorSequence, color_brute_force, color_greedy
 from flowdisc.core import (
     Job,
     MachineAssignment,
@@ -42,7 +42,7 @@ from flowdisc.maxflow import (
     solve_min_T,
     split_to_pair_instance,
 )
-from flowdisc.util import InternalCheckError, ValidationError, rat_to_str, substream_seed
+from flowdisc.util import InternalCheckError, ValidationError, rat_to_str, scaled, substream_seed
 
 
 def brute(seq):
@@ -170,6 +170,14 @@ def _slot_counts(x, level):
 def _fractions(counts, level):
     """The matrix that a level's slot counts stand for."""
     return [[F(c, 2 ** level) for c in row] for row in counts]
+
+
+def _round_plain(inst, fa, colorer):
+    """Round a half-integral assignment of a plain instance as its level-1
+    split of 2x: (the assignment of every job, D, the split's p_max_level)."""
+    sp = split_to_pair_instance(inst, _slot_counts(fa.x, 1), 1, fa.T)
+    asg, d = round_half_integral_maxflow(sp, colorer)
+    return MachineAssignment(tuple(row.index(1) for row in sp.merge_assignment(asg))), d, sp.p_max_level
 
 
 def test_split_identity_level():
@@ -349,20 +357,20 @@ def test_split_matches_reference_split():
         bounds = [tight] + ([tight - F(1, 4)] if tight - F(1, 4) >= sp.p_max_level else [])
         for T in bounds:
             ref_args = (ref_inst, FractionalAssignment(x=ref_fa.x, T=T))
-            args = (sp.instance, FractionalAssignment(x=sp.assignment.x, T=T))
-            lines = fractional_assignment_violations(*args, sp.fixed_load)
+            at_T = dataclasses.replace(sp, T=T)
+            lines = fractional_assignment_violations(at_T.instance, at_T.assignment, at_T.fixed_load)
             assert lines == fractional_assignment_violations(*ref_args)
             seen["overloaded" if lines else "feasible"] += 1
             for colorer in [color_greedy] + ([brute] if len(keep) <= 10 else []):
                 if lines:
                     with pytest.raises(ValidationError) as ref_err:
-                        round_half_integral_maxflow(*ref_args, colorer)
+                        _round_plain(*ref_args, colorer)
                     with pytest.raises(ValidationError) as err:
-                        round_half_integral_maxflow(*args, colorer, sp.fixed_load, sp.p_max_level)
+                        round_half_integral_maxflow(at_T, colorer)
                     assert str(err.value) == str(ref_err.value)
                     continue
-                ref_asg, ref_d = round_half_integral_maxflow(*ref_args, colorer)
-                asg, d = round_half_integral_maxflow(*args, colorer, sp.fixed_load, sp.p_max_level)
+                ref_asg, ref_d, _ = _round_plain(*ref_args, colorer)
+                asg, d = round_half_integral_maxflow(at_T, colorer)
                 assert d == ref_d
                 assert asg.assign == tuple(ref_asg.assign[k] for k in keep)
                 merged = sp.merge_assignment(asg)
@@ -385,9 +393,9 @@ def test_leftover_check_sees_fixed_load(monkeypatch):
     monkeypatch.setattr(maxflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
     to_first = lambda seq: [1] * len(seq.vectors)  # noqa: E731
     with pytest.raises(InternalCheckError, match="machine 0 window"):
-        round_half_integral_maxflow(ref_inst, ref_fa, to_first)
+        _round_plain(ref_inst, ref_fa, to_first)
     with pytest.raises(InternalCheckError, match="machine 0 window"):
-        round_half_integral_maxflow(sp.instance, sp.assignment, to_first, sp.fixed_load, sp.p_max_level)
+        round_half_integral_maxflow(sp, to_first)
 
 
 def test_full_round_records_reference_levels(monkeypatch):
@@ -409,7 +417,7 @@ def test_full_round_records_reference_levels(monkeypatch):
         for (fa, h), rec in zip(calls, trace.levels):
             ref_inst, ref_fa, _, ref_pairs = _reference_split(inst, fa, h)
             assert rec.p_max_level == p_max(ref_inst)
-            assert rec.discrepancy == round_half_integral_maxflow(ref_inst, ref_fa, color_greedy)[1]
+            assert rec.discrepancy == _round_plain(ref_inst, ref_fa, color_greedy)[1]
             halves = [p for k, (i1, i2) in enumerate(ref_pairs) if i1 != i2
                       for p in ref_inst.jobs[k].proc if p is not None]
             narrower += 0 < max(halves, default=0) < rec.p_max_level
@@ -435,14 +443,14 @@ def test_rounding_vector_formula():
 def test_round_all_integral_passthrough():
     inst = make_instance(2, [(0, [2, 3]), (1, [1, 1])])
     fa = FractionalAssignment(x=[[1, 0], [0, 1]], T=F(3))
-    asg, d = round_half_integral_maxflow(inst, fa, brute)
+    asg, d, _ = _round_plain(inst, fa, brute)
     assert asg.assign == (0, 1) and d == 0
 
 
 def test_round_symmetric_two_jobs_opposite_machines():
     inst = make_instance(2, [(0, [2, 2]), (0, [2, 2])])
     fa = FractionalAssignment(x=[[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], T=F(2))
-    asg, d = round_half_integral_maxflow(inst, fa, brute)
+    asg, d, _ = _round_plain(inst, fa, brute)
     assert set(asg.assign) == {0, 1}
 
 
@@ -587,11 +595,10 @@ def test_round_load_identity_and_bound():
                                    (1, 5), (0, 8), 0.2, seed=900 + trial)
         fa = _random_half_integral(inst, rng)
         assert fractional_assignment_violations(inst, fa) == []
-        asg, d = round_half_integral_maxflow(inst, fa, brute)
-        pmax = p_max(inst)
+        asg, d, pmax = _round_plain(inst, fa, brute)
         # exact identity: every window's load moves by p_max times the signed
         # difference of two coloring prefix sums
-        halves, vectors = rounding_vectors(inst, fa)
+        halves, vectors = rounding_vectors(inst, fa, pmax)
         signs_of = {}
         for pos, (j, i1, i2) in enumerate(halves):
             signs_of[j] = 1 if asg.assign[j] == i1 else -1
@@ -800,8 +807,8 @@ def _levels_of(monkeypatch, inst):
 
 
 def _tampered_merges(inst, fa, h, sp, rng):
-    """The split of ``fa`` with one count moved, with one fixed load raised,
-    or with a lower T."""
+    """The split of ``fa`` with one count moved, with one int fixed load
+    raised, or with a lower T, each as (what changed, split)."""
     unit = F(1, 2 ** h)
     for j in rng.sample(range(inst.n), min(inst.n, 3)):
         src = [i for i in range(inst.m) if fa.x[j][i] > 0]
@@ -811,20 +818,20 @@ def _tampered_merges(inst, fa, h, sp, rng):
             x = [row[:] for row in fa.x]
             x[j][a] -= unit
             x[j][b] += unit
-            yield split_to_pair_instance(inst, _slot_counts(x, h), h, fa.T)
+            yield "count", split_to_pair_instance(inst, _slot_counts(x, h), h, fa.T)
     pieces = [(j, i) for j, row in enumerate(sp.integral_counts) for i, c in enumerate(row) if c]
     for j, i in rng.sample(pieces, min(len(pieces), 2)):
         # as if job j had more integral pieces on machine i
-        fixed = [dict(loads) for loads in sp.fixed_load]
-        r = inst.jobs[j].release
-        fixed[i][r] += rng.randint(1, 2 ** (h - 1)) * inst.jobs[j].proc[i] / 2 ** (h - 1)
-        yield dataclasses.replace(sp, fixed_load=fixed)
+        fixed = [dict(loads) for loads in sp.fixed]
+        load = rng.randint(1, 2 ** (h - 1)) * inst.jobs[j].proc[i] / 2 ** (h - 1)
+        fixed[i][scaled(inst.jobs[j].release, sp.scale)] += scaled(load, sp.scale)
+        yield "fixed", dataclasses.replace(sp, fixed=fixed)
     ref_inst, ref_fa, _, _ = _reference_split(inst, fa, h)
     # the worst window's excess: at it the windows pass, just below it they fail
     tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
     for T in (fa.T - F(1, 2 ** h), tight, tight - F(1, 2 ** h)):
         if T < fa.T:
-            yield split_to_pair_instance(inst, _slot_counts(fa.x, h), h, T)
+            yield "T", split_to_pair_instance(inst, _slot_counts(fa.x, h), h, T)
 
 
 def _trial_instance(rng, trial):
@@ -842,38 +849,184 @@ def test_level_check_rejects_exactly_what_the_full_scan_rejects(monkeypatch):
     for trial in range(24):
         inst = _trial_instance(rng, trial)
         for fa, h, sp in _levels_of(monkeypatch, inst):
-            splits = [sp] + list(_tampered_merges(inst, fa, h, sp, rng))
+            splits = [sp] + [bad for _, bad in _tampered_merges(inst, fa, h, sp, rng)]
             for k, bad in enumerate(splits):
-                args = bad.instance, bad.assignment, color_greedy, bad.fixed_load, bad.p_max_level
                 full = fractional_assignment_violations(bad.instance, bad.assignment, bad.fixed_load)
                 if full:
-                    with pytest.raises(ValidationError, match="input assignment infeasible"):
-                        round_half_integral_maxflow(*args)
+                    with pytest.raises(ValidationError) as err:
+                        round_half_integral_maxflow(bad, color_greedy)
+                    assert str(err.value) == "input assignment infeasible: " + "; ".join(full)
                 else:
-                    round_half_integral_maxflow(*args)
+                    round_half_integral_maxflow(bad, color_greedy)
                 assert k or not full  # the real level passes
                 seen["tampered" if k else "levels"] += 1
                 seen["rejected"] += bool(full)
     assert seen["tampered"] > seen["rejected"] > 20, seen
 
 
+def _fraction_split(inst, counts, level, T):
+    """split_to_pair_instance on Fraction times (reference): the half-job
+    instance, its 1/2 assignment, the fixed loads and p_max_level as
+    Fractions, with the pairs, origins and integral counts."""
+    half = 2 ** (level - 1)
+    jobs, origin, pairs = [], [], []
+    fixed = [{} for _ in range(inst.m)]
+    integral_counts = [[0] * inst.m for _ in range(inst.n)]
+    top = F(0)
+    for j, (job, row) in enumerate(zip(inst.jobs, counts)):
+        top = max([top, *(p for cnt, p in zip(row, job.proc) if cnt)])
+        slots = [i for i, cnt in enumerate(row) for _ in range(cnt)]
+        q = 0
+        while q < half and slots[q] != slots[2 * half - 1 - q]:
+            pair = slots[q], slots[2 * half - 1 - q]
+            proc = [None] * inst.m
+            for i in pair:
+                proc[i] = job.proc[i] / half
+            jobs.append(Job(release=job.release, proc=tuple(proc)))
+            origin.append(j)
+            pairs.append(pair)
+            q += 1
+        if q < half:
+            i = slots[q]
+            integral_counts[j][i] = half - q
+            fixed[i][job.release] = fixed[i].get(job.release, 0) + (half - q) * job.proc[i] / half
+    x = [[F(1, 2) if i in pair else F(0) for i in range(inst.m)] for pair in pairs]
+    return SimpleNamespace(instance=SchedulingInstance(m=inst.m, jobs=tuple(jobs)),
+                           assignment=FractionalAssignment(x=x, T=T), fixed_load=fixed,
+                           p_max_level=top / half, pairs=pairs, origin=origin,
+                           integral_counts=integral_counts)
+
+
+def _fraction_round(inst, fa, colorer, fixed_load, pmax):
+    """round_half_integral_maxflow on a Fraction instance of half-jobs, its
+    1/2 assignment and fixed loads (reference); D is measured by
+    `maxflow.discrepancy`, which a test may patch."""
+    bad = _fraction_violations(inst, fa, fixed_load)
+    if bad:
+        raise ValidationError("input assignment infeasible: " + "; ".join(bad))
+    halves, vectors = _fraction_rounding_vectors(inst, fa, pmax or 1)  # p_max = 0: zero vectors
+    seq = SignedVectorSequence(m=inst.m, vectors=vectors)
+    signs = colorer(seq) if halves else []
+    achieved = maxflow.discrepancy(seq.with_signs(signs), PREFIX).value if halves else F(0)
+    assign = [None] * inst.n
+    for (j, i1, i2), sign in zip(halves, signs):
+        assign[j] = i1 if sign == 1 else i2
+    x = [[F(i == a) for i in range(inst.m)] for a in assign]
+    leftover = _fraction_violations(inst, FractionalAssignment(x=x, T=fa.T + 2 * achieved * pmax), fixed_load)
+    if leftover:
+        raise InternalCheckError("rounded assignment violates its discrepancy bound: " + "; ".join(leftover))
+    return MachineAssignment(assign=tuple(assign)), achieved
+
+
+def _split_counts(sp):
+    """The slot counts that ``sp`` splits: two per integral piece, one on
+    each machine of a half-job."""
+    counts = [[2 * c for c in row] for row in sp.integral_counts]
+    for j, (i1, i2) in zip(sp.origin, sp.pairs):
+        counts[j][i1] += 1
+        counts[j][i2] += 1
+    return counts
+
+
+def _outcome(round_level, *args):
+    """What a rounding call returns, or the type and text of what it raises."""
+    try:
+        return round_level(*args)
+    except (ValidationError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def _round_both(inst, level, sp, monkeypatch, raised=False):
+    """Round ``sp`` on its ints and the reference split of its counts on
+    Fractions, with the coloring's D and with D forced to 0; require the
+    same views, merged counts, D and error text, and return both outcomes'
+    kinds.  With ``raised`` (a test raised sp's int fixed loads) the
+    reference takes sp's fixed-load view."""
+    ref = _fraction_split(inst, _split_counts(sp), level, sp.T)
+    assert (sp.pairs, sp.origin, sp.integral_counts) == (ref.pairs, ref.origin, ref.integral_counts)
+    assert (sp.instance, sp.assignment, sp.p_max_level) == (ref.instance, ref.assignment, ref.p_max_level)
+    assert raised or sp.fixed_load == ref.fixed_load
+    fixed = sp.fixed_load if raised else ref.fixed_load
+    kinds = []
+    for zero_d in (False, True):
+        if zero_d:
+            monkeypatch.setattr(maxflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
+        got = _outcome(round_half_integral_maxflow, sp, color_greedy)
+        want = _outcome(_fraction_round, ref.instance, ref.assignment, color_greedy, fixed, ref.p_max_level)
+        monkeypatch.undo()
+        assert got == want
+        if isinstance(got[0], MachineAssignment):
+            merged = [row[:] for row in ref.integral_counts]
+            for j, machine in zip(ref.origin, want[0].assign):
+                merged[j][machine] += 1
+            assert sp.merge_assignment(got[0]) == merged
+            kinds.append("rounded")
+        else:
+            kinds.append("leftover" if got[0] is InternalCheckError else
+                         "entry" if "processing time exceeds" in got[1] else "window")
+    return kinds
+
+
+def test_int_level_matches_fraction_reference(times_instance, monkeypatch):
+    # fractional times (a scale above 1), forbidden machines, p = 0, m = 2
+    # and 3, levels 1..5 on random slot counts, then every level of the
+    # pipeline and its tampered splits: the int level gives the Fraction
+    # level's views, counts and D, and the text of every input and leftover error
+    rng = random.Random(2707)
+    seen = dict.fromkeys(["scaled", "levels", "rounded", "entry", "window", "leftover"], 0)
+    for trial in range(60):
+        inst = times_instance(rng, rng.choice([2, 3]))
+        seen["scaled"] += integer_times(inst)[0] > 1
+        level = 1 + trial % 5
+        counts = _slot_counts(_random_dyadic(inst, level, rng), level)
+        ref_inst, ref_fa, _, _ = _reference_split(inst, FractionalAssignment(x=_fractions(counts, level), T=0),
+                                                  level)
+        tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
+        pml = split_to_pair_instance(inst, counts, level, tight).p_max_level
+        for T in sorted({tight, tight - F(1, 2 ** level), pml - F(1, 3), max(tight, pml) + F(1, 3)}):
+            for kind in _round_both(inst, level, split_to_pair_instance(inst, counts, level, T), monkeypatch):
+                seen[kind] += 1
+    for trial in range(16):
+        inst = _trial_instance(rng, trial)
+        for fa, h, sp in _levels_of(monkeypatch, inst):
+            seen["levels"] += 1
+            for kind in _round_both(inst, h, sp, monkeypatch):
+                seen[kind] += 1
+            for change, bad in _tampered_merges(inst, fa, h, sp, rng):
+                for kind in _round_both(inst, h, bad, monkeypatch, raised=change == "fixed"):
+                    seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_full_round_checks_every_level_twice(monkeypatch):
-    # one input and one leftover check per level, none skipped
+    # one window scan per check: the LP's x at T*, then every level's input
+    # and leftover, none skipped
     rng = random.Random(77)
     for trial in range(12):
         inst = _trial_instance(rng, trial)
         calls = []
-        real = maxflow.fractional_assignment_violations
+        real = maxflow._window_lines
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(maxflow, "fractional_assignment_violations", counted)
+        monkeypatch.setattr(maxflow, "_window_lines", counted)
         _, trace = full_round_maxflow(inst, color_greedy)
         monkeypatch.undo()
         assert len(trace.levels) >= 1
-        assert len(calls) == 2 * len(trace.levels)
+        assert len(calls) == 2 * len(trace.levels) + 1
+
+
+def test_full_round_checks_the_lp_assignment_at_t_star(monkeypatch):
+    # an x that puts both jobs on machine 0 overloads its window [0,0] at T* = 2
+    inst = make_instance(2, [(0, [2, 2]), (0, [2, 2])])
+    overloaded = FractionalAssignment(x=[[1, 0], [1, 0]], T=2)
+    monkeypatch.setattr(maxflow, "solve_min_T",
+                        lambda inst: maxflow.MinTSearch(t_star=F(2), assignment=overloaded, ray=None))
+    with pytest.raises(InternalCheckError) as err:
+        full_round_maxflow(inst, color_greedy)
+    assert str(err.value) == "LP assignment at T* = 2 infeasible: machine 0 window [0,0]: load 4 > 2"
 
 
 def _lp_key(lp):

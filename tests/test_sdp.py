@@ -208,6 +208,28 @@ def test_mc_chunks_give_the_report_of_one_draw(r):
         assert gaussian_measure_mc(r, F(1, 4), 3, 2, samples, seed) == want
 
 
+def test_mc_draws_a_long_row_in_blocks(monkeypatch):
+    # with the cap at 8 normals, each row of r = 20 is drawn as blocks of 8, 8
+    # and 4, and the report is that of one draw of every row
+    whole = gaussian_measure_mc(20, F(1, 4), 4, 2, 10 ** 4, seed=3)
+    sizes = []
+    real = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, shape):
+            sizes.append(math.prod(shape))
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(sdp, "MC_DRAW_NORMALS", 8)
+    monkeypatch.setattr(sdp.np.random, "default_rng", Counted)
+    blocked = gaussian_measure_mc(20, F(1, 4), 4, 2, 10 ** 4, seed=3)
+    assert max(sizes) == 8 and sum(sizes) == 20 * 10 ** 4
+    assert blocked == whole and whole.exceed > 0
+
+
 def test_block_vectors_are_refused_past_a_million_entries():
     block = build_block_instance(SignedVectorSequence(2, [[1, 0]] * 5), 100)  # 500 * 200 entries
     assert len(block.vectors()) == 500
