@@ -40,31 +40,31 @@ class SignedVectorSequence:
     # If given, ``vectors`` arrive as int tuples that stand for vectors / scale;
     # otherwise __post_init__ derives that scale.  Either way ``_ints[j]`` is
     # vector j times ``scale`` (with_signs copies share it), so values compare
-    # as plain ints.
+    # as plain ints.  From ints, the Fraction tuples of ``vectors`` are built
+    # on its first read (see the property below the class).
     scale: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.m}")
         if self.scale is None:
-            self.vectors = [tuple(map(exact_fraction, v)) for v in self.vectors]
-            self.scale = scale = common_scale(x for v in self.vectors for x in v)
-            self._ints = [tuple(scaled(x, scale) for x in v) for v in self.vectors]
+            self._view = [tuple(map(exact_fraction, v)) for v in self._view]
+            self.scale = scale = common_scale(x for v in self._view for x in v)
+            self._ints = [tuple(scaled(x, scale) for x in v) for v in self._view]
         else:
-            self._ints = [tuple(v) for v in self.vectors]
+            self._ints = [tuple(v) for v in self._view]
+            self._view = None
             if not all(type(x) is int for v in self._ints for x in v) or self.scale < 1:
                 raise ValidationError("scaled vectors must be ints over a positive int scale")
-            views = {v: tuple(Fraction(x, self.scale) for x in v) for v in set(self._ints)}
-            self.vectors = [views[v] for v in self._ints]  # equal vectors share one tuple
-        for v in self.vectors:
+        for v in self._ints:
             if len(v) != self.m:
                 raise ValidationError(f"vector of dimension {len(v)}, expected {self.m}")
         self._check_signs()
 
     def _check_signs(self) -> None:
         if not self.signs:
-            self.signs = [0] * len(self.vectors)
-        if len(self.signs) != len(self.vectors):
+            self.signs = [0] * len(self._ints)
+        if len(self.signs) != len(self._ints):
             raise ValidationError("signs length differs from vector count")
         for s in self.signs:
             if s not in (-1, 0, 1):
@@ -72,19 +72,38 @@ class SignedVectorSequence:
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self._ints)
 
     def l1_violations(self) -> list[int]:
         """Indices whose l1 norm exceeds 1 (the bounded-l1 setting is validated, not assumed)."""
         return [j for j, v in enumerate(self.vectors) if sum(abs(x) for x in v) > 1]
 
     def with_signs(self, signs) -> "SignedVectorSequence":
-        """The same (already validated) vector tuples under new signs."""
+        """The same (already validated) vectors under new signs; a view not
+        yet built stays unbuilt."""
         seq = copy.copy(self)
-        seq.vectors = list(self.vectors)
+        if self._view is not None:
+            seq._view = list(self._view)
         seq.signs = list(signs)
         seq._check_signs()
         return seq
+
+
+def _vectors(seq: SignedVectorSequence) -> list:
+    if seq._view is None:
+        scale = seq.scale
+        views = {v: tuple(Fraction(x, scale) for x in v) for v in set(seq._ints)}
+        seq._view = [views[v] for v in seq._ints]  # equal vectors share one tuple
+    return seq._view
+
+
+def _set_vectors(seq: SignedVectorSequence, vectors) -> None:
+    seq._view = vectors
+
+
+# Set after the dataclass is made, so ``vectors`` stays a plain required field
+# of __init__, __eq__ and __repr__ while reads go through the cache.
+SignedVectorSequence.vectors = property(_vectors, _set_vectors)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ class PairSplit:
 _ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
-def split_to_pair_instance(inst: SchedulingInstance, counts: list, level: int, T) -> PairSplit:
+def split_to_pair_instance(times: tuple, counts: list, level: int, T) -> PairSplit:
     """Split every job into 2^(level-1) two-machine pieces at level `level`.
 
     Machine slots (machine i repeated ``counts[j][i]`` = 2^level x_ij times, a
@@ -376,20 +376,22 @@ def split_to_pair_instance(inst: SchedulingInstance, counts: list, level: int, T
     on the one machine whose slots span the middle, so they are integral and
     only their count and their load at the job's release are kept.  Half on
     each member plus the fixed loads gives every window the load of x, so the
-    split is feasible at the same bound T.  Over the split's scale S * 2^level
-    (S from `integer_times`), a half-job's load p / 2^level is the int p * S,
-    and a release r is r * S * 2^level.
+    split is feasible at the same bound T.  ``times`` is the instance's
+    `integer_times` view, taken once per run: over the split's scale
+    S * 2^level (S the view's scale), a half-job's load p / 2^level is the
+    int p * S, and a release r is r * S * 2^level.
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
-    if len(counts) != inst.n or any(len(row) != inst.m for row in counts):
-        raise ValidationError(f"counts must be {inst.n} rows of {inst.m}")
+    scale, releases, procs = times
+    n, m = len(procs), len(procs[0]) if procs else 0
+    if len(counts) != n or any(len(row) != m for row in counts):
+        raise ValidationError(f"counts must be {n} rows of {m}")
     slot_count = 2 ** level
     half = slot_count // 2
-    scale, releases, procs = integer_times(inst)
-    split = PairSplit(m=inst.m, T=exact_fraction(T), scale=scale * slot_count, releases=[], pairs=[],
-                      loads=[], fixed=[{} for _ in range(inst.m)], top=0, origin=[],
-                      integral_counts=[[0] * inst.m for _ in range(inst.n)])
+    split = PairSplit(m=m, T=exact_fraction(T), scale=scale * slot_count, releases=[], pairs=[],
+                      loads=[], fixed=[{} for _ in range(m)], top=0, origin=[],
+                      integral_counts=[[0] * m for _ in range(n)])
     for j, (r, ps, row) in enumerate(zip(releases, procs, counts)):
         for i, (cnt, p) in enumerate(zip(row, ps)):
             if type(cnt) is not int or cnt < 0:
@@ -428,7 +430,7 @@ def rounding_vectors(inst: SchedulingInstance, fa: FractionalAssignment, pmax=No
     """
     if any(2 % common_scale(row) for row in fa.x):
         raise ValidationError("assignment is not half-integral")
-    split = split_to_pair_instance(inst, [scaled_list(row, 2) for row in fa.x], 1, fa.T)
+    split = split_to_pair_instance(integer_times(inst), [scaled_list(row, 2) for row in fa.x], 1, fa.T)
     order, seq = split.rounding_sequence(p_max(inst) if pmax is None else pmax)
     return [(split.origin[k], *split.pairs[k]) for k in order], seq.vectors
 
@@ -499,9 +501,10 @@ def full_round_maxflow(
     # the snap puts every value on the 1/2^level grid: scaled, they are the slot counts
     counts = [scaled_list(row, 2 ** level) for row in quantize_dyadic(search.assignment, level).x]
     running_T = t_quant = quantized_bound(inst, search.assignment, level)
+    times = integer_times(inst)
     records: list[LevelRecord] = []
     for h in range(level, 0, -1):
-        split = split_to_pair_instance(inst, counts, h, running_T)
+        split = split_to_pair_instance(times, counts, h, running_T)
         asg_split, achieved = round_half_integral_maxflow(split, colorer)
         pml = split.p_max_level
         records.append(LevelRecord(h=h, discrepancy=achieved, p_max_level=pml))

@@ -23,16 +23,18 @@ exact because every volume the loop makes lies on the grid 1/den:
     is an int;
   - a whole p of a rounded job, where p*den is an int because the job's
     volume on that machine was p or p/2 before.
-Fractions appear only at the edges: the LP's solution and the dyadic
-quantization come in as Fractions, and alpha, costs and the ``entries`` view
-go out as Fractions.
+A level reads a `JobSplit`, its pieces' releases and processing times as
+ints, and classifies, places and colors on ints.  Fractions appear only at
+the edges: the LP's solution comes in as Fractions, the quantization makes
+one per (machine, job) for its completed fraction and cost rates, and alpha,
+D, costs and the ``entries`` view go out as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from . import lp as lpmod
@@ -50,7 +52,7 @@ from .core import (
     worst_window,
 )
 from .util import (InternalCheckError, ValidationError, common_scale, exact, exact_fraction, int_from_json,
-                   list_from_json, rat_from_str, rat_to_str, scaled)
+                   list_from_json, rat_from_str, rat_to_str, scaled, scaled_list)
 
 
 def class_index(p) -> int:
@@ -112,12 +114,6 @@ class TimeIndexedSolution:
         for (i, j, t), x in sorted(self.vol.items()):
             out.setdefault((i, j), []).append((t, x))
         return out
-
-    def streams(self) -> dict:
-        """(machine, job) -> that pair's slot-ordered [(slot, volume), ...]."""
-        den = self.den
-        return {pair: [(t, Fraction(x, den)) for t, x in stream]
-                for pair, stream in self.scaled_streams().items()}
 
 
 def solution_violations(inst: SchedulingInstance, y: TimeIndexedSolution) -> list[str]:
@@ -226,9 +222,10 @@ def class_scale(p):
     return pow2(class_index(p))
 
 
-def class_table(inst: SchedulingInstance) -> dict:
-    """(machine, job) -> size class of its finite processing time.  Built once
-    per instance and handed to every layer that groups volume by class."""
+def class_table(inst) -> dict:
+    """(machine, job) -> size class of its finite processing time, for an
+    instance or a `JobSplit`.  Built once per instance and handed to every
+    layer that groups volume by class."""
     return {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
 
 
@@ -304,18 +301,18 @@ def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
 
 
 def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
-    """Grouped objective: slot_rate(job, t, 2^k) times volume, summed over y.
-
-    Sums x*(t - r) per class in ints, with the releases over the lcm of their
-    denominators, and makes one Fraction at the end.
-    """
-    if classes is None:
-        classes = class_table(inst)
+    """Grouped objective: slot_rate(job, t, 2^k) times volume, summed over y."""
     rscale = common_scale(job.release for job in inst.jobs)
-    release = [scaled(job.release, rscale) for job in inst.jobs]
+    return _grouped_cost(y.vol, y.den, [scaled(job.release, rscale) for job in inst.jobs], rscale,
+                         class_table(inst) if classes is None else classes)
+
+
+def _grouped_cost(vol: dict, den: int, release: list[int], rscale: int, classes: dict) -> Fraction:
+    """aux_cost of the volumes x/den in ``vol``, for releases release[j]/rscale:
+    sums x*(t - r) per class in ints and makes one Fraction at the end."""
     late: dict = {}  # class -> sum of x * (t - r) * rscale
     total = 0
-    for (i, j, t), x in y.vol.items():
+    for (i, j, t), x in vol.items():
         k = classes[i, j]
         late[k] = late.get(k, 0) + x * (t * rscale - release[j])
         total += x
@@ -324,7 +321,7 @@ def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> 
     num = total * rscale << (top - 1)
     for k, v in late.items():
         num += v << (top - k)
-    return Fraction(num, rscale * y.den << top)
+    return Fraction(num, rscale * den << top)
 
 
 @dataclass(frozen=True)
@@ -346,10 +343,11 @@ class AlphaReport:
         return max(Fraction(0), excess / pow2(k))
 
 
-def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> AlphaReport:
+def measure_alpha(inst, y: TimeIndexedSolution, classes=None) -> AlphaReport:
     """Exact worst window overload per class: max over (i, k, [t1, t2)) of
     (volume of class-<=k jobs inside the window minus its width) / 2^k,
-    floored at zero.
+    floored at zero; ``inst`` (an instance or a `JobSplit`) is read only for
+    its class table, when ``classes`` is None.
 
     The maximum is attained with both window endpoints on support slots, so
     one worst_window scan per (machine, class) is exact.  Slot t covers
@@ -376,14 +374,6 @@ def measure_alpha(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None
                        witness=best_wit)
 
 
-def canonical_order(inst: SchedulingInstance) -> list[int]:
-    """Jobs by release; the sort is stable, so ties go by index.  The keys
-    are the releases as ints over the lcm of their denominators."""
-    den = common_scale(job.release for job in inst.jobs)
-    keys = [scaled(job.release, den) for job in inst.jobs]
-    return sorted(range(inst.n), key=keys.__getitem__)
-
-
 def _pour(entries: dict, machine: int, supply: list, demands: list) -> None:
     """Northwest-corner fill: the ``(job, need)`` demands in order, each from
     the earliest volume left in the time-ordered ``(slot, volume)`` supply,
@@ -403,21 +393,18 @@ def _pour(entries: dict, machine: int, supply: list, demands: list) -> None:
             room -= take
 
 
-def normalize_consistent_order(
-    inst: SchedulingInstance, y: TimeIndexedSolution, classes=None,
-) -> TimeIndexedSolution:
-    """Reflow each (machine, class) group so jobs run in one global order.
+def normalize_consistent_order(split: JobSplit, y: TimeIndexedSolution, classes=None) -> TimeIndexedSolution:
+    """Reflow each (machine, class) group so a split's pieces run in one order.
 
-    Per group, the per-slot group volumes and the per-job totals are kept and
-    jobs are refilled earliest-first in the canonical (release, index) order.
-    Same-class exchanges are free under the grouped objective, so cost,
-    per-(i,j) totals and the measured relaxation slack are all preserved
-    exactly.
+    Per group, the per-slot group volumes and the per-piece totals are kept
+    and pieces are refilled earliest-first in the split's canonical
+    (release, index) order.  Same-class exchanges are free under the grouped
+    objective, so cost, per-(i,j) totals and the measured relaxation slack
+    are all preserved exactly.
     """
-    order = canonical_order(inst)
     if classes is None:
-        classes = class_table(inst)
-    rank = {j: pos for pos, j in enumerate(order)}
+        classes = class_table(split)
+    rank = {j: pos for pos, j in enumerate(split.order)}
     groups: dict[tuple[int, int], list] = {}
     for (i, j, t), x in y.vol.items():
         groups.setdefault((i, classes[i, j]), []).append((j, t, x))
@@ -429,38 +416,77 @@ def normalize_consistent_order(
             slot_vol[t] = slot_vol.get(t, 0) + x
             job_vol[j] = job_vol.get(j, 0) + x
         _pour(vol, i, [(t, slot_vol[t]) for t in sorted(slot_vol)],
-              [(j, job_vol[j]) for j in sorted(job_vol, key=lambda j: rank[j])])
+              [(j, job_vol[j]) for j in sorted(job_vol, key=rank.__getitem__)])
     for (i, j, t) in vol:
-        if t < inst.jobs[j].release:
+        if t < split.releases[j]:
             raise InternalCheckError("consistent-order refill placed volume before a release")
     return TimeIndexedSolution.scaled(y.horizon, vol, y.den)
 
 
-def split_jobs_instance(inst: SchedulingInstance, level: int) -> tuple:
-    """Split each job into 2^(level-1) equal pieces (same release).
+@dataclass
+class JobSplit:
+    """Jobs cut into equal consecutive pieces, as ints: a piece has its job's
+    release and a share of each processing time, times ``scale`` S, the lcm
+    of the processing-time denominators.  `instance` is a read-only
+    `Fraction` view, built anew on each read."""
 
-    Requires every finite processing time to be divisible by 2^(level-1).
-    Returns (instance, origin) with origin[piece] = original job.
-    """
+    m: int
+    scale: int
+    releases: list[int]  # piece -> release
+    procs: list[list]    # piece -> processing time per machine times S, None where forbidden
+    origin: list[int]    # piece -> original job
+    order: list[int]     # pieces by (release, index)
+
+    @classmethod
+    def whole(cls, inst: SchedulingInstance) -> JobSplit:
+        """Each job of ``inst`` as one piece; its releases must be ints."""
+        for j, job in enumerate(inst.jobs):
+            if job.release.denominator != 1:
+                raise ValidationError(f"job {j}: integer release required, got {job.release}")
+        scale = common_scale(p for _, _, p in inst.finite_procs())
+        release = [job.release.numerator for job in inst.jobs]
+        return cls(m=inst.m, scale=scale, releases=release, procs=[scaled_list(job.proc, scale) for job in inst.jobs],
+                   origin=list(range(inst.n)), order=sorted(range(inst.n), key=release.__getitem__))
+
+    @property
+    def n(self) -> int:
+        return len(self.releases)
+
+    def finite_procs(self):
+        """(piece, machine, processing time), as `SchedulingInstance.finite_procs`."""
+        for j, row in enumerate(self.procs):
+            for i, p in enumerate(row):
+                if p is not None:
+                    yield j, i, Fraction(p, self.scale)
+
+    @property
+    def instance(self) -> SchedulingInstance:
+        return SchedulingInstance(m=self.m, jobs=tuple(
+            Job(release=Fraction(r), proc=tuple(None if p is None else Fraction(p, self.scale) for p in row))
+            for r, row in zip(self.releases, self.procs)))
+
+
+def split_jobs_instance(inst, level: int) -> JobSplit:
+    """Split each job of an instance, or each piece of a `JobSplit`, into
+    2^(level-1) equal pieces with its release.  Each new piece must be an int
+    over S: on integral times, p divisible by 2^(level-1).  The pipeline
+    splits `JobSplit.whole` of its instance, taken once per run, and expands
+    its (release, index) order: a piece's own pieces are consecutive and
+    share its release."""
     if level < 1:
         raise ValidationError("level must be >= 1")
+    whole = inst if isinstance(inst, JobSplit) else JobSplit.whole(inst)
     pieces = 2 ** (level - 1)
-    jobs = []
-    origin = []
-    for j, job in enumerate(inst.jobs):
-        proc = []
-        for p in job.proc:
-            if p is None:
-                proc.append(None)
-            else:
-                q = p / pieces
-                if q.denominator != 1:
-                    raise ValidationError(f"processing time {p} not divisible by {pieces}")
-                proc.append(q)
-        for _ in range(pieces):
-            jobs.append(Job(release=job.release, proc=tuple(proc)))
-            origin.append(j)
-    return SchedulingInstance(m=inst.m, jobs=tuple(jobs)), origin
+    bad = next((v for row in whole.procs for v in row if v is not None and v % pieces), None)
+    if bad is not None:
+        raise ValidationError(f"processing time {Fraction(bad, whole.scale)} not divisible by {pieces}")
+    rows = [[None if v is None else v // pieces for v in row] for row in whole.procs]
+
+    def expand(values: list) -> list:
+        return [v for v in values for _ in range(pieces)]
+
+    return JobSplit(m=whole.m, scale=whole.scale, releases=expand(whole.releases), procs=expand(rows),
+                    origin=expand(whole.origin), order=[j * pieces + q for j in whole.order for q in range(pieces)])
 
 
 def quantize_dyadic_time(
@@ -475,102 +501,111 @@ def quantize_dyadic_time(
     directions is taken (it is never cost-increasing).
     Each (machine, job) changes by one net adjustment below p_ij / 2^level,
     so any class window gains less than n * 2^k / 2^level volume and the
-    measured relaxation slack grows by at most 1.
+    measured relaxation slack grows by at most 1.  The streams are summed as
+    ints; only the changed keys are rewritten, over the lcm of the reduced
+    denominators.
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
     if classes is None:
         classes = class_table(inst)
     unit = Fraction(1, 2 ** level)
-    streams = y.streams()
-    entries = dict(y.entries)
+    den = y.den
+    streams = y.scaled_streams()
+    shrink, grow = [], []  # (stream, machine, job, ratio), ((machine, job, slot), added volume)
     for j, job in enumerate(inst.jobs):
-        machines = [i for i, p in enumerate(job.proc) if p is not None]
-        stream = {i: streams.get((i, j), []) for i in machines}
-        frac = {i: sum((v for _, v in stream[i]), Fraction(0)) / job.proc[i] for i in machines}
-        first = {i: stream[i][0][0] if stream[i] else int(job.release) for i in machines}
-        # cost per completed fraction: added volume lands at the earliest slot,
-        # removed volume scales the whole stream down
-        scale = {i: pow2(classes[i, j]) for i in machines}
-        add = {i: slot_rate(job, first[i], scale[i]) * job.proc[i] for i in machines}
-        cost = {i: sum((slot_rate(job, t, scale[i]) * v for t, v in stream[i]), Fraction(0))
-                for i in machines}
-        target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - cost[lose] / frac[lose])
-        # realize the net changes once per machine
-        for i in machines:
-            delta = target[i] - frac[i]
-            if delta < 0:
-                ratio = target[i] / frac[i]
-                for t, v in stream[i]:
-                    entries[(i, j, t)] = v * ratio  # the constructor drops zeros
-            elif delta > 0:
-                key = (i, j, first[i])
-                entries[key] = entries.get(key, Fraction(0)) + delta * job.proc[i]
-    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+        a, b = job.release.numerator, job.release.denominator
+        frac, first, add, remove = {}, {}, {}, {}
+        for i, p in enumerate(job.proc):
+            if p is None:
+                continue
+            st = streams.get((i, j), [])
+            total = sum(x for _, x in st)
+            frac[i] = Fraction(total * p.denominator, den * p.numerator)
+            first[i] = st[0][0] if st else int(job.release)
+            # p times slot_rate(job, t, 2^k) = (2(tb - a)d + bc) / (2bc), 2^k = c/d: at the
+            # first slot for added volume, averaged over the stream for removed volume
+            k = classes[i, j]
+            c, d = 1 << max(k, 0), 1 << max(-k, 0)
+            add[i] = Fraction(p.numerator * (2 * (first[i] * b - a) * d + b * c), p.denominator * 2 * b * c)
+            if total:
+                late = sum((t * b - a) * x for t, x in st)
+                remove[i] = Fraction(p.numerator * (2 * d * late + b * c * total), p.denominator * 2 * b * c * total)
+        target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - remove[lose])
+        for i, f in frac.items():
+            if target[i] < f:
+                shrink.append((streams[i, j], i, j, target[i] / f))
+            elif target[i] > f:
+                grow.append(((i, j, first[i]), (target[i] - f) * job.proc[i]))
+    new_den = lcm(den, *(den * r.denominator for *_, r in shrink), *(v.denominator for _, v in grow))
+    vol = dict(y.vol) if new_den == den else {key: x * (new_den // den) for key, x in y.vol.items()}
+    for st, i, j, r in shrink:
+        mul = r.numerator * (new_den // (den * r.denominator))
+        for t, x in st:
+            vol[i, j, t] = x * mul
+    for key, v in grow:
+        vol[key] = vol.get(key, 0) + v.numerator * (new_den // v.denominator)
+    g = gcd(new_den, *vol.values())  # new_den / g is the lcm of the reduced denominators
+    return TimeIndexedSolution.scaled(y.horizon, {key: x // g for key, x in vol.items() if x}, new_den // g)
 
 
-def rounding_vectors(inst: SchedulingInstance, split_jobs: list[int], half_of: dict, classes=None):
-    """Balancing vectors over (machine, class) pairs for the split jobs.
+def rounding_vectors(split: JobSplit, halves: list, classes: dict) -> SignedVectorSequence:
+    """Balancing vectors over (machine, class) pairs for the half-split pieces.
 
-    ``half_of[j]`` is ``(j, i1, i2)`` with machines i1 < i2.  Each split job
-    carries +p/2^(k+1) on the lower machine i1's (machine, class) pair and the
-    negated counterpart on i2's; entries never exceed 1/2, so l1 norms stay at
-    most 1.  Returns (dim, vectors, (i1, i2) per job).
+    ``halves`` lists ``(piece, i1, i2)`` with machines i1 < i2.  Each carries
+    +p/2^(k+1) on the lower machine i1's (machine, class) pair and the negated
+    counterpart on i2's; entries never exceed 1/2, so l1 norms stay at most 1.
+    Over S * 2^e, for e = max(largest class + 1, 0), p/2^(k+1) is p * 2^(e-k-1).
     """
-    if classes is None:
-        classes = class_table(inst)
     present = sorted(set(classes.values()))
     class_pos = {k: pos for pos, k in enumerate(present)}
-    dim = inst.m * len(present)
-
-    def coord(i: int, k: int) -> int:
-        return i * len(present) + class_pos[k]
-
+    dim = split.m * len(present)
+    e = max(present[-1] + 1, 0)
     vectors = []
-    pos_side = []
-    for j in split_jobs:
-        _, i1, i2 = half_of[j]
+    for j, i1, i2 in halves:
         k1, k2 = classes[i1, j], classes[i2, j]
-        v = [Fraction(0)] * dim
-        v[coord(i1, k1)] = inst.jobs[j].proc[i1] / pow2(k1 + 1)
-        v[coord(i2, k2)] = -inst.jobs[j].proc[i2] / pow2(k2 + 1)
+        v = [0] * dim
+        v[i1 * len(present) + class_pos[k1]] = split.procs[j][i1] << (e - k1 - 1)
+        v[i2 * len(present) + class_pos[k2]] = -(split.procs[j][i2] << (e - k2 - 1))
         vectors.append(v)
-        pos_side.append((i1, i2))
-    return dim, vectors, pos_side
+    return SignedVectorSequence(m=dim, vectors=vectors, scale=split.scale << e)
 
 
 def round_half_integral_totalflow(
-    inst: SchedulingInstance,
+    split: JobSplit,
     y: TimeIndexedSolution,
     colorer: Callable[[SignedVectorSequence], list[int]],
     classes=None,
 ) -> tuple[TimeIndexedSolution, Fraction]:
-    """Round machine-half-integral volumes to an integral solution.
+    """Round a split's machine-half-integral volumes to an integral solution.
 
-    After consistent ordering, every job sits on one machine (full) or two
-    machines (half each).  Split jobs become vectors over (machine, class)
-    with entries +-p/2^(k+1); a prefix coloring in job order picks each job's
-    machine, volume lands at the earliest slot the job used there, and of the
-    coloring and its global flip the cheaper solution (grouped objective) is
-    returned together with the achieved prefix discrepancy.
+    After consistent ordering, every piece sits on one machine (full) or two
+    machines (half each).  Half-split pieces become vectors over (machine,
+    class) with entries +-p/2^(k+1); a prefix coloring in the split's order
+    picks each piece's machine, volume lands at the earliest slot the piece
+    used there, and of the coloring and its global flip the cheaper solution
+    (grouped objective) is returned together with the achieved prefix
+    discrepancy.  A plain instance is rounded as its level-1 split.
     """
     if classes is None:
-        classes = class_table(inst)
-    ybar = normalize_consistent_order(inst, y, classes=classes)
-    den = ybar.den
-    streams = ybar.scaled_streams()
-    order = canonical_order(inst)
+        classes = class_table(split)
+    ybar = normalize_consistent_order(split, y, classes)
+    den, scale = ybar.den, split.scale
+    totals: dict[int, dict] = {}  # piece -> {machine: its volume there}
+    first: dict = {}  # (machine, piece) -> the earliest slot it uses there
+    for (i, j, t), x in ybar.vol.items():
+        row = totals.setdefault(j, {})
+        row[i] = row.get(i, 0) + x
+        first[i, j] = min(first.get((i, j), t), t)
     full: dict[int, int] = {}
-    half_of: dict[int, tuple[int, int, int]] = {}  # job -> (job, i1, i2), i1 < i2
+    half_of: dict[int, tuple[int, int, int]] = {}  # piece -> (piece, i1, i2), i1 < i2
 
-    def is_part(q, x: int, halves: int) -> bool:
-        """Whether the volume x/den is halves/2 of the processing time q."""
-        return q is not None and 2 * x * q.denominator == halves * q.numerator * den
+    def is_part(p, x: int, halves: int) -> bool:
+        """Whether the volume x/den is halves/2 of the processing time p/S."""
+        return p is not None and 2 * x * scale == halves * p * den
 
-    for j in range(inst.n):
-        tot = [(i, sum(x for _, x in streams.get((i, j), []))) for i in range(inst.m)]
-        support = [(i, x) for i, x in tot if x != 0]
-        p = inst.jobs[j].proc
+    for j, p in enumerate(split.procs):
+        support = sorted((i, x) for i, x in totals.get(j, {}).items() if x != 0)
         if len(support) == 1 and is_part(p[support[0][0]], support[0][1], 2):
             full[j] = support[0][0]
         elif len(support) == 2 and all(is_part(p[i], x, 1) for i, x in support):
@@ -579,38 +614,31 @@ def round_half_integral_totalflow(
             shown = [(i, Fraction(x, den)) for i, x in support]
             raise ValidationError(f"job {j}: totals {shown} are not machine-half-integral")
 
-    split_jobs = [j for j in order if j in half_of]
-    dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of, classes)
-    seq = SignedVectorSequence(m=dim, vectors=vectors) if vectors else None
-    if seq is not None:
+    halves = [half_of[j] for j in split.order if j in half_of]
+    signs, achieved = [], Fraction(0)
+    if halves:
+        seq = rounding_vectors(split, halves, classes)
         signs = colorer(seq)
         achieved = discrepancy(seq.with_signs(signs), PREFIX).value
-    else:
-        signs = []
-        achieved = Fraction(0)
 
     def place(vol: dict, i: int, j: int) -> None:
-        """Job j's whole p, as p * den (an int: the job held p or p/2 on i),
-        at the earliest slot it used on machine i."""
-        q = inst.jobs[j].proc[i]
-        vol[(i, j, streams[(i, j)][0][0])] = q.numerator * den // q.denominator
+        """Piece j's whole p, as the int p * den, at its earliest slot on machine i."""
+        vol[i, j, first[i, j]] = split.procs[j][i] * den // scale
 
-    def build(flip: int) -> TimeIndexedSolution:
+    def build(flip: int) -> dict:
         vol: dict = {}
         for j, i in full.items():
             place(vol, i, j)
-        for pos, j in enumerate(split_jobs):
-            plus_i, minus_i = pos_side[pos]
-            place(vol, plus_i if signs[pos] * flip == 1 else minus_i, j)
-        return TimeIndexedSolution.scaled(ybar.horizon, vol, den)
+        for (j, plus_i, minus_i), sign in zip(halves, signs):
+            place(vol, plus_i if sign * flip == 1 else minus_i, j)
+        return vol
 
-    y_pos = build(1)
-    y_neg = build(-1)
-    cost_pos = aux_cost(inst, y_pos, classes)
-    cost_neg = aux_cost(inst, y_neg, classes)
-    chosen = y_pos if cost_pos <= cost_neg else y_neg
-    alpha_in = measure_alpha(inst, ybar, classes).alpha
-    alpha_out = measure_alpha(inst, chosen, classes).alpha
+    vol_pos, vol_neg = build(1), build(-1)
+    cost_pos = _grouped_cost(vol_pos, den, split.releases, 1, classes)
+    cost_neg = _grouped_cost(vol_neg, den, split.releases, 1, classes)
+    chosen = TimeIndexedSolution.scaled(ybar.horizon, vol_pos if cost_pos <= cost_neg else vol_neg, den)
+    alpha_in = measure_alpha(split, ybar, classes).alpha
+    alpha_out = measure_alpha(split, chosen, classes).alpha
     if alpha_out > alpha_in + 4 * achieved + 4:
         raise InternalCheckError(
             f"rounded slack {alpha_out} exceeds {alpha_in} + 4*{achieved} + 4"
@@ -771,16 +799,16 @@ def full_round_totalflow(
         )
     records: list[TotalLevelRecord] = []
     alpha_after = alpha_quantized  # the slack of the current y, measured once
+    jobs = JobSplit.whole(dinst)  # int times and the canonical order, once per run
     for h in range(level, 0, -1):
-        split_inst, origin = split_jobs_instance(dinst, h)
-        y_split = _split_solution(dinst, origin, y, h)
+        split = split_jobs_instance(jobs, h)
+        y_split = _split_solution(dinst, split.origin, y, h)
         # a piece of p/2^(h-1) sits h - 1 classes below its job
-        split_classes = {(i, piece): classes[i, j] - (h - 1) for piece, j in enumerate(origin)
+        split_classes = {(i, piece): classes[i, j] - (h - 1) for piece, j in enumerate(split.origin)
                          for i in range(dinst.m) if (i, j) in classes}
         alpha_before = alpha_after
-        y_rounded, achieved = round_half_integral_totalflow(split_inst, y_split, colorer,
-                                                            split_classes)
-        y = _merge_split_solution(origin, y_rounded)
+        y_rounded, achieved = round_half_integral_totalflow(split, y_split, colorer, split_classes)
+        y = _merge_split_solution(split.origin, y_rounded)
         alpha_after = measure_alpha(dinst, y, classes).alpha
         level_bound = slack_bound(h, achieved)
         if alpha_after > alpha_before + level_bound:

@@ -26,6 +26,7 @@ from flowdisc.core import (
     evaluate_total_flow_srpt,
     gen_periodic_instance,
     gen_random_instance,
+    integer_times,
     make_instance,
     p_max,
 )
@@ -75,6 +76,7 @@ from flowdisc.totalflow import (
     normalize_consistent_order,
     round_half_integral_totalflow,
     solution_violations,
+    split_jobs_instance,
 )
 
 
@@ -128,7 +130,7 @@ def test_criterion_1_half_integral_rounding_bound(record):
         fa = _half_integral_for(inst, seed=3000 + idx)
         assert fractional_assignment_violations(inst, fa) == []
         # rounded as its level-1 split of the slot counts 2x
-        sp = split_to_pair_instance(inst, [[int(2 * v) for v in row] for row in fa.x], 1, fa.T)
+        sp = split_to_pair_instance(integer_times(inst), [[int(2 * v) for v in row] for row in fa.x], 1, fa.T)
         halves, d = round_half_integral_maxflow(sp, brute)
         asg = MachineAssignment(tuple(row.index(1) for row in sp.merge_assignment(halves)))
         met = evaluate_max_flow(inst, asg)
@@ -211,7 +213,7 @@ def test_criterion_4_consistent_order_preservation(record):
                                    (1, 6), (0, 5), 0.2, seed=5000 + trial)
         y = _random_ti_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        z = normalize_consistent_order(inst, y)
+        z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
         assert aux_cost(inst, y) == aux_cost(inst, z)
         for i in range(inst.m):
             for j in range(inst.n):
@@ -246,9 +248,10 @@ def test_criterion_5_totalflow_rounding_bounds(record):
                                    (1, 8), (0, 5), 0.2, seed=6000 + trial)
         y = _random_half_integral_ti(inst, rng)
         assert solution_violations(inst, y) == []
-        ybar = normalize_consistent_order(inst, y)
+        split = split_jobs_instance(inst, 1)  # a plain instance is rounded as its level-1 split
+        ybar = normalize_consistent_order(split, y)
         alpha_in = measure_alpha(inst, ybar).alpha
-        out, d = round_half_integral_totalflow(inst, y, brute)
+        out, d = round_half_integral_totalflow(split, y, brute)
         assert integral_assignment(inst, out) is not None
         assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
         compact = {}

@@ -551,6 +551,24 @@ def test_scaled_integer_input_is_the_same_sequence():
                         discrepancy(s.with_signs(expected), mode)
 
 
+def test_scaled_input_builds_its_fraction_view_on_first_read():
+    rng = random.Random(63)
+    for m, vs in _seeded_sequences(rng, 60):
+        s = SignedVectorSequence(m, vs)
+        scale = math.lcm(*(x.denominator for v in s.vectors for x in v))
+        t = SignedVectorSequence(m, [[int(x * scale) for x in v] for v in s.vectors], scale=scale)
+        signs = color_greedy(t)
+        if 0 < t.n <= 8:
+            assert color_brute_force(t, PREFIX) == color_brute_force(s, PREFIX)
+        signed = t.with_signs(signs)
+        if t.n:
+            assert discrepancy(signed, PREFIX) == discrepancy(s.with_signs(signs), PREFIX)
+        assert t._view is None and signed._view is None  # colored and measured on ints alone
+        assert signed.vectors == s.vectors and t._view is None  # the copy built its own view
+        assert t.vectors == s.vectors and t.vectors is t.vectors  # built once, then cached
+        assert all(a is b for a, b in zip(t.vectors, t.vectors[1:]) if a == b)  # equal ones share a tuple
+
+
 @pytest.mark.parametrize("ints, scale", [([[F(1, 2)]], 2), ([[True]], 1), ([[1]], 0), ([[1]], -2)])
 def test_scaled_input_must_be_ints_over_a_positive_scale(ints, scale):
     with pytest.raises(ValidationError):

@@ -175,21 +175,21 @@ def _fractions(counts, level):
 def _round_plain(inst, fa, colorer):
     """Round a half-integral assignment of a plain instance as its level-1
     split of 2x: (the assignment of every job, D, the split's p_max_level)."""
-    sp = split_to_pair_instance(inst, _slot_counts(fa.x, 1), 1, fa.T)
+    sp = split_to_pair_instance(integer_times(inst), _slot_counts(fa.x, 1), 1, fa.T)
     asg, d = round_half_integral_maxflow(sp, colorer)
     return MachineAssignment(tuple(row.index(1) for row in sp.merge_assignment(asg))), d, sp.p_max_level
 
 
 def test_split_identity_level():
     inst = make_instance(2, [(0, [4, 6])])
-    sp = split_to_pair_instance(inst, [[1, 1]], 1, F(6))  # x = (1/2, 1/2)
+    sp = split_to_pair_instance(integer_times(inst), [[1, 1]], 1, F(6))  # x = (1/2, 1/2)
     assert sp.pairs == [(0, 1)]
     assert sp.instance.jobs[0].proc == (F(4), F(6))  # p' = p at level 1
 
 
 def test_split_level_two_pairing():
     inst = make_instance(2, [(0, [4, 8])])
-    sp = split_to_pair_instance(inst, [[3, 1]], 2, F(8))  # x = (3/4, 1/4)
+    sp = split_to_pair_instance(integer_times(inst), [[3, 1]], 2, F(8))  # x = (3/4, 1/4)
     # the pieces are (0, 1), a half-job, and (0, 0), an integral piece
     assert sp.pairs == [(0, 1)]
     assert sp.integral_counts == [[1, 0]]
@@ -199,7 +199,7 @@ def test_split_level_two_pairing():
 
 def test_split_integral_job_degenerate_pair():
     inst = make_instance(2, [(0, [4, 8])])
-    sp = split_to_pair_instance(inst, [[2, 0]], 1, F(8))  # x = (1, 0)
+    sp = split_to_pair_instance(integer_times(inst), [[2, 0]], 1, F(8))  # x = (1, 0)
     # the one piece is the degenerate pair (0, 0), wholly on machine 0
     assert sp.pairs == [] and sp.instance.n == 0
     assert sp.integral_counts == [[1, 0]]
@@ -217,7 +217,7 @@ def test_split_backmap_reproduces_fractions():
             cuts = sorted(rng.sample(range(1, denom), 2)) if denom > 2 else [1]
             parts = [cuts[0], cuts[1] - cuts[0], denom - cuts[1]]
             x.append([F(parts[i], denom) if i < len(parts) else F(0) for i in range(inst.m)])
-        sp = split_to_pair_instance(inst, _slot_counts(x, level), level, F(50))
+        sp = split_to_pair_instance(integer_times(inst), _slot_counts(x, level), level, F(50))
         # folding the canonical half-assignment back, with each integral piece
         # as two slots on its machine, gives the original fractions
         counts = [[F(2 * c, 2 ** level) for c in row] for row in sp.integral_counts]
@@ -243,9 +243,9 @@ def test_split_rejects_bad_counts():
         ([[3, 1, 0], [4, 0]], "counts must be 2 rows of 2"),
     ]:
         with pytest.raises(ValidationError) as info:
-            split_to_pair_instance(inst, counts, 2, F(8))
+            split_to_pair_instance(integer_times(inst), counts, 2, F(8))
         assert str(info.value) == message
-    assert split_to_pair_instance(inst, [[3, 1], [4, 0]], 2, F(8)).pairs == [(0, 1)]
+    assert split_to_pair_instance(integer_times(inst), [[3, 1], [4, 0]], 2, F(8)).pairs == [(0, 1)]
 
 
 def _reference_split(inst, fa, level):
@@ -327,7 +327,7 @@ def test_split_matches_reference_split():
         inst = make_instance(m, jobs)
         level = rng.randint(1, 5)
         fa = FractionalAssignment(x=_random_dyadic(inst, level, rng), T=F(0))
-        sp = split_to_pair_instance(inst, _slot_counts(fa.x, level), level, fa.T)
+        sp = split_to_pair_instance(integer_times(inst), _slot_counts(fa.x, level), level, fa.T)
         ref_inst, ref_fa, ref_origin, ref_pairs = _reference_split(inst, fa, level)
 
         keep = [k for k, (i1, i2) in enumerate(ref_pairs) if i1 != i2]
@@ -388,7 +388,7 @@ def test_leftover_check_sees_fixed_load(monkeypatch):
     # only sees that overload through the fixed load.
     inst = make_instance(2, [(0, [4, 4])])
     fa = FractionalAssignment(x=[[F(3, 4), F(1, 4)]], T=F(3))
-    sp = split_to_pair_instance(inst, [[3, 1]], 2, fa.T)
+    sp = split_to_pair_instance(integer_times(inst), [[3, 1]], 2, fa.T)
     ref_inst, ref_fa, _, _ = _reference_split(inst, fa, 2)
     monkeypatch.setattr(maxflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
     to_first = lambda seq: [1] * len(seq.vectors)  # noqa: E731
@@ -403,9 +403,9 @@ def test_full_round_records_reference_levels(monkeypatch):
     calls = []
     real_split = maxflow.split_to_pair_instance
 
-    def spy(inst, counts, level, T):
+    def spy(times, counts, level, T):
         calls.append((FractionalAssignment(x=_fractions(counts, level), T=T), level))
-        return real_split(inst, counts, level, T)
+        return real_split(times, counts, level, T)
 
     monkeypatch.setattr(maxflow, "split_to_pair_instance", spy)
     narrower = 0
@@ -795,9 +795,9 @@ def _levels_of(monkeypatch, inst):
     splits = []
     real_split = maxflow.split_to_pair_instance
 
-    def split(inst, counts, level, T):
+    def split(times, counts, level, T):
         fa = FractionalAssignment(x=_fractions(counts, level), T=T)
-        splits.append((fa, level, real_split(inst, counts, level, T)))
+        splits.append((fa, level, real_split(times, counts, level, T)))
         return splits[-1][2]
 
     monkeypatch.setattr(maxflow, "split_to_pair_instance", split)
@@ -818,7 +818,7 @@ def _tampered_merges(inst, fa, h, sp, rng):
             x = [row[:] for row in fa.x]
             x[j][a] -= unit
             x[j][b] += unit
-            yield "count", split_to_pair_instance(inst, _slot_counts(x, h), h, fa.T)
+            yield "count", split_to_pair_instance(integer_times(inst), _slot_counts(x, h), h, fa.T)
     pieces = [(j, i) for j, row in enumerate(sp.integral_counts) for i, c in enumerate(row) if c]
     for j, i in rng.sample(pieces, min(len(pieces), 2)):
         # as if job j had more integral pieces on machine i
@@ -831,7 +831,7 @@ def _tampered_merges(inst, fa, h, sp, rng):
     tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
     for T in (fa.T - F(1, 2 ** h), tight, tight - F(1, 2 ** h)):
         if T < fa.T:
-            yield "T", split_to_pair_instance(inst, _slot_counts(fa.x, h), h, T)
+            yield "T", split_to_pair_instance(integer_times(inst), _slot_counts(fa.x, h), h, T)
 
 
 def _trial_instance(rng, trial):
@@ -982,9 +982,10 @@ def test_int_level_matches_fraction_reference(times_instance, monkeypatch):
         ref_inst, ref_fa, _, _ = _reference_split(inst, FractionalAssignment(x=_fractions(counts, level), T=0),
                                                   level)
         tight = max(load - (t2 - t1) for (i, t1, t2), load in _window_loads(ref_inst, ref_fa.x).items())
-        pml = split_to_pair_instance(inst, counts, level, tight).p_max_level
+        times = integer_times(inst)
+        pml = split_to_pair_instance(times, counts, level, tight).p_max_level
         for T in sorted({tight, tight - F(1, 2 ** level), pml - F(1, 3), max(tight, pml) + F(1, 3)}):
-            for kind in _round_both(inst, level, split_to_pair_instance(inst, counts, level, T), monkeypatch):
+            for kind in _round_both(inst, level, split_to_pair_instance(times, counts, level, T), monkeypatch):
                 seen[kind] += 1
     for trial in range(16):
         inst = _trial_instance(rng, trial)

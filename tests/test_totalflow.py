@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,19 +14,22 @@ from flowdisc.coloring import (
     SignedVectorSequence,
     color_brute_force,
     color_greedy,
-    discrepancy,
 )
 from flowdisc.core import (
     CARRY,
+    Job,
     MachineAssignment,
+    SchedulingInstance,
     add_carry_rows,
     evaluate_total_flow_srpt,
     gen_random_instance,
     make_instance,
+    snap_pairs,
     worst_window,
 )
 from flowdisc import totalflow
 from flowdisc.totalflow import (
+    JobSplit,
     TimeIndexedSolution,
     _merge_split_solution,
     _pour,
@@ -44,11 +49,13 @@ from flowdisc.totalflow import (
     integral_assignment,
     measure_alpha,
     normalize_consistent_order,
+    pow2,
     quantize_dyadic_time,
     result_to_json,
     round_half_integral_totalflow,
     rounding_vectors,
     schedule_from_integral,
+    slot_rate,
     solution_from_lp,
     solution_violations,
     split_jobs_instance,
@@ -477,12 +484,18 @@ def test_measure_alpha_matches_all_slot_windows():
         assert (rep.alpha, rep.witness) == (1, witness)
 
 
+def _streams(y):
+    """(machine, job) -> that pair's slot-ordered [(slot, volume), ...], the
+    Fraction view of ``y.scaled_streams()``."""
+    return {pair: [(t, F(x, y.den)) for t, x in stream] for pair, stream in y.scaled_streams().items()}
+
+
 def test_streams_agree_with_entries():
     rng = random.Random(41)
     for trial in range(20):
         inst = gen_random_instance(rng.randint(1, 5), 3, (1, 6), (0, 4), 0.2, seed=800 + trial)
         y = _random_solution(inst, rng)
-        streams = y.streams()
+        streams = _streams(y)
         assert {(i, j, t): v for (i, j), stream in streams.items() for t, v in stream} == y.entries
         for (i, j), stream in streams.items():
             assert [t for t, _ in stream] == sorted({t for t, _ in stream})
@@ -520,14 +533,14 @@ def test_slot_objective_and_completion_rows():
 def test_normalize_exchange_example():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 5): F(2), (0, 1, 3): F(2)})
-    z = normalize_consistent_order(inst, y)
+    z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
     assert z.entries == {(0, 0, 3): F(2), (0, 1, 5): F(2)}
 
 
 def test_normalize_fixpoint():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 1): F(2), (0, 1, 4): F(2)})
-    z = normalize_consistent_order(inst, y)
+    z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
     assert z.entries == y.entries
 
 
@@ -538,7 +551,7 @@ def test_normalize_preserves_everything_random():
                                    (1, 6), (0, 5), 0.2, seed=400 + trial)
         y = _random_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        z = normalize_consistent_order(inst, y)
+        z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
         assert solution_violations(inst, z) == []
         assert aux_cost(inst, y) == aux_cost(inst, z)
         for i in range(inst.m):
@@ -587,13 +600,30 @@ def _reference_normalize(inst, y):
                 entries[key] = entries.get(key, F(0)) + take
                 need -= take
                 room -= take
+    for (i, j, t) in entries:
+        if t < inst.jobs[j].release:
+            raise InternalCheckError("consistent-order refill placed volume before a release")
     return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+
+
+def _early_entry(inst, y, rng):
+    """y with one entry of a job released after 0 moved to a slot before its
+    release, or y itself when no job has such an entry."""
+    movable = [(key, v) for key, v in sorted(y.entries.items()) if inst.jobs[key[1]].release > 0]
+    if not movable:
+        return y
+    (i, j, t), v = rng.choice(movable)
+    entries = dict(y.entries)
+    del entries[i, j, t]
+    early = (i, j, rng.randrange(int(inst.jobs[j].release)))
+    entries[early] = entries.get(early, F(0)) + v
+    return TimeIndexedSolution(y.horizon, entries)
 
 
 def _reference_split_solution(inst, origin, y, level):
     """_split_solution with its own slicing loop (reference)."""
     scale = 2 ** level
-    streams = y.streams()
+    streams = _streams(y)
     pieces_of = {}
     for piece, j in enumerate(origin):
         pieces_of.setdefault(j, []).append(piece)
@@ -693,7 +723,7 @@ def _pipeline_calls(monkeypatch, name, instances, colorer=color_greedy):
 
 def test_normalize_matches_reference_refill():
     rng = random.Random(41)
-    fractional = 0
+    fractional = early = 0
     for trial in range(90):
         if trial < 60:
             inst = gen_random_instance(rng.randint(1, 6), rng.randint(1, 3),
@@ -702,10 +732,13 @@ def test_normalize_matches_reference_refill():
             inst = _fractional_instance(rng)
             inst = make_instance(inst.m, [(int(job.release), job.proc) for job in inst.jobs])
         y = _random_solution(inst, rng)
+        if trial % 3 == 2:  # the refill may follow the moved volume before a release
+            y = _early_entry(inst, y, rng)
         fractional += any(v.denominator > 1 for v in y.entries.values())
-        got, want = normalize_consistent_order(inst, y), _reference_normalize(inst, y)
-        assert list(got.entries.items()) == list(want.entries.items())
-    assert fractional > 30
+        got = _outcome(normalize_consistent_order, split_jobs_instance(inst, 1), y)
+        assert got == _outcome(_reference_normalize, inst, y)
+        early += isinstance(got, tuple)
+    assert fractional > 30 and early > 5
 
 
 def test_split_solution_matches_reference_slicing(monkeypatch):
@@ -793,6 +826,8 @@ def test_alpha_and_cost_match_fraction_references(monkeypatch):
     negative = positive = 0
     for inst, y, *_ in cases:
         rep = measure_alpha(inst, y)
+        if isinstance(inst, JobSplit):  # a level's call: the pieces' Fraction view
+            inst = inst.instance
         assert (rep.alpha, rep.witness) == _reference_measure_alpha(inst, y)
         assert type(rep.alpha) is F
         cost = aux_cost(inst, y)
@@ -802,8 +837,27 @@ def test_alpha_and_cost_match_fraction_references(monkeypatch):
     assert negative > 10 and positive > 30 and len(cases) - positive > 20
 
 
+def _fraction_rounding_vectors(inst, split_jobs, half_of):
+    """rounding_vectors on Fraction entries (reference): (dim, vectors, (i1, i2) per job)."""
+    classes = class_table(inst)
+    present = sorted(set(classes.values()))
+    class_pos = {k: pos for pos, k in enumerate(present)}
+    dim = inst.m * len(present)
+    vectors, pos_side = [], []
+    for j in split_jobs:
+        _, i1, i2 = half_of[j]
+        k1, k2 = classes[i1, j], classes[i2, j]
+        v = [F(0)] * dim
+        v[i1 * len(present) + class_pos[k1]] = inst.jobs[j].proc[i1] / pow2(k1 + 1)
+        v[i2 * len(present) + class_pos[k2]] = -inst.jobs[j].proc[i2] / pow2(k2 + 1)
+        vectors.append(v)
+        pos_side.append((i1, i2))
+    return dim, vectors, pos_side
+
+
 def _reference_round_half(inst, y, colorer):
-    """round_half_integral_totalflow on Fraction volumes (reference)."""
+    """round_half_integral_totalflow on Fraction volumes (reference); D is
+    measured by `totalflow.discrepancy`, which a test may patch."""
     ybar = _reference_normalize(inst, y)
     streams = {}
     for (i, j, t), v in sorted(ybar.entries.items()):
@@ -821,12 +875,12 @@ def _reference_round_half(inst, y, colorer):
         else:
             raise ValidationError(f"job {j}: totals {support} are not machine-half-integral")
     split_jobs = [j for j in order if j in half_of]
-    dim, vectors, pos_side = rounding_vectors(inst, split_jobs, half_of)
+    dim, vectors, pos_side = _fraction_rounding_vectors(inst, split_jobs, half_of)
     signs, achieved = [], F(0)
     if vectors:
         seq = SignedVectorSequence(m=dim, vectors=vectors)
         signs = colorer(seq)
-        achieved = discrepancy(seq.with_signs(signs), PREFIX).value
+        achieved = totalflow.discrepancy(seq.with_signs(signs), PREFIX).value
 
     def build(flip):
         entries = {}
@@ -846,7 +900,24 @@ def _reference_round_half(inst, y, colorer):
     return chosen, achieved
 
 
+def _stacked_halves(n):
+    """n unit jobs released at 0 on two machines, each half on both in slot 0:
+    every piece sent to machine 0 overloads slot 0 by n - 1."""
+    inst = make_instance(2, [(0, [1, 1])] * n)
+    return inst, TimeIndexedSolution(4, {(i, j, 0): F(1, 2) for j in range(n) for i in range(2)})
+
+
+def _to_first(seq):
+    return [1] * seq.n
+
+
 def test_round_half_integral_matches_fraction_reference(monkeypatch):
+    # plain instances rounded as their level-1 splits (fractional times, so
+    # classes below 0, and volumes off the half grid or before a release),
+    # levels 1..4 of split dyadic solutions, and the pipeline's own calls:
+    # the int level gives the reference's entries, D, alpha and error text,
+    # and keeps the input's den; with D forced to 0 and every piece on its
+    # first machine, the 4D + 4 slack check refuses the stacked halves
     rng = random.Random(71)
     cases = []
     for trial in range(120):
@@ -855,17 +926,40 @@ def test_round_half_integral_matches_fraction_reference(monkeypatch):
         inst = make_instance(inst.m, [(int(job.release), job.proc) for job in inst.jobs])
         y = (_random_solution(inst, rng) if trial % 4 == 0 else
              _random_half_integral_solution(inst, rng))
-        cases.append((inst, y, brute if trial % 3 else color_greedy))
+        if trial % 10 == 5:
+            y = _early_entry(inst, y, rng)
+        cases.append((split_jobs_instance(inst, 1), y, brute if trial % 3 else color_greedy))
+    for trial in range(80):
+        level = 1 + trial % 4
+        inst = (_divisible_instance(rng, level) if trial % 2 else
+                gen_random_instance(rng.randint(1, 5), rng.randint(2, 3), (1, 4), (0, 5), 0.2, seed=1450 + trial))
+        inst = make_instance(inst.m, [(job.release, [p and p * 2 ** (level - 1) for p in job.proc])
+                                      for job in inst.jobs]) if trial % 2 == 0 else inst
+        split = split_jobs_instance(inst, level)
+        y = _split_solution(inst, split.origin, _random_dyadic_solution(inst, rng, level), level)
+        cases.append((split, y, color_greedy))
     cases += [args for args in _pipeline_calls(
         monkeypatch, "round_half_integral_totalflow",
         [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1500 + n) for n in range(2, 10)])]
-    errors = split = 0
-    for inst, y, colorer, *classes in cases:  # the pipeline's calls pass its class table
-        got = _outcome(round_half_integral_totalflow, inst, y, colorer, *classes)
-        assert got == _outcome(_reference_round_half, inst, y, colorer)
-        errors += isinstance(got[0], type)
-        split += not isinstance(got[0], type) and got[1] > 0
-    assert errors > 10 and split > 40
+    seen = dict.fromkeys(["halves", "early", "split", "negative", "levels", "slack"], 0)
+    for force_zero in (False, True):
+        if force_zero:
+            monkeypatch.setattr(totalflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
+            cases = [(split_jobs_instance(inst, 1), y, _to_first) for inst, y in map(_stacked_halves, range(1, 14))]
+        for split, y, colorer, *classes in cases:  # the pipeline's calls pass its class table
+            got = _outcome(round_half_integral_totalflow, split, y, colorer, *classes)
+            assert got == _outcome(_reference_round_half, split.instance, y, colorer)
+            if isinstance(got[0], type):
+                seen["slack" if force_zero else "early" if "release" in got[1] else "halves"] += 1
+                continue
+            out, _ = round_half_integral_totalflow(split, y, colorer, *classes)
+            assert out.den == y.den
+            assert measure_alpha(split, out).alpha == _reference_measure_alpha(split.instance, out)[0]
+            seen["split"] += got[1] > 0
+            seen["negative"] += min(class_table(split).values()) < 0
+            seen["levels"] += split.n > len(set(split.origin))
+    monkeypatch.undo()
+    assert min(seen.values()) >= 5 and seen["halves"] + seen["early"] > 10 and seen["split"] > 40, seen
 
 
 def test_pipeline_hands_each_level_the_split_class_table(monkeypatch):
@@ -892,28 +986,105 @@ def test_pour_fills_in_order_and_rejects_a_short_supply():
 
 def test_split_jobs_identity_level():
     inst = make_instance(2, [(0, [4, 6])])
-    out, origin = split_jobs_instance(inst, 1)
-    assert out.jobs == inst.jobs and origin == [0]
+    split = split_jobs_instance(inst, 1)
+    assert split.instance.jobs == inst.jobs and split.origin == [0]
 
 
 def test_split_jobs_level_two():
     inst = make_instance(2, [(0, [4, 6])])
-    out, origin = split_jobs_instance(inst, 2)
-    assert out.n == 2 and origin == [0, 0]
-    assert all(job.proc == (F(2), F(3)) for job in out.jobs)
+    split = split_jobs_instance(inst, 2)
+    assert split.n == 2 and split.origin == [0, 0] and split.procs == [[2, 3], [2, 3]]
+    assert all(job.proc == (F(2), F(3)) for job in split.instance.jobs)
 
 
 def test_split_jobs_class_shift():
     inst = make_instance(1, [(0, [8])])
-    out, _ = split_jobs_instance(inst, 3)  # pieces of size 2
+    split = split_jobs_instance(inst, 3)  # pieces of size 2
     assert class_index(inst.jobs[0].proc[0]) == 3
-    assert all(class_index(job.proc[0]) == 1 for job in out.jobs)
+    assert all(class_index(job.proc[0]) == 1 for job in split.instance.jobs)
 
 
 def test_split_jobs_divisibility():
     inst = make_instance(1, [(0, [6])])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^processing time 6 not divisible by 4$"):
         split_jobs_instance(inst, 3)
+
+
+def _fraction_split(inst, level):
+    """split_jobs_instance on Fraction times (reference): the pieces as an
+    instance and their origins.  A piece p/2^(level-1) must be an int over
+    S, the lcm of the processing-time denominators, which on integral times
+    is p/2^(level-1) integral; and the releases must be ints."""
+    if level < 1:
+        raise ValidationError("level must be >= 1")
+    for j, job in enumerate(inst.jobs):
+        if job.release.denominator != 1:
+            raise ValidationError(f"job {j}: integer release required, got {job.release}")
+    pieces = 2 ** (level - 1)
+    S = math.lcm(*(p.denominator for _, _, p in inst.finite_procs()))
+    jobs, origin = [], []
+    for j, job in enumerate(inst.jobs):
+        proc = []
+        for p in job.proc:
+            if p is None:
+                proc.append(None)
+            else:
+                q = p / pieces
+                if (q * S).denominator != 1:
+                    raise ValidationError(f"processing time {p} not divisible by {pieces}")
+                proc.append(q)
+        for _ in range(pieces):
+            jobs.append(Job(release=job.release, proc=tuple(proc)))
+            origin.append(j)
+    return SchedulingInstance(m=inst.m, jobs=tuple(jobs)), origin
+
+
+def _divisible_instance(rng, level):
+    """Times a * 2^(level-1) / b with b odd, so the level's pieces are ints
+    over S, S > 1 mostly, and pieces of p < 2^(level-1) fall in classes below 0."""
+    m = rng.randint(1, 3)
+    jobs = []
+    for _ in range(rng.randint(1, 6)):
+        proc = [F(rng.randint(1, 6) << (level - 1), rng.choice([1, 3, 5, 9])) if rng.random() < 0.8 else None
+                for _ in range(m)]
+        if all(p is None for p in proc):
+            proc[rng.randrange(m)] = F(1 << (level - 1), 3)
+        jobs.append((rng.randint(0, 8), proc))
+    return make_instance(m, jobs)
+
+
+def test_split_matches_fraction_reference():
+    # integral and fractional times (S > 1), forbidden machines, m = 1..3 and
+    # levels 1..4: the int split's view and origins are the Fraction split's,
+    # its order is the pieces' (release, index) order, splitting the whole
+    # jobs gives the same split, and every refusal has the reference's text
+    rng = random.Random(2801)
+    seen = dict.fromkeys(["scaled", "split", "divisibility", "release"], 0)
+    for trial in range(200):
+        level = 1 + trial % 4
+        inst = (gen_random_instance(rng.randint(1, 6), rng.randint(1, 3), (1, 9), (0, 6), 0.3, seed=2800 + trial)
+                if trial % 3 == 0 else _fractional_instance(rng) if trial % 3 == 1 else _divisible_instance(rng, level))
+        late = rng.randrange(inst.n) if trial % 6 == 5 else None  # one release moved off the int grid
+        inst = make_instance(inst.m, [(int(job.release) + F(j == late, 2), job.proc)
+                                      for j, job in enumerate(inst.jobs)])
+        try:
+            want = _fraction_split(inst, level)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                split_jobs_instance(inst, level)
+            assert str(err.value) == str(exc)
+            seen["release" if "release" in str(exc) else "divisibility"] += 1
+            continue
+        split = split_jobs_instance(inst, level)
+        assert (split.instance, split.origin) == want
+        assert split.order == sorted(range(split.n), key=lambda q: (want[0].jobs[q].release, q))
+        assert split_jobs_instance(JobSplit.whole(inst), level) == split
+        assert split.scale == math.lcm(*(p.denominator for _, _, p in inst.finite_procs()))
+        seen["split"] += 1
+        seen["scaled"] += split.scale > 1
+    assert min(seen.values()) >= 10, seen
+    with pytest.raises(ValidationError, match="^level must be >= 1$"):
+        split_jobs_instance(make_instance(1, [(0, [1])]), 0)
 
 
 def test_quantize_time_fixpoint():
@@ -953,6 +1124,76 @@ def test_quantize_time_alpha_increase_at_most_one():
         assert aux_cost(inst, q) <= aux_cost(inst, y)
 
 
+def _fraction_quantize(inst, y, level, classes=None):
+    """quantize_dyadic_time on Fraction streams and rates (reference)."""
+    if level < 0:
+        raise ValidationError("level must be nonnegative")
+    if classes is None:
+        classes = class_table(inst)
+    unit = F(1, 2 ** level)
+    streams = _streams(y)
+    entries = dict(y.entries)
+    for j, job in enumerate(inst.jobs):
+        machines = [i for i, p in enumerate(job.proc) if p is not None]
+        stream = {i: streams.get((i, j), []) for i in machines}
+        frac = {i: sum((v for _, v in stream[i]), F(0)) / job.proc[i] for i in machines}
+        first = {i: stream[i][0][0] if stream[i] else int(job.release) for i in machines}
+        scale = {i: pow2(classes[i, j]) for i in machines}
+        add = {i: slot_rate(job, first[i], scale[i]) * job.proc[i] for i in machines}
+        cost = {i: sum((slot_rate(job, t, scale[i]) * v for t, v in stream[i]), F(0))
+                for i in machines}
+        target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - cost[lose] / frac[lose])
+        for i in machines:
+            delta = target[i] - frac[i]
+            if delta < 0:
+                ratio = target[i] / frac[i]
+                for t, v in stream[i]:
+                    entries[(i, j, t)] = v * ratio
+            elif delta > 0:
+                key = (i, j, first[i])
+                entries[key] = entries.get(key, F(0)) + delta * job.proc[i]
+    return TimeIndexedSolution(horizon=y.horizon, entries=entries)
+
+
+def test_quantize_matches_fraction_reference(monkeypatch):
+    # integral and fractional times and releases, negative classes, levels
+    # 0..4, a den that is not the lcm of the reduced denominators, totals off
+    # the grid, and the pipeline's own calls: the same entries in the same
+    # order, the same den, and the same error text
+    rng = random.Random(2802)
+    cases = []
+    for trial in range(160):
+        inst = (_fractional_instance(rng) if trial % 2 else
+                gen_random_instance(rng.randint(1, 6), rng.randint(1, 3), (1, 9), (0, 6), 0.2, seed=2900 + trial))
+        y = _random_solution(inst, rng)
+        if trial % 4 == 1:  # the same volumes over a den three times too large
+            y = TimeIndexedSolution.scaled(y.horizon, {key: 3 * x for key, x in y.vol.items()}, 3 * y.den)
+        elif trial % 8 == 3 and y.entries:  # one volume off its job's grid
+            key = rng.choice(sorted(y.entries))
+            y = TimeIndexedSolution(y.horizon, {**y.entries, key: y.entries[key] + F(1, 7)})
+        cases.append((inst, y, trial % 5))
+    cases += _pipeline_calls(monkeypatch, "quantize_dyadic_time",
+                             [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=3000 + n) for n in range(2, 12)])
+    seen = dict.fromkeys(["changed", "reduced", "refused", "negative"], 0)
+    for inst, y, level, *classes in cases:
+        try:
+            want = _fraction_quantize(inst, y, level)
+        except InternalCheckError as exc:
+            with pytest.raises(InternalCheckError) as err:
+                quantize_dyadic_time(inst, y, level, *classes)
+            assert str(err.value) == str(exc)
+            seen["refused"] += 1
+            continue
+        got = quantize_dyadic_time(inst, y, level, *classes)
+        assert (list(got.entries.items()), got.den) == (list(want.entries.items()), want.den)
+        seen["changed"] += got.entries != y.entries
+        seen["reduced"] += got.den < y.den
+        seen["negative"] += min(class_table(inst).values()) < 0
+    assert min(seen.values()) >= 10, seen
+    with pytest.raises(ValidationError, match="^level must be nonnegative$"):
+        quantize_dyadic_time(make_instance(1, [(0, [1])]), TimeIndexedSolution(1), -1)
+
+
 def _random_half_integral_solution(inst, rng):
     from flowdisc.totalflow import default_horizon
 
@@ -977,13 +1218,25 @@ def _random_half_integral_solution(inst, rng):
 
 def test_rounding_vector_formula():
     # half on machine 0 (p=3, class 2) and machine 1 (p=5, class 3)
-    inst = make_instance(2, [(0, [3, 5])])
-    dim, vectors, pos_side = rounding_vectors(inst, [0], {0: (0, 0, 1)})
-    assert vectors[0].count(F(0)) == dim - 2
-    assert F(3, 8) in vectors[0]
-    assert F(-5, 16) in vectors[0]
-    assert pos_side[0] == (0, 1)
-    assert sum(abs(x) for x in vectors[0]) <= 1
+    split = split_jobs_instance(make_instance(2, [(0, [3, 5])]), 1)
+    seq = rounding_vectors(split, [(0, 0, 1)], class_table(split))
+    assert seq.m == 4 and seq.vectors[0].count(F(0)) == seq.m - 2
+    assert F(3, 8) in seq.vectors[0]
+    assert F(-5, 16) in seq.vectors[0]
+    assert sum(abs(x) for x in seq.vectors[0]) <= 1
+    # every split of fractional times: the int entries are the Fraction ones
+    rng = random.Random(2803)
+    for trial in range(60):
+        inst = _divisible_instance(rng, 1 + trial % 3)
+        split = split_jobs_instance(inst, 1 + trial % 3)
+        halves = []  # every piece on two machines: its first and its last finite one
+        for j, row in enumerate(split.procs):
+            finite = [i for i, p in enumerate(row) if p is not None]
+            if len(finite) >= 2:
+                halves.append((j, finite[0], finite[-1]))
+        seq = rounding_vectors(split, halves, class_table(split))
+        _, vectors, _ = _fraction_rounding_vectors(split.instance, [h[0] for h in halves], {h[0]: h for h in halves})
+        assert seq.vectors == [tuple(v) for v in vectors]
 
 
 def test_round_half_integral_examples_and_bounds():
@@ -993,9 +1246,10 @@ def test_round_half_integral_examples_and_bounds():
                                    (1, 8), (0, 5), 0.2, seed=700 + trial)
         y = _random_half_integral_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        ybar = normalize_consistent_order(inst, y)
+        split = split_jobs_instance(inst, 1)  # a plain instance is rounded as its level-1 split
+        ybar = normalize_consistent_order(split, y)
         alpha_in = measure_alpha(inst, ybar).alpha
-        out, d = round_half_integral_totalflow(inst, y, brute)
+        out, d = round_half_integral_totalflow(split, y, brute)
         assert integral_assignment(inst, out) is not None
         assert solution_violations(inst, out) == []
         assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
@@ -1015,7 +1269,7 @@ def test_round_all_integral_compaction_only():
     inst = make_instance(1, [(0, [2]), (1, [2])])
     y = TimeIndexedSolution(horizon=9, entries={(0, 0, 3): F(1), (0, 0, 6): F(1),
                                                 (0, 1, 2): F(2)})
-    out, d = round_half_integral_totalflow(inst, y, brute)
+    out, d = round_half_integral_totalflow(split_jobs_instance(inst, 1), y, brute)
     assert d == 0
     assert integral_assignment(inst, out) is not None
     assert aux_cost(inst, out) <= aux_cost(inst, y)
