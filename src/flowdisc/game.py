@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .util import InternalCheckError, ValidationError, common_scale, exact_fraction, scaled_list
+from .util import InternalCheckError, ValidationError, common_scale, exact, exact_fraction, scaled_list
 
 MAKER = "maker"
 BREAKER = "breaker"
@@ -245,8 +245,10 @@ def play_game(values, maker, breaker, starter=BREAKER, wait_allowed=(MAKER, BREA
     the tuple ``("color", index, sign)`` or ``("wait",)``; anything else is a
     `ValidationError` naming the player.  Waiting twice in a row while
     elements remain re-queries the current player with ``must_color`` set.
+    Each value passes `util.exact`: an int stays an int and a str becomes a
+    `Fraction`; a float or a bool is refused.
     """
-    values = tuple(map(exact_fraction, values))
+    values = tuple(map(exact, values))
     if not values:
         raise ValidationError("the game needs at least one value")
     for v in values:

@@ -8,20 +8,23 @@ h-1.  Every level's feasibility bound degrades by exactly twice the achieved
 prefix discrepancy times the level's largest processing time, which the trace
 records and the tests recheck with exact arithmetic.
 
-At level h every time and load is an int over one scale, S * 2^h for S the
-scale of `core.integer_times`: a `PairSplit` stores each half-job's release,
-machines and loads, each machine's fixed loads and the level's p_max as such
-ints, and both window checks, the rounding vectors and the colorer add them.
-Levels hand each other integer slot counts (2^h x_ij); a `Fraction` is built
-only for the split's read-only views, the level's D and bound, or a report
-line.  Every level runs both exact checks: its input check before the
-coloring and its leftover check after.
+The search and the run each take the instance's `core.integer_times` view
+once, ints over its scale S: the search's breakpoints and LPs, and the run's
+p_max, dyadic snap (to integer slot counts 2^h x_ij) and bounds read it.  At
+level h every time and load is an int over S * 2^h: a `PairSplit` stores each
+half-job's release, machines and loads, each machine's fixed loads and the
+level's p_max as such ints, and both window checks, the rounding vectors and
+the colorer add them.  A `Fraction` is built only for a T the search solves
+at, a split's read-only views, a bound, a level's D, or a report line.  Every
+level runs both exact checks: its input check before the coloring and its
+leftover check after.  The T* check and the evaluator read the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from . import lp as lpmod
@@ -48,6 +51,7 @@ from .util import (
     list_from_json,
     rat_from_str,
     rat_to_str,
+    scaled,
     scaled_list,
 )
 
@@ -91,7 +95,7 @@ class MinTSearch:
     ray: Optional[tuple]  # (T, w): a checked Farkas ray at bound T whose root is >= t_star
 
 
-def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
+def build_assignment_lp(times: tuple, T) -> lpmod.LinearProgram:
     """Assignment LP at flow bound T.
 
     Row sums fix every job to total assignment 1; on every machine the volume
@@ -104,12 +108,12 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     Column x_ij, labelled (j, i), exists only if p_ij <= T; the carries are
     labelled (CARRY, i, b), and they follow every x column.
 
-    The build reads `integer_times`: it prunes, groups and sorts on ints over
-    one scale.  A coefficient or width is an int when that scale is 1 and a
-    `Fraction` otherwise; a cap's right-hand side is an int when T is.
+    The build prunes, groups and sorts on the ints of ``times``, the instance's
+    `integer_times` view.  A coefficient or width is an int when its scale is 1
+    and a `Fraction` otherwise; a cap's right-hand side is an int when T is.
     """
     T = exact_fraction(T)
-    scale, release, proc = integer_times(inst)
+    scale, release, proc = times
 
     def number(v: int):
         """The time ``v / scale`` as an LP coefficient or width."""
@@ -118,7 +122,7 @@ def build_assignment_lp(inst: SchedulingInstance, T) -> lpmod.LinearProgram:
     limit, tden = T.numerator * scale, T.denominator  # p / scale <= T iff p * tden <= limit
     lp = lpmod.LinearProgram()
     rows = lp.constraints
-    loads: list[dict] = [{} for _ in range(inst.m)]  # machine -> {release: {column: p}}
+    loads: list[dict] = [{} for _ in proc[0]]  # machine -> {release: {column: p}}
     for j, (r, row) in enumerate(zip(release, proc)):
         job = {}  # the job's row: every usable column at 1
         for i, p in enumerate(row):
@@ -211,28 +215,32 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
     last one rules out every T < t_star.  There is no ray (None) when t_star is
     the first breakpoint, below which some job has no machine.  A root is
     found from int sums over the ray's lcm and made one `Fraction`, never by
-    dividing ints.
+    dividing ints.  The breakpoints and every LP read one `integer_times` view.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValidationError("; ".join(problems))
-    t_floor = max(min(p for p in job.proc if p is not None) for job in inst.jobs)
-    breakpoints = sorted({p for _, _, p in inst.finite_procs() if p >= t_floor})
+    scale, _, procs = times = integer_times(inst)
+    t_floor = max(min(p for p in row if p is not None) for row in procs)
+    breakpoints = sorted({p for row in procs for p in row if p is not None and p >= t_floor})
 
     solved: dict = {}  # T -> (its LP, the LP's solution)
 
-    def feasible(T) -> bool:
+    def feasible(T: Fraction) -> bool:
         if T not in solved:
-            lp = build_assignment_lp(inst, T)
+            lp = build_assignment_lp(times, T)
             solved[T] = lp, lpmod.solve_lp(lp)
         return solved[T][1].status == lpmod.OPTIMAL
 
+    def bound(k: int) -> Fraction:
+        return Fraction(breakpoints[k], scale)
+
     lo_idx, hi_idx = 0, len(breakpoints) - 1
     first_feasible: Optional[int] = None
-    if feasible(breakpoints[-1]):
+    if feasible(bound(-1)):
         while lo_idx <= hi_idx:
             mid = (lo_idx + hi_idx) // 2
-            if feasible(breakpoints[mid]):
+            if feasible(bound(mid)):
                 first_feasible = mid
                 hi_idx = mid - 1
             else:
@@ -240,10 +248,10 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
 
     ray = None
     if first_feasible == 0:
-        t_star = breakpoints[0]  # the bound can never go below the per-job minima
+        t_star = bound(0)  # the bound can never go below the per-job minima
     else:
-        cap = None if first_feasible is None else breakpoints[first_feasible]
-        t_star = breakpoints[-1 if first_feasible is None else first_feasible - 1]
+        cap = None if first_feasible is None else breakpoints[first_feasible]  # an int over scale
+        t_star = bound(-1 if first_feasible is None else first_feasible - 1)
         while not feasible(t_star):
             lp, sol = solved[t_star]
             bad = lpmod.farkas_violations(lp, sol.ray)
@@ -262,8 +270,8 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
                         rest += wi * con.rhs
             tn, td = t_star.numerator, t_star.denominator
             deficit = -(slope * tn + rest * td)  # -w.b times L * td, > 0
-            if cap is not None and deficit >= (cap * td - tn) * slope:  # the root reaches cap
-                t_star = cap
+            if cap is not None and deficit * scale >= (cap * td - tn * scale) * slope:  # the root reaches cap
+                t_star = bound(first_feasible)
             elif slope:
                 t_star = Fraction(tn * slope + deficit, td * slope)
             else:
@@ -273,23 +281,31 @@ def solve_min_T(inst: SchedulingInstance) -> MinTSearch:
     return MinTSearch(t_star=t_star, assignment=fa, ray=ray)
 
 
-def quantize_dyadic(fa: FractionalAssignment, level: int) -> FractionalAssignment:
-    """Pairwise transfers until every value is a multiple of 1/2^level.
+def quantize_dyadic(fa: FractionalAssignment, level: int) -> list[list[int]]:
+    """The slot counts 2^level x' of x', ``fa.x`` snapped onto the 1/2^level grid.
 
-    Each job's row is snapped by core.snap_pairs at no cost, so ties move the
-    earlier entry down.  Every entry stays inside its original grid cell, so no
-    entry moves by 1/2^level or more and any machine-window load grows by less
-    than p_max * n / 2^level.  The new bound accounts for exactly that.
+    Pairwise transfers (core.snap_pairs at no cost, so ties move the earlier
+    entry down) run on each row's ints over L, the lcm of 2^level and the
+    row's denominators, until every one is a multiple of L / 2^level.  Every
+    entry stays inside its original grid cell, so no entry moves by 1/2^level
+    or more and any machine-window load grows by less than p_max * n / 2^level.
+    `quantized_bound` accounts for exactly that.
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    unit = Fraction(1, 2 ** level)
-    x = [list(snap_pairs(dict(enumerate(row)), unit).values()) for row in fa.x]
-    return FractionalAssignment(x=x, T=fa.T)
+    counts = []
+    for row in fa.x:
+        scale = lcm(1 << level, common_scale(row))
+        unit = scale >> level
+        counts.append([v // unit for v in snap_pairs(dict(enumerate(scaled_list(row, scale))), unit).values()])
+    return counts
 
 
-def quantized_bound(inst: SchedulingInstance, fa: FractionalAssignment, level: int) -> Fraction:
-    return fa.T + p_max(inst) * Fraction(inst.n, 2 ** level)
+def quantized_bound(fa: FractionalAssignment, pmax, level: int) -> Fraction:
+    """fa.T + pmax * n / 2^level for the n rows of ``fa``, added on ints."""
+    T, n = fa.T, len(fa.x)
+    return Fraction((T.numerator * pmax.denominator << level) + pmax.numerator * n * T.denominator,
+                    T.denominator * pmax.denominator << level)
 
 
 @dataclass
@@ -498,10 +514,10 @@ def full_round_maxflow(
     if bad:
         raise InternalCheckError(f"LP assignment at T* = {t_star} infeasible: " + "; ".join(bad))
     level = rounding_level(inst.n)
-    # the snap puts every value on the 1/2^level grid: scaled, they are the slot counts
-    counts = [scaled_list(row, 2 ** level) for row in quantize_dyadic(search.assignment, level).x]
-    running_T = t_quant = quantized_bound(inst, search.assignment, level)
     times = integer_times(inst)
+    pmax = Fraction(max(p for row in times[2] for p in row if p is not None), times[0])
+    counts = quantize_dyadic(search.assignment, level)
+    running_T = t_quant = quantized_bound(search.assignment, pmax, level)
     records: list[LevelRecord] = []
     for h in range(level, 0, -1):
         split = split_to_pair_instance(times, counts, h, running_T)
@@ -518,7 +534,7 @@ def full_round_maxflow(
         assign.append(winners[0])
     result = MachineAssignment(assign=tuple(assign))
     metrics = evaluate_max_flow(inst, result)
-    bound = telescoped_bound(t_star, p_max(inst), [(rec.h, rec.discrepancy) for rec in records])
+    bound = telescoped_bound(t_star, pmax, [(rec.h, rec.discrepancy) for rec in records])
     if metrics.max_flow > bound:
         raise InternalCheckError(
             f"final value {metrics.max_flow} exceeds the telescoped bound {bound}"
@@ -536,8 +552,12 @@ def full_round_maxflow(
 
 
 def telescoped_bound(t_star, pmax, levels) -> Fraction:
-    """T* + p_max + sum of 2 D_h p_max / 2^(h-1) over the ``(h, D_h)`` levels."""
-    return t_star + pmax + sum((2 * d * pmax / Fraction(2 ** (h - 1)) for h, d in levels), Fraction(0))
+    """T* + p_max + sum of 2 D_h p_max / 2^(h-1) over the ``(h, D_h)`` levels, h >= 1,
+    added on ints over u, the lcm of the D_h's denominators times 2^(largest h)."""
+    unit = common_scale(d for _, d in levels) << max((h for h, _ in levels), default=0)
+    total = unit + sum((scaled(d, unit) << 2) >> h for h, d in levels)  # u (1 + sum 2 D_h / 2^(h-1))
+    return Fraction(t_star.numerator * pmax.denominator * unit + pmax.numerator * total * t_star.denominator,
+                    t_star.denominator * pmax.denominator * unit)
 
 
 def result_to_json(trace: RoundingTrace, assignment: MachineAssignment) -> dict:

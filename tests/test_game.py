@@ -1004,3 +1004,31 @@ def test_k8_hard_games_keep_their_payoffs():
         state, trace = play_game(values, make_maker(), TreeBreaker(8), starter=BREAKER)
         assert all(state.colors)
         assert max(trace) == payoff
+
+
+def test_int_values_play_like_their_fraction_twins():
+    # util.exact keeps an int an int: the same history, trace and payoff as
+    # the game on the same values as Fractions, and the trace holds Fractions
+    rng = random.Random(2912)
+    for g in range(24):
+        maker, choices = (PairingMaker, (-1, 1)) if g % 2 else (GreedyMaker, (-1, 0, 1))
+        ints = [rng.choice(choices) for _ in range(rng.randint(1, 40))]
+        starter = MAKER if g % 4 < 2 else BREAKER
+        games = [play_game(values, maker(), RandomBreaker(seed=g, wait_prob=0.2), starter=starter)
+                 for values in (ints, [F(v) for v in ints])]
+        (int_state, int_trace), (frac_state, frac_trace) = games
+        assert all(type(v) is int for v in int_state.values)
+        assert all(type(v) is F for v in frac_state.values)
+        assert int_state.history == frac_state.history and int_state.colors == frac_state.colors
+        assert int_trace == frac_trace and max(int_trace) == max(frac_trace)
+        assert all(type(p) is F for p in int_trace)
+    state, _ = play_game(["1", "-1/2", 1], GreedyMaker(), RandomBreaker(seed=0))
+    assert [type(v) for v in state.values] == [F, F, int]
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+def test_play_game_refuses_inexact_values(value):
+    with pytest.raises(ValidationError) as err:
+        play_game([1, value], GreedyMaker(), RandomBreaker(seed=0))
+    text = str(err.value)
+    assert "\n" not in text and text.endswith(f"got {type(value).__name__} {value!r}")

@@ -4,12 +4,14 @@ import itertools
 import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
+from flowdisc import core
 from flowdisc import lp as lpmod
 from flowdisc import maxflow
 from flowdisc.cli import main
@@ -26,6 +28,8 @@ from flowdisc.core import (
     integer_times,
     make_instance,
     p_max,
+    rounding_level,
+    snap_pairs,
     worst_window,
 )
 from flowdisc.maxflow import (
@@ -41,6 +45,7 @@ from flowdisc.maxflow import (
     rounding_vectors,
     solve_min_T,
     split_to_pair_instance,
+    telescoped_bound,
 )
 from flowdisc.util import InternalCheckError, ValidationError, rat_to_str, scaled, substream_seed
 
@@ -51,13 +56,13 @@ def brute(seq):
 
 def test_lp_single_job_feasibility_threshold():
     inst = make_instance(1, [(0, [2])])
-    assert lpmod.solve_lp(build_assignment_lp(inst, 1)).status == lpmod.INFEASIBLE
-    assert lpmod.solve_lp(build_assignment_lp(inst, 2)).status == lpmod.OPTIMAL
+    assert lpmod.solve_lp(build_assignment_lp(integer_times(inst), 1)).status == lpmod.INFEASIBLE
+    assert lpmod.solve_lp(build_assignment_lp(integer_times(inst), 2)).status == lpmod.OPTIMAL
 
 
 def test_lp_interval_constraint_count():
     inst = gen_random_instance(6, 2, (1, 3), (0, 9), 0.0, seed=2)
-    lp = build_assignment_lp(inst, F(100))
+    lp = build_assignment_lp(integer_times(inst), F(100))
     interval_rows = [c for c in lp.constraints if c.relation == lpmod.LE]
     # at most n^2 windows per machine
     assert len(interval_rows) <= inst.n ** 2 * inst.m
@@ -65,7 +70,7 @@ def test_lp_interval_constraint_count():
 
 def test_lp_unassignable_job_infeasible():
     inst = make_instance(2, [(0, [5, 7])])
-    assert lpmod.solve_lp(build_assignment_lp(inst, 3)).status == lpmod.INFEASIBLE
+    assert lpmod.solve_lp(build_assignment_lp(integer_times(inst), 3)).status == lpmod.INFEASIBLE
 
 
 def test_solve_min_t_single_job():
@@ -86,7 +91,7 @@ def _ray_root(inst, search):
     """Check the search's ray on the LP rebuilt at its T; return its root,
     the bound below which the ray proves that LP infeasible."""
     T, w = search.ray
-    lp = build_assignment_lp(inst, T)
+    lp = build_assignment_lp(integer_times(inst), T)
     assert lpmod.farkas_violations(lp, w) == []
     # the cap rows: right-hand side T and no carry-out coefficient -1
     slope = sum(wk for wk, con in zip(w, lp.constraints)
@@ -103,7 +108,7 @@ def test_solve_min_t_three_unit_jobs():
     assert _ray_root(inst, search) == search.t_star
     below = _just_below(inst, search.t_star)
     assert search.ray[0] <= below < search.t_star
-    lp = build_assignment_lp(inst, below)
+    lp = build_assignment_lp(integer_times(inst), below)
     assert lpmod.solve_lp(lp).status == lpmod.INFEASIBLE
     assert lpmod.farkas_violations(lp, search.ray[1]) == []
 
@@ -114,20 +119,19 @@ def test_feasibility_monotone_in_bound():
         inst = gen_random_instance(4, 2, (1, 4), (0, 6), 0.2, seed=40 + trial)
         search = solve_min_T(inst)
         for bump in (F(1, 3), 1, 7):
-            bigger = build_assignment_lp(inst, search.t_star + bump)
+            bigger = build_assignment_lp(integer_times(inst), search.t_star + bump)
             assert lpmod.solve_lp(bigger).status == lpmod.OPTIMAL
 
 
 def test_quantize_example_row():
     fa = FractionalAssignment(x=[[F(3, 10), F(7, 10)]], T=F(5))
-    q = quantize_dyadic(fa, 2)
-    assert q.x[0] == [F(1, 4), F(3, 4)]
+    assert quantize_dyadic(fa, 2) == [[1, 3]]  # x' = (1/4, 3/4)
 
 
 def test_quantize_fixpoint():
     fa = FractionalAssignment(x=[[F(1, 4), F(3, 4)]], T=F(5))
     q = quantize_dyadic(fa, 2)
-    assert q.x == fa.x
+    assert q == _slot_counts(fa.x, 2) == [[1, 3]]
 
 
 def test_quantize_preserves_row_sums_and_cells():
@@ -139,11 +143,10 @@ def test_quantize_preserves_row_sums_and_cells():
         row = [w / total for w in weights]
         level = rng.randint(2, 5)
         fa = FractionalAssignment(x=[row], T=F(3))
-        q = quantize_dyadic(fa, level)
+        (counts,) = quantize_dyadic(fa, level)
         unit = F(1, 2 ** level)
-        assert sum(q.x[0], F(0)) == 1
-        for before, after in zip(row, q.x[0]):
-            assert after % unit == 0
+        assert all(type(c) is int for c in counts) and sum(counts) == 2 ** level
+        for before, after in zip(row, _fractions([counts], level)[0]):
             assert abs(after - before) < unit  # stays inside its grid cell
 
 
@@ -154,9 +157,9 @@ def test_quantize_window_increase_bound():
         search = solve_min_T(inst)
         level = 3
         q = quantize_dyadic(search.assignment, level)
-        bound = quantized_bound(inst, search.assignment, level)
+        bound = quantized_bound(search.assignment, p_max(inst), level)
         assert bound <= search.t_star + p_max(inst)
-        fa2 = FractionalAssignment(x=q.x, T=bound)
+        fa2 = FractionalAssignment(x=_fractions(q, level), T=bound)
         assert fractional_assignment_violations(inst, fa2) == []
 
 
@@ -576,7 +579,7 @@ def test_carry_rows_match_quadratic_windows(complete_carries, relabel):
         search = solve_min_T(inst)
         for T in (search.t_star, _just_below(inst, search.t_star),
                   search.t_star + F(1, 3), search.t_star + 2):
-            lp, ref_lp = build_assignment_lp(inst, T), _quadratic_assignment_lp(inst, T)
+            lp, ref_lp = build_assignment_lp(integer_times(inst), T), _quadratic_assignment_lp(inst, T)
             assert sum(c.relation == lpmod.LE for c in lp.constraints) <= (2 * releases - 1) * inst.m
             sol, ref = lpmod.solve_lp(lp), lpmod.solve_lp(ref_lp)
             assert sol.status == ref.status
@@ -1048,7 +1051,7 @@ def test_min_T_search_solves_no_lp_twice(monkeypatch):
         monkeypatch.undo()
         assert len(solved) == len(set(solved))
         assert all(objective == () for _, objective, _ in solved)  # feasibility LPs only
-        lp = build_assignment_lp(inst, search.t_star)
+        lp = build_assignment_lp(integer_times(inst), search.t_star)
         witness = lpmod.solve_lp(lp)
         assert search.assignment == maxflow.assignment_from_solution(inst, search.t_star, lp, witness)
         cached += search.t_star in {p for _, _, p in inst.finite_procs()}
@@ -1066,7 +1069,7 @@ def test_min_T_search_branches_keep_their_values(branch, seed, t_star, below):
     search = solve_min_T(inst)
     assert search.t_star == t_star
     assert _just_below(inst, t_star) == below
-    assert lpmod.solve_lp(build_assignment_lp(inst, below)).status == lpmod.INFEASIBLE
+    assert lpmod.solve_lp(build_assignment_lp(integer_times(inst), below)).status == lpmod.INFEASIBLE
     assert fractional_assignment_violations(inst, search.assignment) == []
     procs = sorted({p for _, _, p in inst.finite_procs()})
     if branch == "first-breakpoint":
@@ -1147,7 +1150,7 @@ def test_assignment_lp_matches_fraction_reference(times_instance):
         bounds = {*points, *((a + b) / 2 for a, b in zip(points, points[1:])),
                   points[-1] + 1, points[-1] + F(1, 7), F(7, 3)}
         for T in sorted(bounds):
-            lp, ref = build_assignment_lp(inst, T), _fraction_build_assignment_lp(inst, T)
+            lp, ref = build_assignment_lp(integer_times(inst), T), _fraction_build_assignment_lp(inst, T)
             # the same variables, and rows with equal coefficients in the same
             # order, relations and right-hand sides
             assert _lp_key(lp) == _lp_key(ref)
@@ -1165,12 +1168,12 @@ def test_bounds_and_assignments_reject_inexact_numbers(value):
     inst = make_instance(2, [(0, [1, 2])])
     match = f"got {type(value).__name__} {value!r}"
     with pytest.raises(ValidationError, match=match):
-        build_assignment_lp(inst, value)
+        build_assignment_lp(integer_times(inst), value)
     with pytest.raises(ValidationError, match=match):
         FractionalAssignment(x=[[value, 0]], T=2)
     with pytest.raises(ValidationError, match=match):
         FractionalAssignment(x=[[1, 0]], T=value)
-    lp = build_assignment_lp(inst, 2)
+    lp = build_assignment_lp(integer_times(inst), 2)
     sol = lpmod.solve_lp(lp)
     with pytest.raises(ValidationError, match=match):
         maxflow.assignment_from_solution(inst, value, lp, sol)
@@ -1202,3 +1205,176 @@ def test_larger_results_are_pinned(inst, digest):
     if inst.n == 24:
         assert integer_times(inst)[0] == 3 and trace.t_star == F(7, 3)
         assert trace.t_star not in {p for _, _, p in inst.finite_procs()}
+
+
+def _fraction_quantize(fa, level):
+    """quantize_dyadic's snap on Fraction rows at unit 1/2^level, as slot counts (reference)."""
+    unit = F(1, 2 ** level)
+    return _slot_counts([list(snap_pairs(dict(enumerate(row)), unit).values()) for row in fa.x], level)
+
+
+def _fraction_quantized_bound(inst, fa, level):
+    """quantized_bound on Fractions (reference)."""
+    return fa.T + p_max(inst) * F(inst.n, 2 ** level)
+
+
+def _fraction_telescoped_bound(t_star, pmax, levels):
+    """telescoped_bound on Fractions (reference)."""
+    return t_star + pmax + sum((2 * d * pmax / F(2 ** (h - 1)) for h, d in levels), F(0))
+
+
+def _fraction_search(inst):
+    """solve_min_T on Fraction breakpoints, Fraction LPs and Fraction Newton
+    roots (reference); returns (t_star, ray, assignment, the LPs it solves in order)."""
+    t_floor = max(min(p for p in job.proc if p is not None) for job in inst.jobs)
+    breakpoints = sorted({p for _, _, p in inst.finite_procs() if p >= t_floor})
+    solved, order = {}, []
+
+    def feasible(T):
+        if T not in solved:
+            lp = _fraction_build_assignment_lp(inst, T)
+            solved[T] = lp, lpmod.solve_lp(lp)
+            order.append(_lp_key(lp))
+        return solved[T][1].status == lpmod.OPTIMAL
+
+    lo, hi, first = 0, len(breakpoints) - 1, None
+    if feasible(breakpoints[-1]):
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if feasible(breakpoints[mid]):
+                first, hi = mid, mid - 1
+            else:
+                lo = mid + 1
+    ray = None
+    if first == 0:
+        T = breakpoints[0]
+    else:
+        cap = None if first is None else breakpoints[first]
+        T = breakpoints[-1 if first is None else first - 1]
+        while not feasible(T):
+            lp, sol = solved[T]
+            ray = T, sol.ray
+            wb = sum(w * con.rhs for w, con in zip(sol.ray, lp.constraints))
+            slope = sum(w for w, con in zip(sol.ray, lp.constraints)
+                        if con.relation == lpmod.LE and min(con.coeffs.values()) >= 0)
+            if cap is not None and -wb >= (cap - T) * slope:
+                T = cap
+            else:
+                T -= wb / slope
+    return T, ray, maxflow.assignment_from_solution(inst, T, *solved[T]), order
+
+
+def _all_zero_instance(rng, m):
+    """Every processing time 0 (p_max = 0), some forbidden; every job keeps a machine."""
+    jobs = []
+    for _ in range(rng.randint(1, 5)):
+        row = [0 if rng.random() < 0.7 else None for _ in range(m)]
+        jobs.append((rng.randint(0, 4), [0] + row[1:] if row == [None] * m else row))
+    return make_instance(m, jobs)
+
+
+def test_int_search_quantize_and_bounds_match_fraction_references(times_instance, monkeypatch):
+    # fractional times (a scale above 1), forbidden machines, all-zero times
+    # (p_max = 0), n = 1 (level 0, no rounding level), m = 1..3 and levels
+    # 0..5: the search solves the same LPs in the same order and gives the
+    # same T*, ray and x; the snap gives the reference's slot counts; both
+    # bounds equal the Fraction formulas, in the pipeline too
+    rng = random.Random(2909)
+    seen = dict.fromkeys(["scaled", "forbidden", "zero", "single", "m1", "m3", "ray", "levels"], 0)
+    for trial in range(120):
+        m = 1 + trial % 3
+        inst = _all_zero_instance(rng, m) if trial % 10 == 0 else times_instance(rng, m)
+        pmax = p_max(inst)
+        seen["scaled"] += integer_times(inst)[0] > 1
+        seen["forbidden"] += any(p is None for job in inst.jobs for p in job.proc)
+        seen["zero"] += pmax == 0
+        seen["single"] += inst.n == 1
+        seen["m1"] += m == 1
+        seen["m3"] += m == 3
+        t_star, ray, x, ref_order = _fraction_search(inst)
+        order = []
+        real = lpmod.solve_lp
+        monkeypatch.setattr(lpmod, "solve_lp", lambda lp: order.append(_lp_key(lp)) or real(lp))
+        search = solve_min_T(inst)
+        monkeypatch.undo()
+        assert order == ref_order
+        assert (search.t_star, search.ray, search.assignment) == (t_star, ray, x)
+        seen["ray"] += ray is not None
+        for level in range(6):
+            counts = quantize_dyadic(search.assignment, level)
+            assert counts == _fraction_quantize(search.assignment, level)
+            assert all(type(c) is int for row in counts for c in row)
+            assert quantized_bound(search.assignment, pmax, level) == \
+                _fraction_quantized_bound(inst, search.assignment, level)
+        asg, trace = full_round_maxflow(inst, color_greedy)
+        levels = [(rec.h, rec.discrepancy) for rec in trace.levels]
+        seen["levels"] += len(levels)
+        assert trace.t_quantized == _fraction_quantized_bound(inst, search.assignment, rounding_level(inst.n))
+        assert trace.bound_value == _fraction_telescoped_bound(t_star, pmax, levels)
+        assert check_result(inst, result_to_json(trace, asg)) == []
+    assert min(seen.values()) >= 5, seen
+
+
+def test_quantize_matches_fraction_snap_on_any_denominators():
+    rng = random.Random(2910)
+    for trial in range(300):
+        weights = [rng.choice([0, 0, 1, 2, 3, 5, 7]) for _ in range(rng.randint(1, 4))]
+        weights[rng.randrange(len(weights))] += 1
+        den = rng.choice([1, 3, 10, 12, 64, 96])
+        rows = [[F(w, sum(weights)) for w in weights]]
+        rows.append([F(round(v * den), den) for v in rows[0][:-1]])
+        rows[1].append(1 - sum(rows[1], F(0)))
+        fa = FractionalAssignment(x=rows, T=F(rng.randint(0, 9), rng.choice([1, 2, 5])))
+        level = rng.randint(0, 5)
+        assert quantize_dyadic(fa, level) == _fraction_quantize(fa, level)
+
+
+def test_quantize_refuses_a_lone_off_grid_entry():
+    # a row summing to 5/8 leaves one entry off the 1/4 grid; the text names the
+    # grid over the row's ints: 1/4 of the lcm 8 is 2
+    fa = FractionalAssignment(x=[[F(1, 8), F(1, 2)]], T=1)
+    with pytest.raises(InternalCheckError, match=r"^0 alone is off the grid of 2, so the total is too$"):
+        quantize_dyadic(fa, 2)
+    with pytest.raises(ValidationError, match="level must be nonnegative"):
+        quantize_dyadic(fa, -1)
+
+
+def test_telescoped_bound_matches_fraction_reference():
+    rng = random.Random(2911)
+    for trial in range(300):
+        t_star = F(rng.randint(0, 40), rng.choice([1, 2, 3, 7]))
+        pmax = rng.choice([0, 1, 4, F(5, 3), F(7, 12)])
+        top = rng.randint(0, 6)
+        levels = [(h, F(rng.randint(0, 9), rng.choice([1, 2, 3, 4, 6, 8]))) for h in range(top, 0, -1)]
+        assert telescoped_bound(t_star, pmax, levels) == _fraction_telescoped_bound(t_star, pmax, levels)
+        assert type(telescoped_bound(t_star, pmax, levels)) is F
+
+
+def test_each_search_and_run_builds_one_integer_view(monkeypatch):
+    # one view in solve_min_T, one in full_round_maxflow and one per
+    # evaluate_max_flow call, however many LPs the search solves
+    calls, solves = [], []
+    real_view, real_solve = core.integer_times, lpmod.solve_lp
+
+    def counted(inst):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real_view(inst)
+
+    monkeypatch.setattr(core, "integer_times", counted)
+    monkeypatch.setattr(maxflow, "integer_times", counted)
+    monkeypatch.setattr(lpmod, "solve_lp", lambda lp: solves.append(lp) or real_solve(lp))
+    most = 0
+    for seed in range(8):
+        inst = gen_random_instance(8, 2, (1, 4), (0, 16), 0.2, seed=seed)
+        calls.clear()
+        solves.clear()
+        solve_min_T(inst)
+        assert calls == ["solve_min_T"]
+        most = max(most, len(solves))
+        calls.clear()
+        asg, trace = full_round_maxflow(inst, color_greedy)
+        assert sorted(calls) == ["evaluate_max_flow", "full_round_maxflow", "solve_min_T"]
+        calls.clear()
+        assert check_result(inst, result_to_json(trace, asg)) == []
+        assert calls == ["evaluate_max_flow"]
+    assert most >= 3
