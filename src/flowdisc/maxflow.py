@@ -35,6 +35,7 @@ from .core import (
     MachineAssignment,
     SchedulingInstance,
     add_carry_rows,
+    evaluate_max_flow,
     integer_times,
     p_max,
     rounding_level,
@@ -152,28 +153,23 @@ def assignment_from_solution(inst: SchedulingInstance, T, lp: lpmod.LinearProgra
     return FractionalAssignment(x=x, T=T)
 
 
-def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment,
-                                     fixed_load=None) -> list[str]:
+def fractional_assignment_violations(inst: SchedulingInstance, fa: FractionalAssignment) -> list[str]:
     """Exact feasibility check of a fractional assignment at its own bound.
 
     Machine i is overloaded iff some release times t1 <= t2 have a load
-    sum(x_ij p_ij : t1 <= r_j <= t2) above t2 - t1 + T.  ``fixed_load[i]``, if
-    given, maps release times to load already placed on machine i (a split's
-    integral pieces) and joins that sum.  One worst_window scan per machine
-    decides this in O(m (n + R log R)) for R distinct releases; each
-    overloaded machine gets one line naming its worst window.  The scan runs
-    on integers over one scale, L^2 for L the lcm of the denominators of x,
-    the times, processing times and fixed loads, so a load x * p is an int; a
+    sum(x_ij p_ij : t1 <= r_j <= t2) above t2 - t1 + T.  One worst_window scan
+    per machine decides this in O(m (n + R log R)) for R distinct releases;
+    each overloaded machine gets one line naming its worst window.  The scan
+    runs on integers over one scale, L^2 for L the lcm of the denominators of
+    x, the times and the processing times, so a load x * p is an int; a
     positive scale keeps every comparison, and a report line converts back.
     """
     problems = []
-    fixed = fixed_load if fixed_load is not None else [{}] * inst.m
     unit = common_scale([*(v for row in fa.x for v in row), *(job.release for job in inst.jobs),
-                         *(p for _, _, p in inst.finite_procs()),
-                         *(v for loads in fixed for item in loads.items() for v in item)])
+                         *(p for _, _, p in inst.finite_procs())])
     scale = unit * unit
     t_num, t_den = fa.T.numerator, fa.T.denominator
-    pairs = [list(zip(scaled_list(f, scale), scaled_list(f.values(), scale))) for f in fixed]
+    pairs = [[] for _ in range(inst.m)]
     releases = scaled_list([job.release for job in inst.jobs], scale)
     for j, (job, r, row) in enumerate(zip(inst.jobs, releases, fa.x)):
         xs = scaled_list(row, unit)
@@ -285,20 +281,18 @@ def quantize_dyadic(fa: FractionalAssignment, level: int) -> list[list[int]]:
     """The slot counts 2^level x' of x', ``fa.x`` snapped onto the 1/2^level grid.
 
     Pairwise transfers (core.snap_pairs at no cost, so ties move the earlier
-    entry down) run on each row's ints over L, the lcm of 2^level and the
-    row's denominators, until every one is a multiple of L / 2^level.  Every
+    entry down) run on each row's ints over L, the lcm of 2^level and every
+    denominator of x, until every one is a multiple of L / 2^level.  Every
     entry stays inside its original grid cell, so no entry moves by 1/2^level
     or more and any machine-window load grows by less than p_max * n / 2^level.
     `quantized_bound` accounts for exactly that.
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    counts = []
-    for row in fa.x:
-        scale = lcm(1 << level, common_scale(row))
-        unit = scale >> level
-        counts.append([v // unit for v in snap_pairs(dict(enumerate(scaled_list(row, scale))), unit).values()])
-    return counts
+    scale = lcm(1 << level, common_scale(v for row in fa.x for v in row))
+    unit = scale >> level
+    return [[v // unit for v in snap_pairs(dict(enumerate(scaled_list(row, scale))), unit).values()]
+            for row in fa.x]
 
 
 def quantized_bound(fa: FractionalAssignment, pmax, level: int) -> Fraction:
@@ -463,9 +457,9 @@ def round_half_integral_maxflow(
     to the positive machine.  With the fixed loads, the result satisfies every
     machine window at T + 2 * D * p_max where D is the achieved prefix
     discrepancy of the coloring.  Both checks run on the split's ints: the
-    input's (`fractional_assignment_violations` of the split's views) before
-    the coloring, the leftover's after.  A plain half-integral assignment x
-    is rounded as its level-1 split of 2x.
+    input's (the lines of `fractional_assignment_violations`, the fixed loads
+    joining each window) before the coloring, the leftover's after.  A plain
+    half-integral assignment x is rounded as its level-1 split of 2x.
     """
     scale, T = split.scale, split.T
     bad = [f"x[{k},{i}] positive but processing time exceeds bound {T}"
@@ -506,8 +500,6 @@ def full_round_maxflow(
     The emitted trace satisfies, exactly:
     final value <= T* + p_max + sum over levels of 2 * D_h * p_max / 2^(h-1).
     """
-    from .core import evaluate_max_flow
-
     search = solve_min_T(inst)
     t_star = search.t_star
     bad = fractional_assignment_violations(inst, search.assignment)
@@ -571,8 +563,6 @@ def result_to_json(trace: RoundingTrace, assignment: MachineAssignment) -> dict:
 
 def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     """Re-validate a result file against its instance (round-trip checker)."""
-    from .core import evaluate_max_flow
-
     problems = []
     try:
         asg = MachineAssignment(assign=tuple(

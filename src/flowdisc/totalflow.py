@@ -23,11 +23,13 @@ exact because every volume the loop makes lies on the grid 1/den:
     is an int;
   - a whole p of a rounded job, where p*den is an int because the job's
     volume on that machine was p or p/2 before.
-A level reads a `JobSplit`, its pieces' releases and processing times as
-ints, and classifies, places and colors on ints.  Fractions appear only at
-the edges: the LP's solution comes in as Fractions, the quantization makes
-one per (machine, job) for its completed fraction and cost rates, and alpha,
-D, costs and the ``entries`` view go out as Fractions.
+The class table is built once per run, by `JobSplit.whole`, and a level's
+split shifts it: a piece of p/2^(h-1) sits h - 1 classes below p.  A level
+reads its `JobSplit` (releases, processing times and classes as ints) and
+groups, places and colors on ints.  Fractions appear only at the edges: the
+LP's solution comes in as Fractions, the quantization makes one per (machine,
+job) for its completed fraction and cost rates, and alpha, D, costs and the
+``entries`` view go out as Fractions.
 """
 
 from __future__ import annotations
@@ -222,10 +224,9 @@ def class_scale(p):
     return pow2(class_index(p))
 
 
-def class_table(inst) -> dict:
-    """(machine, job) -> size class of its finite processing time, for an
-    instance or a `JobSplit`.  Built once per instance and handed to every
-    layer that groups volume by class."""
+def class_table(inst: SchedulingInstance) -> dict:
+    """(machine, job) -> size class of its finite processing time.  A run
+    builds one for its LP and one for its `JobSplit`, which carries it."""
     return {(i, j): class_index(p) for j, i, p in inst.finite_procs()}
 
 
@@ -300,11 +301,10 @@ def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
                 for (i, j, t), v in y.entries.items()), Fraction(0))
 
 
-def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
+def aux_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
     """Grouped objective: slot_rate(job, t, 2^k) times volume, summed over y."""
     rscale = common_scale(job.release for job in inst.jobs)
-    return _grouped_cost(y.vol, y.den, [scaled(job.release, rscale) for job in inst.jobs], rscale,
-                         class_table(inst) if classes is None else classes)
+    return _grouped_cost(y.vol, y.den, [scaled(job.release, rscale) for job in inst.jobs], rscale, class_table(inst))
 
 
 def _grouped_cost(vol: dict, den: int, release: list[int], rscale: int, classes: dict) -> Fraction:
@@ -329,11 +329,9 @@ class AlphaReport:
     alpha: Fraction
     witness: Optional[tuple]  # (machine, class, t1, t2) with window [t1, t2)
 
-    def reproduce(self, inst: SchedulingInstance, y: TimeIndexedSolution, classes=None) -> Fraction:
+    def reproduce(self, y: TimeIndexedSolution, classes: dict) -> Fraction:
         if self.witness is None:
             return Fraction(0)
-        if classes is None:
-            classes = class_table(inst)
         i, k, t1, t2 = self.witness
         load = Fraction(0)
         for (ii, j, t), v in y.entries.items():
@@ -343,11 +341,10 @@ class AlphaReport:
         return max(Fraction(0), excess / pow2(k))
 
 
-def measure_alpha(inst, y: TimeIndexedSolution, classes=None) -> AlphaReport:
+def measure_alpha(y: TimeIndexedSolution, classes: dict) -> AlphaReport:
     """Exact worst window overload per class: max over (i, k, [t1, t2)) of
     (volume of class-<=k jobs inside the window minus its width) / 2^k,
-    floored at zero; ``inst`` (an instance or a `JobSplit`) is read only for
-    its class table, when ``classes`` is None.
+    floored at zero, for the (machine, job) -> class map ``classes``.
 
     The maximum is attained with both window endpoints on support slots, so
     one worst_window scan per (machine, class) is exact.  Slot t covers
@@ -356,8 +353,6 @@ def measure_alpha(inst, y: TimeIndexedSolution, classes=None) -> AlphaReport:
     every comparison it makes, and a candidate (excess - den)/2^k is kept as
     its int numerator and k, compared by shifting both sides.
     """
-    if classes is None:
-        classes = class_table(inst)
     den = y.den
     by_machine: dict[int, list] = {}
     for (i, j, t), x in y.vol.items():
@@ -393,7 +388,7 @@ def _pour(entries: dict, machine: int, supply: list, demands: list) -> None:
             room -= take
 
 
-def normalize_consistent_order(split: JobSplit, y: TimeIndexedSolution, classes=None) -> TimeIndexedSolution:
+def normalize_consistent_order(split: JobSplit, y: TimeIndexedSolution) -> TimeIndexedSolution:
     """Reflow each (machine, class) group so a split's pieces run in one order.
 
     Per group, the per-slot group volumes and the per-piece totals are kept
@@ -402,12 +397,10 @@ def normalize_consistent_order(split: JobSplit, y: TimeIndexedSolution, classes=
     objective, so cost, per-(i,j) totals and the measured relaxation slack
     are all preserved exactly.
     """
-    if classes is None:
-        classes = class_table(split)
     rank = {j: pos for pos, j in enumerate(split.order)}
     groups: dict[tuple[int, int], list] = {}
     for (i, j, t), x in y.vol.items():
-        groups.setdefault((i, classes[i, j]), []).append((j, t, x))
+        groups.setdefault((i, split.classes[i, j]), []).append((j, t, x))
     vol: dict = {}
     for (i, k), items in sorted(groups.items()):
         slot_vol: dict[int, int] = {}
@@ -427,8 +420,9 @@ def normalize_consistent_order(split: JobSplit, y: TimeIndexedSolution, classes=
 class JobSplit:
     """Jobs cut into equal consecutive pieces, as ints: a piece has its job's
     release and a share of each processing time, times ``scale`` S, the lcm
-    of the processing-time denominators.  `instance` is a read-only
-    `Fraction` view, built anew on each read."""
+    of the processing-time denominators, and ``classes`` holds each finite
+    (machine, piece)'s size class.  `instance` is a read-only `Fraction`
+    view, built anew on each read."""
 
     m: int
     scale: int
@@ -436,28 +430,23 @@ class JobSplit:
     procs: list[list]    # piece -> processing time per machine times S, None where forbidden
     origin: list[int]    # piece -> original job
     order: list[int]     # pieces by (release, index)
+    classes: dict        # (machine, piece) -> size class of its processing time
 
     @classmethod
     def whole(cls, inst: SchedulingInstance) -> JobSplit:
-        """Each job of ``inst`` as one piece; its releases must be ints."""
+        """Each job as one piece, with ``inst``'s `class_table`; releases must be ints."""
         for j, job in enumerate(inst.jobs):
             if job.release.denominator != 1:
                 raise ValidationError(f"job {j}: integer release required, got {job.release}")
         scale = common_scale(p for _, _, p in inst.finite_procs())
         release = [job.release.numerator for job in inst.jobs]
         return cls(m=inst.m, scale=scale, releases=release, procs=[scaled_list(job.proc, scale) for job in inst.jobs],
-                   origin=list(range(inst.n)), order=sorted(range(inst.n), key=release.__getitem__))
+                   origin=list(range(inst.n)), order=sorted(range(inst.n), key=release.__getitem__),
+                   classes=class_table(inst))
 
     @property
     def n(self) -> int:
         return len(self.releases)
-
-    def finite_procs(self):
-        """(piece, machine, processing time), as `SchedulingInstance.finite_procs`."""
-        for j, row in enumerate(self.procs):
-            for i, p in enumerate(row):
-                if p is not None:
-                    yield j, i, Fraction(p, self.scale)
 
     @property
     def instance(self) -> SchedulingInstance:
@@ -466,16 +455,15 @@ class JobSplit:
             for r, row in zip(self.releases, self.procs)))
 
 
-def split_jobs_instance(inst, level: int) -> JobSplit:
-    """Split each job of an instance, or each piece of a `JobSplit`, into
-    2^(level-1) equal pieces with its release.  Each new piece must be an int
+def split_jobs_instance(whole: JobSplit, level: int) -> JobSplit:
+    """Split each piece of ``whole`` into 2^(level-1) equal pieces with its
+    release, level - 1 size classes below it.  Each new piece must be an int
     over S: on integral times, p divisible by 2^(level-1).  The pipeline
     splits `JobSplit.whole` of its instance, taken once per run, and expands
     its (release, index) order: a piece's own pieces are consecutive and
     share its release."""
     if level < 1:
         raise ValidationError("level must be >= 1")
-    whole = inst if isinstance(inst, JobSplit) else JobSplit.whole(inst)
     pieces = 2 ** (level - 1)
     bad = next((v for row in whole.procs for v in row if v is not None and v % pieces), None)
     if bad is not None:
@@ -486,16 +474,19 @@ def split_jobs_instance(inst, level: int) -> JobSplit:
         return [v for v in values for _ in range(pieces)]
 
     return JobSplit(m=whole.m, scale=whole.scale, releases=expand(whole.releases), procs=expand(rows),
-                    origin=expand(whole.origin), order=[j * pieces + q for j in whole.order for q in range(pieces)])
+                    origin=expand(whole.origin), order=[j * pieces + q for j in whole.order for q in range(pieces)],
+                    classes={(i, j * pieces + q): k - (level - 1) for (i, j), k in whole.classes.items()
+                             for q in range(pieces)})
 
 
 def quantize_dyadic_time(
-    inst: SchedulingInstance, y: TimeIndexedSolution, level: int, classes=None
+    inst: SchedulingInstance, y: TimeIndexedSolution, level: int, classes: dict
 ) -> TimeIndexedSolution:
     """Make every per-(machine, job) total a multiple of p_ij / 2^level.
 
     The completed fractions of each job move pairwise between machines
-    (core.snap_pairs) with the direction chosen by exact cost rates: adding
+    (core.snap_pairs) with the direction chosen by exact cost rates, at the
+    size classes of the instance's `class_table` ``classes``: adding
     volume lands on the machine's earliest support slot, removal scales the
     machine's volume down proportionally, and the cheaper of the two
     directions is taken (it is never cost-increasing).
@@ -507,8 +498,6 @@ def quantize_dyadic_time(
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    if classes is None:
-        classes = class_table(inst)
     unit = Fraction(1, 2 ** level)
     den = y.den
     streams = y.scaled_streams()
@@ -549,7 +538,7 @@ def quantize_dyadic_time(
     return TimeIndexedSolution.scaled(y.horizon, {key: x // g for key, x in vol.items() if x}, new_den // g)
 
 
-def rounding_vectors(split: JobSplit, halves: list, classes: dict) -> SignedVectorSequence:
+def rounding_vectors(split: JobSplit, halves: list) -> SignedVectorSequence:
     """Balancing vectors over (machine, class) pairs for the half-split pieces.
 
     ``halves`` lists ``(piece, i1, i2)`` with machines i1 < i2.  Each carries
@@ -557,6 +546,7 @@ def rounding_vectors(split: JobSplit, halves: list, classes: dict) -> SignedVect
     counterpart on i2's; entries never exceed 1/2, so l1 norms stay at most 1.
     Over S * 2^e, for e = max(largest class + 1, 0), p/2^(k+1) is p * 2^(e-k-1).
     """
+    classes = split.classes
     present = sorted(set(classes.values()))
     class_pos = {k: pos for pos, k in enumerate(present)}
     dim = split.m * len(present)
@@ -575,7 +565,6 @@ def round_half_integral_totalflow(
     split: JobSplit,
     y: TimeIndexedSolution,
     colorer: Callable[[SignedVectorSequence], list[int]],
-    classes=None,
 ) -> tuple[TimeIndexedSolution, Fraction]:
     """Round a split's machine-half-integral volumes to an integral solution.
 
@@ -585,11 +574,9 @@ def round_half_integral_totalflow(
     picks each piece's machine, volume lands at the earliest slot the piece
     used there, and of the coloring and its global flip the cheaper solution
     (grouped objective) is returned together with the achieved prefix
-    discrepancy.  A plain instance is rounded as its level-1 split.
+    discrepancy.  A plain instance is rounded as its `JobSplit.whole`.
     """
-    if classes is None:
-        classes = class_table(split)
-    ybar = normalize_consistent_order(split, y, classes)
+    ybar = normalize_consistent_order(split, y)
     den, scale = ybar.den, split.scale
     totals: dict[int, dict] = {}  # piece -> {machine: its volume there}
     first: dict = {}  # (machine, piece) -> the earliest slot it uses there
@@ -617,7 +604,7 @@ def round_half_integral_totalflow(
     halves = [half_of[j] for j in split.order if j in half_of]
     signs, achieved = [], Fraction(0)
     if halves:
-        seq = rounding_vectors(split, halves, classes)
+        seq = rounding_vectors(split, halves)
         signs = colorer(seq)
         achieved = discrepancy(seq.with_signs(signs), PREFIX).value
 
@@ -634,11 +621,11 @@ def round_half_integral_totalflow(
         return vol
 
     vol_pos, vol_neg = build(1), build(-1)
-    cost_pos = _grouped_cost(vol_pos, den, split.releases, 1, classes)
-    cost_neg = _grouped_cost(vol_neg, den, split.releases, 1, classes)
+    cost_pos = _grouped_cost(vol_pos, den, split.releases, 1, split.classes)
+    cost_neg = _grouped_cost(vol_neg, den, split.releases, 1, split.classes)
     chosen = TimeIndexedSolution.scaled(ybar.horizon, vol_pos if cost_pos <= cost_neg else vol_neg, den)
-    alpha_in = measure_alpha(split, ybar, classes).alpha
-    alpha_out = measure_alpha(split, chosen, classes).alpha
+    alpha_in = measure_alpha(ybar, split.classes).alpha
+    alpha_out = measure_alpha(chosen, split.classes).alpha
     if alpha_out > alpha_in + 4 * achieved + 4:
         raise InternalCheckError(
             f"rounded slack {alpha_out} exceeds {alpha_in} + 4*{achieved} + 4"
@@ -789,27 +776,23 @@ def full_round_totalflow(
         raise InternalCheckError(f"auxiliary LP unexpectedly {sol.status}")
     y = solution_from_lp(dinst, lp, sol, H)
     lp_cost = sol.objective_value
-    classes = class_table(dinst)
-    alpha_initial = measure_alpha(dinst, y, classes).alpha
-    y = quantize_dyadic_time(dinst, y, level, classes)
-    alpha_quantized = measure_alpha(dinst, y, classes).alpha
+    jobs = JobSplit.whole(dinst)  # int times, the class table and the canonical order, once per run
+    alpha_initial = measure_alpha(y, jobs.classes).alpha
+    y = quantize_dyadic_time(dinst, y, level, jobs.classes)
+    alpha_quantized = measure_alpha(y, jobs.classes).alpha
     if alpha_quantized > alpha_initial + 1:
         raise InternalCheckError(
             f"quantized slack {alpha_quantized} exceeds {alpha_initial} + 1"
         )
     records: list[TotalLevelRecord] = []
     alpha_after = alpha_quantized  # the slack of the current y, measured once
-    jobs = JobSplit.whole(dinst)  # int times and the canonical order, once per run
     for h in range(level, 0, -1):
         split = split_jobs_instance(jobs, h)
         y_split = _split_solution(dinst, split.origin, y, h)
-        # a piece of p/2^(h-1) sits h - 1 classes below its job
-        split_classes = {(i, piece): classes[i, j] - (h - 1) for piece, j in enumerate(split.origin)
-                         for i in range(dinst.m) if (i, j) in classes}
         alpha_before = alpha_after
-        y_rounded, achieved = round_half_integral_totalflow(split, y_split, colorer, split_classes)
+        y_rounded, achieved = round_half_integral_totalflow(split, y_split, colorer)
         y = _merge_split_solution(split.origin, y_rounded)
-        alpha_after = measure_alpha(dinst, y, classes).alpha
+        alpha_after = measure_alpha(y, jobs.classes).alpha
         level_bound = slack_bound(h, achieved)
         if alpha_after > alpha_before + level_bound:
             raise InternalCheckError(
@@ -879,10 +862,10 @@ def schedule_from_integral(inst: SchedulingInstance, y: TimeIndexedSolution) -> 
     return ScheduleRatioReport(
         assignment=asg,
         total_flow=metrics.total_flow,
-        aux_cost=aux_cost(inst, y, classes),
+        aux_cost=aux_cost(inst, y),
         restricted_lp_cost=sol.objective_value,
         ratio=metrics.total_flow / sol.objective_value if sol.objective_value else Fraction(0),
-        alpha=measure_alpha(inst, y, classes).alpha,
+        alpha=measure_alpha(y, classes).alpha,
         class_span=len(set(classes.values())),
     )
 

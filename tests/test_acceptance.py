@@ -67,16 +67,17 @@ from flowdisc.sdp import (
     signs_to_sdp_vectors,
 )
 from flowdisc.totalflow import (
+    JobSplit,
     TimeIndexedSolution,
     aux_cost,
     build_time_indexed_lp,
+    class_table,
     default_horizon,
     integral_assignment,
     measure_alpha,
     normalize_consistent_order,
     round_half_integral_totalflow,
     solution_violations,
-    split_jobs_instance,
 )
 
 
@@ -213,12 +214,13 @@ def test_criterion_4_consistent_order_preservation(record):
                                    (1, 6), (0, 5), 0.2, seed=5000 + trial)
         y = _random_ti_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
+        z = normalize_consistent_order(JobSplit.whole(inst), y)
         assert aux_cost(inst, y) == aux_cost(inst, z)
         for i in range(inst.m):
             for j in range(inst.n):
                 assert y.job_machine_total(i, j) == z.job_machine_total(i, j)
-        assert measure_alpha(inst, y).alpha == measure_alpha(inst, z).alpha
+        classes = class_table(inst)
+        assert measure_alpha(y, classes).alpha == measure_alpha(z, classes).alpha
     record("4 (consistent order preservation)", True, "25 solutions, exact")
 
 
@@ -248,12 +250,12 @@ def test_criterion_5_totalflow_rounding_bounds(record):
                                    (1, 8), (0, 5), 0.2, seed=6000 + trial)
         y = _random_half_integral_ti(inst, rng)
         assert solution_violations(inst, y) == []
-        split = split_jobs_instance(inst, 1)  # a plain instance is rounded as its level-1 split
+        split = JobSplit.whole(inst)  # a plain instance is rounded as its whole jobs
         ybar = normalize_consistent_order(split, y)
-        alpha_in = measure_alpha(inst, ybar).alpha
+        alpha_in = measure_alpha(ybar, split.classes).alpha
         out, d = round_half_integral_totalflow(split, y, brute)
         assert integral_assignment(inst, out) is not None
-        assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
+        assert measure_alpha(out, split.classes).alpha <= alpha_in + 4 * d + 4
         compact = {}
         for j in range(inst.n):
             for i in range(inst.m):

@@ -361,7 +361,7 @@ def test_split_matches_reference_split():
         for T in bounds:
             ref_args = (ref_inst, FractionalAssignment(x=ref_fa.x, T=T))
             at_T = dataclasses.replace(sp, T=T)
-            lines = fractional_assignment_violations(at_T.instance, at_T.assignment, at_T.fixed_load)
+            lines = _fraction_violations(at_T.instance, at_T.assignment, at_T.fixed_load)
             assert lines == fractional_assignment_violations(*ref_args)
             seen["overloaded" if lines else "feasible"] += 1
             for colorer in [color_greedy] + ([brute] if len(keep) <= 10 else []):
@@ -740,7 +740,7 @@ def _fractional_instance(rng, m=3, max_jobs=6):
 
 def test_integer_checker_matches_fraction_reference():
     rng = random.Random(73)
-    kinds = {"overloaded": 0, "entry": 0, "fixed": 0, "clean": 0}
+    kinds = {"overloaded": 0, "entry": 0, "clean": 0}
     for trial in range(300):
         inst = _fractional_instance(rng)
         x = []
@@ -752,14 +752,9 @@ def test_integer_checker_matches_fraction_reference():
             total = sum(weights)
             x.append([w / total if total else w for w in weights])
         T = F(rng.randint(-2, 14), rng.choice([1, 2, 3, 4]))
-        fixed = None
-        if rng.random() < 0.5:
-            fixed = [{F(rng.randint(0, 9), rng.choice([1, 2, 5])): F(rng.randint(0, 6), rng.choice([1, 3]))
-                      for _ in range(rng.randint(0, 3))} for _ in range(inst.m)]
-            kinds["fixed"] += 1
         fa = FractionalAssignment(x=x, T=T)
-        lines = fractional_assignment_violations(inst, fa, fixed)
-        assert lines == _fraction_violations(inst, fa, fixed)
+        lines = fractional_assignment_violations(inst, fa)
+        assert lines == _fraction_violations(inst, fa)
         kinds["overloaded"] += any("window" in line for line in lines)
         kinds["entry"] += any("window" not in line for line in lines)
         kinds["clean"] += not lines
@@ -854,7 +849,7 @@ def test_level_check_rejects_exactly_what_the_full_scan_rejects(monkeypatch):
         for fa, h, sp in _levels_of(monkeypatch, inst):
             splits = [sp] + [bad for _, bad in _tampered_merges(inst, fa, h, sp, rng)]
             for k, bad in enumerate(splits):
-                full = fractional_assignment_violations(bad.instance, bad.assignment, bad.fixed_load)
+                full = _fraction_violations(bad.instance, bad.assignment, bad.fixed_load)
                 if full:
                     with pytest.raises(ValidationError) as err:
                         round_half_integral_maxflow(bad, color_greedy)
@@ -1331,10 +1326,12 @@ def test_quantize_matches_fraction_snap_on_any_denominators():
 
 def test_quantize_refuses_a_lone_off_grid_entry():
     # a row summing to 5/8 leaves one entry off the 1/4 grid; the text names the
-    # grid over the row's ints: 1/4 of the lcm 8 is 2
+    # grid over the matrix's ints: 1/4 of the lcm 8 is 2, and of the lcm 24 is 6
     fa = FractionalAssignment(x=[[F(1, 8), F(1, 2)]], T=1)
     with pytest.raises(InternalCheckError, match=r"^0 alone is off the grid of 2, so the total is too$"):
         quantize_dyadic(fa, 2)
+    with pytest.raises(InternalCheckError, match=r"^0 alone is off the grid of 6, so the total is too$"):
+        quantize_dyadic(FractionalAssignment(x=[[F(1, 24), F(23, 24)], *fa.x], T=1), 2)
     with pytest.raises(ValidationError, match="level must be nonnegative"):
         quantize_dyadic(fa, -1)
 

@@ -43,3 +43,18 @@ def test_readme_table_names_every_module():
     rows = set(re.findall(r"^\| `flowdisc\.(\w+)` \|", readme, flags=re.MULTILINE))
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
     assert modules and modules <= rows, sorted(modules - rows)
+
+
+def test_no_class_table_parameter_has_a_default():
+    # a split carries its own class table and every other layer takes one, so
+    # no function falls back to building the table itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                found += [f"{path.name}:{node.lineno}" for arg in with_default if arg.arg == "classes"]
+    assert SRC.is_dir() and not found, found

@@ -198,16 +198,16 @@ def test_solution_keys_are_ints_only(key, bad):
 def test_measure_alpha_capacity_obeying_zero():
     inst = make_instance(1, [(0, [1]), (0, [1])])
     y = TimeIndexedSolution(horizon=4, entries={(0, 0, 0): F(1), (0, 1, 1): F(1)})
-    assert measure_alpha(inst, y).alpha == 0
+    assert measure_alpha(y, class_table(inst)).alpha == 0
 
 
 def test_measure_alpha_forced_overlap():
     inst = make_instance(1, [(0, [1]), (0, [1])])
     y = TimeIndexedSolution(horizon=4, entries={(0, 0, 0): F(1), (0, 1, 0): F(1)})
-    rep = measure_alpha(inst, y)
+    rep = measure_alpha(y, class_table(inst))
     assert rep.alpha == 1
     assert rep.witness == (0, 0, 0, 1)
-    assert rep.reproduce(inst, y) == 1
+    assert rep.reproduce(y, class_table(inst)) == 1
 
 
 def test_measure_alpha_consistent_with_feasibility():
@@ -217,7 +217,7 @@ def test_measure_alpha_consistent_with_feasibility():
     lp, H = build_auxiliary_lp(inst, alpha0)
     sol = lpmod.solve_lp(lp)
     y = solution_from_lp(inst, lp, sol, H)
-    assert measure_alpha(inst, y).alpha <= alpha0
+    assert measure_alpha(y, class_table(inst)).alpha <= alpha0
 
 
 def _quadratic_auxiliary_lp(inst, alpha, H):
@@ -469,9 +469,10 @@ def test_measure_alpha_matches_all_slot_windows():
                                     if ii == i and t1 <= t < t2 and inst.jobs[j].proc[i] <= 2 ** k),
                                    F(0))
                         brute_alpha = max(brute_alpha, (load - (t2 - t1)) / 2 ** k)
-        rep = measure_alpha(inst, y)
+        classes = class_table(inst)
+        rep = measure_alpha(y, classes)
         assert rep.alpha == brute_alpha
-        assert rep.reproduce(inst, y) == brute_alpha
+        assert rep.reproduce(y, classes) == brute_alpha
         positive += brute_alpha > 0
     assert 0 < positive < 30
     # ties: a carry of exactly 0 restarts the window, and a later window of
@@ -480,7 +481,7 @@ def test_measure_alpha_matches_all_slot_windows():
     for entries, witness in [({(0, 0, 0): F(1), (0, 1, 1): F(1), (0, 2, 1): F(1)}, (0, 0, 1, 2)),
                              ({(0, 0, 0): F(1), (0, 1, 0): F(1), (0, 2, 5): F(1), (0, 3, 5): F(1)},
                               (0, 0, 0, 1))]:
-        rep = measure_alpha(inst, TimeIndexedSolution(horizon=8, entries=entries))
+        rep = measure_alpha(TimeIndexedSolution(horizon=8, entries=entries), class_table(inst))
         assert (rep.alpha, rep.witness) == (1, witness)
 
 
@@ -533,14 +534,14 @@ def test_slot_objective_and_completion_rows():
 def test_normalize_exchange_example():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 5): F(2), (0, 1, 3): F(2)})
-    z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
+    z = normalize_consistent_order(JobSplit.whole(inst), y)
     assert z.entries == {(0, 0, 3): F(2), (0, 1, 5): F(2)}
 
 
 def test_normalize_fixpoint():
     inst = make_instance(1, [(0, [2]), (0, [2])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 1): F(2), (0, 1, 4): F(2)})
-    z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
+    z = normalize_consistent_order(JobSplit.whole(inst), y)
     assert z.entries == y.entries
 
 
@@ -551,13 +552,14 @@ def test_normalize_preserves_everything_random():
                                    (1, 6), (0, 5), 0.2, seed=400 + trial)
         y = _random_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        z = normalize_consistent_order(split_jobs_instance(inst, 1), y)
+        z = normalize_consistent_order(JobSplit.whole(inst), y)
         assert solution_violations(inst, z) == []
         assert aux_cost(inst, y) == aux_cost(inst, z)
         for i in range(inst.m):
             for j in range(inst.n):
                 assert y.job_machine_total(i, j) == z.job_machine_total(i, j)
-        assert measure_alpha(inst, y).alpha == measure_alpha(inst, z).alpha
+        classes = class_table(inst)
+        assert measure_alpha(y, classes).alpha == measure_alpha(z, classes).alpha
         # consistent order: same-class volume respects the canonical order
         order_rank = {j: (inst.jobs[j].release, j) for j in range(inst.n)}
         by_group = {}
@@ -721,6 +723,16 @@ def _pipeline_calls(monkeypatch, name, instances, colorer=color_greedy):
     return calls
 
 
+def _record_splits(monkeypatch):
+    """A list that collects every `JobSplit` the pipeline makes from now on:
+    the whole jobs each split_jobs_instance call reads, and the split it returns."""
+    splits = []
+    real = totalflow.split_jobs_instance
+    monkeypatch.setattr(totalflow, "split_jobs_instance",
+                        lambda whole, level: splits.extend([whole, real(whole, level)]) or splits[-1])
+    return splits
+
+
 def test_normalize_matches_reference_refill():
     rng = random.Random(41)
     fractional = early = 0
@@ -735,7 +747,7 @@ def test_normalize_matches_reference_refill():
         if trial % 3 == 2:  # the refill may follow the moved volume before a release
             y = _early_entry(inst, y, rng)
         fractional += any(v.denominator > 1 for v in y.entries.values())
-        got = _outcome(normalize_consistent_order, split_jobs_instance(inst, 1), y)
+        got = _outcome(normalize_consistent_order, JobSplit.whole(inst), y)
         assert got == _outcome(_reference_normalize, inst, y)
         early += isinstance(got, tuple)
     assert fractional > 30 and early > 5
@@ -820,14 +832,19 @@ def test_alpha_and_cost_match_fraction_references(monkeypatch):
                                           for job in inst.jobs])
         cases.append((inst, TimeIndexedSolution(y.horizon, {key: v * scale for key, v in y.entries.items()})))
     cases.append((make_instance(1, [(0, [1])]), TimeIndexedSolution(horizon=3)))
-    cases += _pipeline_calls(monkeypatch, "measure_alpha",
-                             [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1300 + n)
-                              for n in range(2, 9)])
+    cases = [(inst, y, class_table(inst)) for inst, y in cases]
+    # the pipeline's calls, each priced on the instance of the split whose table it reads
+    splits = _record_splits(monkeypatch)
+    calls = _pipeline_calls(monkeypatch, "measure_alpha",
+                            [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=1300 + n)
+                             for n in range(2, 9)])
+    for y, classes in calls:
+        cases.append((next(split for split in splits if split.classes is classes).instance, y, classes))
+    levels = [classes for _, classes in calls if any(classes is split.classes for split in splits[1::2])]
+    assert len(levels) > 20 and len(calls) - len(levels) > 20  # a level's pieces, and the whole jobs
     negative = positive = 0
-    for inst, y, *_ in cases:
-        rep = measure_alpha(inst, y)
-        if isinstance(inst, JobSplit):  # a level's call: the pieces' Fraction view
-            inst = inst.instance
+    for inst, y, classes in cases:
+        rep = measure_alpha(y, classes)
         assert (rep.alpha, rep.witness) == _reference_measure_alpha(inst, y)
         assert type(rep.alpha) is F
         cost = aux_cost(inst, y)
@@ -928,14 +945,14 @@ def test_round_half_integral_matches_fraction_reference(monkeypatch):
              _random_half_integral_solution(inst, rng))
         if trial % 10 == 5:
             y = _early_entry(inst, y, rng)
-        cases.append((split_jobs_instance(inst, 1), y, brute if trial % 3 else color_greedy))
+        cases.append((JobSplit.whole(inst), y, brute if trial % 3 else color_greedy))
     for trial in range(80):
         level = 1 + trial % 4
         inst = (_divisible_instance(rng, level) if trial % 2 else
                 gen_random_instance(rng.randint(1, 5), rng.randint(2, 3), (1, 4), (0, 5), 0.2, seed=1450 + trial))
         inst = make_instance(inst.m, [(job.release, [p and p * 2 ** (level - 1) for p in job.proc])
                                       for job in inst.jobs]) if trial % 2 == 0 else inst
-        split = split_jobs_instance(inst, level)
+        split = split_jobs_instance(JobSplit.whole(inst), level)
         y = _split_solution(inst, split.origin, _random_dyadic_solution(inst, rng, level), level)
         cases.append((split, y, color_greedy))
     cases += [args for args in _pipeline_calls(
@@ -945,33 +962,66 @@ def test_round_half_integral_matches_fraction_reference(monkeypatch):
     for force_zero in (False, True):
         if force_zero:
             monkeypatch.setattr(totalflow, "discrepancy", lambda seq, mode: SimpleNamespace(value=F(0)))
-            cases = [(split_jobs_instance(inst, 1), y, _to_first) for inst, y in map(_stacked_halves, range(1, 14))]
-        for split, y, colorer, *classes in cases:  # the pipeline's calls pass its class table
-            got = _outcome(round_half_integral_totalflow, split, y, colorer, *classes)
+            cases = [(JobSplit.whole(inst), y, _to_first) for inst, y in map(_stacked_halves, range(1, 14))]
+        for split, y, colorer in cases:
+            got = _outcome(round_half_integral_totalflow, split, y, colorer)
             assert got == _outcome(_reference_round_half, split.instance, y, colorer)
             if isinstance(got[0], type):
                 seen["slack" if force_zero else "early" if "release" in got[1] else "halves"] += 1
                 continue
-            out, _ = round_half_integral_totalflow(split, y, colorer, *classes)
+            out, _ = round_half_integral_totalflow(split, y, colorer)
             assert out.den == y.den
-            assert measure_alpha(split, out).alpha == _reference_measure_alpha(split.instance, out)[0]
+            assert measure_alpha(out, split.classes).alpha == _reference_measure_alpha(split.instance, out)[0]
             seen["split"] += got[1] > 0
-            seen["negative"] += min(class_table(split).values()) < 0
+            seen["negative"] += min(split.classes.values()) < 0
             seen["levels"] += split.n > len(set(split.origin))
     monkeypatch.undo()
     assert min(seen.values()) >= 5 and seen["halves"] + seen["early"] > 10 and seen["split"] > 40, seen
 
 
 def test_pipeline_hands_each_level_the_split_class_table(monkeypatch):
-    # a piece of p/2^(h-1) is h - 1 classes below its job, so the pipeline
-    # shifts the dilated instance's table in place of building one per level
+    # a piece of p/2^(h-1) is h - 1 classes below its job, so a split shifts
+    # its whole jobs' table in place of building one per level: every split
+    # the pipeline makes, seeded splits at levels 1..4 of integral and
+    # fractional times (negative classes), and splits of splits carry the
+    # table of their pieces' own instance
     rng = random.Random(89)
     instances = [gen_random_instance(rng.randint(2, 12), rng.randint(1, 3), (1, rng.randint(1, 8)),
                                      (0, 12), 0.3, seed=2200 + trial) for trial in range(40)]
+    splits = _record_splits(monkeypatch)
     calls = _pipeline_calls(monkeypatch, "round_half_integral_totalflow", instances)
-    for split_inst, _y, _colorer, classes in calls:
-        assert classes == class_table(split_inst)
     assert len(calls) > 2 * len(instances)  # most instances round on more than one level
+    assert {id(split) for split, *_ in calls} <= {id(split) for split in splits}
+    seen = dict.fromkeys(["negative", "nested"], 0)
+    for trial in range(120):
+        level = 1 + trial % 4
+        if trial % 2:  # pieces a/b at level + 1, for b odd
+            inst = _divisible_instance(rng, level + 1)
+        else:
+            inst = gen_random_instance(rng.randint(1, 5), rng.randint(1, 3), (1, 4), (0, 6), 0.2, seed=2300 + trial)
+            inst = make_instance(inst.m, [(job.release, [p and p * 2 ** level for p in job.proc]) for job in inst.jobs])
+        split = split_jobs_instance(JobSplit.whole(inst), level)
+        inner = split_jobs_instance(split, 2)  # pieces of pieces: level + 1 of the whole jobs
+        assert inner == split_jobs_instance(JobSplit.whole(inst), level + 1)
+        splits += [JobSplit.whole(inst), split, inner]
+        seen["negative"] += min(inner.classes.values()) < 0
+        seen["nested"] += 1
+    for split in splits:
+        assert split.classes == class_table(split.instance)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_pipeline_builds_two_class_tables_per_run(monkeypatch):
+    # one for the auxiliary LP and one for JobSplit.whole, each of an instance
+    seen = []
+    real = totalflow.class_table
+    monkeypatch.setattr(totalflow, "class_table", lambda inst: seen.append(type(inst)) or real(inst))
+    rng = random.Random(97)
+    for trial in range(12):
+        seen.clear()
+        inst = gen_random_instance(rng.randint(1, 9), rng.randint(1, 3), (1, 6), (0, 10), 0.2, seed=2400 + trial)
+        full_round_totalflow(inst, color_greedy)
+        assert seen == [SchedulingInstance, SchedulingInstance], (trial, seen)
 
 
 def test_pour_fills_in_order_and_rejects_a_short_supply():
@@ -986,28 +1036,29 @@ def test_pour_fills_in_order_and_rejects_a_short_supply():
 
 def test_split_jobs_identity_level():
     inst = make_instance(2, [(0, [4, 6])])
-    split = split_jobs_instance(inst, 1)
+    split = split_jobs_instance(JobSplit.whole(inst), 1)
     assert split.instance.jobs == inst.jobs and split.origin == [0]
 
 
 def test_split_jobs_level_two():
     inst = make_instance(2, [(0, [4, 6])])
-    split = split_jobs_instance(inst, 2)
+    split = split_jobs_instance(JobSplit.whole(inst), 2)
     assert split.n == 2 and split.origin == [0, 0] and split.procs == [[2, 3], [2, 3]]
     assert all(job.proc == (F(2), F(3)) for job in split.instance.jobs)
 
 
 def test_split_jobs_class_shift():
     inst = make_instance(1, [(0, [8])])
-    split = split_jobs_instance(inst, 3)  # pieces of size 2
+    split = split_jobs_instance(JobSplit.whole(inst), 3)  # pieces of size 2
     assert class_index(inst.jobs[0].proc[0]) == 3
     assert all(class_index(job.proc[0]) == 1 for job in split.instance.jobs)
+    assert split.classes == {(0, q): 1 for q in range(4)}
 
 
 def test_split_jobs_divisibility():
     inst = make_instance(1, [(0, [6])])
     with pytest.raises(ValidationError, match="^processing time 6 not divisible by 4$"):
-        split_jobs_instance(inst, 3)
+        split_jobs_instance(JobSplit.whole(inst), 3)
 
 
 def _fraction_split(inst, level):
@@ -1056,8 +1107,8 @@ def _divisible_instance(rng, level):
 def test_split_matches_fraction_reference():
     # integral and fractional times (S > 1), forbidden machines, m = 1..3 and
     # levels 1..4: the int split's view and origins are the Fraction split's,
-    # its order is the pieces' (release, index) order, splitting the whole
-    # jobs gives the same split, and every refusal has the reference's text
+    # its order is the pieces' (release, index) order, level 1 keeps the
+    # whole jobs, and every refusal has the reference's text
     rng = random.Random(2801)
     seen = dict.fromkeys(["scaled", "split", "divisibility", "release"], 0)
     for trial in range(200):
@@ -1071,33 +1122,33 @@ def test_split_matches_fraction_reference():
             want = _fraction_split(inst, level)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as err:
-                split_jobs_instance(inst, level)
+                split_jobs_instance(JobSplit.whole(inst), level)
             assert str(err.value) == str(exc)
             seen["release" if "release" in str(exc) else "divisibility"] += 1
             continue
-        split = split_jobs_instance(inst, level)
+        split = split_jobs_instance(JobSplit.whole(inst), level)
         assert (split.instance, split.origin) == want
         assert split.order == sorted(range(split.n), key=lambda q: (want[0].jobs[q].release, q))
-        assert split_jobs_instance(JobSplit.whole(inst), level) == split
+        assert level > 1 or split == JobSplit.whole(inst)
         assert split.scale == math.lcm(*(p.denominator for _, _, p in inst.finite_procs()))
         seen["split"] += 1
         seen["scaled"] += split.scale > 1
     assert min(seen.values()) >= 10, seen
     with pytest.raises(ValidationError, match="^level must be >= 1$"):
-        split_jobs_instance(make_instance(1, [(0, [1])]), 0)
+        split_jobs_instance(JobSplit.whole(make_instance(1, [(0, [1])])), 0)
 
 
 def test_quantize_time_fixpoint():
     inst = make_instance(2, [(0, [2, 4])])
     y = TimeIndexedSolution(horizon=8, entries={(0, 0, 0): F(1), (1, 0, 3): F(2)})
-    q = quantize_dyadic_time(inst, y, 1)
+    q = quantize_dyadic_time(inst, y, 1, class_table(inst))
     assert q.entries == y.entries
 
 
 def test_quantize_time_two_placement_transfer():
     inst = make_instance(2, [(0, [2, 4])])
     y = TimeIndexedSolution(horizon=10, entries={(0, 0, 0): F(2, 3), (1, 0, 2): F(8, 3)})
-    q = quantize_dyadic_time(inst, y, 1)
+    q = quantize_dyadic_time(inst, y, 1, class_table(inst))
     for i in range(2):
         frac = q.job_machine_total(i, 0) / inst.jobs[0].proc[i]
         assert frac % F(1, 2) == 0
@@ -1112,7 +1163,8 @@ def test_quantize_time_alpha_increase_at_most_one():
                                    (1, 6), (0, 5), 0.2, seed=600 + trial)
         y = _random_solution(inst, rng)
         level = max((inst.n - 1).bit_length(), 1)
-        q = quantize_dyadic_time(inst, y, level)
+        classes = class_table(inst)
+        q = quantize_dyadic_time(inst, y, level, classes)
         assert solution_violations(inst, q) == []
         unit = F(1, 2 ** level)
         for j in range(inst.n):
@@ -1120,16 +1172,14 @@ def test_quantize_time_alpha_increase_at_most_one():
                 p = inst.jobs[j].proc[i]
                 if p is not None:
                     assert (q.job_machine_total(i, j) / p) % unit == 0
-        assert measure_alpha(inst, q).alpha <= measure_alpha(inst, y).alpha + 1
+        assert measure_alpha(q, classes).alpha <= measure_alpha(y, classes).alpha + 1
         assert aux_cost(inst, q) <= aux_cost(inst, y)
 
 
-def _fraction_quantize(inst, y, level, classes=None):
+def _fraction_quantize(inst, y, level):
     """quantize_dyadic_time on Fraction streams and rates (reference)."""
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    if classes is None:
-        classes = class_table(inst)
     unit = F(1, 2 ** level)
     streams = _streams(y)
     entries = dict(y.entries)
@@ -1138,7 +1188,7 @@ def _fraction_quantize(inst, y, level, classes=None):
         stream = {i: streams.get((i, j), []) for i in machines}
         frac = {i: sum((v for _, v in stream[i]), F(0)) / job.proc[i] for i in machines}
         first = {i: stream[i][0][0] if stream[i] else int(job.release) for i in machines}
-        scale = {i: pow2(classes[i, j]) for i in machines}
+        scale = {i: pow2(class_index(job.proc[i])) for i in machines}
         add = {i: slot_rate(job, first[i], scale[i]) * job.proc[i] for i in machines}
         cost = {i: sum((slot_rate(job, t, scale[i]) * v for t, v in stream[i]), F(0))
                 for i in machines}
@@ -1171,27 +1221,28 @@ def test_quantize_matches_fraction_reference(monkeypatch):
         elif trial % 8 == 3 and y.entries:  # one volume off its job's grid
             key = rng.choice(sorted(y.entries))
             y = TimeIndexedSolution(y.horizon, {**y.entries, key: y.entries[key] + F(1, 7)})
-        cases.append((inst, y, trial % 5))
+        cases.append((inst, y, trial % 5, class_table(inst)))
     cases += _pipeline_calls(monkeypatch, "quantize_dyadic_time",
                              [gen_random_instance(n, 2, (1, 6), (0, 2 * n), 0.2, seed=3000 + n) for n in range(2, 12)])
     seen = dict.fromkeys(["changed", "reduced", "refused", "negative"], 0)
-    for inst, y, level, *classes in cases:
+    for inst, y, level, classes in cases:
         try:
             want = _fraction_quantize(inst, y, level)
         except InternalCheckError as exc:
             with pytest.raises(InternalCheckError) as err:
-                quantize_dyadic_time(inst, y, level, *classes)
+                quantize_dyadic_time(inst, y, level, classes)
             assert str(err.value) == str(exc)
             seen["refused"] += 1
             continue
-        got = quantize_dyadic_time(inst, y, level, *classes)
+        got = quantize_dyadic_time(inst, y, level, classes)
         assert (list(got.entries.items()), got.den) == (list(want.entries.items()), want.den)
         seen["changed"] += got.entries != y.entries
         seen["reduced"] += got.den < y.den
-        seen["negative"] += min(class_table(inst).values()) < 0
+        seen["negative"] += min(classes.values()) < 0
     assert min(seen.values()) >= 10, seen
+    inst = make_instance(1, [(0, [1])])
     with pytest.raises(ValidationError, match="^level must be nonnegative$"):
-        quantize_dyadic_time(make_instance(1, [(0, [1])]), TimeIndexedSolution(1), -1)
+        quantize_dyadic_time(inst, TimeIndexedSolution(1), -1, class_table(inst))
 
 
 def _random_half_integral_solution(inst, rng):
@@ -1218,8 +1269,8 @@ def _random_half_integral_solution(inst, rng):
 
 def test_rounding_vector_formula():
     # half on machine 0 (p=3, class 2) and machine 1 (p=5, class 3)
-    split = split_jobs_instance(make_instance(2, [(0, [3, 5])]), 1)
-    seq = rounding_vectors(split, [(0, 0, 1)], class_table(split))
+    split = JobSplit.whole(make_instance(2, [(0, [3, 5])]))
+    seq = rounding_vectors(split, [(0, 0, 1)])
     assert seq.m == 4 and seq.vectors[0].count(F(0)) == seq.m - 2
     assert F(3, 8) in seq.vectors[0]
     assert F(-5, 16) in seq.vectors[0]
@@ -1228,13 +1279,13 @@ def test_rounding_vector_formula():
     rng = random.Random(2803)
     for trial in range(60):
         inst = _divisible_instance(rng, 1 + trial % 3)
-        split = split_jobs_instance(inst, 1 + trial % 3)
+        split = split_jobs_instance(JobSplit.whole(inst), 1 + trial % 3)
         halves = []  # every piece on two machines: its first and its last finite one
         for j, row in enumerate(split.procs):
             finite = [i for i, p in enumerate(row) if p is not None]
             if len(finite) >= 2:
                 halves.append((j, finite[0], finite[-1]))
-        seq = rounding_vectors(split, halves, class_table(split))
+        seq = rounding_vectors(split, halves)
         _, vectors, _ = _fraction_rounding_vectors(split.instance, [h[0] for h in halves], {h[0]: h for h in halves})
         assert seq.vectors == [tuple(v) for v in vectors]
 
@@ -1246,13 +1297,13 @@ def test_round_half_integral_examples_and_bounds():
                                    (1, 8), (0, 5), 0.2, seed=700 + trial)
         y = _random_half_integral_solution(inst, rng)
         assert solution_violations(inst, y) == []
-        split = split_jobs_instance(inst, 1)  # a plain instance is rounded as its level-1 split
+        split = JobSplit.whole(inst)  # a plain instance is rounded as its whole jobs
         ybar = normalize_consistent_order(split, y)
-        alpha_in = measure_alpha(inst, ybar).alpha
+        alpha_in = measure_alpha(ybar, split.classes).alpha
         out, d = round_half_integral_totalflow(split, y, brute)
         assert integral_assignment(inst, out) is not None
         assert solution_violations(inst, out) == []
-        assert measure_alpha(inst, out).alpha <= alpha_in + 4 * d + 4
+        assert measure_alpha(out, split.classes).alpha <= alpha_in + 4 * d + 4
         # flip fallback: never worse than the earliest-slot compaction
         compact = {}
         for j in range(inst.n):
@@ -1269,7 +1320,7 @@ def test_round_all_integral_compaction_only():
     inst = make_instance(1, [(0, [2]), (1, [2])])
     y = TimeIndexedSolution(horizon=9, entries={(0, 0, 3): F(1), (0, 0, 6): F(1),
                                                 (0, 1, 2): F(2)})
-    out, d = round_half_integral_totalflow(split_jobs_instance(inst, 1), y, brute)
+    out, d = round_half_integral_totalflow(JobSplit.whole(inst), y, brute)
     assert d == 0
     assert integral_assignment(inst, out) is not None
     assert aux_cost(inst, out) <= aux_cost(inst, y)
@@ -1285,7 +1336,7 @@ def test_full_round_trace_bound_exact():
     for rec in trace.levels:
         assert rec.alpha_after <= rec.alpha_before + rec.level_bound
     assert trace.alpha_final <= trace.bound_value
-    assert measure_alpha(dinst, y).alpha == trace.alpha_final
+    assert measure_alpha(y, class_table(dinst)).alpha == trace.alpha_final
     data = result_to_json(trace)
     assert check_result(inst, data) == []
 
