@@ -120,13 +120,13 @@ def validate_instance(inst: SchedulingInstance) -> list[str]:
         if len(job.proc) != inst.m:
             problems.append(f"job {j}: has {len(job.proc)} processing entries, expected {inst.m}")
             continue
-        if job.release < 0:
+        if job.release.numerator < 0:
             problems.append(f"job {j}: negative release time {job.release}")
         finite = [p for p in job.proc if p is not None]
         if not finite:
             problems.append(f"job {j}: no finite processing time on any machine")
         for i, p in enumerate(job.proc):
-            if p is not None and p < 0:
+            if p is not None and p.numerator < 0:
                 problems.append(f"job {j}: negative processing time {p} on machine {i}")
     return problems
 
@@ -277,12 +277,12 @@ def evaluate_total_flow_srpt(inst: SchedulingInstance, asg: MachineAssignment) -
             raise ValidationError(f"job {j}: SRPT simulation needs integer processing time, got {p}")
 
     # every time is an int from here on; Fractions are made only for the result
-    release = [int(job.release) for job in inst.jobs]
+    release = [job.release.numerator for job in inst.jobs]
     completion: list[int] = release[:]  # zero-length jobs complete at their release
     segments: list[list[int]] = []  # [machine, job, start, end]
     for i in range(inst.m):
-        arrivals = sorted((release[j], j) for j in range(inst.n)
-                          if asg.assign[j] == i and inst.jobs[j].proc[i] > 0)
+        work = {j: inst.jobs[j].proc[i].numerator for j in range(inst.n) if asg.assign[j] == i}
+        arrivals = sorted((release[j], j) for j, p in work.items() if p > 0)
         heap: list[tuple[int, int]] = []  # (remaining, job) of the released, incomplete jobs
         t = a = 0
         while heap or a < len(arrivals):
@@ -290,7 +290,7 @@ def evaluate_total_flow_srpt(inst: SchedulingInstance, asg: MachineAssignment) -
                 t = arrivals[a][0]  # idle until the next release
             while a < len(arrivals) and arrivals[a][0] <= t:
                 j = arrivals[a][1]
-                heapq.heappush(heap, (int(inst.jobs[j].proc[i]), j))
+                heapq.heappush(heap, (work[j], j))
                 a += 1
             rem, j = heap[0]
             end = t + rem if a == len(arrivals) else min(t + rem, arrivals[a][0])

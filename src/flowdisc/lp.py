@@ -227,7 +227,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Deterministic: identical inputs produce the identical basis and values.
     """
-    *specs, (cost, _, _) = _int_rows(lp)
+    *specs, (cost, _, cost_den) = _int_rows(lp)
     relations = list(map(itemgetter(1), lp.constraints))
     # Slack/surplus columns for the <= and >= rows, then artificial columns
     # for the >= and == rows (a row with rhs < 0 is negated first, which swaps
@@ -307,7 +307,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     basic = [(b, Fraction(row.get(ncols, 0), row[b])) for row, b in zip(tab.rows, tab.basis) if b < nvars]
     values = dict.fromkeys(range(nvars), Fraction(0))
     values.update(basic)
-    obj_val = sum((lp.objective[b] * x for b, x in basic if b in lp.objective), Fraction(0))
+    # the objective value: the int costs over cost_den times the basic values
+    # rhs/den, added over the lcm of those dens
+    priced = [(cost[b] * row.get(ncols, 0), row[b]) for row, b in zip(tab.rows, tab.basis) if b in cost]
+    lden = math.lcm(*(den for _, den in priced))
+    obj_val = Fraction(sum(v * (lden // den) for v, den in priced), lden * cost_den)
     return LpSolution(OPTIMAL, values, obj_val)
 
 

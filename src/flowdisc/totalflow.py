@@ -19,17 +19,27 @@ exact because every volume the loop makes lies on the grid 1/den:
   - a sum, difference or ``min`` of volumes already on the grid (the refill
     and the slicing in ``_pour``, the merge of split pieces);
   - a chunk p/2^h of a split job: ``_split_solution`` first lifts ``den`` to a
-    multiple of 2^h times every processing time's denominator, so p*den/2^h
-    is an int;
+    multiple of S 2^h, for the run's `JobSplit` scale S, so p*den/2^h is an
+    int;
   - a whole p of a rounded job, where p*den is an int because the job's
     volume on that machine was p or p/2 before.
 The class table is built once per run, by `JobSplit.whole`, and a level's
 split shifts it: a piece of p/2^(h-1) sits h - 1 classes below p.  A level
 reads its `JobSplit` (releases, processing times and classes as ints) and
-groups, places and colors on ints.  Fractions appear only at the edges: the
-LP's solution comes in as Fractions, the quantization makes one per (machine,
-job) for its completed fraction and cost rates, and alpha, D, costs and the
-``entries`` view go out as Fractions.
+groups, places and colors on ints.
+
+Fractions appear only at the edges.  Past the intake, which reads the
+instance's numerators once it is checked integral, a run makes one for:
+  - each time of the dilated instance;
+  - each LP coefficient (the slot prices and the completion coefficients
+    1/p) and the slack the LP is built at;
+  - each LP solution value and the LP's optimum, ``lp_cost``;
+  - each reported value: every measured slack alpha, each level's D and
+    bound, the telescoped bound, the two flip costs of a level, and the
+    SRPT metrics;
+  - in `check_result`, each parsed field and each level's recomputed bound.
+Everything in between, the quantization, the splits, the slack checks and
+the bound sum, adds and compares ints over an explicit scale.
 """
 
 from __future__ import annotations
@@ -142,8 +152,8 @@ def solution_violations(inst: SchedulingInstance, y: TimeIndexedSolution) -> lis
 
 def default_horizon(inst: SchedulingInstance) -> int:
     """Max release plus the sum of per-job minimum processing times."""
-    top = max(int(job.release) for job in inst.jobs)
-    work = sum(int(min(p for p in job.proc if p is not None)) for job in inst.jobs)
+    top = max(job.release.numerator // job.release.denominator for job in inst.jobs)
+    work = sum(min(p.numerator // p.denominator for p in job.proc if p is not None) for job in inst.jobs)
     return top + work
 
 
@@ -152,7 +162,7 @@ def _require_integral(inst: SchedulingInstance) -> None:
         if job.release.denominator != 1:
             raise ValidationError(f"job {j}: integer release required, got {job.release}")
         for p in job.proc:
-            if p is not None and (p.denominator != 1 or p < 1):
+            if p is not None and (p.denominator != 1 or p.numerator < 1):
                 raise ValidationError(f"job {j}: positive integer processing times required")
 
 
@@ -176,7 +186,7 @@ def _slot_program(inst: SchedulingInstance, scale: Callable, slots) -> tuple:
     lp = lpmod.LinearProgram()
     for j, job in enumerate(inst.jobs):
         coeffs = {}
-        release = int(job.release)
+        release = job.release.numerator  # an int: the builders check the instance integral first
         mine = [t for t in slots if t >= release]
         for i, p in enumerate(job.proc):
             if p is None:
@@ -199,11 +209,12 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
     _require_integral(inst)
     H = default_horizon(inst) if horizon is None else int(horizon)
     lp, col = _slot_program(inst, lambda p: p, range(H))
+    release = [job.release.numerator for job in inst.jobs]
     for i in range(inst.m):
         for t in range(H):
             coeffs = {}
             for j, job in enumerate(inst.jobs):
-                if job.proc[i] is not None and int(job.release) <= t:
+                if job.proc[i] is not None and release[j] <= t:
                     coeffs[col[i, j, t]] = 1
             if coeffs:
                 lp.constraints.append(lpmod.Constraint(coeffs, lpmod.LE, 1))
@@ -211,12 +222,9 @@ def build_time_indexed_lp(inst: SchedulingInstance, horizon: Optional[int] = Non
 
 
 def _event_slots(inst: SchedulingInstance, H: int) -> list[int]:
-    """0, the releases below H and H itself, sorted: the ends of the event gaps."""
-    slots = {0, H}
-    for job in inst.jobs:
-        if job.release < H:
-            slots.add(int(job.release))
-    return sorted(slots)
+    """0, the releases below H and H itself, sorted: the ends of the event gaps
+    (the releases are ints)."""
+    return sorted({0, H, *(job.release.numerator for job in inst.jobs if job.release.numerator < H)})
 
 
 def class_scale(p):
@@ -270,7 +278,7 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
     events = _event_slots(inst, H)
     lp, col = _slot_program(inst, class_scale, events[:-1])
     classes = class_table(inst)
-    release = [int(job.release) for job in inst.jobs]
+    release = [job.release.numerator for job in inst.jobs]
     for i in range(inst.m):
         ks = sorted({k for (ii, _), k in classes.items() if ii == i})
         for k in ks:
@@ -291,9 +299,11 @@ def build_auxiliary_lp(inst: SchedulingInstance, alpha, horizon: Optional[int] =
 
 def solution_from_lp(inst: SchedulingInstance, lp: lpmod.LinearProgram, sol: lpmod.LpSolution,
                      horizon: int) -> TimeIndexedSolution:
-    """The nonzero y columns of `lp`'s solution, labelled ``(i, j, t)``."""
-    return TimeIndexedSolution(horizon=horizon, entries={
-        lp.variables[col]: v for col, v in sol.values.items() if v and lp.variables[col][0] != CARRY})
+    """The nonzero y columns of `lp`'s solution, labelled ``(i, j, t)``, as
+    ints over the lcm of their denominators."""
+    values = {lp.variables[col]: v for col, v in sol.values.items() if v and lp.variables[col][0] != CARRY}
+    den = common_scale(values.values())
+    return TimeIndexedSolution.scaled(horizon, dict(zip(values, scaled_list(values.values(), den))), den)
 
 
 def ti_cost(inst: SchedulingInstance, y: TimeIndexedSolution) -> Fraction:
@@ -492,48 +502,67 @@ def quantize_dyadic_time(
     directions is taken (it is never cost-increasing).
     Each (machine, job) changes by one net adjustment below p_ij / 2^level,
     so any class window gains less than n * 2^k / 2^level volume and the
-    measured relaxation slack grows by at most 1.  The streams are summed as
-    ints; only the changed keys are rewritten, over the lcm of the reduced
-    denominators.
+    measured relaxation slack grows by at most 1.
+
+    It runs on ints.  Per job, the completed fractions are ints over
+    L = lcm(2^level, den * a_i) for its finite p_i = a_i/b_i, so the grid unit
+    1/2^level is L >> level, and the add and remove cost rates are ints over
+    the lcm R of their denominators.  Both scales are positive, so every
+    comparison snap_pairs makes, its (cost, amount) tie rule too, decides as on
+    the rationals.  Shrink ratios and added volumes are reduced int pairs, and
+    only the changed keys are rewritten, over the lcm of the reduced
+    denominators.  Releases must be nonnegative.
     """
     if level < 0:
         raise ValidationError("level must be nonnegative")
-    unit = Fraction(1, 2 ** level)
     den = y.den
     streams = y.scaled_streams()
-    shrink, grow = [], []  # (stream, machine, job, ratio), ((machine, job, slot), added volume)
+    shrink, grow = [], []  # (stream, machine, job, ratio n, ratio d), ((machine, job, slot), volume n, volume d)
     for j, job in enumerate(inst.jobs):
         a, b = job.release.numerator, job.release.denominator
-        frac, first, add, remove = {}, {}, {}, {}
-        for i, p in enumerate(job.proc):
-            if p is None:
-                continue
+        procs = {i: (p.numerator, p.denominator) for i, p in enumerate(job.proc) if p is not None}
+        L = lcm(1 << level, *(den * pn for pn, _ in procs.values()))
+        frac, first, add, remove = {}, {}, {}, {}  # frac over L; rates as (numerator, denominator)
+        for i, (pn, pd) in procs.items():
             st = streams.get((i, j), [])
             total = sum(x for _, x in st)
-            frac[i] = Fraction(total * p.denominator, den * p.numerator)
-            first[i] = st[0][0] if st else int(job.release)
+            frac[i] = total * pd * (L // (den * pn))
+            first[i] = st[0][0] if st else a // b
             # p times slot_rate(job, t, 2^k) = (2(tb - a)d + bc) / (2bc), 2^k = c/d: at the
             # first slot for added volume, averaged over the stream for removed volume
             k = classes[i, j]
             c, d = 1 << max(k, 0), 1 << max(-k, 0)
-            add[i] = Fraction(p.numerator * (2 * (first[i] * b - a) * d + b * c), p.denominator * 2 * b * c)
+            add[i] = (pn * (2 * (first[i] * b - a) * d + b * c), pd * 2 * b * c)
             if total:
                 late = sum((t * b - a) * x for t, x in st)
-                remove[i] = Fraction(p.numerator * (2 * d * late + b * c * total), p.denominator * 2 * b * c * total)
-        target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - remove[lose])
+                remove[i] = (pn * (2 * d * late + b * c * total), pd * 2 * b * c * total)
+        R = lcm(*(q for _, q in add.values()), *(q for _, q in remove.values()))
+        add = {i: v * (R // q) for i, (v, q) in add.items()}
+        remove = {i: v * (R // q) for i, (v, q) in remove.items()}
+        unit = L >> level
+        try:
+            target = snap_pairs(frac, unit, lambda gain, lose: add[gain] - remove[lose])
+        except InternalCheckError as exc:  # name the grid 1/2^level, not its int unit over L
+            text = str(exc).replace(f"grid of {unit},", f"grid of {Fraction(1, 1 << level)},")
+            raise InternalCheckError(text) from None
         for i, f in frac.items():
-            if target[i] < f:
-                shrink.append((streams[i, j], i, j, target[i] / f))
-            elif target[i] > f:
-                grow.append(((i, j, first[i]), (target[i] - f) * job.proc[i]))
-    new_den = lcm(den, *(den * r.denominator for *_, r in shrink), *(v.denominator for _, v in grow))
+            t = target[i]
+            if t < f:
+                g = gcd(t, f)
+                shrink.append((streams[i, j], i, j, t // g, f // g))
+            elif t > f:
+                pn, pd = procs[i]
+                v, q = (t - f) * pn, L * pd
+                g = gcd(v, q)
+                grow.append(((i, j, first[i]), v // g, q // g))
+    new_den = lcm(den, *(den * q for *_, q in shrink), *(q for *_, q in grow))
     vol = dict(y.vol) if new_den == den else {key: x * (new_den // den) for key, x in y.vol.items()}
-    for st, i, j, r in shrink:
-        mul = r.numerator * (new_den // (den * r.denominator))
+    for st, i, j, v, q in shrink:
+        mul = v * (new_den // (den * q))
         for t, x in st:
             vol[i, j, t] = x * mul
-    for key, v in grow:
-        vol[key] = vol.get(key, 0) + v.numerator * (new_den // v.denominator)
+    for key, v, q in grow:
+        vol[key] = vol.get(key, 0) + v * (new_den // q)
     g = gcd(new_den, *vol.values())  # new_den / g is the lcm of the reduced denominators
     return TimeIndexedSolution.scaled(y.horizon, {key: x // g for key, x in vol.items() if x}, new_den // g)
 
@@ -626,7 +655,10 @@ def round_half_integral_totalflow(
     chosen = TimeIndexedSolution.scaled(ybar.horizon, vol_pos if cost_pos <= cost_neg else vol_neg, den)
     alpha_in = measure_alpha(ybar, split.classes).alpha
     alpha_out = measure_alpha(chosen, split.classes).alpha
-    if alpha_out > alpha_in + 4 * achieved + 4:
+    # alpha_out > alpha_in + 4D + 4 for D = a/b, on ints over the lcm of the denominators
+    a, b = achieved.numerator, achieved.denominator
+    scale = lcm(alpha_in.denominator, alpha_out.denominator, b)
+    if scaled(alpha_out, scale) > scaled(alpha_in, scale) + 4 * (a + b) * (scale // b):
         raise InternalCheckError(
             f"rounded slack {alpha_out} exceeds {alpha_in} + 4*{achieved} + 4"
         )
@@ -676,34 +708,47 @@ def dilation_factor(level: int) -> int:
 
 
 def slack_bound(h: int, d) -> Fraction:
-    """(4 D + 4)/2^(h-1): how far level h may raise the slack at discrepancy D."""
-    return (4 * d + 4) / Fraction(2 ** (h - 1))
+    """(4 D + 4)/2^(h-1): how far level h >= 1 may raise the slack at
+    discrepancy D, made as one Fraction 4(a + b)/(b 2^(h-1)) for D = a/b."""
+    if h < 1:
+        raise ValidationError(f"slack bound needs a level h >= 1, got {h}")
+    d = exact(d)
+    return Fraction(4 * (d.numerator + d.denominator), d.denominator << (h - 1))
+
+
+def _exceeds(x, terms: list) -> bool:
+    """Whether the rational x is above the sum of the rationals ``terms``,
+    decided on ints over the lcm of all their denominators."""
+    scale = common_scale([x, *terms])
+    return scaled(x, scale) > sum(scaled(t, scale) for t in terms)
 
 
 def dilate_instance(inst: SchedulingInstance, factor: int) -> SchedulingInstance:
     """Uniform time dilation: releases and processing times scale together, so
-    schedules correspond exactly and metrics divide back by the factor."""
-    jobs = tuple(
-        Job(release=job.release * factor,
-            proc=tuple(None if p is None else p * factor for p in job.proc))
-        for job in inst.jobs
-    )
+    schedules correspond exactly and metrics divide back by the factor.  Each
+    time is one Fraction, made from its ints."""
+    def dilate(v: Fraction) -> Fraction:
+        return Fraction(v.numerator * factor, v.denominator)
+
+    jobs = tuple(Job(release=dilate(job.release), proc=tuple(None if p is None else dilate(p) for p in job.proc))
+                 for job in inst.jobs)
     return SchedulingInstance(m=inst.m, jobs=jobs)
 
 
-def _split_solution(
-    inst: SchedulingInstance, origin: list[int], y: TimeIndexedSolution, level: int
-) -> TimeIndexedSolution:
-    """Distribute a level-h solution onto the split instance's pieces.
+def _split_solution(whole: JobSplit, origin: list[int], y: TimeIndexedSolution, level: int) -> TimeIndexedSolution:
+    """Distribute a level-h solution onto the pieces of ``whole``'s jobs, where
+    ``origin`` maps each piece to its job.
 
     Each original (machine, job) total is c half-units of p/2^h; the machine
     half-slots are paired first-with-last per job (the same canonical pairing
     as the assignment pipeline) and the job's time-ordered volume stream on
-    each machine is sliced into the corresponding chunks.
+    each machine is sliced into the corresponding chunks.  The times are
+    ``whole``'s ints P over S, so a chunk p/2^h is P * den / (S 2^h) over den.
     """
     scale = 2 ** level
     # lift den so that every chunk p/2^level is an int over it
-    den = lcm(y.den, *(p.denominator << level for _, _, p in inst.finite_procs()))
+    den = lcm(y.den, whole.scale << level)
+    per = den // (whole.scale << level)  # a chunk is P * per over den
     lift = den // y.den
     streams = y.scaled_streams()
     if lift != 1:
@@ -712,15 +757,14 @@ def _split_solution(
     for piece, j in enumerate(origin):
         pieces_of.setdefault(j, []).append(piece)
     vol: dict = {}
-    for j in range(inst.n):
+    for j, row in enumerate(whole.procs):
         slots: list[int] = []
         chunk: dict[int, int] = {}
-        for i in range(inst.m):
-            p = inst.jobs[j].proc[i]
+        for i, p in enumerate(row):
             if p is None:
                 continue
             tot = sum(x for _, x in streams.get((i, j), []))
-            chunk[i] = p.numerator * den // (p.denominator * scale)
+            chunk[i] = p * per
             cnt, rest = divmod(tot, chunk[i])
             if rest:
                 raise ValidationError(
@@ -780,7 +824,7 @@ def full_round_totalflow(
     alpha_initial = measure_alpha(y, jobs.classes).alpha
     y = quantize_dyadic_time(dinst, y, level, jobs.classes)
     alpha_quantized = measure_alpha(y, jobs.classes).alpha
-    if alpha_quantized > alpha_initial + 1:
+    if _exceeds(alpha_quantized, [alpha_initial, 1]):
         raise InternalCheckError(
             f"quantized slack {alpha_quantized} exceeds {alpha_initial} + 1"
         )
@@ -788,13 +832,13 @@ def full_round_totalflow(
     alpha_after = alpha_quantized  # the slack of the current y, measured once
     for h in range(level, 0, -1):
         split = split_jobs_instance(jobs, h)
-        y_split = _split_solution(dinst, split.origin, y, h)
+        y_split = _split_solution(jobs, split.origin, y, h)
         alpha_before = alpha_after
         y_rounded, achieved = round_half_integral_totalflow(split, y_split, colorer)
         y = _merge_split_solution(split.origin, y_rounded)
         alpha_after = measure_alpha(y, jobs.classes).alpha
         level_bound = slack_bound(h, achieved)
-        if alpha_after > alpha_before + level_bound:
+        if _exceeds(alpha_after, [alpha_before, level_bound]):
             raise InternalCheckError(
                 f"level {h}: slack {alpha_after} exceeds {alpha_before} + {level_bound}"
             )
@@ -805,8 +849,11 @@ def full_round_totalflow(
     if asg is None:
         raise InternalCheckError("pipeline did not reach an integral solution")
     alpha_final = alpha_after
-    bound = alpha_initial + 1 + sum((r.level_bound for r in records), Fraction(0))
-    if alpha_final > bound:
+    terms = [alpha_initial, 1, *(r.level_bound for r in records)]
+    scale = common_scale([alpha_final, *terms])
+    top = sum(scaled(t, scale) for t in terms)
+    bound = Fraction(top, scale)
+    if scaled(alpha_final, scale) > top:
         raise InternalCheckError(f"final slack {alpha_final} exceeds telescoped bound {bound}")
     metrics = evaluate_total_flow_srpt(inst, asg)  # SRPT scales with time
     trace = TotalFlowTrace(
@@ -859,10 +906,11 @@ def schedule_from_integral(inst: SchedulingInstance, y: TimeIndexedSolution) -> 
     if metrics.total_flow < sol.objective_value:
         raise InternalCheckError("SRPT flow fell below its LP lower bound")
     classes = class_table(inst)
+    rscale = common_scale(job.release for job in inst.jobs)
     return ScheduleRatioReport(
         assignment=asg,
         total_flow=metrics.total_flow,
-        aux_cost=aux_cost(inst, y),
+        aux_cost=_grouped_cost(y.vol, y.den, [scaled(job.release, rscale) for job in inst.jobs], rscale, classes),
         restricted_lp_cost=sol.objective_value,
         ratio=metrics.total_flow / sol.objective_value if sol.objective_value else Fraction(0),
         alpha=measure_alpha(y, classes).alpha,
@@ -907,7 +955,7 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
     if hs != expected:
         return [f"malformed result file: levels h = {hs}, expected {expected}"]
     for h, d, *_ in levels:
-        if d < 0:
+        if d.numerator < 0:
             return [f"malformed result file: level {h}: negative D {d}"]
     prev_after = None
     for h, d, before, after, bound in levels:
@@ -915,7 +963,7 @@ def check_result(inst: SchedulingInstance, data: dict) -> list[str]:
             problems.append(f"level {h}: recorded bound {bound} != (4D + 4)/2^(h-1) = {slack_bound(h, d)}")
         if prev_after is not None and before != prev_after:
             problems.append(f"level {h}: alpha_before {before} != previous alpha_after {prev_after}")
-        if after > before + bound:
+        if _exceeds(after, [before, bound]):
             problems.append(f"level {h}: recorded slack violates its bound")
         prev_after = after
     evaluated = evaluate_total_flow_srpt(inst, asg).total_flow

@@ -30,8 +30,20 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    """Parse a rational serialized by :func:`rat_to_str` (ints accepted, bools not)."""
-    if type(s) is not str and type(s) is not int:
+    """Parse a rational serialized by :func:`rat_to_str` (ints accepted, bools not).
+
+    The canonical form ``"[-]digits/digits"``, in ASCII digits over a nonzero
+    denominator, is read with two `int` calls; every other string goes
+    through :func:`exact`, which gives the same value or the same error.
+    """
+    if type(s) is str:
+        num, slash, den = s.partition("/")
+        if slash and s.isascii() and den.isdigit() and den.strip("0") and num.removeprefix("-").isdigit():
+            try:
+                return Fraction(int(num), int(den))
+            except ValueError:  # past the int-to-str digit limit: exact words the error
+                pass
+    elif type(s) is not int:
         raise ValidationError(f"expected rational string, got {type(s).__name__}")
     return exact_fraction(s)
 

@@ -4,9 +4,11 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowdisc import coloring, core, equivalence, game, lp, sdp, totalflow, util
-from flowdisc.util import ValidationError, common_scale, exact, exact_fraction, scaled, scaled_list
+from flowdisc.util import ValidationError, common_scale, exact, exact_fraction, rat_from_str, scaled, scaled_list
 
 
 def _one_row_lp():
@@ -93,3 +95,39 @@ def test_scaled_list_matches_scaled_per_value():
             ints = scaled_list(iter(values), s)  # any iterable
             assert ints == [None if v is None else scaled(v, s) for v in values]
             assert all(type(w) is int for w in ints if w is not None) and ints.count(None) == values.count(None)
+
+
+def _parsed(parse, s):
+    """What ``parse(s)`` gives: its value and type, or its error text."""
+    try:
+        value = parse(s)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+# ASCII and Arabic-Indic digits, signs, the separators a literal may hold,
+# and a superscript digit that is a str digit but no decimal one
+_RATIONAL_CHARS = "0123456789-+/ _.e\u0661\u0662\u0663\u00b2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=_RATIONAL_CHARS, max_size=12),
+                 st.from_regex(r"-?[0-9]{1,8}/[0-9]{1,8}", fullmatch=True)))
+def test_rat_from_str_agrees_with_exact(s):
+    # the canonical form has its own path; every string gets exact's value or error
+    assert _parsed(rat_from_str, s) == _parsed(exact, s)
+
+
+@pytest.mark.parametrize("s", ["0/1", "-0/5", "007/014", "3/0", "+3/4", " 3/4", "3/-4", "1_000/3",
+                               "\u0661/\u0662", "1.5", "1e3", "1" * 4301 + "/3", "3/" + "7" * 4301],
+                         ids=lambda s: s if len(s) < 20 else f"{s[:2]}...{s[-2:]}")
+def test_rat_from_str_pinned_literals(s):
+    got = _parsed(rat_from_str, s)
+    assert got == _parsed(exact, s)
+    if got[0] == "error":
+        assert "\n" not in got[1]
+    else:
+        assert got[0] is F
+    if len(s) > 4300:  # past the int-to-str digit limit
+        assert got[0] == "error" and "digit" in got[1]
